@@ -6,10 +6,24 @@
 //! same devices (the PW-C shape), so a host receives many grants per
 //! program: batching collapses them into one NIC message.
 
-use pathways_bench::table::Table;
 use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
 use pathways_net::{ClusterSpec, HostId, NetworkParams};
 use pathways_sim::{Sim, SimDuration};
+
+use super::Figure;
+use crate::perf::{BenchReport, ClusterShape};
+use crate::table::Table;
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "ablation_sched",
+    about: "Ablation (§4.5): batched subgraph grants vs one scheduler message per node",
+    full: |_| drop(run(&SWEEP)),
+    // The 16-host row alone takes ~1.5 s of the sweep's ~2 s.
+    report: || run(&SWEEP[..2]),
+};
+
+/// `(hosts, chain length)` per row.
+const SWEEP: [(u32, u32); 3] = [(4, 32), (8, 64), (16, 128)];
 
 fn chained_throughput(hosts: u32, chain: u32, batch_grants: bool, programs: u64) -> f64 {
     let mut sim = Sim::new(0);
@@ -53,7 +67,9 @@ fn chained_throughput(hosts: u32, chain: u32, batch_grants: bool, programs: u64)
     (chain as u64 * programs) as f64 / job.try_take().unwrap().as_secs_f64()
 }
 
-fn main() {
+fn run(sweep: &[(u32, u32)]) -> BenchReport {
+    let (max_hosts, _) = *sweep.last().expect("sweep is non-empty");
+    let mut report = BenchReport::new(ClusterShape::new(1, max_hosts, 4));
     println!("Ablation: batched subgraph grants vs per-node scheduler messages");
     println!("workload: chained computations sharing all devices (PW-C shape)\n");
     let mut t = Table::new(&[
@@ -63,7 +79,7 @@ fn main() {
         "per-node (comp/s)",
         "speedup",
     ]);
-    for (hosts, chain) in [(4u32, 32u32), (8, 64), (16, 128)] {
+    for &(hosts, chain) in sweep {
         let batched = chained_throughput(hosts, chain, true, 4);
         let unbatched = chained_throughput(hosts, chain, false, 4);
         t.row(vec![
@@ -73,8 +89,17 @@ fn main() {
             format!("{unbatched:.0}"),
             format!("{:.2}x", batched / unbatched),
         ]);
+        report = report
+            .metric(format!("batched_per_sec_h{hosts}"), batched)
+            .metric(format!("per_node_per_sec_h{hosts}"), unbatched)
+            .claim(
+                format!("batched grants win, {hosts} hosts x chain of {chain}"),
+                batched > unbatched,
+                format!("{batched:.0} vs {unbatched:.0} comp/s"),
+            );
     }
     println!("{}", t.render());
     println!("expected shape: batching wins as chains lengthen — per-node grant messages");
     println!("serialize on the scheduler host's NIC and delay downstream enqueues.");
+    report
 }

@@ -2,11 +2,21 @@
 //! throughput (masking the single-controller overhead), at 16 hosts
 //! (configuration B) and 512 hosts (configuration A).
 
-use pathways_bench::micro::fig6_point;
-use pathways_bench::table::Table;
 use pathways_sim::SimDuration;
 
-fn main() {
+use super::Figure;
+use crate::micro::fig6_point;
+use crate::perf::{BenchReport, ClusterShape};
+use crate::table::Table;
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig6",
+    about: "Figure 6: smallest computation reaching JAX parity, 16 vs 512 hosts",
+    full: |_| full(),
+    report,
+};
+
+fn full() {
     println!("Figure 6: computation size needed to match JAX throughput\n");
     for (hosts, dph, label) in [
         (16u32, 8u32, "16 hosts / 128 TPUs (B)"),
@@ -39,4 +49,18 @@ fn main() {
         }
         println!("paper: 2.39 ms at 16 hosts, 35 ms at 512 hosts\n");
     }
+}
+
+/// Parity improves with computation size, on 4 hosts x 8 TPUs.
+fn report() -> BenchReport {
+    let (j_s, p_s) = fig6_point(4, 8, SimDuration::from_micros(100), 30);
+    let (j_b, p_b) = fig6_point(4, 8, SimDuration::from_millis(10), 8);
+    BenchReport::new(ClusterShape::new(1, 4, 8))
+        .metric("ratio_small_computation", p_s / j_s)
+        .metric("ratio_large_computation", p_b / j_b)
+        .claim(
+            "parity at large computations",
+            p_s / j_s < 0.95 && p_b / j_b > 0.9,
+            format!("ratio {:.2} -> {:.2}", p_s / j_s, p_b / j_b),
+        )
 }

@@ -3,17 +3,25 @@
 //! per-program compute sizes, against the JAX single-program reference.
 
 use pathways_baselines::{StepWorkload, SubmissionMode};
-use pathways_bench::micro::{jax_throughput, pathways_multiclient_throughput};
-use pathways_bench::table::Table;
 use pathways_sim::SimDuration;
 
-fn main() {
+use super::Figure;
+use crate::micro::{jax_throughput, pathways_multiclient_throughput};
+use crate::perf::{BenchReport, ClusterShape};
+use crate::table::Table;
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig8",
+    about: "Figure 8: multi-tenant aggregate throughput vs client count \
+            (arg: hosts, default `8`; the paper's configuration B is 64)",
+    full,
+    report,
+};
+
+fn full(args: &[String]) {
     // Scaled-down configuration B (the full 64-host sweep takes much
-    // longer; pass hosts as argv[1] to override).
-    let hosts: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    // longer; pass hosts as the first argument to override).
+    let hosts: u32 = args.first().and_then(|s| s.parse().ok()).unwrap_or(8);
     let dph = 8;
     println!(
         "Figure 8: aggregate throughput of concurrent programs ({} hosts x {} TPUs)\n",
@@ -66,4 +74,27 @@ fn main() {
     println!("expected shape (paper): PW aggregate rises with clients until the TPUs");
     println!("saturate, reaching at least the JAX reference; larger computations need");
     println!("fewer clients to saturate.");
+}
+
+/// One vs eight clients of 40 us programs on 2 hosts x 8 TPUs.
+fn report() -> BenchReport {
+    let agg = |clients| {
+        pathways_multiclient_throughput(
+            2,
+            8,
+            clients,
+            SimDuration::from_micros(40),
+            SimDuration::from_millis(40),
+            1,
+        )
+    };
+    let (one, eight) = (agg(1), agg(8));
+    BenchReport::new(ClusterShape::new(1, 2, 8))
+        .metric("one_client_per_sec", one)
+        .metric("eight_clients_per_sec", eight)
+        .claim(
+            "multi-tenancy scales",
+            eight > one * 1.3,
+            format!("{one:.0} -> {eight:.0} comp/s"),
+        )
 }

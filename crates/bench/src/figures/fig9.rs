@@ -2,15 +2,34 @@
 //! programs with proportional-share ratios 1:1:1:1 and 1:2:4:8, plus
 //! utilization vs client count.
 
-use pathways_bench::table::Table;
-use pathways_bench::tenancy::{tenancy_trace, tenancy_trace_with_policy, TenancyPolicy};
 use pathways_sim::SimDuration;
 
-fn main() {
+use super::Figure;
+use crate::perf::{BenchReport, ClusterShape};
+use crate::table::Table;
+use crate::tenancy::{tenancy_trace, tenancy_trace_with_policy, TenancyPolicy, TenancyTrace};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig9",
+    about: "Figures 9 and 11: proportional-share gang-scheduling traces, stride vs WFQ, \
+            utilization vs client count",
+    full: |_| drop(run()),
+    report: run,
+};
+
+/// `label`'s percentage of the device time the trace accounts for.
+fn share(t: &TenancyTrace, label: &str) -> f64 {
+    let total: f64 = t.busy_by_label.values().map(|d| d.as_secs_f64()).sum();
+    let busy = t.busy_by_label.get(label).map_or(0.0, |d| d.as_secs_f64());
+    100.0 * busy / total
+}
+
+fn run() -> BenchReport {
+    let mut report = BenchReport::new(ClusterShape::new(1, 1, 8));
     let compute = SimDuration::from_micros(330);
     let window = SimDuration::from_millis(50);
     println!("Figure 9: gang-scheduled interleaving of 4 clients (0.33 ms programs)\n");
-    for weights in [[1u32, 1, 1, 1], [1, 2, 4, 8]] {
+    for (weights, tag) in [([1u32, 1, 1, 1], "equal"), ([1, 2, 4, 8], "weighted")] {
         let t = tenancy_trace(1, 8, &weights, compute, window);
         println!(
             "proportional share {}:{}:{}:{}  (device-0 utilization {:.0}%)",
@@ -21,13 +40,23 @@ fn main() {
             t.utilization * 100.0
         );
         println!("{}", t.ascii);
-        let total: f64 = t.busy_by_label.values().map(|d| d.as_secs_f64()).sum();
         let shares: Vec<String> = t
             .busy_by_label
-            .iter()
-            .map(|(l, d)| format!("{l}={:.0}%", 100.0 * d.as_secs_f64() / total))
+            .keys()
+            .map(|l| format!("{l}={:.0}%", share(&t, l)))
             .collect();
         println!("device time shares: {}\n", shares.join(" "));
+        let d_over_a = share(&t, "D") / share(&t, "A");
+        report = report
+            .metric(format!("{tag}_share_ratio_d_over_a"), d_over_a)
+            .metric(format!("{tag}_utilization"), t.utilization);
+        if tag == "weighted" {
+            report = report.claim(
+                "proportional share",
+                d_over_a > 3.0 && t.utilization > 0.9,
+                format!("D/A = {d_over_a:.1}, util {:.0}%", t.utilization * 100.0),
+            );
+        }
     }
 
     println!("Policy-engine extension: stride vs gang-aware WFQ at 1:2:4:8\n");
@@ -37,18 +66,13 @@ fn main() {
         ("wfq", TenancyPolicy::WeightedFair),
     ] {
         let tr = tenancy_trace_with_policy(policy, 1, 8, &[1, 2, 4, 8], compute, window);
-        let total: f64 = tr.busy_by_label.values().map(|d| d.as_secs_f64()).sum();
         let mut row = vec![name.to_string()];
         for label in ["A", "B", "C", "D"] {
-            let share = tr
-                .busy_by_label
-                .get(label)
-                .map(|d| 100.0 * d.as_secs_f64() / total)
-                .unwrap_or(0.0);
-            row.push(format!("{share:.0}%"));
+            row.push(format!("{:.0}%", share(&tr, label)));
         }
         row.push(format!("{:.0}%", tr.utilization * 100.0));
         t.row(row);
+        report = report.metric(format!("{name}_share_pct_d"), share(&tr, "D"));
     }
     println!("{}", t.render());
     println!("both engines realize the weighted shares; WFQ additionally bounds each");
@@ -63,8 +87,10 @@ fn main() {
             n.to_string(),
             format!("{:.0}%", tr.utilization * 100.0),
         ]);
+        report = report.metric(format!("utilization_c{n}"), tr.utilization);
     }
     println!("{}", t.render());
     println!("expected shape (paper): a single client cannot saturate; with enough");
     println!("clients utilization reaches ~100% with millisecond-scale interleaving.");
+    report
 }

@@ -1,16 +1,28 @@
 //! Controller dispatch throughput, deterministic vs threaded: programs
 //! and kernels per wall-clock second pushed through one
-//! `PathwaysRuntime`, swept over work-stealing worker counts, plus the
-//! named-lock contention profile of each threaded run.
-//!
-//! Usage: `fig_dispatch [CLIENTS [PROGRAMS_PER_CLIENT [KERNELS]]]` —
-//! defaults to `8 64 8`. Worker counts swept: 1, 2, 4, 8. Writes
-//! `BENCH_fig_dispatch.json` at the repo root (override the directory
-//! with `BENCH_OUT_DIR`).
+//! `PathwaysRuntime`, swept over work-stealing worker counts 1, 2, 4
+//! and 8, plus the named-lock contention profile of each threaded run.
 
-use pathways_bench::dispatch::{dispatch_point, DispatchStats, DEVICES_PER_ISLAND};
-use pathways_bench::perf::{BenchReport, ClusterShape};
 use pathways_sim::ExecutorKind;
+
+use super::Figure;
+use crate::dispatch::{dispatch_point, DispatchStats, DEVICES_PER_ISLAND};
+use crate::perf::{BenchReport, ClusterShape};
+
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig_dispatch",
+    about: "Controller dispatch throughput, deterministic vs threaded at 1/2/4/8 workers \
+            (args: clients, programs per client, kernels per program; default `8 64 8`)",
+    full: |args| {
+        let args: Vec<u32> = args
+            .iter()
+            .map(|a| a.parse().unwrap_or_else(|_| panic!("bad count {a:?}")))
+            .collect();
+        let arg = |i: usize, default| args.get(i).copied().unwrap_or(default);
+        run(arg(0, 8), arg(1, 64), arg(2, 8));
+    },
+    report: || run(8, 64, 8),
+};
 
 const WORKER_SWEEP: &[usize] = &[1, 2, 4, 8];
 
@@ -27,15 +39,7 @@ fn row(s: &DispatchStats) {
     );
 }
 
-fn main() {
-    let args: Vec<u32> = std::env::args()
-        .skip(1)
-        .map(|a| a.parse().unwrap_or_else(|_| panic!("bad count {a:?}")))
-        .collect();
-    let clients = args.first().copied().unwrap_or(8);
-    let programs = args.get(1).copied().unwrap_or(64);
-    let kernels = args.get(2).copied().unwrap_or(8);
-
+fn run(clients: u32, programs: u32, kernels: u32) -> BenchReport {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     println!(
         "Dispatch throughput: {clients} clients x {programs} programs x {kernels} kernels \
@@ -49,14 +53,7 @@ fn main() {
         "backend", "workers", "programs", "kernels", "wall_s", "prog/s", "kern/s"
     );
 
-    let mut report = BenchReport::new(
-        "fig_dispatch",
-        ClusterShape {
-            islands: clients,
-            hosts_per_island: 1,
-            devices_per_host: DEVICES_PER_ISLAND,
-        },
-    );
+    let mut report = BenchReport::new(ClusterShape::new(clients, 1, DEVICES_PER_ISLAND));
 
     report = report.metric("host_cores", cores as f64);
     let det = dispatch_point(ExecutorKind::Deterministic, clients, programs, kernels);
@@ -64,6 +61,7 @@ fn main() {
     report = report
         .metric("det_programs_per_sec", det.programs_per_sec())
         .metric("det_kernels_per_sec", det.kernels_per_sec());
+    let mut all_complete = det.programs == u64::from(clients * programs);
 
     let mut by_workers: Vec<(usize, f64)> = Vec::new();
     for &w in WORKER_SWEEP {
@@ -74,6 +72,7 @@ fn main() {
             kernels,
         );
         row(&s);
+        all_complete &= s.programs == det.programs;
         by_workers.push((w, s.kernels_per_sec()));
         report = report
             .metric(
@@ -101,5 +100,15 @@ fn main() {
         report = report.metric("threaded_scaling_1_to_4", scaling);
     }
 
-    report.write_or_warn();
+    // Completion only: throughput is wall-clock and host-dependent, so
+    // it is the gate's business, not a claim's.
+    let report = report.claim(
+        "every backend completes every program",
+        all_complete,
+        format!(
+            "{} programs on deterministic and threaded x{WORKER_SWEEP:?}",
+            det.programs
+        ),
+    );
+    report
 }

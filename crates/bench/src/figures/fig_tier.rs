@@ -4,18 +4,27 @@
 //! vs lineage recompute after a device kill), the restore-vs-recompute
 //! frontier (cost-model choice with a checkpoint always available),
 //! durable disk bytes vs checkpoint-GC keep-K, and DAG-chain recovery
-//! with a shared upstream. Emits `BENCH_fig_tier.json` with all metric
-//! families.
+//! with a shared upstream.
 
-use pathways_bench::perf::{BenchReport, ClusterShape};
-use pathways_bench::table::Table;
-use pathways_bench::tier::{
+use pathways_sim::SimDuration;
+
+use super::Figure;
+use crate::perf::{BenchReport, ClusterShape};
+use crate::table::Table;
+use crate::tier::{
     chain_recovery, checkpoint_gc, recovery_frontier, recovery_latency, spill_throughput,
     SHARD_BYTES,
 };
-use pathways_sim::SimDuration;
 
-fn main() {
+pub(super) const FIGURE: Figure = Figure {
+    name: "fig_tier",
+    about: "Storage engine: throughput vs HBM budget (spill), recovery vs checkpoint interval, \
+            restore-vs-recompute frontier, checkpoint GC, DAG-chain recovery",
+    full: |_| drop(run()),
+    report: run,
+};
+
+fn run() -> BenchReport {
     const STEPS: u32 = 24;
     println!("fig_tier: tiered store under pressure and under faults");
     println!(
@@ -30,16 +39,9 @@ fn main() {
         "spilled MiB",
     ]);
     let budgets: [u64; 4] = [2 << 30, 1 << 30, 512 << 20, 256 << 20];
-    let mut report = BenchReport::new(
-        "fig_tier",
-        ClusterShape {
-            islands: 2,
-            hosts_per_island: 2,
-            devices_per_host: 4,
-        },
-    );
-    for hbm in budgets {
-        let p = spill_throughput(hbm, STEPS);
+    let mut report = BenchReport::new(ClusterShape::new(2, 2, 4));
+    let spill = budgets.map(|hbm| spill_throughput(hbm, STEPS));
+    for (hbm, p) in budgets.iter().zip(&spill) {
         t.row(vec![
             format!("{} MiB", hbm >> 20),
             format!("{:.0}", p.steps_per_sec),
@@ -53,6 +55,15 @@ fn main() {
             .metric(format!("spill_count_hbm_{tag}"), p.spills as f64)
             .metric(format!("spill_demotions_hbm_{tag}"), p.demotions as f64);
     }
+    let [roomy, _, _, tight] = &spill;
+    report = report.claim(
+        "spill trades throughput for capacity",
+        roomy.spills == 0 && tight.spills > 0 && tight.steps_per_sec < roomy.steps_per_sec,
+        format!(
+            "{:.0} -> {:.0} steps/s ({} spills, {} demotions)",
+            roomy.steps_per_sec, tight.steps_per_sec, tight.spills, tight.demotions
+        ),
+    );
     println!("{}", t.render());
     println!("expected shape: large budgets never spill; shrinking budgets trade");
     println!("throughput for spill transfers, and past the DRAM budget, disk demotions.\n");
@@ -66,8 +77,8 @@ fn main() {
         (Some(SimDuration::from_millis(10)), "ckpt_10ms"),
         (Some(SimDuration::from_millis(1)), "ckpt_1ms"),
     ];
-    for (interval, tag) in intervals {
-        let p = recovery_latency(interval);
+    let recovery = intervals.map(|(interval, _)| recovery_latency(interval));
+    for ((interval, tag), p) in intervals.iter().zip(&recovery) {
         t.row(vec![
             interval.map_or("none".into(), |d| d.to_string()),
             p.recovery.to_string(),
@@ -85,6 +96,15 @@ fn main() {
                 if p.restored { 1.0 } else { 0.0 },
             );
     }
+    let [lineage, _, ckpt_10ms, _] = &recovery;
+    report = report.claim(
+        "checkpoint restore beats recompute",
+        !lineage.restored && ckpt_10ms.restored && ckpt_10ms.recovery < lineage.recovery,
+        format!(
+            "restore {} vs recompute {}",
+            ckpt_10ms.recovery, lineage.recovery
+        ),
+    );
     println!("{}", t.render());
     println!("expected shape: any committed checkpoint restores in ~constant disk-read");
     println!("time; without checkpoints the object recomputes via lineage, paying the");
@@ -185,10 +205,18 @@ fn main() {
     report = report
         .metric("chain_recovery_ms", p.recovery.as_secs_f64() * 1e3)
         .metric("chain_recomputed", p.recomputed as f64)
-        .metric("chain_upstream_recomputes", p.upstream_recomputes as f64);
+        .metric("chain_upstream_recomputes", p.upstream_recomputes as f64)
+        .claim(
+            "chain recovery dedupes the shared upstream",
+            p.recomputed == 3 && p.upstream_recomputes == 1,
+            format!(
+                "chain of 3 back in {} with {} upstream recompute(s)",
+                p.recovery, p.upstream_recomputes
+            ),
+        );
     println!("{}", t.render());
     println!("expected shape: the batch recovers in topological order and the shared");
     println!("upstream is recomputed exactly once — the chain costs one producer");
     println!("recompute plus the two downstream rebuilds, not two full chains.");
-    report.write_or_warn();
+    report
 }

@@ -1,11 +1,9 @@
 //! Perf-regression gate over the `BENCH_*.json` trajectory.
 //!
-//! The bench binaries emit machine-readable reports ([`crate::perf`]);
-//! CI has always uploaded them as artifacts, but nothing *compared*
-//! them — a perf regression landed silently. This module diffs freshly
-//! generated reports against checked-in baselines
-//! (`perf/baselines/BENCH_<figure>.json`) with per-metric tolerances;
-//! the `perfgate` binary wires it into CI and offers `--bless` to
+//! `bench all` emits machine-readable reports ([`crate::perf`]); this
+//! module diffs them against checked-in baselines
+//! (`perf/baselines/BENCH_<figure>.json`) with per-metric tolerances.
+//! `bench gate` ([`run`]) wires it into CI and offers `--bless` to
 //! regenerate the baselines after an intentional change.
 //!
 //! Tolerances are per-metric *classes*, not per-file: metrics derived
@@ -13,252 +11,14 @@
 //! and gate tightly, while wall-clock metrics (the `fig_scale` and
 //! `fig_dispatch` families) vary with the host and only gate against
 //! order-of-magnitude collapses. Machine-shape metrics (core counts,
-//! lock-contention counters, worker-scaling ratios) are recorded for
-//! the trajectory but not gated at all.
-//!
-//! The workspace has no JSON dependency, so parsing is hand-rolled to
-//! match: a minimal recursive-descent parser covering exactly the JSON
-//! the hand-rolled writer emits (objects, arrays, strings, numbers,
-//! `null`/`true`/`false`).
+//! lock-contention counters, worker-scaling ratios) and the code-size
+//! trend are recorded for the trajectory but not gated at all.
 
 use std::fmt;
+use std::path::Path;
 
-// ---------------------------------------------------------------------
-// Minimal JSON value + parser.
-
-/// A parsed JSON value (numbers as `f64`, like the writer emits).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered like the writer.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document. Errors carry a byte offset for context.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                b as char,
-                self.pos,
-                self.peek().map(|c| c as char)
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'n') => self.keyword("null", Json::Null),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|e| format!("bad number {text:?} at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u escape")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through: advance by the
-                    // char, not the byte.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => return Err(format!("expected ',' or ']', found {other:?}")),
-            }
-        }
-    }
-}
+use crate::json::{parse_json, Json};
+use crate::perf::{out_dir, repo_root};
 
 // ---------------------------------------------------------------------
 // Bench-report shape.
@@ -333,8 +93,11 @@ pub enum Rule {
 /// other metric is derived from virtual time and replays
 /// bit-identically on the deterministic backend.
 pub fn rule_for(figure: &str, metric: &str) -> Rule {
-    // Machine shape, not performance.
-    if metric == "host_cores" || metric.contains("contended_") || metric.contains("scaling_1_to_4")
+    // Machine shape or a code-size trend, not performance.
+    if figure == "codesize"
+        || metric == "host_cores"
+        || metric.contains("contended_")
+        || metric.contains("scaling_1_to_4")
     {
         return Rule::Skip;
     }
@@ -442,6 +205,9 @@ pub fn compare(fresh: &GateReport, baseline: &GateReport) -> Vec<Finding> {
     let mut findings = Vec::new();
     for (name, base_value) in &baseline.metrics {
         let finding = match fresh.metrics.iter().find(|(n, _)| n == name) {
+            // Ungated metrics may come and go with the machine (which
+            // locks contend) or the tree (which crates exist).
+            None if rule_for(&fresh.figure, name) == Rule::Skip => Verdict::Ok,
             None => Verdict::Missing,
             Some((_, fresh_value)) => match (fresh_value, base_value) {
                 // Both null (non-finite at write time): equal enough.
@@ -488,23 +254,89 @@ pub fn compare(fresh: &GateReport, baseline: &GateReport) -> Vec<Finding> {
     findings
 }
 
+// ---------------------------------------------------------------------
+// `bench gate`.
+
+fn load(path: &Path) -> Result<GateReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    parse_report(&text).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+/// Gates every figure's fresh report (written by `bench all` to
+/// `BENCH_OUT_DIR`, default the repo root) against its baseline in
+/// `perf/baselines/`, failing on regressions, missing metrics or a
+/// missing file on either side. With `bless`, instead copies the fresh
+/// reports over the baselines (run after an intentional perf/shape
+/// change, then commit `perf/baselines/`). Returns whether every figure
+/// passed (or was blessed).
+pub fn run(bless: bool) -> bool {
+    let baseline_dir = repo_root().join("perf/baselines");
+    let mut failures = 0usize;
+    let mut gated = 0usize;
+    for figure in crate::figures::FIGURES {
+        let file = format!("BENCH_{}.json", figure.name);
+        let (fresh_path, base_path) = (out_dir().join(&file), baseline_dir.join(&file));
+        // Parsed before blessing too, so a malformed report never
+        // becomes a baseline.
+        let fresh = match load(&fresh_path) {
+            Ok(report) => report,
+            Err(e) => {
+                println!("FAIL {}: {e} — run `bench all` first", figure.name);
+                failures += 1;
+                continue;
+            }
+        };
+        if bless {
+            match std::fs::copy(&fresh_path, &base_path) {
+                Ok(_) => println!("blessed {}", base_path.display()),
+                Err(e) => {
+                    println!("FAIL {}: copy to {}: {e}", figure.name, base_path.display());
+                    failures += 1;
+                }
+            }
+            continue;
+        }
+        let baseline = match load(&base_path) {
+            Ok(report) => report,
+            Err(e) => {
+                println!("FAIL {}: {e} — run `bench gate --bless`", figure.name);
+                failures += 1;
+                continue;
+            }
+        };
+        let findings = compare(&fresh, &baseline);
+        gated += findings.len();
+        let failed: Vec<_> = findings.iter().filter(|f| f.verdict.fails()).collect();
+        if failed.is_empty() {
+            println!("ok   {} ({} metrics)", figure.name, fresh.metrics.len());
+        } else {
+            println!("FAIL {}:", figure.name);
+            failures += failed.len();
+        }
+        for f in &findings {
+            if f.verdict.fails() {
+                println!("  {f}");
+            } else if f.verdict == Verdict::Unbaselined {
+                println!("  note: {f}");
+            }
+        }
+    }
+    if !bless {
+        println!("gate: {gated} metrics gated, {failures} failure(s)");
+    }
+    failures == 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_writer_output_roundtrip() {
-        let json = crate::perf::BenchReport::new(
-            "figX",
-            crate::perf::ClusterShape {
-                islands: 2,
-                hosts_per_island: 1,
-                devices_per_host: 4,
-            },
-        )
-        .metric("virtual_per_sec", 123.5)
-        .metric("bad", f64::NAN)
-        .to_json();
+        let json = crate::perf::BenchReport::new(crate::perf::ClusterShape::new(2, 1, 4))
+            .metric("virtual_per_sec", 123.5)
+            .metric("bad", f64::NAN)
+            .to_json("figX");
         let report = parse_report(&json).unwrap();
         assert_eq!(report.figure, "figX");
         assert_eq!(
@@ -514,31 +346,6 @@ mod tests {
                 ("bad".to_string(), None),
             ]
         );
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = parse_json(r#"{"a": [1, -2.5e3, null, true], "b\n": {"c": "d\"e"}}"#).unwrap();
-        assert_eq!(
-            v.get("a").unwrap(),
-            &Json::Arr(vec![
-                Json::Num(1.0),
-                Json::Num(-2500.0),
-                Json::Null,
-                Json::Bool(true),
-            ])
-        );
-        assert_eq!(
-            v.get("b\n").unwrap().get("c").unwrap().as_str(),
-            Some("d\"e")
-        );
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{}x").is_err());
-        assert!(parse_json("{\"a\" 1}").is_err());
     }
 
     fn report(figure: &str, metrics: &[(&str, f64)]) -> GateReport {
@@ -584,6 +391,18 @@ mod tests {
         );
         let base = report("fig_dispatch", &[("host_cores", 16.0)]);
         let fresh = report("fig_dispatch", &[("host_cores", 1.0)]);
+        assert!(compare(&fresh, &base).iter().all(|f| !f.verdict.fails()));
+    }
+
+    /// Which locks contend depends on the host: a skipped metric that
+    /// is absent from the fresh report is not lost coverage.
+    #[test]
+    fn skipped_metric_missing_from_fresh_passes() {
+        let base = report(
+            "fig_dispatch",
+            &[("threaded_w2_contended_core.store", 21.0)],
+        );
+        let fresh = report("fig_dispatch", &[]);
         assert!(compare(&fresh, &base).iter().all(|f| !f.verdict.fails()));
     }
 

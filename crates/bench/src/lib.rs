@@ -1,39 +1,20 @@
 //! # pathways-bench
 //!
 //! The experiment harness that regenerates every table and figure of
-//! the paper's evaluation (§5). Each `src/bin/` binary prints one
-//! table/figure's rows; this library holds the shared measurement
-//! functions so the Criterion benches and the binaries use identical
-//! code paths.
-//!
-//! | Binary | Reproduces |
-//! |---|---|
-//! | `fig5` | dispatch-overhead throughput vs hosts, all frameworks/modes |
-//! | `fig6` | smallest computation reaching JAX parity (16 vs 512 hosts) |
-//! | `fig7` | parallel vs sequential async dispatch over pipeline depth |
-//! | `fig8` | multi-tenant aggregate throughput vs client count |
-//! | `fig9` | proportional-share gang-scheduling traces (+ Figure 11) |
-//! | `table1` | T5 training throughput, JAX vs Pathways |
-//! | `table2` | 3B decoder LM: SPMD vs pipelining |
-//! | `fig10` | pipeline over 4 DCN-connected islands |
-//! | `fig12` | 64B/136B two-island data-parallel scaling |
-//! | `fig14` | chained-program ObjectRef dispatch, sequential vs parallel |
-//! | `fig_heal` | recovered throughput after a mid-trace device kill (elastic healing) |
-//! | `fig_scale` | warehouse-scale sweep: sim/wall ratio, per-kernel overhead, heal latency up to 10k devices |
-//! | `fig_tier` | tiered store: throughput vs HBM budget (spill), recovery time vs checkpoint interval |
-//! | `ablation_sched` | batched vs per-node scheduler messages |
-//! | `ablation_store` | object-store handle return vs client data pull |
-//!
-//! `run_all` and `fig_scale` additionally emit machine-readable
-//! `BENCH_<figure>.json` reports (see [`perf`]) so the perf trajectory
-//! of the reproduction can be tracked across commits.
+//! the paper's evaluation (§5) in virtual time. [`figures::FIGURES`] is
+//! the registry — one entry per artefact — and the `bench` binary is
+//! its only front end (`bench list` prints the command table); the
+//! other modules hold the measurement functions the entries share.
+//! Host-time benchmarking lives in `benchmark/` (`pwbench`), not here.
 
 #![warn(missing_docs)]
 
 pub mod chain;
 pub mod dispatch;
+pub mod figures;
 pub mod gate;
 pub mod heal;
+pub mod json;
 pub mod micro;
 pub mod perf;
 pub mod pipeline;

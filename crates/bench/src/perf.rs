@@ -7,14 +7,13 @@
 //! A perf trajectory across commits is then a matter of collecting the
 //! files (CI uploads them as artifacts; see `.github/workflows/ci.yml`).
 //!
-//! The workspace has no JSON dependency, so the writer is hand-rolled:
-//! the format is flat (strings and finite numbers only), escaping is
-//! the minimal JSON string escape, and non-finite floats serialize as
-//! `null` (JSON has no NaN/Infinity).
+//! Serialization goes through [`crate::json`]; non-finite floats
+//! serialize as `null` (JSON has no NaN/Infinity).
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use crate::json::Json;
 
 /// The cluster shape a report's numbers were measured on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,28 +27,48 @@ pub struct ClusterShape {
 }
 
 impl ClusterShape {
+    /// `islands` islands of `hosts_per_island` x `devices_per_host`.
+    pub const fn new(islands: u32, hosts_per_island: u32, devices_per_host: u32) -> Self {
+        ClusterShape {
+            islands,
+            hosts_per_island,
+            devices_per_host,
+        }
+    }
+
     /// Total device count.
     pub fn devices(&self) -> u32 {
         self.islands * self.hosts_per_island * self.devices_per_host
     }
 }
 
-/// One figure's machine-readable result set.
+/// One verdict on a claim the paper (or this reproduction) makes.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// What is claimed, e.g. `"PW-F ~= JAX-F"`.
+    pub name: String,
+    /// Whether the measured numbers bear it out.
+    pub ok: bool,
+    /// The numbers behind the verdict.
+    pub detail: String,
+}
+
+/// One figure's machine-readable result set: the cluster it was
+/// measured on, its headline metrics, and a verdict per claim.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    figure: String,
     cluster: ClusterShape,
     metrics: Vec<(String, f64)>,
+    claims: Vec<Claim>,
 }
 
 impl BenchReport {
-    /// Starts an empty report for `figure` (e.g. `"fig5"`), measured on
-    /// `cluster`.
-    pub fn new(figure: impl Into<String>, cluster: ClusterShape) -> Self {
+    /// Starts an empty report for numbers measured on `cluster`.
+    pub fn new(cluster: ClusterShape) -> Self {
         BenchReport {
-            figure: figure.into(),
             cluster,
             metrics: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -60,61 +79,69 @@ impl BenchReport {
         self
     }
 
-    /// Serializes the report as a pretty-printed JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"figure\": {},", json_string(&self.figure));
-        let _ = writeln!(out, "  \"git_rev\": {},", json_string(&git_rev()));
-        let _ = writeln!(
-            out,
-            "  \"cluster\": {{\"islands\": {}, \"hosts_per_island\": {}, \"devices_per_host\": {}, \"devices\": {}}},",
-            self.cluster.islands,
-            self.cluster.hosts_per_island,
-            self.cluster.devices_per_host,
-            self.cluster.devices(),
-        );
-        out.push_str("  \"metrics\": {");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {}", json_string(name), json_number(*value));
-        }
-        if !self.metrics.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+    /// Appends one claim verdict.
+    pub fn claim(mut self, name: impl Into<String>, ok: bool, detail: String) -> Self {
+        self.claims.push(Claim {
+            name: name.into(),
+            ok,
+            detail,
+        });
+        self
+    }
+
+    /// The claim verdicts recorded so far.
+    pub fn claims(&self) -> &[Claim] {
+        &self.claims
+    }
+
+    /// Serializes the report as `figure`'s `BENCH_<figure>.json`.
+    pub fn to_json(&self, figure: &str) -> String {
+        let num = |v: u32| Json::Num(f64::from(v));
+        let c = self.cluster;
+        Json::Obj(vec![
+            ("figure".into(), Json::Str(figure.into())),
+            ("git_rev".into(), Json::Str(git_rev())),
+            (
+                "cluster".into(),
+                Json::Obj(vec![
+                    ("islands".into(), num(c.islands)),
+                    ("hosts_per_island".into(), num(c.hosts_per_island)),
+                    ("devices_per_host".into(), num(c.devices_per_host)),
+                    ("devices".into(), num(c.devices())),
+                ]),
+            ),
+            (
+                "metrics".into(),
+                Json::Obj(
+                    self.metrics
+                        .iter()
+                        .map(|(name, value)| (name.clone(), Json::Num(*value)))
+                        .collect(),
+                ),
+            ),
+        ])
+        .write()
     }
 
     /// Writes the report to `BENCH_<figure>.json` in the output
     /// directory (`BENCH_OUT_DIR` if set, else the repository root) and
     /// returns the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let path = out_dir().join(format!("BENCH_{}.json", self.figure));
-        std::fs::write(&path, self.to_json())?;
+    pub fn write(&self, figure: &str) -> std::io::Result<PathBuf> {
+        let path = out_dir().join(format!("BENCH_{figure}.json"));
+        std::fs::write(&path, self.to_json(figure))?;
         Ok(path.canonicalize().unwrap_or(path))
-    }
-
-    /// Like [`BenchReport::write`] but prints a one-line warning instead
-    /// of failing — benches should report numbers even when the output
-    /// directory is read-only.
-    pub fn write_or_warn(&self) {
-        match self.write() {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write BENCH_{}.json: {e}", self.figure),
-        }
     }
 }
 
+/// The repository root (two levels above this crate).
+pub fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
 /// The directory `BENCH_*.json` files land in: `$BENCH_OUT_DIR` when
-/// set, else the repository root (two levels above this crate).
-fn out_dir() -> PathBuf {
-    match std::env::var_os("BENCH_OUT_DIR") {
-        Some(dir) => PathBuf::from(dir),
-        None => Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
-    }
+/// set, else the repository root.
+pub fn out_dir() -> PathBuf {
+    std::env::var_os("BENCH_OUT_DIR").map_or_else(repo_root, PathBuf::from)
 }
 
 /// Short git revision of the working tree, `"unknown"` when git is
@@ -139,53 +166,16 @@ pub fn git_rev() -> String {
     }
 }
 
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// JSON number literal; non-finite floats become `null`.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn report_serializes_to_valid_flat_json() {
-        let json = BenchReport::new(
-            "figX",
-            ClusterShape {
-                islands: 4,
-                hosts_per_island: 5,
-                devices_per_host: 8,
-            },
-        )
-        .metric("steps_per_sec", 1234.5)
-        .metric("ratio", f64::NAN)
-        .to_json();
+        let json = BenchReport::new(ClusterShape::new(4, 5, 8))
+            .metric("steps_per_sec", 1234.5)
+            .metric("ratio", f64::NAN)
+            .to_json("figX");
         assert!(json.contains("\"figure\": \"figX\""));
         assert!(json.contains("\"devices\": 160"));
         assert!(json.contains("\"steps_per_sec\": 1234.5"));
@@ -194,10 +184,5 @@ mod tests {
         assert!(!json.contains("NaN"));
         // The git_rev field is present whatever its value.
         assert!(json.contains("\"git_rev\": \""));
-    }
-
-    #[test]
-    fn strings_are_escaped() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
     }
 }

@@ -58,55 +58,6 @@ pub fn pipeline_throughput(
     (stages as u64 * programs) as f64 / elapsed.as_secs_f64()
 }
 
-/// Pipeline throughput with per-computation (unbatched) grant messages —
-/// the scheduling-batching ablation.
-pub fn pipeline_throughput_unbatched_grants(
-    stages: u32,
-    stage_compute: SimDuration,
-    programs: u64,
-) -> f64 {
-    let mut sim = Sim::new(0);
-    let cfg = PathwaysConfig {
-        batch_grants: false,
-        ..PathwaysConfig::default()
-    };
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::single_island(stages, 4),
-        NetworkParams::tpu_cluster(),
-        cfg,
-    );
-    let client = rt.client(HostId(stages - 1));
-    let mut b = client.trace("pipeline");
-    let mut prev = None;
-    for s in 0..stages {
-        let slice = client
-            .virtual_slice(SliceRequest::devices(4).contiguous())
-            .unwrap();
-        let comp = b.computation(
-            FnSpec::compute_only(format!("stage{s}"), stage_compute).with_output_bytes(1 << 10),
-            &slice,
-        );
-        if let Some(p) = prev {
-            b.edge(p, comp, 1 << 10);
-        }
-        prev = Some(comp);
-    }
-    let program = b.build().unwrap();
-    let prepared = client.prepare(&program);
-    let h = sim.handle();
-    let job = sim.spawn("client", async move {
-        let start = h.now();
-        for _ in 0..programs {
-            client.run(&prepared).await;
-        }
-        h.now().duration_since(start)
-    });
-    sim.run_to_quiescence();
-    let elapsed = job.try_take().unwrap();
-    (stages as u64 * programs) as f64 / elapsed.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

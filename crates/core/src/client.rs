@@ -249,13 +249,6 @@ impl std::future::Future for DoneOrFailed {
     }
 }
 
-/// The pre-`ObjectRef` name of [`Run`], kept so existing code compiles.
-#[deprecated(
-    note = "use `Run`: submit() now returns output ObjectRefs immediately, \
-            so chaining no longer requires finish()"
-)]
-pub type PendingRun = Run;
-
 /// A Pathways client.
 #[derive(Clone)]
 pub struct Client {

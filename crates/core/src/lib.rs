@@ -116,8 +116,6 @@ mod runtime;
 pub mod sched;
 mod storage;
 
-#[allow(deprecated)]
-pub use client::PendingRun;
 pub use client::{Client, Run, RunResult, SubmitError};
 pub use config::{DispatchMode, PathwaysConfig};
 pub use context::{CoreCtx, InputKey, InputSlot};

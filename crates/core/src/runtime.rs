@@ -10,7 +10,7 @@ use pathways_net::{
     ClientId, ClusterSpec, DeviceId, Fabric, HostId, NetworkParams, Router, Topology,
 };
 use pathways_plaque::PlaqueRuntime;
-use pathways_sim::{Executor, ExecutorRef, FaultPlan};
+use pathways_sim::{ExecutorRef, FaultPlan};
 
 use crate::client::Client;
 use crate::config::PathwaysConfig;
@@ -42,26 +42,11 @@ impl fmt::Debug for PathwaysRuntime {
 }
 
 impl PathwaysRuntime {
-    /// Builds an executor from `cfg.executor` and the backend on top of
-    /// it. Convenience for the common case where the caller does not
-    /// need to share the executor with other components before the
-    /// runtime exists.
-    pub fn launch(
-        seed: u64,
-        spec: ClusterSpec,
-        net: NetworkParams,
-        cfg: PathwaysConfig,
-    ) -> (Executor, Self) {
-        let exec = Executor::new(cfg.executor, seed);
-        let rt = Self::new(&exec, spec, net, cfg);
-        (exec, rt)
-    }
-
     /// Builds the backend on `exec` for the given cluster. `exec` is
     /// anything that exposes a [`SimHandle`](pathways_sim::SimHandle) —
     /// a [`Sim`](pathways_sim::Sim), a
     /// [`ThreadedExecutor`](pathways_sim::ThreadedExecutor), or the
-    /// backend-erased [`Executor`].
+    /// backend-erased [`Executor`](pathways_sim::Executor).
     pub fn new(
         exec: &impl ExecutorRef,
         spec: ClusterSpec,

@@ -731,7 +731,7 @@ impl ObjectStore {
     /// Resolves shard `shard` of `id` for a consuming transfer: bumps
     /// the LRU clock and returns the device the read stages through plus
     /// the staging penalty for non-HBM tiers (the backend's
-    /// [`TierBackend::read_time`]). `None` on untiered stores (the seed
+    /// `TierBackend::read_time`). `None` on untiered stores (the seed
     /// data path is then byte-identical) and for absent shards.
     pub fn read_shard(
         &self,

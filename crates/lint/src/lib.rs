@@ -237,7 +237,6 @@ pub fn classify(rel_path: &str) -> FileCtx<'_> {
     };
     let kind = match rest.first() {
         Some(&"tests") => FileKind::Tests,
-        Some(&"benches") => FileKind::Benches,
         Some(&"examples") => FileKind::Examples,
         _ => FileKind::Src,
     };
@@ -292,7 +291,7 @@ mod tests {
         let root = classify("examples/quickstart.rs");
         assert_eq!(root.crate_name, "pathways");
         assert_eq!(root.kind, FileKind::Examples);
-        let bin = classify("crates/bench/src/bin/fig5.rs");
+        let bin = classify("crates/bench/src/figures/fig5.rs");
         assert_eq!(bin.crate_name, "bench");
         assert_eq!(bin.kind, FileKind::Src);
     }

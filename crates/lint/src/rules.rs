@@ -83,12 +83,10 @@ pub const RAW_THREAD_EXEMPT_PREFIX: &str = "crates/sim/src/exec/";
 /// Where a file sits within its crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// `src/` (including `src/bin/`).
+    /// `src/` (including its subdirectories).
     Src,
     /// `tests/` integration tests.
     Tests,
-    /// `benches/`.
-    Benches,
     /// `examples/`.
     Examples,
 }

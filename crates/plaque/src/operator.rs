@@ -100,8 +100,9 @@ impl ShardCore {
         }
     }
 
-    /// Validates and accounts one send; returns the destination host.
-    pub fn record_send(&mut self, edge: EdgeId, dst_shard: u32) -> HostId {
+    /// Validates and accounts one send; returns the destination node
+    /// and the host its `dst_shard` is placed on.
+    pub fn record_send(&mut self, edge: EdgeId, dst_shard: u32) -> (NodeId, HostId) {
         assert!(!self.halted, "shard sent a tuple after halting");
         let done = *self
             .edge_done
@@ -122,7 +123,7 @@ impl ShardCore {
         );
         counts[dst_shard as usize] += 1;
         let (_, dst) = self.graph.edge_endpoints(edge);
-        self.graph.placement(dst)[dst_shard as usize]
+        (dst, self.graph.placement(dst)[dst_shard as usize])
     }
 
     /// Marks an out-edge punctuated and returns the punctuation messages
@@ -147,6 +148,7 @@ impl ShardCore {
                     host,
                     PlaqueMsg::Done {
                         run: self.run,
+                        dst,
                         edge,
                         src_shard: self.shard,
                         dst_shard: d,
@@ -238,12 +240,13 @@ impl ShardCtx<'_> {
     /// shard is out of range, or the edge was already punctuated.
     pub fn send(&mut self, edge: EdgeId, dst_shard: u32, tuple: Tuple) {
         let mut core = self.core.lock();
-        let host = core.record_send(edge, dst_shard);
+        let (dst, host) = core.record_send(edge, dst_shard);
         let bytes = tuple.bytes() + DATA_OVERHEAD_BYTES;
         self.egress.push((
             host,
             PlaqueMsg::Data {
                 run: core.run,
+                dst,
                 edge,
                 src_shard: core.shard,
                 dst_shard,
@@ -329,7 +332,7 @@ impl Emitter {
     pub fn send(&self, edge: EdgeId, dst_shard: u32, tuple: Tuple) {
         let (src_host, msg, bytes) = {
             let mut core = self.core.lock();
-            let host = core.record_send(edge, dst_shard);
+            let (dst, host) = core.record_send(edge, dst_shard);
             let bytes = tuple.bytes() + DATA_OVERHEAD_BYTES;
             (
                 core.host,
@@ -337,6 +340,7 @@ impl Emitter {
                     host,
                     PlaqueMsg::Data {
                         run: core.run,
+                        dst,
                         edge,
                         src_shard: core.shard,
                         dst_shard,

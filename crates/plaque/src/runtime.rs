@@ -52,6 +52,8 @@ pub enum PlaqueMsg {
     Data {
         /// Program run.
         run: RunId,
+        /// Destination node of `edge`.
+        dst: NodeId,
         /// Edge carrying the tuple.
         edge: EdgeId,
         /// Producing shard.
@@ -66,6 +68,8 @@ pub enum PlaqueMsg {
     Done {
         /// Program run.
         run: RunId,
+        /// Destination node of `edge`.
+        dst: NodeId,
         /// Edge being punctuated.
         edge: EdgeId,
         /// Producing shard.
@@ -295,23 +299,16 @@ impl PlaqueRuntime {
             PlaqueMsg::Start { run, node, shard } => (*run, *node, *shard),
             PlaqueMsg::Data {
                 run,
-                edge,
+                dst,
                 dst_shard,
                 ..
             }
             | PlaqueMsg::Done {
                 run,
-                edge,
+                dst,
                 dst_shard,
                 ..
-            } => {
-                // If no shard of the run remains on this host, the run
-                // already completed here; drop the late message.
-                let Some(node) = Self::dst_node_of(map, *run, *edge) else {
-                    return;
-                };
-                (*run, node, *dst_shard)
-            }
+            } => (*run, *dst, *dst_shard),
         };
         let slot_rc = {
             let map = map.lock();
@@ -352,20 +349,6 @@ impl PlaqueRuntime {
                 Self::check_inputs_complete(shared, &slot_rc, egress);
             }
         }
-    }
-
-    /// Destination node of `edge`, resolved from any slot of the run on
-    /// this host (all slots of a run share the graph).
-    fn dst_node_of(map: &ShardMap, run: RunId, edge: EdgeId) -> Option<NodeId> {
-        let map = map.lock();
-        let slot = map
-            .iter()
-            .find(|((r, _, _), _)| *r == run)
-            .map(|(_, s)| Arc::clone(s))?;
-        let core = slot.lock();
-        let graph = core.core.lock().graph.clone();
-        let (_, dst) = graph.edge_endpoints(edge);
-        Some(dst)
     }
 
     fn deliver(

@@ -570,26 +570,11 @@ impl ThreadedExecutor {
             .ok()
             .and_then(|v| v.parse().ok())
             .map_or(Duration::from_secs(30), Duration::from_millis);
-        let debug = std::env::var("PATHWAYS_THREADED_DEBUG").is_ok();
-        let mut last_debug = Instant::now();
         let core = &self.core;
         let mut last = (u64::MAX, usize::MAX);
         let mut last_progress = Instant::now();
         let mut wakefree_since: Option<Instant> = None;
         loop {
-            if debug && last_debug.elapsed() > Duration::from_secs(1) {
-                last_debug = Instant::now();
-                let (stuck, _) = self.stuck_tasks();
-                eprintln!(
-                    "[threaded] live={} queued={} in_flight={} polls={} timers={} stuck={:?}",
-                    core.live.load(Ordering::SeqCst),
-                    core.queued.load(Ordering::SeqCst),
-                    core.in_flight.load(Ordering::SeqCst),
-                    core.polls.load(Ordering::Relaxed),
-                    lock_std(&core.timers).wheel.len(),
-                    stuck,
-                );
-            }
             if let Some(payload) = lock_std(&core.panic).take() {
                 std::panic::resume_unwind(payload);
             }

@@ -468,115 +468,6 @@ impl Future for EventWait {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Barrier
-// ---------------------------------------------------------------------------
-
-/// A reusable barrier for `n` participants.
-///
-/// Reproduces the rendezvous semantics of gang-scheduled collectives: all
-/// participants must arrive before any proceeds.
-#[derive(Clone)]
-pub struct Barrier {
-    inner: Arc<Mutex<BarrierInner>>,
-}
-
-struct BarrierInner {
-    n: usize,
-    arrived: usize,
-    generation: u64,
-    wakers: Vec<Waker>,
-}
-
-impl fmt::Debug for Barrier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("Barrier")
-            .field("n", &inner.n)
-            .field("arrived", &inner.arrived)
-            .finish()
-    }
-}
-
-impl Barrier {
-    /// Creates a barrier for `n` participants.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        assert!(n > 0, "barrier participant count must be positive");
-        Barrier {
-            inner: Arc::new(Mutex::new(BarrierInner {
-                n,
-                arrived: 0,
-                generation: 0,
-                wakers: Vec::new(),
-            })),
-        }
-    }
-
-    /// Arrives at the barrier and waits for the remaining participants.
-    ///
-    /// Returns `true` for exactly one participant per generation (the
-    /// "leader", the last to arrive).
-    pub fn wait(&self) -> BarrierWait {
-        BarrierWait {
-            barrier: self.clone(),
-            arrived_gen: None,
-        }
-    }
-}
-
-/// Future returned by [`Barrier::wait`].
-pub struct BarrierWait {
-    barrier: Barrier,
-    arrived_gen: Option<u64>,
-}
-
-impl fmt::Debug for BarrierWait {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BarrierWait").finish_non_exhaustive()
-    }
-}
-
-impl Future for BarrierWait {
-    type Output = bool;
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        let inner_rc = Arc::clone(&self.barrier.inner);
-        let mut inner = inner_rc.lock();
-        match self.arrived_gen {
-            None => {
-                let gen = inner.generation;
-                inner.arrived += 1;
-                if inner.arrived == inner.n {
-                    inner.arrived = 0;
-                    inner.generation += 1;
-                    let wakers = std::mem::take(&mut inner.wakers);
-                    drop(inner);
-                    for w in wakers {
-                        w.wake();
-                    }
-                    Poll::Ready(true)
-                } else {
-                    inner.wakers.push(cx.waker().clone());
-                    self.arrived_gen = Some(gen);
-                    Poll::Pending
-                }
-            }
-            Some(gen) => {
-                if inner.generation > gen {
-                    Poll::Ready(false)
-                } else {
-                    inner.wakers.push(cx.waker().clone());
-                    Poll::Pending
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -710,49 +601,6 @@ mod tests {
         });
         sim.run_to_quiescence();
         assert_eq!(count.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn barrier_releases_all_at_once_with_single_leader() {
-        let mut sim = Sim::new(0);
-        let barrier = Barrier::new(3);
-        let leaders = Arc::new(AtomicU32::new(0));
-        let mut handles = Vec::new();
-        for i in 0..3u64 {
-            let b = barrier.clone();
-            let h = sim.handle();
-            let leaders = Arc::clone(&leaders);
-            handles.push(sim.spawn(format!("p{i}"), async move {
-                h.sleep(SimDuration::from_micros(i * 10)).await;
-                if b.wait().await {
-                    leaders.fetch_add(1, Ordering::SeqCst);
-                }
-                h.now()
-            }));
-        }
-        sim.run_to_quiescence();
-        // Everyone is released when the last participant arrives at t=20us.
-        for h in &handles {
-            assert_eq!(h.try_take().unwrap().as_nanos(), 20_000);
-        }
-        assert_eq!(leaders.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn barrier_is_reusable_across_generations() {
-        let mut sim = Sim::new(0);
-        let barrier = Barrier::new(2);
-        for i in 0..2u64 {
-            let b = barrier.clone();
-            let h = sim.handle();
-            sim.spawn(format!("p{i}"), async move {
-                for round in 0..3u64 {
-                    h.sleep(SimDuration::from_micros(i + round)).await;
-                    b.wait().await;
-                }
-            });
-        }
-        assert!(sim.run().is_quiescent());
     }
 
     #[test]
