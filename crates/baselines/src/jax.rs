@@ -173,7 +173,7 @@ impl JaxRuntime {
                             tag: GangTag(call),
                             participants,
                             duration: coll,
-                            devices: vec![],
+                            devices: [].into(),
                         });
                         last.clear();
                         for dev in &local {

@@ -192,7 +192,7 @@ impl RayRuntime {
                                         tag: GangTag(base_tag + s),
                                         participants,
                                         duration: coll,
-                                        devices: vec![],
+                                        devices: [].into(),
                                     });
                                 let done = gpu.enqueue_simple(k, "ray");
                                 let _ = done.await;

@@ -201,7 +201,7 @@ impl Tf1Runtime {
                                     tag: GangTag(tag),
                                     participants,
                                     duration: coll,
-                                    devices: vec![],
+                                    devices: [].into(),
                                 });
                                 let mut dones = Vec::new();
                                 for dev in &local {

@@ -6,7 +6,7 @@ use pathways_sim::SimDuration;
 
 use super::Figure;
 use crate::perf::{BenchReport, ClusterShape};
-use crate::scale::{heal_point, scale_point, DEVICES_PER_HOST, HOSTS_PER_ISLAND};
+use crate::scale::{heal_point, scale_point, wide_gang_point, DEVICES_PER_HOST, HOSTS_PER_ISLAND};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig_scale",
@@ -87,6 +87,26 @@ fn run(sweep: &[u32]) -> BenchReport {
                 h.blast_radius >= 1 && (h.blast_radius as usize) * 10 <= h.live_slices,
                 format!("{} of {} live slices", h.blast_radius, h.live_slices),
             );
+    }
+
+    // One gang, two widths. Report only (`Rule::Skip` in the gate, no
+    // claim): per-kernel cost grows several-fold from 128 to 2048 wide
+    // until the rendezvous stops walking the member list on every
+    // arrival; the claim arrives with that rewrite.
+    println!("\nOne gang stepped at two widths (500 us compute + 4-byte all-reduce)");
+    println!("{:>8} {:>7} {:>12}", "width", "steps", "us/kernel");
+    for (width, steps) in [(128, 32), (2048, 2)] {
+        let w = wide_gang_point(width, SimDuration::from_micros(500), steps);
+        println!(
+            "{:>8} {:>7} {:>12.2}",
+            width,
+            w.steps,
+            w.wall_us_per_kernel()
+        );
+        report = report.metric(
+            format!("wall_us_per_kernel_w{width}"),
+            w.wall_us_per_kernel(),
+        );
     }
     report
 }

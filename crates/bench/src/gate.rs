@@ -105,6 +105,11 @@ pub fn rule_for(figure: &str, metric: &str) -> Rule {
     if figure == "fig_dispatch" {
         return Rule::HigherBetter { min_ratio: 0.125 };
     }
+    // fig_scale's wide-gang row is report-only until the rendezvous
+    // rewrite gives it a claim (it is ~8x between the two widths today).
+    if metric.starts_with("wall_us_per_kernel_w") {
+        return Rule::Skip;
+    }
     // fig_scale's wall-clock families.
     if metric.starts_with("sim_wall_ratio_") {
         return Rule::HigherBetter { min_ratio: 0.125 };

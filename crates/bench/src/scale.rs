@@ -132,6 +132,63 @@ pub fn scale_point(islands: u32, compute: SimDuration, window: SimDuration) -> S
     }
 }
 
+/// Steps *one* gang of `width` devices (one island of `width / 4` hosts
+/// x 4 devices): a single client runs a prepared one-computation
+/// program (`compute` + a 4-byte all-reduce) once to warm up, then
+/// `steps` times under the stopwatch. [`scale_point`] widens the
+/// cluster but never a gang; this is the row that shows whether
+/// per-kernel overhead stays flat as a single gang widens.
+pub fn wide_gang_point(width: u32, compute: SimDuration, steps: u32) -> ScaleStats {
+    const DEVICES_PER_WIDE_HOST: u32 = 4;
+    assert!(width >= DEVICES_PER_WIDE_HOST && width.is_multiple_of(DEVICES_PER_WIDE_HOST));
+    let mut sim = Sim::new(0);
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::islands_of(1, width / DEVICES_PER_WIDE_HOST, DEVICES_PER_WIDE_HOST),
+        NetworkParams::tpu_cluster(),
+        PathwaysConfig::default(),
+    );
+    let host = rt
+        .topology()
+        .hosts_of_island(IslandId(0))
+        .next()
+        .expect("island has hosts");
+    let client = rt.client(host);
+    let slice = client
+        .virtual_slice(SliceRequest::devices(width).in_island(IslandId(0)))
+        .expect("the island is exactly one gang wide");
+    let mut b = client.trace(format!("wide-{width}"));
+    b.computation(
+        FnSpec::compute_only("train_step", compute).with_allreduce(4),
+        &slice,
+    );
+    let prepared = Arc::new(client.prepare(&b.build().expect("valid step program")));
+
+    let run_steps = |sim: &mut Sim, n: u32| {
+        let (client, prepared) = (client.clone(), Arc::clone(&prepared));
+        let job = sim.spawn("wide-stepper", async move {
+            for _ in 0..n {
+                client.run(&prepared).await;
+            }
+        });
+        sim.run_to_quiescence();
+        assert!(job.is_finished(), "wide gang stepper finished");
+    };
+    run_steps(&mut sim, 1);
+    let (wall_start, sim_start) = (Instant::now(), sim.now());
+    run_steps(&mut sim, steps);
+    let wall_secs = wall_start.elapsed().as_secs_f64();
+
+    ScaleStats {
+        islands: 1,
+        devices: width,
+        sim_window: sim.now() - sim_start,
+        wall_secs,
+        steps: u64::from(steps),
+        kernels: u64::from(steps) * u64::from(width),
+    }
+}
+
 /// One healing sweep point.
 #[derive(Debug, Clone, Copy)]
 pub struct HealScaleStats {

@@ -513,7 +513,7 @@ pub fn chain_recovery() -> ChainPoint {
         .take_trace()
         .spans()
         .iter()
-        .filter(|s| s.track == "tiers" && s.label == label)
+        .filter(|s| &*s.track == "tiers" && *s.label == *label)
         .count() as u64;
     ChainPoint {
         recovery,

@@ -240,14 +240,14 @@ pub fn spawn_executor(
                         inputs_ready.push(rx);
                     }
                     let kernel = Kernel {
-                        label: grant.label.clone(),
+                        label: Arc::clone(&grant.label),
                         compute: grant.compute,
                         collective: grant.collective.map(|(kind, duration)| CollectiveOp {
                             kind,
                             tag: grant.gang_tag,
                             participants: grant.participants,
                             duration,
-                            devices: grant.gang_devices.clone(),
+                            devices: Arc::clone(&grant.gang_devices),
                         }),
                         output_bytes: grant.output_bytes,
                     };
@@ -260,7 +260,7 @@ pub fn spawn_executor(
                     // kernel already queued.
                     let _ = device.enqueue(EnqueuedKernel {
                         kernel,
-                        program: grant.label.clone(),
+                        program: Arc::clone(&grant.label),
                         inputs_ready,
                         done: Some(done_tx),
                         // Gang owner: run id + 1 (0 is the rendezvous's

@@ -22,14 +22,15 @@
 //! store. That is the paper's parallel asynchronous dispatch, extended
 //! across program boundaries.
 
-use pathways_sim::hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pathways_net::{ClientId, DeviceId, HostId, IslandId};
-use pathways_plaque::{EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, ShardCtx, Tuple};
+use pathways_plaque::{
+    EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, RunId, ShardCtx, Tuple,
+};
 use pathways_sim::sync::Event;
-use pathways_sim::{join_all, SimDuration};
+use pathways_sim::{join_all, SimDuration, TaskName};
 
 use crate::context::CoreCtx;
 use crate::exec::CompRegistration;
@@ -63,6 +64,36 @@ pub(crate) struct CompletionSignal {
 
 const SIGNAL_BYTES: u64 = 16;
 
+// Names of the per-shard and per-transfer tasks: the ids now, the text
+// only if a deadlock report asks for it.
+
+/// `driver-{run}-{comp}-{shard}`.
+fn driver_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
+    TaskName::lazy([run.0, comp.0.into(), shard.into(), 0], |ids, f| {
+        let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
+        write!(f, "driver-{run}-{comp}-{}", ids[2])
+    })
+}
+
+/// `input-{run}-{comp}-{shard}`.
+fn input_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
+    TaskName::lazy([run.0, comp.0.into(), shard.into(), 0], |ids, f| {
+        let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
+        write!(f, "input-{run}-{comp}-{}", ids[2])
+    })
+}
+
+/// `xfer-{run}-{comp}-{shard}-{dst shard}`.
+fn xfer_task_name(run: RunId, comp: CompId, shard: u32, dst: u32) -> TaskName {
+    TaskName::lazy(
+        [run.0, comp.0.into(), shard.into(), dst.into()],
+        |ids, f| {
+            let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
+            write!(f, "xfer-{run}-{comp}-{}-{}", ids[2], ids[3])
+        },
+    )
+}
+
 /// Immutable lowered-program structures shared by all shard operators.
 pub struct ProgInfo {
     /// The traced program.
@@ -85,6 +116,24 @@ pub struct ProgInfo {
     pub back_edges: Vec<PEdge>,
     /// Plaque edge from each sink computation to the Result node.
     pub result_edges: BTreeMap<CompId, PEdge>,
+    /// In-edges of each computation (indices into the program's edge
+    /// list, ascending) — [`Program::in_edges`] computed once, because
+    /// every shard of every run asks.
+    pub in_edges: Vec<Vec<usize>>,
+    /// Out-edges of each computation, likewise.
+    pub out_edges: Vec<Vec<usize>>,
+    /// Position of each program edge among its consumer's in-edges (the
+    /// consumer's input-slot index) and among its producer's out-edges.
+    pub edge_slots: Vec<EdgeSlots>,
+}
+
+/// Where one program edge sits in its two endpoints' edge lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeSlots {
+    /// Index among the consumer's in-edges.
+    pub dst_in: usize,
+    /// Index among the producer's out-edges.
+    pub src_out: usize,
 }
 
 impl std::fmt::Debug for ProgInfo {
@@ -98,20 +147,20 @@ impl std::fmt::Debug for ProgInfo {
 
 impl ProgInfo {
     /// Producer shards feeding shard `dst_shard` on program edge `e`.
-    pub fn feeders(&self, e: usize, dst_shard: u32) -> Vec<u32> {
+    pub fn feeders(&self, e: usize, dst_shard: u32) -> std::ops::Range<u32> {
         let edge = &self.program.edges()[e];
         match edge.mapping {
-            ShardMapping::OneToOne => vec![dst_shard],
-            ShardMapping::AllToAll => (0..self.shards[edge.src.index()]).collect(),
+            ShardMapping::OneToOne => dst_shard..dst_shard + 1,
+            ShardMapping::AllToAll => 0..self.shards[edge.src.index()],
         }
     }
 
     /// Consumer shards fed by shard `src_shard` on program edge `e`.
-    pub fn feeds(&self, e: usize, src_shard: u32) -> Vec<u32> {
+    pub fn feeds(&self, e: usize, src_shard: u32) -> std::ops::Range<u32> {
         let edge = &self.program.edges()[e];
         match edge.mapping {
-            ShardMapping::OneToOne => vec![src_shard],
-            ShardMapping::AllToAll => (0..self.shards[edge.dst.index()]).collect(),
+            ShardMapping::OneToOne => src_shard..src_shard + 1,
+            ShardMapping::AllToAll => 0..self.shards[edge.dst.index()],
         }
     }
 
@@ -234,6 +283,23 @@ pub fn prepare(
         .map(|(i, c)| (*c, PEdge((2 * n_edges + i) as u32)))
         .collect();
 
+    let mut in_edges = vec![Vec::new(); n_comps];
+    let mut out_edges = vec![Vec::new(); n_comps];
+    let edge_slots = program
+        .edges()
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let (ins, outs) = (&mut in_edges[e.dst.index()], &mut out_edges[e.src.index()]);
+            ins.push(i);
+            outs.push(i);
+            EdgeSlots {
+                dst_in: ins.len() - 1,
+                src_out: outs.len() - 1,
+            }
+        })
+        .collect();
+
     let info = Arc::new(ProgInfo {
         program: program.clone(),
         client,
@@ -244,6 +310,9 @@ pub fn prepare(
         fwd_edges,
         back_edges,
         result_edges,
+        in_edges,
+        out_edges,
+        edge_slots,
     });
 
     // Assemble the plaque graph: one node per computation + Result.
@@ -347,6 +416,11 @@ pub fn prepare(
             output_bytes: spec.output_bytes_per_shard,
             input_bytes: spec.input_bytes_per_shard,
             by_host: by_host.into_iter().collect(),
+            gang_devices: if collective.is_some() {
+                devs.as_slice().into()
+            } else {
+                [].into()
+            },
         });
     }
 
@@ -379,15 +453,67 @@ pub fn prepare(
 // Computation shard operator
 // ---------------------------------------------------------------------------
 
+/// The consumer-address events of one producer shard: one per
+/// (out-edge of the computation, consumer shard that edge feeds from this
+/// shard). The operator sets them as address tuples arrive; the shard's
+/// transfer tasks wait on them.
+struct AddrEvents {
+    /// Per local out-edge index: the first consumer shard fed, and one
+    /// event per consumer shard from there.
+    per_out_edge: Vec<(u32, Vec<Event>)>,
+}
+
+impl AddrEvents {
+    fn new(info: &ProgInfo, comp: CompId, shard: u32) -> Self {
+        AddrEvents {
+            per_out_edge: info.out_edges[comp.index()]
+                .iter()
+                .map(|&e| {
+                    let fed = info.feeds(e, shard);
+                    (fed.start, fed.map(|_| Event::new()).collect())
+                })
+                .collect(),
+        }
+    }
+
+    /// The event for consumer shard `dst` on local out-edge `oi`.
+    fn get(&self, oi: usize, dst: u32) -> Option<&Event> {
+        let (first, events) = self.per_out_edge.get(oi)?;
+        events.get(dst.checked_sub(*first)? as usize)
+    }
+
+    /// The event an address tuple on plaque edge `edge` from consumer
+    /// shard `src_shard` stands for; `None` if `edge` is not a backward
+    /// edge into `comp` or this shard does not feed `src_shard`.
+    fn for_address(
+        &self,
+        info: &ProgInfo,
+        comp: CompId,
+        edge: PEdge,
+        src_shard: u32,
+    ) -> Option<&Event> {
+        let e = back_edge_into(info, comp, edge)?;
+        self.get(info.edge_slots[e].src_out, src_shard)
+    }
+}
+
+/// The program edge whose forward plaque edge is `edge`, if `comp`
+/// consumes it. Plaque edge ids are assigned by [`prepare`]: forward
+/// edges first, in program-edge order.
+fn fwd_edge_into(info: &ProgInfo, comp: CompId, edge: PEdge) -> Option<usize> {
+    let e = edge.index();
+    (info.program.edges().get(e)?.dst == comp).then_some(e)
+}
+
+/// The program edge whose backward plaque edge is `edge`, if `comp`
+/// produces it (backward edges follow the forward ones).
+fn back_edge_into(info: &ProgInfo, comp: CompId, edge: PEdge) -> Option<usize> {
+    let e = edge.index().checked_sub(info.program.edges().len())?;
+    (info.program.edges().get(e)?.src == comp).then_some(e)
+}
+
 struct OpState {
-    /// plaque forward edge → local in-edge index (edges where this comp
-    /// is the consumer).
-    fwd_in: FxHashMap<PEdge, usize>,
-    /// plaque backward edge → local out-edge index (edges where this
-    /// comp is the producer, receiving consumer addresses).
-    back_in: FxHashMap<PEdge, usize>,
-    /// Address events per (local out-edge index, consumer shard).
-    addr_events: FxHashMap<(usize, u32), Event>,
+    addr_events: Arc<AddrEvents>,
     /// Sequential-mode gate.
     prereq: Event,
     futures_needed: u64,
@@ -418,8 +544,7 @@ impl Operator for CompOperator {
     fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
         let run = ctx.run();
         let info = &self.info;
-        let in_edges = info.program.in_edges(self.comp);
-        let out_edges = info.program.out_edges(self.comp);
+        let in_edges = &info.in_edges[self.comp.index()];
 
         // Input buffers: one slot per in-edge, delivered directly by
         // producer transfers (ICI path — no DCN hop before the kernel
@@ -427,7 +552,6 @@ impl Operator for CompOperator {
         // driven by the client-side InputOperator replaying the bound
         // ObjectRef.
         let mut input_events = Vec::with_capacity(in_edges.len());
-        let mut fwd_in = FxHashMap::default();
         let mut futures_needed = 0u64;
         for (ii, &e) in in_edges.iter().enumerate() {
             let feeders = info.feeders(e, self.shard).len() as u64;
@@ -438,16 +562,8 @@ impl Operator for CompOperator {
                 .lock()
                 .insert((run, self.comp, self.shard, ii), slot);
             futures_needed += feeders;
-            fwd_in.insert(info.fwd_edges[e], ii);
         }
-        let mut back_in = FxHashMap::default();
-        let mut addr_events = FxHashMap::default();
-        for (oi, &e) in out_edges.iter().enumerate() {
-            back_in.insert(info.back_edges[e], oi);
-            for d in info.feeds(e, self.shard) {
-                addr_events.insert((oi, d), Event::new());
-            }
-        }
+        let addr_events = Arc::new(AddrEvents::new(info, self.comp, self.shard));
         let prereq = Event::new();
         if futures_needed == 0 {
             prereq.set();
@@ -465,7 +581,7 @@ impl Operator for CompOperator {
         exec.register(
             (run, self.comp, self.shard),
             CompRegistration {
-                input_events: input_events.clone(),
+                input_events,
                 prereq: Some(prereq.clone()),
                 on_enqueued: enq_tx,
             },
@@ -477,13 +593,8 @@ impl Operator for CompOperator {
         let info = Arc::clone(&self.info);
         let comp = self.comp;
         let shard = self.shard;
-        let addr_events_task: Vec<((usize, u32), Event)> = {
-            let mut v: Vec<_> = addr_events.iter().map(|(k, ev)| (*k, ev.clone())).collect();
-            v.sort_by_key(|(k, _)| *k);
-            v
-        };
         ctx.handle().spawn(
-            format!("driver-{run}-{comp}-{shard}"),
+            driver_task_name(run, comp, shard),
             drive_shard(
                 core,
                 info,
@@ -492,14 +603,11 @@ impl Operator for CompOperator {
                 run,
                 emitter,
                 enq_rx,
-                addr_events_task,
+                Arc::clone(&addr_events),
             ),
         );
 
-        let _ = input_events;
         self.state = Some(OpState {
-            fwd_in,
-            back_in,
             addr_events,
             prereq,
             futures_needed,
@@ -515,8 +623,7 @@ impl Operator for CompOperator {
         tuple: Tuple,
     ) {
         let st = self.state.as_mut().expect("tuple before start");
-        if let Some(&ii) = st.fwd_in.get(&edge) {
-            let _ = ii;
+        if fwd_edge_into(&self.info, self.comp, edge).is_some() {
             match tuple.expect::<FwdSignal>() {
                 FwdSignal::Future => {
                     st.futures_seen += 1;
@@ -529,14 +636,13 @@ impl Operator for CompOperator {
                 // progress tracking.
                 FwdSignal::Data => {}
             }
-        } else if let Some(&oi) = st.back_in.get(&edge) {
-            tuple.expect::<AddrSignal>();
-            st.addr_events
-                .get(&(oi, src_shard))
-                .unwrap_or_else(|| panic!("address from unexpected shard {src_shard}"))
-                .set();
         } else {
-            panic!("tuple on unexpected {edge}");
+            let addr = st
+                .addr_events
+                .for_address(&self.info, self.comp, edge, src_shard)
+                .unwrap_or_else(|| panic!("unexpected tuple on {edge} from shard {src_shard}"));
+            tuple.expect::<AddrSignal>();
+            addr.set();
         }
     }
 
@@ -563,11 +669,11 @@ async fn drive_shard(
     run: pathways_plaque::RunId,
     emitter: Emitter,
     enq_rx: pathways_sim::channel::OneshotReceiver<crate::exec::EnqueueInfo>,
-    addr_events: Vec<((usize, u32), Event)>,
+    addr_events: Arc<AddrEvents>,
 ) {
     let enq = enq_rx.await.ok();
-    let in_edges = info.program.in_edges(comp);
-    let out_edges = info.program.out_edges(comp);
+    let in_edges = &info.in_edges[comp.index()];
+    let out_edges = &info.out_edges[comp.index()];
 
     // Announce output futures downstream (sequential-dispatch consumers
     // gate on these)...
@@ -585,7 +691,7 @@ async fn drive_shard(
     // buffer addresses to host A"). Sent on the abort path too: an
     // upstream producer mid-transfer must not wait forever for the
     // address of a consumer that will never enqueue.
-    for &e in &in_edges {
+    for &e in in_edges {
         for s in info.feeders(e, shard) {
             emitter.send(info.back_edges[e], s, Tuple::new(AddrSignal, SIGNAL_BYTES));
         }
@@ -612,7 +718,6 @@ async fn drive_shard(
     // in which case consumers get a zero-byte poison delivery — their
     // runs were failed by the injector, so the error, not the data, is
     // what they observe).
-    let addr_map: FxHashMap<(usize, u32), Event> = addr_events.into_iter().collect();
     let src_dev = info.devices[comp.index()][shard as usize];
     let mode = if completed {
         TransferMode::Data
@@ -620,7 +725,16 @@ async fn drive_shard(
         TransferMode::Poison
     };
     let transfers = spawn_output_transfers(
-        &core, &info, comp, shard, run, &emitter, &addr_map, src_dev, None, mode,
+        &core,
+        &info,
+        comp,
+        shard,
+        run,
+        &emitter,
+        &addr_events,
+        src_dev,
+        None,
+        mode,
     );
     join_all(transfers).await;
     // Release this shard's input-slot registrations.
@@ -691,24 +805,20 @@ fn spawn_output_transfers(
     shard: u32,
     run: pathways_plaque::RunId,
     emitter: &Emitter,
-    addr_map: &FxHashMap<(usize, u32), Event>,
+    addr_events: &AddrEvents,
     src_dev: DeviceId,
     gate: Option<Event>,
     mode: TransferMode,
 ) -> Vec<pathways_sim::JoinHandle<()>> {
     let mut transfers = Vec::new();
-    for (oi, &e) in info.program.out_edges(comp).iter().enumerate() {
+    let spawner = &core.handle;
+    for (oi, &e) in info.out_edges[comp.index()].iter().enumerate() {
         let bytes = info.pair_bytes(e);
         let dst_comp = info.program.edges()[e].dst;
-        let dst_in_idx = info
-            .program
-            .in_edges(dst_comp)
-            .iter()
-            .position(|&x| x == e)
-            .expect("edge is an in-edge of its consumer");
+        let dst_in_idx = info.edge_slots[e].dst_in;
         for d in info.feeds(e, shard) {
-            let addr = addr_map
-                .get(&(oi, d))
+            let addr = addr_events
+                .get(oi, d)
                 .expect("address event missing")
                 .clone();
             let gate = gate.clone();
@@ -724,9 +834,8 @@ fn spawn_output_transfers(
             // is still delivered (shared-memory simulation state), so a
             // consumer kernel already sitting on a live device unblocks.
             let cancel = core.failures.failed_event(run);
-            transfers.push(core.handle.clone().spawn(
-                format!("xfer-{run}-{comp}-{shard}-{d}"),
-                async move {
+            transfers.push(
+                spawner.spawn(xfer_task_name(run, comp, shard, d), async move {
                     event_or_cancel(&addr, cancel.as_ref()).await;
                     if let Some(ready) = &gate {
                         ready.wait().await;
@@ -777,8 +886,8 @@ fn spawn_output_transfers(
                         d,
                         Tuple::new(FwdSignal::Data, SIGNAL_BYTES),
                     );
-                },
-            ));
+                }),
+            );
         }
     }
     transfers
@@ -826,21 +935,18 @@ pub(crate) struct InputOperator {
     info: Arc<ProgInfo>,
     comp: CompId,
     shard: u32,
-    /// plaque backward edge → local out-edge index.
-    back_in: FxHashMap<PEdge, usize>,
-    /// Address events per (local out-edge index, consumer shard).
-    addr_events: FxHashMap<(usize, u32), Event>,
+    addr_events: Arc<AddrEvents>,
 }
 
 impl InputOperator {
     pub(crate) fn new(core: Arc<CoreCtx>, info: Arc<ProgInfo>, comp: CompId, shard: u32) -> Self {
+        let addr_events = Arc::new(AddrEvents::new(&info, comp, shard));
         InputOperator {
             core,
             info,
             comp,
             shard,
-            back_in: FxHashMap::default(),
-            addr_events: FxHashMap::default(),
+            addr_events,
         }
     }
 }
@@ -849,19 +955,13 @@ impl Operator for InputOperator {
     fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
         let run = ctx.run();
         let info = Arc::clone(&self.info);
-        let out_edges = info.program.out_edges(self.comp);
-        for (oi, &e) in out_edges.iter().enumerate() {
-            self.back_in.insert(info.back_edges[e], oi);
-            for d in info.feeds(e, self.shard) {
-                self.addr_events.insert((oi, d), Event::new());
-            }
-        }
+        let out_edges = &info.out_edges[self.comp.index()];
 
         // The bound ObjectRef *is* the output future — announce it
         // downstream immediately, before any data exists. Sequential
         // dispatch within the consuming program therefore never
         // serializes on a cross-program edge.
-        for &e in &out_edges {
+        for &e in out_edges {
             for d in info.feeds(e, self.shard) {
                 ctx.send(
                     info.fwd_edges[e],
@@ -878,28 +978,19 @@ impl Operator for InputOperator {
             .get(&(run, self.comp))
             .cloned()
             .unwrap_or_else(|| panic!("no ObjectRef bound for {run} input {}", self.comp));
-        let addr_events_task: Vec<((usize, u32), Event)> = {
-            let mut v: Vec<_> = self
-                .addr_events
-                .iter()
-                .map(|(k, ev)| (*k, ev.clone()))
-                .collect();
-            v.sort_by_key(|(k, _)| *k);
-            v
-        };
         let comp = self.comp;
         let shard = self.shard;
         ctx.handle().spawn(
-            format!("input-{run}-{comp}-{shard}"),
+            input_task_name(run, comp, shard),
             drive_input_shard(
                 Arc::clone(&self.core),
-                info,
+                Arc::clone(&info),
                 comp,
                 shard,
                 run,
                 ctx.emitter(),
                 binding,
-                addr_events_task,
+                Arc::clone(&self.addr_events),
             ),
         );
     }
@@ -911,14 +1002,12 @@ impl Operator for InputOperator {
         src_shard: u32,
         tuple: Tuple,
     ) {
-        let Some(&oi) = self.back_in.get(&edge) else {
-            panic!("tuple on unexpected {edge}");
-        };
+        let addr = self
+            .addr_events
+            .for_address(&self.info, self.comp, edge, src_shard)
+            .unwrap_or_else(|| panic!("unexpected tuple on {edge} from shard {src_shard}"));
         tuple.expect::<AddrSignal>();
-        self.addr_events
-            .get(&(oi, src_shard))
-            .unwrap_or_else(|| panic!("address from unexpected shard {src_shard}"))
-            .set();
+        addr.set();
     }
 
     fn on_all_inputs_complete(&mut self, _ctx: &mut ShardCtx<'_>) {
@@ -941,7 +1030,7 @@ async fn drive_input_shard(
     run: pathways_plaque::RunId,
     emitter: Emitter,
     binding: Arc<InputBinding>,
-    addr_events: Vec<((usize, u32), Event)>,
+    addr_events: Arc<AddrEvents>,
 ) {
     // Gate every transfer on the producer's per-shard readiness event —
     // the single thing the consuming kernel ends up waiting for. If the
@@ -950,7 +1039,6 @@ async fn drive_input_shard(
     // than replaying stale bytes.
     let src_dev = binding.objref.devices()[shard as usize];
     let ready = binding.objref.shard_ready(shard).clone();
-    let addr_map: FxHashMap<(usize, u32), Event> = addr_events.into_iter().collect();
     let transfers = spawn_output_transfers(
         &core,
         &info,
@@ -958,7 +1046,7 @@ async fn drive_input_shard(
         shard,
         run,
         &emitter,
-        &addr_map,
+        &addr_events,
         src_dev,
         Some(ready),
         TransferMode::CheckObject(binding.objref.id()),
@@ -995,5 +1083,27 @@ impl Operator for ResultOperator {
         tuple: Tuple,
     ) {
         let _ = tuple.expect::<CompletionSignal>();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lazy_task_names_render_as_the_formatted_strings_they_replaced() {
+        let (run, comp, shard, d) = (RunId(1 << 40), CompId(17), 2047u32, 63u32);
+        assert_eq!(
+            driver_task_name(run, comp, shard).to_string(),
+            format!("driver-{run}-{comp}-{shard}")
+        );
+        assert_eq!(
+            input_task_name(run, comp, shard).to_string(),
+            format!("input-{run}-{comp}-{shard}")
+        );
+        assert_eq!(
+            xfer_task_name(run, comp, shard, d).to_string(),
+            format!("xfer-{run}-{comp}-{shard}-{d}")
+        );
     }
 }

@@ -187,6 +187,10 @@ pub struct CompSubmit {
     pub input_bytes: u64,
     /// Shards grouped by host: `(host, [(shard, device)])`.
     pub by_host: Vec<(HostId, Vec<(u32, DeviceId)>)>,
+    /// Gang membership in shard order if the computation has a
+    /// collective, empty otherwise. Built once at lowering; every grant,
+    /// kernel and rendezvous arrival of every run shares this one list.
+    pub gang_devices: Arc<[DeviceId]>,
 }
 
 /// Program submission: one DCN message from client to scheduler.
@@ -210,8 +214,8 @@ pub struct SubmitMsg {
 pub struct GrantMsg {
     /// Owning client (for object ownership labels).
     pub client: ClientId,
-    /// Trace label.
-    pub label: String,
+    /// Trace label, shared by every grant and kernel of the program.
+    pub label: Arc<str>,
     /// The plaque run.
     pub run: RunId,
     /// Which computation.
@@ -227,8 +231,8 @@ pub struct GrantMsg {
     /// Full device membership of the gang, in shard order. Carried so
     /// the collective rendezvous can abort gangs that include a dead
     /// device instead of blocking forever (empty for collective-free
-    /// computations).
-    pub gang_devices: Vec<DeviceId>,
+    /// computations). Shared with [`CompSubmit::gang_devices`].
+    pub gang_devices: Arc<[DeviceId]>,
     /// Per-shard compute time.
     pub compute: SimDuration,
     /// Per-shard output bytes.
@@ -520,36 +524,23 @@ pub fn spawn_scheduler(
                 // Build one grant batch per participating host, with the
                 // program's computations in topological order.
                 let mut per_host: BTreeMap<HostId, Vec<GrantMsg>> = BTreeMap::new();
+                let label: Arc<str> = submit.label.as_str().into();
                 {
                     let mut st = state_task.lock();
                     st.granted_programs += 1;
                     for comp in &submit.comps {
                         let tag = st.alloc_tag();
-                        // Gang membership in shard order; carried with
-                        // collective grants so the rendezvous can abort
-                        // gangs containing a dead device.
-                        let gang_devices: Vec<DeviceId> = if comp.collective.is_some() {
-                            let mut by_shard: Vec<(u32, DeviceId)> = comp
-                                .by_host
-                                .iter()
-                                .flat_map(|(_, shards)| shards.iter().copied())
-                                .collect();
-                            by_shard.sort_by_key(|(s, _)| *s);
-                            by_shard.into_iter().map(|(_, d)| d).collect()
-                        } else {
-                            Vec::new()
-                        };
                         for (host, shards) in &comp.by_host {
                             per_host.entry(*host).or_default().push(GrantMsg {
                                 client: submit.client,
-                                label: submit.label.clone(),
+                                label: Arc::clone(&label),
                                 run: submit.run,
                                 comp: comp.comp,
                                 sink: comp.sink,
                                 gang_tag: tag,
                                 participants: comp.participants,
                                 collective: comp.collective.map(|(k, _, d)| (k, d)),
-                                gang_devices: gang_devices.clone(),
+                                gang_devices: Arc::clone(&comp.gang_devices),
                                 compute: comp.compute,
                                 output_bytes: comp.output_bytes,
                                 input_bytes: comp.input_bytes,

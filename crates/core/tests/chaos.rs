@@ -754,7 +754,7 @@ fn chain_loss_run(
     let upstream = trace
         .spans()
         .iter()
-        .filter(|s| s.track == "tiers" && s.label == label)
+        .filter(|s| &*s.track == "tiers" && *s.label == *label)
         .count() as u64;
     (trace, upstream, stats)
 }

@@ -77,7 +77,7 @@ pub struct EnqueuedKernel {
     /// The kernel to run.
     pub kernel: Kernel,
     /// Owning program label (used for traces and per-program accounting).
-    pub program: String,
+    pub program: Arc<str>,
     /// Input-readiness futures; the kernel starts only after all resolve.
     /// A dropped sender counts as ready (the producer was cleaned up; the
     /// data was already in HBM).
@@ -153,6 +153,8 @@ impl DeviceHandle {
         let rz_task = rendezvous.clone();
         let token = pathways_sim::IdleToken::new();
         let token_task = token.clone();
+        // This device's trace row; every kernel's span shares it.
+        let track: Arc<str> = format!("d{:04}", id.0).into();
         sim.spawn_service(format!("{id}"), &token, async move {
             loop {
                 token_task.set_idle();
@@ -206,14 +208,15 @@ impl DeviceHandle {
                     let mut st = stats_task.lock();
                     st.kernels += 1;
                     st.busy += busy;
-                    *st.busy_by_program.entry(job.program.clone()).or_default() += busy;
+                    // Only a program's first kernel here allocates its key.
+                    match st.busy_by_program.get_mut(&*job.program) {
+                        Some(total) => *total += busy,
+                        None => {
+                            st.busy_by_program.insert(job.program.to_string(), busy);
+                        }
+                    }
                 }
-                handle.trace_span(
-                    format!("d{:04}", id.0),
-                    job.program.clone(),
-                    finished - busy,
-                    finished,
-                );
+                handle.trace_span(Arc::clone(&track), job.program, finished - busy, finished);
                 if let Some(done) = job.done {
                     let _ = done.send(KernelCompletion { dequeued, finished });
                 }
@@ -289,7 +292,7 @@ impl DeviceHandle {
     pub fn enqueue_simple(
         &self,
         kernel: Kernel,
-        program: impl Into<String>,
+        program: impl Into<Arc<str>>,
     ) -> OneshotReceiver<KernelCompletion> {
         let (tx, rx) = channel::oneshot();
         let _ = self.enqueue(EnqueuedKernel {
@@ -386,7 +389,7 @@ mod tests {
             tag: GangTag(tag),
             participants: 2,
             duration: SimDuration::from_micros(3),
-            devices: vec![],
+            devices: [].into(),
         };
         // Device 0 is delayed by a long kernel first.
         drop(devs[0].enqueue_simple(Kernel::compute("slow", SimDuration::from_micros(50)), "p"));
@@ -419,7 +422,7 @@ mod tests {
             tag: GangTag(tag),
             participants: 2,
             duration: SimDuration::ZERO,
-            devices: vec![],
+            devices: [].into(),
         };
         // Opposite enqueue orders on the two devices.
         devs[0]
@@ -493,7 +496,7 @@ mod tests {
         let spans = trace.track("d0000");
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].duration(), SimDuration::from_micros(10));
-        assert_eq!(spans[0].label, "A");
+        assert_eq!(&*spans[0].label, "A");
     }
 
     #[test]
@@ -576,7 +579,7 @@ mod tests {
             tag: GangTag(1),
             participants: 2,
             duration: SimDuration::from_micros(3),
-            devices: gang,
+            devices: gang.into(),
         };
         devs[1].fail(sim.now(), "dead partner");
         let r0 = devs[0].enqueue_simple(

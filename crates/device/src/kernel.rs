@@ -7,6 +7,8 @@
 //! the executable form of one shard of a compiled function: a compute
 //! duration, an optional gang collective, and declared memory traffic.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use pathways_net::{CollectiveKind, DeviceId};
@@ -39,7 +41,9 @@ pub struct CollectiveOp {
     /// knows it (the scheduler's grant carries the full list). Used by
     /// the rendezvous to abort gangs that include a dead device instead
     /// of blocking forever. An empty list opts out of failure detection.
-    pub devices: Vec<DeviceId>,
+    /// Shared: every kernel of the gang points at the one list lowering
+    /// built, so a 2048-wide step does not hold 2048 copies of it.
+    pub devices: Arc<[DeviceId]>,
 }
 
 /// One shard of a compiled function, ready to enqueue on a device.
@@ -52,7 +56,7 @@ pub struct CollectiveOp {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     /// Human-readable label; first character is used in trace renderings.
-    pub label: String,
+    pub label: Arc<str>,
     /// Pure compute time on the device.
     pub compute: SimDuration,
     /// Optional gang collective executed before the compute phase.
@@ -64,7 +68,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// A pure-compute kernel.
-    pub fn compute(label: impl Into<String>, compute: SimDuration) -> Self {
+    pub fn compute(label: impl Into<Arc<str>>, compute: SimDuration) -> Self {
         Kernel {
             label: label.into(),
             compute,
@@ -111,7 +115,7 @@ mod tests {
                 tag: GangTag(7),
                 participants: 8,
                 duration: SimDuration::from_micros(20),
-                devices: vec![],
+                devices: [].into(),
             })
             .with_output_bytes(1024);
         assert_eq!(k.min_duration(), SimDuration::from_micros(120));

@@ -60,7 +60,7 @@ proptest! {
                         tag: GangTag(tag as u64),
                         participants: n_devices,
                         duration: SimDuration::from_micros(3),
-                        devices: vec![],
+                        devices: [].into(),
                     });
                 }
                 drop(dev.enqueue_simple(k, "p"));
@@ -99,7 +99,7 @@ proptest! {
                     tag: GangTag(1),
                     participants: n,
                     duration: SimDuration::from_micros(7),
-                    devices: vec![],
+                    devices: [].into(),
                 }),
                 "p",
             ));

@@ -11,6 +11,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pathways_sim::channel::{self, Receiver, Sender};
+use pathways_sim::TaskName;
 
 use crate::fabric::Fabric;
 use crate::ids::HostId;
@@ -22,6 +23,19 @@ pub struct Envelope<M> {
     pub src: HostId,
     /// Payload.
     pub msg: M,
+}
+
+/// `dcn:{src}->{dst}`. One task per DCN message, so the text is only
+/// rendered if a deadlock report reads it.
+fn delivery_task_name(src: HostId, dst: HostId) -> TaskName {
+    TaskName::lazy([src.0.into(), dst.0.into(), 0, 0], |ids, f| {
+        write!(
+            f,
+            "dcn:{}->{}",
+            HostId(ids[0] as u32),
+            HostId(ids[1] as u32)
+        )
+    })
 }
 
 struct RouterInner<M> {
@@ -87,25 +101,23 @@ impl<M: Send + 'static> Router<M> {
             "send to unregistered {dst}"
         );
         let inner = Arc::clone(&self.inner);
-        let handle = self.inner.fabric.handle().clone();
-        handle
-            .clone()
-            .spawn(format!("dcn:{src}->{dst}"), async move {
-                inner.fabric.dcn_send(src, dst, bytes).await;
-                // Checked at delivery time so a link that dies while the
-                // message is on the wire also loses it.
-                if !inner.fabric.link_up(src, dst) {
-                    return;
-                }
-                let tx = inner
-                    .inboxes
-                    .lock()
-                    .get(&dst)
-                    .expect("inbox disappeared")
-                    .clone();
-                // Receiver may legitimately have shut down (host failure).
-                let _ = tx.send(Envelope { src, msg });
-            });
+        let handle = self.inner.fabric.handle();
+        handle.spawn(delivery_task_name(src, dst), async move {
+            inner.fabric.dcn_send(src, dst, bytes).await;
+            // Checked at delivery time so a link that dies while the
+            // message is on the wire also loses it.
+            if !inner.fabric.link_up(src, dst) {
+                return;
+            }
+            let tx = inner
+                .inboxes
+                .lock()
+                .get(&dst)
+                .expect("inbox disappeared")
+                .clone();
+            // Receiver may legitimately have shut down (host failure).
+            let _ = tx.send(Envelope { src, msg });
+        });
     }
 
     /// The underlying fabric.
@@ -129,6 +141,15 @@ mod tests {
             NetworkParams::tpu_cluster(),
         );
         Router::new(fabric)
+    }
+
+    #[test]
+    fn delivery_task_name_renders_as_the_formatted_string_it_replaced() {
+        let (src, dst) = (HostId(511), HostId(u32::MAX));
+        assert_eq!(
+            delivery_task_name(src, dst).to_string(),
+            format!("dcn:{src}->{dst}")
+        );
     }
 
     #[test]

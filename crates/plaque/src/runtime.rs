@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use pathways_net::{Fabric, HostId, Router};
 use pathways_sim::channel::{self, OneshotReceiver};
-use pathways_sim::{IdleToken, SimHandle};
+use pathways_sim::{IdleToken, SimHandle, TaskName};
 
 use crate::graph::{EdgeId, Graph, NodeId};
 use crate::operator::{Operator, ShardCore, ShardCtx};
@@ -130,6 +130,13 @@ impl fmt::Debug for RuntimeShared {
     }
 }
 
+/// `plaque-flush-{src}`, rendered only when a deadlock report reads it.
+fn flush_task_name(src: HostId) -> TaskName {
+    TaskName::lazy([src.0.into(), 0, 0, 0], |ids, f| {
+        write!(f, "plaque-flush-{}", HostId(ids[0] as u32))
+    })
+}
+
 impl RuntimeShared {
     /// Groups messages by destination host (deterministically) and sends
     /// one batched DCN message per host.
@@ -158,13 +165,11 @@ impl RuntimeShared {
         drop(egress);
         if need_flush {
             let shared = self.clone();
-            self.handle
-                .clone()
-                .spawn(format!("plaque-flush-{src}"), async move {
-                    shared.handle.yield_now().await;
-                    let msgs = shared.async_egress.lock().remove(&src).unwrap_or_default();
-                    shared.route_from(src, msgs);
-                });
+            self.handle.spawn(flush_task_name(src), async move {
+                shared.handle.yield_now().await;
+                let msgs = shared.async_egress.lock().remove(&src).unwrap_or_default();
+                shared.route_from(src, msgs);
+            });
         }
     }
 
@@ -600,5 +605,19 @@ impl PlaqueRuntime {
         for (host, node, shard) in targets {
             self.start_local(host, run, node, shard);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn flush_task_name_renders_as_the_formatted_string_it_replaced() {
+        let src = HostId(4095);
+        assert_eq!(
+            flush_task_name(src).to_string(),
+            format!("plaque-flush-{src}")
+        );
     }
 }

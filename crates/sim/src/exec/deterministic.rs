@@ -34,20 +34,19 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::sync::{Arc, Weak};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Wake, Waker};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::hash::FxHashMap;
 use crate::time::SimTime;
 use crate::trace::TraceLog;
 use crate::wheel::TimerWheel;
 
 use super::{
     Backend, ExecutorBackend, ExecutorRef, IdleToken, JoinHandle, RunOutcome, SimHandle,
-    TaskFuture, TaskId,
+    TaskFuture, TaskId, TaskName,
 };
 
 /// Queue of task ids woken and awaiting a poll.
@@ -63,12 +62,13 @@ impl ReadyQueue {
     fn push(&self, id: TaskId) {
         self.queue.lock().push_back(id);
     }
-
-    fn pop(&self) -> Option<TaskId> {
-        self.queue.lock().pop_front()
-    }
 }
 
+/// One per task, made at spawn and cloned into every registration, so
+/// a poll allocates nothing. It deliberately holds only the id: a stale
+/// registration (an event that never fires, a timer for a task that
+/// finished early) keeps these few bytes alive, never the finished
+/// task's future or name.
 struct TaskWaker {
     id: TaskId,
     ready: Arc<ReadyQueue>,
@@ -84,17 +84,88 @@ impl Wake for TaskWaker {
     }
 }
 
-struct TaskEntry {
-    name: String,
-    future: TaskFuture,
+struct Task {
+    name: TaskName,
     idle: Option<IdleToken>,
+    /// `future` and `waker` are both taken out for the duration of a
+    /// poll (the state lock is released while the future runs) and put
+    /// back if it returned `Pending`; the rest of the entry stays put.
+    future: Option<TaskFuture>,
+    waker: Option<Waker>,
+    /// `abort` arrived while the task was being polled; the future is
+    /// dropped when that poll returns.
+    aborted: bool,
+}
+
+struct Slot {
+    /// Bumped when the slot is freed, so the id (and any stale wake) of
+    /// the task that lived here never matches its next tenant.
+    generation: u32,
+    task: Option<Task>,
+}
+
+/// The live tasks: a slab indexed by the low half of [`TaskId`], the
+/// high half being the slot's generation at spawn.
+#[derive(Default)]
+struct TaskTable {
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    live: usize,
+}
+
+impl TaskTable {
+    fn id_of(index: u32, generation: u32) -> TaskId {
+        TaskId(u64::from(generation) << 32 | u64::from(index))
+    }
+
+    /// Inserts the task `make` builds for the id it will live under.
+    fn insert(&mut self, make: impl FnOnce(TaskId) -> Task) -> TaskId {
+        let index = self.free.pop().unwrap_or_else(|| {
+            assert!(self.slots.len() < u32::MAX as usize, "2^32 live tasks");
+            self.slots.push(Slot {
+                generation: 0,
+                task: None,
+            });
+            (self.slots.len() - 1) as u32
+        });
+        let slot = &mut self.slots[index as usize];
+        let id = Self::id_of(index, slot.generation);
+        slot.task = Some(make(id));
+        self.live += 1;
+        id
+    }
+
+    /// The slot `id` was issued for, if it is still on that generation.
+    fn slot_mut(&mut self, id: TaskId) -> Option<&mut Slot> {
+        let slot = self.slots.get_mut(id.0 as u32 as usize)?;
+        (slot.generation == (id.0 >> 32) as u32).then_some(slot)
+    }
+
+    /// The live task `id` names; `None` once it finished or was aborted.
+    fn get_mut(&mut self, id: TaskId) -> Option<&mut Task> {
+        self.slot_mut(id)?.task.as_mut()
+    }
+
+    /// Frees `id`'s slot, returning the task for the caller to drop
+    /// outside the state lock.
+    fn remove(&mut self, id: TaskId) -> Option<Task> {
+        let slot = self.slot_mut(id)?;
+        let task = slot.task.take()?;
+        slot.generation = slot.generation.wrapping_add(1);
+        self.free.push(id.0 as u32);
+        self.live -= 1;
+        Some(task)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Task> {
+        self.slots.iter().filter_map(|s| s.task.as_ref())
+    }
 }
 
 struct DetState {
     now: SimTime,
     timers: TimerWheel<Waker>,
-    tasks: FxHashMap<TaskId, TaskEntry>,
-    next_task: u64,
+    tasks: TaskTable,
     next_seq: u64,
     rng: StdRng,
     trace: TraceLog,
@@ -125,20 +196,38 @@ impl ExecutorBackend for DetCore {
         self.state.lock().now
     }
 
-    fn spawn_task(&self, name: String, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
-        let id = {
-            let mut st = self.state.lock();
-            let id = TaskId(st.next_task);
-            st.next_task += 1;
-            st.tasks.insert(id, TaskEntry { name, future, idle });
-            id
-        };
+    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
+        let id = self.state.lock().tasks.insert(|id| Task {
+            name,
+            idle,
+            future: Some(future),
+            waker: Some(Waker::from(Arc::new(TaskWaker {
+                id,
+                ready: Arc::clone(&self.ready),
+            }))),
+            aborted: false,
+        });
         self.ready.push(id);
         id
     }
 
     fn abort_task(&self, id: TaskId) {
-        self.state.lock().tasks.remove(&id);
+        let dropped = {
+            let mut st = self.state.lock();
+            match st.tasks.get_mut(id) {
+                // Mid-poll (the task is aborting itself, or something it
+                // called is): the running poll owns the future, so mark
+                // the entry and let `poll_task` drop it on return.
+                Some(task) if task.future.is_none() => {
+                    task.aborted = true;
+                    None
+                }
+                Some(_) => st.tasks.remove(id),
+                None => None,
+            }
+        };
+        // The future's destructors may wake, spawn or arm timers.
+        drop(dropped);
     }
 
     fn register_timer(&self, deadline: SimTime, waker: Waker) {
@@ -167,6 +256,13 @@ impl ExecutorBackend for DetCore {
 /// See the module documentation for an overview and example.
 pub struct Sim {
     core: Arc<DetCore>,
+    /// The one handle every `handle()` call clones; owns the clock
+    /// mirror the run loop writes.
+    handle: SimHandle,
+    /// The batch of woken ids being polled; kept between drains so the
+    /// ready queue and this buffer swap back and forth without
+    /// allocating.
+    batch: VecDeque<TaskId>,
 }
 
 impl fmt::Debug for Sim {
@@ -174,7 +270,7 @@ impl fmt::Debug for Sim {
         let st = self.core.state.lock();
         f.debug_struct("Sim")
             .field("now", &st.now)
-            .field("live_tasks", &st.tasks.len())
+            .field("live_tasks", &st.tasks.live)
             .field("pending_timers", &st.timers.len())
             .finish()
     }
@@ -183,27 +279,29 @@ impl fmt::Debug for Sim {
 impl Sim {
     /// Creates a simulation whose RNG is seeded with `seed`.
     pub fn new(seed: u64) -> Self {
-        Sim {
-            core: Arc::new(DetCore {
-                state: Mutex::new(DetState {
-                    now: SimTime::ZERO,
-                    timers: TimerWheel::new(),
-                    tasks: FxHashMap::default(),
-                    next_task: 0,
-                    next_seq: 0,
-                    rng: StdRng::seed_from_u64(seed),
-                    trace: TraceLog::new(),
-                    polls: 0,
-                }),
-                ready: Arc::new(ReadyQueue::default()),
+        let core = Arc::new(DetCore {
+            state: Mutex::new(DetState {
+                now: SimTime::ZERO,
+                timers: TimerWheel::new(),
+                tasks: TaskTable::default(),
+                next_seq: 0,
+                rng: StdRng::seed_from_u64(seed),
+                trace: TraceLog::new(),
+                polls: 0,
             }),
+            ready: Arc::new(ReadyQueue::default()),
+        });
+        let weak: Weak<DetCore> = Arc::downgrade(&core);
+        Sim {
+            core,
+            handle: SimHandle::new(weak, true),
+            batch: VecDeque::new(),
         }
     }
 
     /// Returns a cloneable handle for use inside tasks.
     pub fn handle(&self) -> SimHandle {
-        let weak: Weak<DetCore> = Arc::downgrade(&self.core);
-        SimHandle::from_backend(weak)
+        self.handle.clone()
     }
 
     /// Spawns a task and returns a handle to its eventual output.
@@ -211,10 +309,10 @@ impl Sim {
     /// The `name` is used in deadlock reports and traces.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
-        self.handle().spawn(name, future)
+        self.handle.spawn(name, future)
     }
 
     /// Current virtual time.
@@ -244,10 +342,7 @@ impl Sim {
         // it in place, so advancing time allocates nothing.
         let mut wakers = Vec::new();
         loop {
-            // Drain the ready queue in FIFO order.
-            while let Some(id) = self.core.ready.pop() {
-                self.poll_task(id);
-            }
+            self.drain_ready();
             // Advance virtual time to the next deadline, taking *every*
             // timer that shares it in one batch pop (one wheel operation
             // per simulated instant instead of one heap pop per timer).
@@ -257,6 +352,7 @@ impl Sim {
                     Some(deadline) => {
                         debug_assert!(deadline >= st.now, "timer in the past");
                         st.now = deadline.max(st.now);
+                        self.handle.set_clock(st.now);
                         true
                     }
                     None => false,
@@ -272,21 +368,19 @@ impl Sim {
             // `deadline == now`.
             for waker in wakers.drain(..) {
                 waker.wake();
-                while let Some(id) = self.core.ready.pop() {
-                    self.poll_task(id);
-                }
+                self.drain_ready();
             }
         }
         let st = self.core.state.lock();
-        if st.tasks.is_empty() || !st.timers.is_empty() {
+        if st.tasks.live == 0 || !st.timers.is_empty() {
             // All done, or stopped by the time limit with timers pending.
             RunOutcome::Quiescent { time: st.now }
         } else {
             let mut stuck: Vec<String> = st
                 .tasks
-                .values()
+                .iter()
                 .filter(|t| !t.idle.as_ref().is_some_and(IdleToken::is_idle))
-                .map(|t| t.name.clone())
+                .map(|t| t.name.to_string())
                 .collect();
             stuck.sort();
             if stuck.is_empty() {
@@ -316,25 +410,59 @@ impl Sim {
         }
     }
 
-    fn poll_task(&mut self, id: TaskId) {
-        // Remove the task so the state lock is released while polling;
-        // the polled future may spawn tasks or register timers.
-        let entry = self.core.state.lock().tasks.remove(&id);
-        let Some(mut entry) = entry else {
-            return; // already completed; stale wake
-        };
-        self.core.state.lock().polls += 1;
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.core.ready),
-        }));
-        let mut cx = Context::from_waker(&waker);
-        match entry.future.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {}
-            Poll::Pending => {
-                self.core.state.lock().tasks.insert(id, entry);
+    /// Polls woken tasks in FIFO order until the ready queue is empty.
+    ///
+    /// The queue is taken a whole batch at a time (one lock per batch,
+    /// not per pop). That is the same order as popping one id at a
+    /// time: whatever a poll wakes lands in the now-empty queue, behind
+    /// every id of the batch in hand, exactly where a push onto the
+    /// undivided queue would have put it.
+    fn drain_ready(&mut self) {
+        loop {
+            // (Non-empty here only if a poll panicked out of a batch.)
+            if self.batch.is_empty() {
+                std::mem::swap(&mut self.batch, &mut *self.core.ready.queue.lock());
+                if self.batch.is_empty() {
+                    return;
+                }
+            }
+            while let Some(id) = self.batch.pop_front() {
+                self.poll_task(id);
             }
         }
+    }
+
+    fn poll_task(&self, id: TaskId) {
+        // Take the future and the task's waker out of its entry so the
+        // state lock is released while polling: the polled future may
+        // spawn tasks, arm timers or abort tasks (itself included).
+        let (mut future, waker) = {
+            let mut st = self.core.state.lock();
+            let Some(task) = st.tasks.get_mut(id) else {
+                return; // finished or aborted; stale wake
+            };
+            let (Some(future), Some(waker)) = (task.future.take(), task.waker.take()) else {
+                return; // lost to a panic in an earlier poll
+            };
+            st.polls += 1;
+            (future, waker)
+        };
+        let mut cx = Context::from_waker(&waker);
+        let ready = future.as_mut().poll(&mut cx).is_ready();
+        let retired = {
+            let mut st = self.core.state.lock();
+            match st.tasks.get_mut(id) {
+                Some(task) if !ready && !task.aborted => {
+                    task.future = Some(future);
+                    task.waker = Some(waker);
+                    return;
+                }
+                _ => st.tasks.remove(id),
+            }
+        };
+        // Finished, or aborted from inside its own poll: the future and
+        // the entry (name, idle token) die here, outside the lock.
+        drop((future, retired));
     }
 }
 

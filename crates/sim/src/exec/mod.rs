@@ -33,7 +33,7 @@ pub mod threaded;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Waker};
 
@@ -46,12 +46,74 @@ pub use deterministic::Sim;
 pub use threaded::ThreadedExecutor;
 
 /// Identifier of a spawned task within one executor.
+///
+/// Opaque: ids are only compared, hashed and printed. The deterministic
+/// backend packs a task-table index and a slot generation into it, so
+/// the id of a finished task never matches a later task that reuses its
+/// slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) u64);
 
 impl fmt::Display for TaskId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "task#{}", self.0)
+    }
+}
+
+/// Renders a [`TaskName::lazy`] name from its ids.
+pub type RenderName = fn(&[u64; 4], &mut fmt::Formatter<'_>) -> fmt::Result;
+
+/// A task's name, rendered only when something reads it (deadlock
+/// reports, `Debug`).
+///
+/// Spawning is hot — one task per DCN message, per transfer, per shard —
+/// and the name is read only when a run deadlocks, so the per-message
+/// spawn sites hand over a few integers and a render function
+/// ([`TaskName::lazy`]) instead of a formatted `String`. Literals and
+/// owned strings convert with `into()`.
+#[derive(Clone)]
+pub struct TaskName(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    Static(&'static str),
+    Owned(String),
+    Lazy { ids: [u64; 4], render: RenderName },
+}
+
+impl TaskName {
+    /// A name rendered on demand as `render(&ids, f)`. `render` must be
+    /// a plain function of the ids (a non-capturing closure coerces).
+    pub fn lazy(ids: [u64; 4], render: RenderName) -> Self {
+        TaskName(NameRepr::Lazy { ids, render })
+    }
+}
+
+impl From<&'static str> for TaskName {
+    fn from(name: &'static str) -> Self {
+        TaskName(NameRepr::Static(name))
+    }
+}
+
+impl From<String> for TaskName {
+    fn from(name: String) -> Self {
+        TaskName(NameRepr::Owned(name))
+    }
+}
+
+impl fmt::Display for TaskName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            NameRepr::Static(s) => f.write_str(s),
+            NameRepr::Owned(s) => f.write_str(s),
+            NameRepr::Lazy { ids, render } => render(ids, f),
+        }
+    }
+}
+
+impl fmt::Debug for TaskName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self}\"")
     }
 }
 
@@ -127,7 +189,7 @@ pub trait ExecutorBackend: Send + Sync {
     /// nanoseconds since executor start (threaded).
     fn now(&self) -> SimTime;
     /// Registers a boxed task; it becomes runnable immediately.
-    fn spawn_task(&self, name: String, idle: Option<IdleToken>, future: TaskFuture) -> TaskId;
+    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId;
     /// Forcibly removes a task (models abrupt process death).
     fn abort_task(&self, id: TaskId);
     /// Arms a timer waking `waker` at `deadline`. Timers sharing a
@@ -220,16 +282,20 @@ impl RunOutcome {
 ///
 /// The same handle type serves both backends; spawned futures must be
 /// `Send` so they are runnable on either.
+#[derive(Clone)]
 pub struct SimHandle {
-    backend: Weak<dyn ExecutorBackend>,
+    shared: Arc<HandleShared>,
 }
 
-impl Clone for SimHandle {
-    fn clone(&self) -> Self {
-        SimHandle {
-            backend: Weak::clone(&self.backend),
-        }
-    }
+/// What every clone of one executor's handle points at.
+struct HandleShared {
+    backend: Weak<dyn ExecutorBackend>,
+    /// Deterministic backend only: mirror of the virtual clock in
+    /// nanoseconds, written by the run loop whenever it advances time,
+    /// so `now()` is one load instead of upgrade + dyn call + mutex.
+    /// `Relaxed` suffices: the value publishes no other data, and the
+    /// run loop and every task share one thread.
+    clock: Option<AtomicU64>,
 }
 
 impl fmt::Debug for SimHandle {
@@ -241,12 +307,28 @@ impl fmt::Debug for SimHandle {
 }
 
 impl SimHandle {
-    pub(crate) fn from_backend(backend: Weak<dyn ExecutorBackend>) -> Self {
-        SimHandle { backend }
+    /// The handle of `backend`. With `mirrored_clock`, `now()` reads a
+    /// mirror the backend keeps current through
+    /// [`SimHandle::set_clock`]; without, it asks the backend.
+    pub(crate) fn new(backend: Weak<dyn ExecutorBackend>, mirrored_clock: bool) -> Self {
+        SimHandle {
+            shared: Arc::new(HandleShared {
+                backend,
+                clock: mirrored_clock.then(|| AtomicU64::new(0)),
+            }),
+        }
+    }
+
+    /// Publishes the backend's clock to every clone of this handle.
+    pub(crate) fn set_clock(&self, now: SimTime) {
+        if let Some(clock) = &self.shared.clock {
+            clock.store(now.as_nanos(), Ordering::Relaxed);
+        }
     }
 
     fn upgrade(&self) -> Arc<dyn ExecutorBackend> {
-        self.backend
+        self.shared
+            .backend
             .upgrade()
             .expect("SimHandle used after its executor was dropped")
     }
@@ -260,9 +342,14 @@ impl SimHandle {
     ///
     /// # Panics
     ///
-    /// Panics if the owning executor has been dropped.
+    /// On the threaded backend, panics if the owning executor has been
+    /// dropped.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.upgrade().now()
+        match &self.shared.clock {
+            Some(clock) => SimTime::from_nanos(clock.load(Ordering::Relaxed)),
+            None => self.upgrade().now(),
+        }
     }
 
     /// Returns a future that resolves after `duration`.
@@ -292,10 +379,10 @@ impl SimHandle {
     /// Spawns a task onto the executor.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
-        self.spawn_inner(name, None, future)
+        self.spawn_inner(name.into(), None, future)
     }
 
     /// Spawns a long-running service task carrying an [`IdleToken`].
@@ -306,16 +393,16 @@ impl SimHandle {
     /// deadlock when the rest of the system drains.
     pub fn spawn_service<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         token: &IdleToken,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
-        self.spawn_inner(name, Some(token.clone()), future)
+        self.spawn_inner(name.into(), Some(token.clone()), future)
     }
 
     fn spawn_inner<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: TaskName,
         idle: Option<IdleToken>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
@@ -338,11 +425,11 @@ impl SimHandle {
             }
         };
         let backend = self.upgrade();
-        let id = backend.spawn_task(name.into(), idle, Box::pin(wrapped));
+        let id = backend.spawn_task(name, idle, Box::pin(wrapped));
         JoinHandle {
             state,
             id,
-            backend: Weak::clone(&self.backend),
+            backend: Weak::clone(&self.shared.backend),
         }
     }
 
@@ -364,8 +451,8 @@ impl SimHandle {
     /// Records a span on the shared trace log.
     pub fn trace_span(
         &self,
-        track: impl Into<String>,
-        label: impl Into<String>,
+        track: impl Into<Arc<str>>,
+        label: impl Into<Arc<str>>,
         start: SimTime,
         end: SimTime,
     ) {
@@ -614,7 +701,7 @@ impl Executor {
     /// Spawns a task and returns a handle to its eventual output.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl Future<Output = T> + Send + 'static,
     ) -> JoinHandle<T> {
         self.handle().spawn(name, future)

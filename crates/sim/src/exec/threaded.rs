@@ -53,6 +53,7 @@ use crate::wheel::TimerWheel;
 
 use super::{
     Backend, ExecutorBackend, ExecutorRef, IdleToken, RunOutcome, SimHandle, TaskFuture, TaskId,
+    TaskName,
 };
 
 /// Locks a std mutex, shrugging off poisoning (a worker that panicked
@@ -88,7 +89,7 @@ struct SlotInner {
 /// One spawned task: its state machine plus identity.
 struct TaskSlot {
     id: TaskId,
-    name: String,
+    name: TaskName,
     idle: Option<IdleToken>,
     inner: Mutex<SlotInner>,
 }
@@ -367,7 +368,7 @@ impl ExecutorBackend for ThreadedCore {
         self.elapsed()
     }
 
-    fn spawn_task(&self, name: String, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
+    fn spawn_task(&self, name: TaskName, idle: Option<IdleToken>, future: TaskFuture) -> TaskId {
         let id = TaskId(self.next_task.fetch_add(1, Ordering::SeqCst));
         let slot = Arc::new(TaskSlot {
             id,
@@ -455,6 +456,8 @@ impl ExecutorBackend for ThreadedCore {
 /// futures.
 pub struct ThreadedExecutor {
     core: Arc<ThreadedCore>,
+    /// The one handle every `handle()` call clones.
+    handle: SimHandle,
     threads: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -519,7 +522,12 @@ impl ThreadedExecutor {
                 .spawn(move || timer_core.timer_loop())
                 .expect("spawn timer thread"),
         );
-        ThreadedExecutor { core, threads }
+        let weak: Weak<ThreadedCore> = Arc::downgrade(&core);
+        ThreadedExecutor {
+            core,
+            handle: SimHandle::new(weak, false),
+            threads,
+        }
     }
 
     /// Number of worker threads (excluding the timer thread).
@@ -529,17 +537,16 @@ impl ThreadedExecutor {
 
     /// Returns a cloneable handle for use inside tasks.
     pub fn handle(&self) -> SimHandle {
-        let weak: Weak<ThreadedCore> = Arc::downgrade(&self.core);
-        SimHandle::from_backend(weak)
+        self.handle.clone()
     }
 
     /// Spawns a task and returns a handle to its eventual output.
     pub fn spawn<T: Send + 'static>(
         &self,
-        name: impl Into<String>,
+        name: impl Into<TaskName>,
         future: impl std::future::Future<Output = T> + Send + 'static,
     ) -> super::JoinHandle<T> {
-        self.handle().spawn(name, future)
+        self.handle.spawn(name, future)
     }
 
     /// Nanoseconds since the executor started, as a [`SimTime`].
@@ -633,7 +640,7 @@ impl ThreadedExecutor {
         let mut stuck: Vec<String> = registry
             .values()
             .filter(|s| !s.idle.as_ref().is_some_and(IdleToken::is_idle))
-            .map(|s| s.name.clone())
+            .map(|s| s.name.to_string())
             .collect();
         let all_idle = stuck.is_empty() && !registry.is_empty() || registry.is_empty();
         drop(registry);

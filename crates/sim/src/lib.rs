@@ -47,7 +47,7 @@ mod wheel;
 
 pub use exec::{
     join_all, Backend, Executor, ExecutorBackend, ExecutorKind, ExecutorRef, IdleToken, JoinHandle,
-    RunOutcome, Sim, SimHandle, Sleep, TaskId, ThreadedExecutor, YieldNow,
+    RenderName, RunOutcome, Sim, SimHandle, Sleep, TaskId, TaskName, ThreadedExecutor, YieldNow,
 };
 pub use fault::{FaultPlan, FaultSignal, FaultStamp};
 pub use hash::{FxHashMap, FxHashSet};

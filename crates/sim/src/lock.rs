@@ -28,21 +28,15 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// Monotonic per-thread id used for re-entrancy detection (0 = no owner).
+/// Per-thread token used for re-entrancy detection (0 = no owner): the
+/// address of a thread-local, which is non-zero, distinct among live
+/// threads, and costs one TLS address computation — every `lock()` pays
+/// for it.
 fn current_thread_token() -> u64 {
-    use std::cell::Cell;
-    static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
-        static TOKEN: Cell<u64> = const { Cell::new(0) };
+        static MARK: u8 = const { 0 };
     }
-    TOKEN.with(|t| {
-        let mut v = t.get();
-        if v == 0 {
-            v = NEXT.fetch_add(1, Ordering::Relaxed);
-            t.set(v);
-        }
-        v
-    })
+    MARK.with(|m| std::ptr::from_ref(m) as usize as u64)
 }
 
 /// Acquisition counters of one named [`Lock`] (or one name shared by
@@ -50,6 +44,8 @@ fn current_thread_token() -> u64 {
 #[derive(Debug)]
 pub struct LockStats {
     name: &'static str,
+    /// Written only by the thread holding the owning [`Lock`] (see
+    /// [`Lock::note_acquired`]); read by anyone.
     acquires: AtomicU64,
     contended: AtomicU64,
 }
@@ -94,6 +90,10 @@ pub fn contention_profile() -> Vec<LockProfile> {
 }
 
 /// Zeroes every named lock's counters (the locks stay registered).
+///
+/// Call it while no task is running: an acquisition in flight on another
+/// thread may overwrite the zero with its own count (each lock's count
+/// is a plain load + store made under that lock).
 pub fn reset_contention_profile() {
     for s in registry().lock().iter() {
         s.acquires.store(0, Ordering::Relaxed);
@@ -169,11 +169,11 @@ impl<T: ?Sized> Lock<T> {
     /// holds this lock — the moral equivalent of `RefCell`'s
     /// borrow-while-borrowed panic.
     pub fn lock(&self) -> LockGuard<'_, T> {
-        let me = current_thread_token();
         let guard = match self.inner.try_lock() {
             Some(g) => g,
             None => {
-                if self.owner.load(Ordering::Relaxed) == me {
+                // Only the slow path needs to know who we are.
+                if self.owner.load(Ordering::Relaxed) == current_thread_token() {
                     panic!(
                         "re-entrant Lock::lock on {:?} (would deadlock; the RefCell this \
                          replaced would have panicked here too)",
@@ -186,23 +186,33 @@ impl<T: ?Sized> Lock<T> {
                 self.inner.lock()
             }
         };
-        if let Some(s) = &self.stats {
-            s.acquires.fetch_add(1, Ordering::Relaxed);
-        }
-        self.owner.store(me, Ordering::Relaxed);
+        self.note_acquired();
         LockGuard {
             lock: self,
             guard: ManuallyDrop::new(guard),
         }
     }
 
+    /// Bookkeeping of a successful acquisition; the caller holds `inner`.
+    ///
+    /// The count is a plain load + store, not a read-modify-write: each
+    /// `LockStats` belongs to exactly one `Lock`, so only the thread that
+    /// holds the mutex writes it, and the mutex orders successive
+    /// holders. Counts stay exact without a locked instruction per
+    /// acquisition.
+    #[inline]
+    fn note_acquired(&self) {
+        if let Some(s) = &self.stats {
+            s.acquires
+                .store(s.acquires.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        }
+        self.owner.store(current_thread_token(), Ordering::Relaxed);
+    }
+
     /// Attempts to acquire without blocking.
     pub fn try_lock(&self) -> Option<LockGuard<'_, T>> {
         let g = self.inner.try_lock()?;
-        if let Some(s) = &self.stats {
-            s.acquires.fetch_add(1, Ordering::Relaxed);
-        }
-        self.owner.store(current_thread_token(), Ordering::Relaxed);
+        self.note_acquired();
         Some(LockGuard {
             lock: self,
             guard: ManuallyDrop::new(g),

@@ -90,9 +90,9 @@ impl Semaphore {
     /// Acquires `amount` permits, waiting FIFO-fairly if unavailable.
     ///
     /// The returned [`Permit`] releases the permits when dropped.
-    pub fn acquire(&self, amount: u64) -> Acquire {
+    pub fn acquire(&self, amount: u64) -> Acquire<'_> {
         Acquire {
-            sem: self.clone(),
+            sem: self,
             amount,
             state: None,
         }
@@ -155,13 +155,17 @@ impl Semaphore {
 }
 
 /// Future returned by [`Semaphore::acquire`].
-pub struct Acquire {
-    sem: Semaphore,
+///
+/// Borrows the semaphore, and allocates its queue node only if it has
+/// to wait: an uncontended acquire costs one lock and the `Arc` clone
+/// the returned [`Permit`] owns.
+pub struct Acquire<'a> {
+    sem: &'a Semaphore,
     amount: u64,
     state: Option<Arc<Mutex<WaitState>>>,
 }
 
-impl fmt::Debug for Acquire {
+impl fmt::Debug for Acquire<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Acquire")
             .field("amount", &self.amount)
@@ -169,19 +173,19 @@ impl fmt::Debug for Acquire {
     }
 }
 
-impl Future for Acquire {
+impl Future for Acquire<'_> {
     type Output = Permit;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Permit> {
-        if self.state.is_none() {
+        let sem = self.sem;
+        let Some(state) = &self.state else {
             // First poll: either take permits immediately (if nobody is
             // queued ahead) or join the FIFO queue.
-            let inner_rc = Arc::clone(&self.sem.inner);
-            let mut inner = inner_rc.lock();
+            let mut inner = sem.inner.lock();
             if inner.waiters.is_empty() && inner.permits >= self.amount {
                 inner.permits -= self.amount;
                 return Poll::Ready(Permit {
-                    sem: self.sem.clone(),
+                    sem: sem.clone(),
                     amount: self.amount,
                 });
             }
@@ -192,19 +196,18 @@ impl Future for Acquire {
                 waker: Some(cx.waker().clone()),
             }));
             inner.waiters.push_back(Arc::clone(&state));
+            drop(inner);
             self.state = Some(state);
             return Poll::Pending;
-        }
-        let state = Arc::clone(self.state.as_ref().expect("state set above"));
+        };
         let mut st = state.lock();
         if st.granted {
             st.granted = false; // permit ownership moves into the Permit
             drop(st);
-            let amount = self.amount;
             self.state = None;
             Poll::Ready(Permit {
-                sem: self.sem.clone(),
-                amount,
+                sem: sem.clone(),
+                amount: self.amount,
             })
         } else {
             st.waker = Some(cx.waker().clone());
@@ -213,7 +216,7 @@ impl Future for Acquire {
     }
 }
 
-impl Drop for Acquire {
+impl Drop for Acquire<'_> {
     fn drop(&mut self) {
         if let Some(state) = self.state.take() {
             let mut st = state.lock();
@@ -403,7 +406,11 @@ pub struct Event {
 #[derive(Default)]
 struct EventInner {
     set: bool,
-    wakers: Vec<Waker>,
+    /// Waiters in registration order: the first inline (most events
+    /// have exactly one, and it should not cost a `Vec`), the rest
+    /// behind it.
+    first: Option<Waker>,
+    rest: Vec<Waker>,
 }
 
 impl fmt::Debug for Event {
@@ -422,15 +429,15 @@ impl Event {
 
     /// Fires the event, waking all waiters. Idempotent.
     pub fn set(&self) {
-        let wakers = {
+        let (first, rest) = {
             let mut inner = self.inner.lock();
             if inner.set {
                 return;
             }
             inner.set = true;
-            std::mem::take(&mut inner.wakers)
+            (inner.first.take(), std::mem::take(&mut inner.rest))
         };
-        for w in wakers {
+        for w in first.into_iter().chain(rest) {
             w.wake();
         }
     }
@@ -462,7 +469,12 @@ impl Future for EventWait {
         if inner.set {
             Poll::Ready(())
         } else {
-            inner.wakers.push(cx.waker().clone());
+            let waker = cx.waker().clone();
+            if inner.first.is_none() {
+                inner.first = Some(waker);
+            } else {
+                inner.rest.push(waker);
+            }
             Poll::Pending
         }
     }

@@ -8,19 +8,22 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::time::{SimDuration, SimTime};
 
 /// One recorded span: `track` is the timeline row (e.g. a device), `label`
-/// identifies what ran (e.g. a client/program id).
+/// identifies what ran (e.g. a client/program id). Both are shared
+/// strings: a device records one span per kernel under the same track
+/// and a program's label, so recording clones two pointers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceSpan {
     /// Timeline row this span belongs to (typically one per device).
-    pub track: String,
+    pub track: Arc<str>,
     /// What occupied the row (program id, transfer, etc.).
-    pub label: String,
+    pub label: Arc<str>,
     /// Span start (inclusive).
     pub start: SimTime,
     /// Span end (exclusive).
@@ -49,8 +52,8 @@ impl TraceLog {
     /// Appends a span.
     pub fn record(
         &mut self,
-        track: impl Into<String>,
-        label: impl Into<String>,
+        track: impl Into<Arc<str>>,
+        label: impl Into<Arc<str>>,
         start: SimTime,
         end: SimTime,
     ) {
@@ -79,15 +82,15 @@ impl TraceLog {
 
     /// Spans on one track, in recording order.
     pub fn track(&self, track: &str) -> Vec<&TraceSpan> {
-        self.spans.iter().filter(|s| s.track == track).collect()
+        self.spans.iter().filter(|s| &*s.track == track).collect()
     }
 
     /// Total busy time per label on a track (used to check
     /// proportional-share ratios in the Figure 9 reproduction).
     pub fn busy_by_label(&self, track: &str) -> BTreeMap<String, SimDuration> {
         let mut out: BTreeMap<String, SimDuration> = BTreeMap::new();
-        for s in self.spans.iter().filter(|s| s.track == track) {
-            *out.entry(s.label.clone()).or_default() += s.duration();
+        for s in self.spans.iter().filter(|s| &*s.track == track) {
+            *out.entry(s.label.to_string()).or_default() += s.duration();
         }
         out
     }
@@ -103,7 +106,7 @@ impl TraceLog {
         let mut intervals: Vec<(u64, u64)> = self
             .spans
             .iter()
-            .filter(|s| s.track == track && s.end > start && s.start < end)
+            .filter(|s| &*s.track == track && s.end > start && s.start < end)
             .map(|s| (s.start.max(start).as_nanos(), s.end.min(end).as_nanos()))
             .collect();
         intervals.sort_unstable();
@@ -128,7 +131,7 @@ impl TraceLog {
         let mut tracks: Vec<&str> = self
             .spans
             .iter()
-            .map(|s| s.track.as_str())
+            .map(|s| &*s.track)
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
             .collect();
@@ -138,7 +141,7 @@ impl TraceLog {
         let mut out = String::new();
         for track in tracks {
             let mut row = vec!['.'; width];
-            for s in self.spans.iter().filter(|s| s.track == track) {
+            for s in self.spans.iter().filter(|s| &*s.track == track) {
                 if s.end <= start || s.start >= end {
                     continue;
                 }
@@ -223,7 +226,7 @@ mod tests {
         log.record("x", "A", t(0), t(1));
         log.record("y", "B", t(0), t(1));
         assert_eq!(log.track("x").len(), 1);
-        assert_eq!(log.track("y")[0].label, "B");
+        assert_eq!(&*log.track("y")[0].label, "B");
         assert_eq!(log.len(), 2);
     }
 }

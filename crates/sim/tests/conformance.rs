@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use pathways_sim::channel::channel;
 use pathways_sim::sync::Notify;
-use pathways_sim::{Backend, Executor, ExecutorKind, Lock, SimDuration, SimTime};
+use pathways_sim::{Backend, Executor, ExecutorKind, JoinHandle, Lock, SimDuration, SimTime};
 
 const BOTH: [ExecutorKind; 2] = [
     ExecutorKind::Deterministic,
@@ -284,6 +284,48 @@ fn abort_drops_task_state() {
         assert!(
             !ran.load(Ordering::SeqCst),
             "{kind:?}: aborted task ran past its park point"
+        );
+    }
+}
+
+/// A task that aborts itself through its own `JoinHandle` stops at its
+/// next suspension point: the poll in progress returns, the future is
+/// dropped (its owned state released), and the task never resumes — on
+/// both backends.
+#[test]
+fn abort_from_inside_the_running_task() {
+    for kind in BOTH {
+        let mut ex = Executor::new(kind, 7);
+        let dropped = Arc::new(AtomicBool::new(false));
+        let resumed = Arc::new(AtomicBool::new(false));
+        let own_handle: Arc<Lock<Option<JoinHandle<()>>>> = Arc::new(Lock::new(None));
+        // Holds the task back until its handle has been stored.
+        let gate = Arc::new(Notify::new());
+        let flag = DropFlag(Arc::clone(&dropped));
+        let (own2, gate2, resumed2) = (
+            Arc::clone(&own_handle),
+            Arc::clone(&gate),
+            Arc::clone(&resumed),
+        );
+        let h = ex.handle();
+        let task = ex.spawn("self-abort", async move {
+            let _flag = flag;
+            gate2.notified().await;
+            own2.lock().as_ref().expect("handle stored").abort();
+            h.sleep(SimDuration::from_millis(1)).await;
+            resumed2.store(true, Ordering::SeqCst);
+        });
+        *own_handle.lock() = Some(task);
+        gate.notify_one();
+        let outcome = ex.run();
+        assert!(outcome.is_quiescent(), "{kind:?}: {outcome:?}");
+        assert!(
+            dropped.load(Ordering::SeqCst),
+            "{kind:?}: self-aborted task's state not dropped"
+        );
+        assert!(
+            !resumed.load(Ordering::SeqCst),
+            "{kind:?}: self-aborted task resumed after its abort"
         );
     }
 }

@@ -31,7 +31,7 @@ fn gang_scheduling_prevents_the_deadlock_it_claims_to() {
         tag: GangTag(tag),
         participants: 2,
         duration: SimDuration::ZERO,
-        devices: vec![],
+        devices: [].into(),
     };
     let k = |tag| Kernel::compute("c", SimDuration::ZERO).with_collective(coll(tag));
     drop(d0.enqueue_simple(k(1), "p1"));

@@ -151,7 +151,7 @@ proptest! {
             trace
                 .track(&format!("d{d:04}"))
                 .iter()
-                .map(|s| s.label.clone())
+                .map(|s| s.label.to_string())
                 .collect()
         };
         let reference = order_of(0);
