@@ -133,9 +133,23 @@ impl BenchReport {
     }
 }
 
-/// The repository root (two levels above this crate).
+/// The repository root: the nearest directory at or above the current
+/// one that holds `perf/baselines/`. Resolved when called, not when
+/// compiled — cargo reuses a copied checkout's `target/`, and a `bench`
+/// built in the original tree must still read the copy's baselines and
+/// sources and write the copy's reports. Run from outside any checkout,
+/// it falls back to the tree it was compiled in.
 pub fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    std::env::current_dir()
+        .ok()
+        .and_then(|cwd| workspace_root_above(&cwd))
+        .unwrap_or_else(|| Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."))
+}
+
+fn workspace_root_above(dir: &Path) -> Option<PathBuf> {
+    dir.ancestors()
+        .find(|d| d.join("perf/baselines").is_dir())
+        .map(Path::to_path_buf)
 }
 
 /// The directory `BENCH_*.json` files land in: `$BENCH_OUT_DIR` when
@@ -158,7 +172,7 @@ pub fn git_rev() -> String {
     }
     let out = Command::new("git")
         .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .current_dir(repo_root())
         .output();
     match out {
         Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).trim().to_string(),
@@ -184,5 +198,30 @@ mod tests {
         assert!(!json.contains("NaN"));
         // The git_rev field is present whatever its value.
         assert!(json.contains("\"git_rev\": \""));
+    }
+
+    #[test]
+    fn repo_root_is_found_by_walking_up_from_the_current_directory() {
+        let tmp = std::env::temp_dir().join(format!("pathways-bench-root-{}", std::process::id()));
+        let copy = tmp.join("outer/crates/copy");
+        let nested = copy.join("crates/bench/src");
+        for dir in [
+            tmp.join("outer/perf/baselines"),
+            copy.join("perf/baselines"),
+            nested.clone(),
+        ] {
+            std::fs::create_dir_all(dir).unwrap();
+        }
+        // The nearest root wins: a checkout copied inside another one
+        // resolves to itself.
+        assert_eq!(workspace_root_above(&nested), Some(copy.clone()));
+        assert_eq!(workspace_root_above(&copy), Some(copy.clone()));
+        assert_eq!(
+            workspace_root_above(&tmp.join("outer/crates")),
+            Some(tmp.join("outer"))
+        );
+        std::fs::remove_dir_all(&tmp).unwrap();
+        // Tests run from the crate directory, inside this checkout.
+        assert!(repo_root().join("crates/bench/Cargo.toml").is_file());
     }
 }

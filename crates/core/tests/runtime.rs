@@ -643,3 +643,62 @@ fn hbm_back_pressure_stalls_but_completes() {
     assert!(outcome.is_quiescent(), "stalled forever: {outcome:?}");
     assert_eq!(job.try_take(), Some(true));
 }
+
+/// Poll budget of the wire. A chain of eight one-kernel programs striped
+/// over two islands, 1 MiB resharded over the DCN between stages, the
+/// whole chain submitted up front through `ObjectRef` futures — pwbench's
+/// `chain_islands` in miniature. Every stage crosses the DCN (scheduler
+/// grants, PLAQUE tuples and punctuations, the shard transfers), so the
+/// run's poll count is mostly wire bookkeeping.
+///
+/// With closed-form links, one egress actor per NIC and one flusher per
+/// host the run takes exactly 995 polls. It took 1318, to the same
+/// virtual end time, while the router spawned a task per DCN message and
+/// PLAQUE a task per flush, each behind a link made of a semaphore and
+/// two timers. A change that moves the count says why, here.
+#[test]
+fn two_island_chain_stays_within_its_poll_budget() {
+    let mut sim = Sim::new(0);
+    let rt = default_rt(&sim, ClusterSpec::islands_of(2, 2, 4));
+    let client = rt.client(HostId(0));
+    let slices: Vec<_> = (0..2)
+        .map(|i| {
+            client
+                .virtual_slice(SliceRequest::devices(4).in_island(IslandId(i)))
+                .unwrap()
+        })
+        .collect();
+    let stage = |k: usize| {
+        let mut b = client.trace(format!("stage{k}"));
+        let kernel = b.computation(
+            FnSpec::compute_only("k", SimDuration::from_micros(100)).with_output_bytes(1 << 18),
+            &slices[k % 2],
+        );
+        let input = (k > 0).then(|| {
+            let x = b.input(InputSpec::new("x", 4));
+            b.edge(x, kernel, 1 << 18);
+            x
+        });
+        (client.prepare(&b.build().unwrap()), input, kernel)
+    };
+    let stages: Vec<_> = (0..8).map(stage).collect();
+    let job = sim.spawn("client", async move {
+        let mut runs = Vec::new();
+        let mut prev = None;
+        for (prepared, input, kernel) in &stages {
+            let bound: Vec<_> = input.iter().copied().zip(prev.take()).collect();
+            let run = client.submit_with(prepared, &bound).await.unwrap();
+            prev = Some(run.object_ref(*kernel).unwrap());
+            runs.push(run);
+        }
+        prev.take().unwrap().ready().await.unwrap();
+        for run in runs {
+            run.finish().await;
+        }
+    });
+    let end = sim.run_to_quiescence();
+    assert!(job.is_finished());
+    assert!(rt.core().store.is_empty());
+    assert_eq!(end.as_nanos(), 1_710_191, "virtual time moved");
+    assert_eq!(sim.poll_count(), 995, "1318 with a task per message");
+}

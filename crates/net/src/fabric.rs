@@ -13,7 +13,7 @@ use pathways_sim::Lock;
 use std::fmt;
 use std::sync::Arc;
 
-use pathways_sim::{SimDuration, SimHandle};
+use pathways_sim::{SimDuration, SimHandle, SimTime};
 
 use crate::collective::{torus_collective, CollectiveKind};
 use crate::ids::{DeviceId, HostId};
@@ -169,6 +169,15 @@ impl Fabric {
         nic.transmit(&self.inner.handle, bytes).await;
     }
 
+    /// Books `src`'s NIC for a `bytes`-long DCN message (`src` is not
+    /// the destination) and returns the instant its last byte arrives:
+    /// [`Fabric::dcn_send`] without the wait, for the router's egress
+    /// actors.
+    pub(crate) fn dcn_arrival(&self, src: HostId, bytes: u64) -> SimTime {
+        let nic = &self.inner.dcn_nics[src.index()];
+        nic.reserve(&self.inner.handle, bytes) + nic.latency()
+    }
+
     /// Occupies `host`'s CPU/PCIe queue for one computation enqueue and
     /// pays the PCIe latency; models the multi-controller dispatch path
     /// (Figure 1a).
@@ -204,15 +213,11 @@ impl Fabric {
             return;
         }
         let hops = self.inner.topo.ici_hops(src, dst).max(1);
-        let egress = &self.inner.ici_egress[src.index()];
-        {
-            // Occupy the egress port for serialization.
-            egress.occupy(&self.inner.handle, bytes).await;
-        }
-        // Then pay per-hop propagation.
+        // The egress port serializes, then every hop adds its latency.
+        let sent = self.inner.ici_egress[src.index()].reserve(&self.inner.handle, bytes);
         self.inner
             .handle
-            .sleep(self.inner.params.ici_hop_latency * hops as u64)
+            .sleep_until(sent + self.inner.params.ici_hop_latency * hops as u64)
             .await;
     }
 

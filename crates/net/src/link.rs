@@ -9,17 +9,27 @@
 //! paper's single-controller dispatch overheads (Figures 5 and 6).
 
 use std::fmt;
+use std::sync::Arc;
 
-use pathways_sim::sync::Semaphore;
-use pathways_sim::{SimDuration, SimHandle};
+use pathways_sim::{Lock, SimDuration, SimHandle, SimTime};
 
 use crate::params::Bandwidth;
 
 /// An exclusive FIFO link with bandwidth, per-message occupancy and
 /// propagation latency.
+///
+/// Such a link has a closed form, so it is one instant, `free_at`: a
+/// transfer first polled at `now` starts at `max(now, free_at)` and
+/// moves `free_at` to the end of its [`occupancy`](Self::occupancy).
+/// Service order is first-poll order, as under the FIFO-fair semaphore
+/// this replaced (kept as the reference in `tests/link_contract.rs`),
+/// at one timer per transfer. Unlike a permit, a slot is never handed
+/// back: a future dropped before it resolves still holds the wire for
+/// it. Nothing in the workspace cancels a link future.
 #[derive(Clone)]
 pub struct FifoLink {
-    gate: Semaphore,
+    /// When the wire is next free; shared by clones of the link.
+    free_at: Arc<Lock<SimTime>>,
     latency: SimDuration,
     bandwidth: Bandwidth,
     per_message: SimDuration,
@@ -39,7 +49,7 @@ impl FifoLink {
     /// Creates a link.
     pub fn new(latency: SimDuration, bandwidth: Bandwidth, per_message: SimDuration) -> Self {
         FifoLink {
-            gate: Semaphore::new(1),
+            free_at: Arc::new(Lock::new(SimTime::ZERO)),
             latency,
             bandwidth,
             per_message,
@@ -56,22 +66,27 @@ impl FifoLink {
         self.per_message + self.bandwidth.transfer_time(bytes)
     }
 
+    /// Books the wire's next free slot for `bytes` and returns the
+    /// instant that slot ends (when the last byte has left the sender).
+    pub(crate) fn reserve(&self, handle: &SimHandle, bytes: u64) -> SimTime {
+        let mut free_at = self.free_at.lock();
+        *free_at = (*free_at).max(handle.now()) + self.occupancy(bytes);
+        *free_at
+    }
+
     /// Transmits `bytes`; resolves when the last byte arrives at the far
-    /// end. FIFO-fair under contention.
+    /// end. FIFO under contention, in order of first poll.
     pub async fn transmit(&self, handle: &SimHandle, bytes: u64) {
-        {
-            let _permit = self.gate.acquire(1).await;
-            handle.sleep(self.occupancy(bytes)).await;
-        }
-        handle.sleep(self.latency).await;
+        let sent = self.reserve(handle, bytes);
+        handle.sleep_until(sent + self.latency).await;
     }
 
     /// Occupies the link without the trailing propagation delay; used
     /// when the caller only needs to model sender-side cost (e.g. a CPU
     /// enqueueing work over PCIe and immediately continuing).
     pub async fn occupy(&self, handle: &SimHandle, bytes: u64) {
-        let _permit = self.gate.acquire(1).await;
-        handle.sleep(self.occupancy(bytes)).await;
+        let sent = self.reserve(handle, bytes);
+        handle.sleep_until(sent).await;
     }
 }
 

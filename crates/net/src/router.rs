@@ -4,14 +4,24 @@
 //! with the fabric's DCN cost model. This is the transport the PLAQUE
 //! replacement (crate `pathways-plaque`) and the single-controller
 //! control planes are built on.
+//!
+//! Nothing is spawned per message: `send` queues it for the source
+//! host's long-lived *egress actor*, which books the NIC in send order
+//! (the link's closed form gives the arrival instant at once) and hands
+//! each message to its destination inbox at that instant.
 
 use pathways_sim::hash::FxHashMap;
 use pathways_sim::Lock;
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 use std::fmt;
+use std::future::{poll_fn, Future};
+use std::pin::Pin;
 use std::sync::Arc;
+use std::task::{Context, Poll};
 
 use pathways_sim::channel::{self, Receiver, Sender};
-use pathways_sim::TaskName;
+use pathways_sim::{IdleToken, SimTime};
 
 use crate::fabric::Fabric;
 use crate::ids::HostId;
@@ -25,22 +35,18 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// `dcn:{src}->{dst}`. One task per DCN message, so the text is only
-/// rendered if a deadlock report reads it.
-fn delivery_task_name(src: HostId, dst: HostId) -> TaskName {
-    TaskName::lazy([src.0.into(), dst.0.into(), 0, 0], |ids, f| {
-        write!(
-            f,
-            "dcn:{}->{}",
-            HostId(ids[0] as u32),
-            HostId(ids[1] as u32)
-        )
-    })
-}
+type Inboxes<M> = Arc<Lock<FxHashMap<HostId, Sender<Envelope<M>>>>>;
+
+/// `(destination, message, simulated bytes)` as accepted by `send`.
+type Outbound<M> = (HostId, M, u64);
 
 struct RouterInner<M> {
     fabric: Fabric,
-    inboxes: Lock<FxHashMap<HostId, Sender<Envelope<M>>>>,
+    /// Shared with the egress actors. They must not hold `RouterInner`:
+    /// it owns their queues' senders, and they exit when those are gone.
+    inboxes: Inboxes<M>,
+    /// Each source host's egress actor, spawned by its first `send`.
+    egress: Lock<FxHashMap<HostId, Sender<Outbound<M>>>>,
 }
 
 /// Typed DCN message router. Cheaply cloneable.
@@ -70,7 +76,8 @@ impl<M: Send + 'static> Router<M> {
         Router {
             inner: Arc::new(RouterInner {
                 fabric,
-                inboxes: Lock::new(FxHashMap::default()),
+                inboxes: Arc::new(Lock::new(FxHashMap::default())),
+                egress: Lock::new(FxHashMap::default()),
             }),
         }
     }
@@ -87,10 +94,11 @@ impl<M: Send + 'static> Router<M> {
         rx
     }
 
-    /// Sends `msg` of simulated size `bytes` from `src` to `dst`,
-    /// spawning the delivery in the background (asynchronous send, like
-    /// an RPC with no reply). Messages between a pair of hosts are
-    /// delivered in order because the sender NIC is FIFO.
+    /// Sends `msg` of simulated size `bytes` from `src` to `dst` and
+    /// returns at once (asynchronous send, like an RPC with no reply);
+    /// `src`'s egress actor delivers it. Messages between a pair of
+    /// hosts are delivered in order because the sender NIC is FIFO.
+    /// Callable from outside any task, before the executor runs.
     ///
     /// # Panics
     ///
@@ -100,29 +108,114 @@ impl<M: Send + 'static> Router<M> {
             self.inner.inboxes.lock().contains_key(&dst),
             "send to unregistered {dst}"
         );
-        let inner = Arc::clone(&self.inner);
-        let handle = self.inner.fabric.handle();
-        handle.spawn(delivery_task_name(src, dst), async move {
-            inner.fabric.dcn_send(src, dst, bytes).await;
-            // Checked at delivery time so a link that dies while the
-            // message is on the wire also loses it.
-            if !inner.fabric.link_up(src, dst) {
-                return;
-            }
-            let tx = inner
-                .inboxes
-                .lock()
-                .get(&dst)
-                .expect("inbox disappeared")
-                .clone();
-            // Receiver may legitimately have shut down (host failure).
-            let _ = tx.send(Envelope { src, msg });
-        });
+        let mut egress = self.inner.egress.lock();
+        let queue = egress.entry(src).or_insert_with(|| self.spawn_egress(src));
+        // The actor outlives every sender, so the queue is open.
+        let _ = queue.send((dst, msg, bytes));
+    }
+
+    fn spawn_egress(&self, src: HostId) -> Sender<Outbound<M>> {
+        let (tx, queue) = channel::channel();
+        let idle = IdleToken::new();
+        let mut actor = Egress {
+            src,
+            fabric: self.inner.fabric.clone(),
+            inboxes: Arc::clone(&self.inner.inboxes),
+            queue,
+            in_flight: VecDeque::new(),
+            armed: None,
+            routes: FxHashMap::default(),
+            idle: idle.clone(),
+        };
+        self.inner.fabric.handle().spawn_service(
+            format!("dcn-egress-{src}"),
+            &idle,
+            poll_fn(move |cx| actor.poll(cx)),
+        );
+        tx
     }
 
     /// The underlying fabric.
     pub fn fabric(&self) -> &Fabric {
         &self.inner.fabric
+    }
+}
+
+/// One source host's egress actor. It reads idle whenever nothing is
+/// queued or on the wire, so a drained simulation still ends quiescent.
+struct Egress<M> {
+    src: HostId,
+    fabric: Fabric,
+    inboxes: Inboxes<M>,
+    queue: Receiver<Outbound<M>>,
+    /// `(arrival, destination, message)`, in send order: one NIC's
+    /// arrivals are monotone, so that is arrival order too.
+    in_flight: VecDeque<(SimTime, HostId, M)>,
+    /// The instant the one outstanding timer fires: the head's arrival.
+    armed: Option<SimTime>,
+    /// Inboxes delivered to so far (none is ever unregistered).
+    routes: FxHashMap<HostId, Sender<Envelope<M>>>,
+    idle: IdleToken,
+}
+
+impl<M: Send + 'static> Egress<M> {
+    /// One wake-up: book the NIC for everything queued, deliver what has
+    /// arrived, arm the timer. Done once the router is gone and the wire
+    /// is empty.
+    fn poll(&mut self, cx: &mut Context<'_>) -> Poll<()> {
+        let open = loop {
+            match Pin::new(&mut self.queue.recv()).poll(cx) {
+                Poll::Ready(Some((dst, msg, _))) if dst == self.src => self.deliver(dst, msg),
+                Poll::Ready(Some((dst, msg, bytes))) => {
+                    let arrival = self.fabric.dcn_arrival(self.src, bytes);
+                    self.in_flight.push_back((arrival, dst, msg));
+                }
+                Poll::Ready(None) => break false,
+                Poll::Pending => break true,
+            }
+        };
+        let now = self.fabric.handle().now();
+        while self.in_flight.front().is_some_and(|m| m.0 <= now) {
+            if let Some((_, dst, msg)) = self.in_flight.pop_front() {
+                self.deliver(dst, msg);
+            }
+        }
+        // A `Sleep` registers a timer on every poll, so arm one only when
+        // the head is not the instant already armed.
+        let head = self.in_flight.front().map(|m| m.0);
+        if let Some(arrival) = head.filter(|_| head != self.armed) {
+            let mut timer = self.fabric.handle().sleep_until(arrival);
+            if Pin::new(&mut timer).poll(cx).is_ready() {
+                cx.waker().wake_by_ref(); // a real clock got there first
+            }
+        }
+        self.armed = head;
+        if !self.in_flight.is_empty() {
+            self.idle.set_busy();
+        } else if open {
+            self.idle.set_idle();
+        } else {
+            return Poll::Ready(());
+        }
+        Poll::Pending
+    }
+
+    fn deliver(&mut self, dst: HostId, msg: M) {
+        // Checked at the arrival instant so a link that dies while the
+        // message is queued or on the wire also loses it.
+        if !self.fabric.link_up(self.src, dst) {
+            return;
+        }
+        let inbox = match self.routes.entry(dst) {
+            Entry::Occupied(known) => known.into_mut(),
+            // `send` saw the inbox, and nothing unregisters one.
+            Entry::Vacant(new) => match self.inboxes.lock().get(&dst) {
+                Some(inbox) => new.insert(inbox.clone()),
+                None => return,
+            },
+        };
+        // Receiver may legitimately have shut down (host failure).
+        let _ = inbox.send(Envelope { src: self.src, msg });
     }
 }
 
@@ -141,15 +234,6 @@ mod tests {
             NetworkParams::tpu_cluster(),
         );
         Router::new(fabric)
-    }
-
-    #[test]
-    fn delivery_task_name_renders_as_the_formatted_string_it_replaced() {
-        let (src, dst) = (HostId(511), HostId(u32::MAX));
-        assert_eq!(
-            delivery_task_name(src, dst).to_string(),
-            format!("dcn:{src}->{dst}")
-        );
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pathways_net::{Fabric, HostId, Router};
-use pathways_sim::channel::{self, OneshotReceiver};
+use pathways_sim::channel::{self, OneshotReceiver, Sender};
 use pathways_sim::{IdleToken, SimHandle, TaskName};
 
 use crate::graph::{EdgeId, Graph, NodeId};
@@ -102,6 +102,13 @@ struct RunEntry {
 /// NIC message per destination at the end of the current micro-step.
 type EgressBuffer = Vec<(HostId, PlaqueMsg, u64)>;
 
+/// One source host's asynchronous egress: what is waiting to coalesce,
+/// and the doorbell of the flusher service that sends it.
+struct HostEgress {
+    buffer: EgressBuffer,
+    flusher: Sender<()>,
+}
+
 /// Cloneable shared state used by contexts and emitters.
 #[derive(Clone)]
 pub struct RuntimeShared {
@@ -119,7 +126,7 @@ pub struct RuntimeShared {
     /// latency (the flush runs after one executor micro-step) and is
     /// what keeps punctuation storms from O(M x N) sharded edges off
     /// the NICs — §4.3's batching requirement.
-    async_egress: Arc<Lock<FxHashMap<HostId, EgressBuffer>>>,
+    async_egress: Arc<Lock<FxHashMap<HostId, HostEgress>>>,
 }
 
 impl fmt::Debug for RuntimeShared {
@@ -141,6 +148,15 @@ impl RuntimeShared {
     /// Groups messages by destination host (deterministically) and sends
     /// one batched DCN message per host.
     pub(crate) fn route_from(&self, src: HostId, msgs: Vec<(HostId, PlaqueMsg, u64)>) {
+        let Some(&(first, ..)) = msgs.first() else {
+            return;
+        };
+        if msgs.iter().all(|m| m.0 == first) {
+            let bytes = msgs.iter().map(|m| m.2).sum();
+            let batch = msgs.into_iter().map(|m| m.1).collect();
+            self.router.send(src, first, batch, bytes);
+            return;
+        }
         let mut by_host: BTreeMap<HostId, (Vec<PlaqueMsg>, u64)> = BTreeMap::new();
         for (dst, msg, bytes) in msgs {
             let entry = by_host.entry(dst).or_default();
@@ -159,17 +175,40 @@ impl RuntimeShared {
             return;
         }
         let mut egress = self.async_egress.lock();
-        let entry = egress.entry(src).or_default();
-        let need_flush = entry.is_empty();
-        entry.extend(msgs);
-        drop(egress);
-        if need_flush {
-            let shared = self.clone();
-            self.handle.spawn(flush_task_name(src), async move {
-                shared.handle.yield_now().await;
-                let msgs = shared.async_egress.lock().remove(&src).unwrap_or_default();
-                shared.route_from(src, msgs);
+        let host = egress.entry(src).or_insert_with(|| self.spawn_flusher(src));
+        if host.buffer.is_empty() {
+            // The flusher runs for as long as the runtime does.
+            let _ = host.flusher.send(());
+        }
+        host.buffer.extend(msgs);
+    }
+
+    /// Starts `src`'s flusher service. Rung once per batch, it yields
+    /// once — the window in which one micro-step's tuples coalesce, which
+    /// fixes the DCN message count and so virtual time — then sends.
+    fn spawn_flusher(&self, src: HostId) -> HostEgress {
+        let (flusher, mut rung) = channel::channel();
+        let shared = self.clone();
+        let token = IdleToken::new();
+        let token_task = token.clone();
+        self.handle
+            .spawn_service(flush_task_name(src), &token, async move {
+                loop {
+                    token_task.set_idle();
+                    let Some(()) = rung.recv().await else { break };
+                    token_task.set_busy();
+                    shared.handle.yield_now().await;
+                    let batch = shared
+                        .async_egress
+                        .lock()
+                        .get_mut(&src)
+                        .map(|host| std::mem::take(&mut host.buffer));
+                    shared.route_from(src, batch.unwrap_or_default());
+                }
             });
+        HostEgress {
+            buffer: Vec::new(),
+            flusher,
         }
     }
 

@@ -314,6 +314,55 @@ fn async_emitter_sends_after_spawned_work() {
     assert!(end >= pathways_sim::SimTime::ZERO + SimDuration::from_millis(1));
 }
 
+/// Every batch an emitter queues on a host is sent by that host's one
+/// `plaque-flush-{host}` service: nothing is spawned per flush (the old
+/// runtime spawned a flush task per host-instant), and a second run
+/// finds the services of the first.
+#[test]
+fn one_flusher_per_host_serves_every_batch() {
+    struct Dripper {
+        out: EdgeId,
+    }
+    impl Operator for Dripper {
+        fn on_all_inputs_complete(&mut self, ctx: &mut ShardCtx<'_>) {
+            let (emitter, h, out) = (ctx.emitter(), ctx.handle().clone(), self.out);
+            ctx.handle().spawn("drip", async move {
+                for i in 0..5u32 {
+                    h.sleep(SimDuration::from_millis(1)).await;
+                    emitter.send(out, 0, Tuple::new(i, 8));
+                }
+                emitter.halt();
+            });
+        }
+    }
+    let mut sim = Sim::new(0);
+    let rt = make_runtime(&sim, 4);
+    let got = Arc::new(Lock::new(Vec::new()));
+    let mut g = GraphBuilder::new("drip");
+    let src = g.node("src", vec![HostId(0), HostId(2)], |_| {
+        Box::new(Dripper { out: EdgeId(0) })
+    });
+    let dst = g.node("dst", vec![HostId(1)], {
+        let got = Arc::clone(&got);
+        move |_| {
+            Box::new(Gather {
+                got: Arc::clone(&got),
+            })
+        }
+    });
+    assert_eq!(g.edge(src, dst), EdgeId(0));
+    let graph = g.build().unwrap();
+    for round in 1..=2 {
+        let run = rt.launch(&graph, HostId(0));
+        sim.spawn("client", async move { run.await_done().await });
+        sim.run_to_quiescence();
+        assert_eq!(got.lock().len(), 10 * round);
+        // Three plaque workers; a flusher and a DCN egress actor on each
+        // of the two hosts that emit.
+        assert_eq!(sim.live_tasks(), 3 + 2 + 2, "round {round}");
+    }
+}
+
 /// Messages to one destination host within a round are batched: the NIC
 /// is occupied once, not once per tuple.
 #[test]

@@ -325,6 +325,12 @@ impl Sim {
         self.core.state.lock().polls
     }
 
+    /// Number of tasks spawned and not yet finished or aborted, parked
+    /// services included.
+    pub fn live_tasks(&self) -> usize {
+        self.core.state.lock().tasks.live
+    }
+
     /// Takes the accumulated trace events, leaving the log empty.
     pub fn take_trace(&self) -> TraceLog {
         std::mem::take(&mut self.core.state.lock().trace)

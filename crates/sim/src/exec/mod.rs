@@ -66,9 +66,9 @@ pub type RenderName = fn(&[u64; 4], &mut fmt::Formatter<'_>) -> fmt::Result;
 /// A task's name, rendered only when something reads it (deadlock
 /// reports, `Debug`).
 ///
-/// Spawning is hot — one task per DCN message, per transfer, per shard —
-/// and the name is read only when a run deadlocks, so the per-message
-/// spawn sites hand over a few integers and a render function
+/// Spawning is hot — one task per transfer, per shard driver — and the
+/// name is read only when a run deadlocks, so the per-transfer spawn
+/// sites hand over a few integers and a render function
 /// ([`TaskName::lazy`]) instead of a formatted `String`. Literals and
 /// owned strings convert with `into()`.
 #[derive(Clone)]
