@@ -142,25 +142,26 @@ impl ObjectStore {
     /// task validates, copies, commits and exits (no perpetual timer, so
     /// the simulation still quiesces).
     pub(crate) fn spawn_checkpoint(&self, id: ObjectId) {
-        let Some((handle, _topo, cfg)) = self.tier_env() else {
+        let Some(env) = self.env.clone() else {
             return;
         };
-        let Some(interval) = cfg.checkpoint_interval else {
+        let Some(interval) = env.cfg.checkpoint_interval else {
             return;
         };
         let iv = interval.as_nanos().max(1);
         let store = self.clone();
-        let h = handle.clone();
+        let handle = env.handle.clone();
         handle.spawn(format!("ckpt-{id}"), async move {
+            let h = &env.handle;
             let next = (h.now().as_nanos() / iv + 1).saturating_mul(iv);
             h.sleep_until(SimTime::from_nanos(next)).await;
             let Some(dirty) = store.checkpoint_dirty_bytes(id) else {
                 return;
             };
             let t0 = h.now();
-            h.sleep(cfg.disk_time(dirty)).await;
+            h.sleep(env.cfg.disk_time(dirty)).await;
             if store.commit_checkpoint(id).is_some() {
-                h.trace_span("tiers", format!("ckpt {id}"), t0, h.now());
+                env.trace(format!("ckpt {id}"), t0);
             }
         });
     }
@@ -174,10 +175,7 @@ impl ObjectStore {
             let Some(entry) = inner.objects.get(&id) else {
                 return;
             };
-            matches!(
-                inner.tier.as_ref(),
-                Some(ts) if ts.cfg.checkpoint_interval.is_some()
-            ) && entry.checkpoint_candidate()
+            self.checkpoints_scheduled() && entry.checkpoint_candidate()
         };
         if schedule {
             self.spawn_checkpoint(id);
@@ -246,7 +244,9 @@ impl ObjectStore {
             sh.dirty = false;
         }
         ts.stats.checkpoints += 1;
-        entry.checkpoints.gc(ts.cfg.checkpoint_keep, &mut ts.disk);
+        entry
+            .checkpoints
+            .gc(ts.env.cfg.checkpoint_keep, &mut ts.disk);
         Some(total)
     }
 
@@ -327,8 +327,8 @@ impl ObjectStore {
             .sum();
         let epochs = entry.checkpoints.reachable_epochs().len() as u64;
         let latency =
-            SimDuration::from_nanos(ts.cfg.disk_latency.as_nanos().saturating_mul(epochs));
-        Some((bytes, latency + xfer_time(bytes, ts.cfg.dram_disk_bw)))
+            SimDuration::from_nanos(ts.env.cfg.disk_latency.as_nanos().saturating_mul(epochs));
+        Some((bytes, latency + xfer_time(bytes, ts.env.cfg.dram_disk_bw)))
     }
 }
 

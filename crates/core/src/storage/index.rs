@@ -1,5 +1,5 @@
 //! The object index: the refcounted sharded object table (§4.2, §4.6)
-//! plus the blast-radius indexes failure fan-out walks.
+//! plus the residency sets victim selection and failure fan-out read.
 //!
 //! Each host manages buffers held in the HBM of its attached devices
 //! (and transient staging in host DRAM). Client code refers to *logical*
@@ -27,6 +27,7 @@
 //! all mutate and the removal paths that keep every ledger honest.
 
 use pathways_sim::Lock;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -40,7 +41,7 @@ use crate::program::CompId;
 
 use super::checkpoint::CheckpointChain;
 use super::recovery::LineageRecord;
-use super::tiers::{ExtentRef, Tier, TierConfig, TierState};
+use super::tiers::{ExtentRef, Tier, TierConfig, TierEnv, TierState};
 
 /// Opaque handle to a logical (sharded) buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -279,60 +280,131 @@ impl ObjectEntry {
     }
 }
 
-/// The object table plus the indexes failure fan-out walks: which
-/// objects each client owns (failure-GC), which objects have a shard
-/// pinned on each device (hardware death), and which objects have a
-/// shard spilled to each host's DRAM (host death). The per-key lists are
-/// plain `Vec`s — maintenance runs once per object/shard on the
-/// steady-state path, so it uses O(1) pushes and swap-removes (no tree
-/// nodes), and the rare blast-radius queries sort their snapshot
-/// instead. Empty lists stay in the map on purpose: their capacity is
-/// reused by the next object on the same key, so a steady-state step
-/// allocates nothing here.
+/// Where an HBM or DRAM shard resides — what one hardware death takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Place {
+    Hbm(DeviceId),
+    Dram(HostId),
+}
+
+impl StoredShard {
+    /// Where the shard resides (disk shards reside nowhere).
+    pub(crate) fn place(&self) -> Option<Place> {
+        match (self.tier, self.host) {
+            (Tier::Hbm, _) => Some(Place::Hbm(self.device)),
+            (Tier::Dram, Some(host)) => Some(Place::Dram(host)),
+            _ => None,
+        }
+    }
+}
+
+/// One resident shard in eviction order: `(last_access, object,
+/// shard)` — least recently used first, ties (untiered stores never
+/// tick the clock, so there every key ties) on `(object, shard)`.
+pub(crate) type Resident = (u64, ObjectId, u32);
+
+/// The ordered *residency sets*: per device its HBM shards, per host
+/// the shards spilled to its DRAM, each set sorted in the order spill
+/// and demotion pick victims — a victim is the front of a set instead of
+/// a scan, and the blast-radius queries (hardware death) read the same
+/// sets. Every site that creates, moves, bumps or drops a shard keeps
+/// them in step, on tiered and untiered stores alike;
+/// [`ObjectStore::tiers_conserved`] recounts them from the object table.
+///
+/// A set is a sorted deque: victims leave at the front and fresh or
+/// freshly spilled shards arrive at or near the back, both O(1) once the
+/// binary search has found the spot; only taking a shard out of the
+/// middle (an LRU bump, a release) moves entries — at most half the set,
+/// 32 bytes each. Drained sets stay in the map and keep their buffer, so
+/// a steady-state step allocates nothing here. That matters more than
+/// the tree it could have been: the first shard on a device is stored on
+/// the put path of a wide gang, and `spmd_wide` (2048 devices) ran 8–16 %
+/// slower with any variant that left more heap per device, or freed and
+/// reallocated tree nodes per step, between the gang's own allocations —
+/// the same −11 % shows on the previous `Vec` index if its buffers are
+/// merely made 368 bytes instead of 64.
+#[derive(Default)]
+pub(crate) struct Residency(FxHashMap<Place, VecDeque<Resident>>);
+
+impl Residency {
+    /// Entries a set's first buffer holds (64 bytes): a device's current
+    /// and previous output.
+    const FIRST_BUFFER: usize = 2;
+
+    pub(crate) fn insert(&mut self, place: Place, key: Resident) {
+        let set = self.0.entry(place);
+        let set = set.or_insert_with(|| VecDeque::with_capacity(Self::FIRST_BUFFER));
+        let at = set.binary_search(&key);
+        debug_assert!(at.is_err(), "{key:?} already resides in {place:?}");
+        if let Err(at) = at {
+            set.insert(at, key);
+        }
+    }
+
+    pub(crate) fn remove(&mut self, place: Place, key: Resident) {
+        let set = self.0.get_mut(&place);
+        let at = set.as_ref().and_then(|set| set.binary_search(&key).ok());
+        debug_assert!(at.is_some(), "{key:?} did not reside in {place:?}");
+        if let (Some(set), Some(at)) = (set, at) {
+            set.remove(at);
+        }
+    }
+
+    /// The shards residing in `place`, in victim order.
+    pub(crate) fn of(&self, place: Place) -> impl Iterator<Item = Resident> + '_ {
+        self.0.get(&place).into_iter().flatten().copied()
+    }
+}
+
+/// The object table plus the indexes failure fan-out and the tier
+/// machinery walk: which objects each client owns (failure-GC; plain
+/// `Vec`s — O(1) push and swap-remove, sorted by the rare query), and
+/// where every HBM and DRAM shard resides.
 #[derive(Default)]
 pub(crate) struct StoreInner {
     pub(crate) objects: FxHashMap<ObjectId, ObjectEntry>,
     pub(crate) by_owner: FxHashMap<ClientId, Vec<ObjectId>>,
-    pub(crate) by_device: FxHashMap<DeviceId, Vec<ObjectId>>,
-    pub(crate) by_dram_host: FxHashMap<HostId, Vec<ObjectId>>,
+    pub(crate) resident: Residency,
     pub(crate) tier: Option<TierState>,
 }
 
-/// Removes one occurrence of `id` (pushes and removals are 1:1).
-pub(crate) fn unindex(list: &mut Vec<ObjectId>, id: ObjectId) {
-    if let Some(pos) = list.iter().position(|x| *x == id) {
-        list.swap_remove(pos);
-    }
-}
-
 impl StoreInner {
-    /// Unthreads one shard from the index and byte ledger of the tier it
-    /// occupies (the shard is leaving the store, or leaving that tier).
-    pub(crate) fn untier_shard(&mut self, id: ObjectId, shard: &StoredShard) {
-        match shard.tier {
-            Tier::Hbm => {
-                if let Some(objs) = self.by_device.get_mut(&shard.device) {
-                    unindex(objs, id);
-                }
-                if let Some(ts) = self.tier.as_mut() {
-                    ts.hbm.uncharge(shard.bytes);
+    /// True if the residency sets hold exactly the HBM and DRAM shards
+    /// of the object table, each under its current key (drained sets
+    /// aside).
+    pub(crate) fn residency_recounts(&self) -> bool {
+        let mut want = Residency::default();
+        for (id, entry) in &self.objects {
+            for (no, sh) in &entry.shards {
+                if let Some(place) = sh.place() {
+                    want.insert(place, (sh.last_access, *id, *no));
                 }
             }
+        }
+        let have = &self.resident.0;
+        have.values().filter(|set| !set.is_empty()).count() == want.0.len()
+            && want.0.iter().all(|(p, set)| have.get(p) == Some(set))
+    }
+
+    /// Unthreads shard `no` of `id` from the residency set and byte
+    /// ledger of the tier it occupies (the shard is leaving the store).
+    pub(crate) fn untier_shard(&mut self, id: ObjectId, no: u32, shard: &StoredShard) {
+        if let Some(place) = shard.place() {
+            self.resident.remove(place, (shard.last_access, id, no));
+        }
+        let Some(ts) = self.tier.as_mut() else {
+            return;
+        };
+        match shard.tier {
+            Tier::Hbm => ts.hbm.uncharge(shard.bytes),
             Tier::Dram => {
                 if let Some(host) = shard.host {
-                    if let Some(objs) = self.by_dram_host.get_mut(&host) {
-                        unindex(objs, id);
-                    }
-                    if let Some(ts) = self.tier.as_mut() {
-                        ts.dram.uncharge(host, shard.bytes);
-                    }
+                    ts.dram.uncharge(host, shard.bytes);
                 }
             }
             Tier::Disk => {
-                if let Some(ts) = self.tier.as_mut() {
-                    let ext = shard.extent.expect("disk shard without extent");
-                    ts.disk.uncharge(ext);
-                }
+                let ext = shard.extent.expect("disk shard without extent");
+                ts.disk.uncharge(ext);
             }
         }
     }
@@ -344,10 +416,13 @@ impl StoreInner {
     pub(crate) fn remove_object(&mut self, id: ObjectId) -> Option<ObjectEntry> {
         let entry = self.objects.remove(&id)?;
         if let Some(owned) = self.by_owner.get_mut(&entry.owner) {
-            unindex(owned, id);
+            // Creates and removals are 1:1, so one occurrence.
+            if let Some(pos) = owned.iter().position(|x| *x == id) {
+                owned.swap_remove(pos);
+            }
         }
-        for shard in entry.shards.values() {
-            self.untier_shard(id, shard);
+        for (no, shard) in &entry.shards {
+            self.untier_shard(id, *no, shard);
         }
         if let Some(ts) = self.tier.as_mut() {
             ts.release_chain(&entry.checkpoints);
@@ -367,6 +442,10 @@ impl StoreInner {
 #[derive(Clone)]
 pub struct ObjectStore {
     pub(crate) inner: Arc<Lock<StoreInner>>,
+    /// What a tiered store was built with. Fixed at construction, so it
+    /// is read without the lock (an untiered `ensure_room` returns
+    /// without touching `inner`).
+    pub(crate) env: Option<Arc<TierEnv>>,
 }
 
 impl Default for ObjectStore {
@@ -375,6 +454,7 @@ impl Default for ObjectStore {
             // Named: the store is the controller's most shared structure
             // and the first suspect in any threaded contention profile.
             inner: Arc::new(Lock::named("core.store", StoreInner::default())),
+            env: None,
         }
     }
 }
@@ -383,7 +463,7 @@ impl fmt::Debug for ObjectStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ObjectStore")
             .field("objects", &self.inner.lock().objects.len())
-            .field("tiered", &self.inner.lock().tier.is_some())
+            .field("tiered", &self.env.is_some())
             .finish()
     }
 }
@@ -400,8 +480,12 @@ impl ObjectStore {
     /// under DRAM pressure), and completed lineage-bearing objects are
     /// periodically delta-checkpointed to disk on the timer wheel.
     pub fn with_tiers(handle: SimHandle, topo: Arc<Topology>, cfg: TierConfig) -> Self {
-        let store = Self::default();
-        store.inner.lock().tier = Some(TierState::new(handle, topo, cfg));
+        let env = Arc::new(TierEnv::new(handle, topo, cfg));
+        let store = ObjectStore {
+            env: Some(Arc::clone(&env)),
+            ..Self::default()
+        };
+        store.inner.lock().tier = Some(TierState::new(env));
         store
     }
 
@@ -521,7 +605,8 @@ impl ObjectStore {
             },
         );
         assert!(prev.is_none(), "{id} shard {shard} stored twice");
-        inner.by_device.entry(device.id()).or_default().push(id);
+        let key = (last_access, id, shard);
+        inner.resident.insert(Place::Hbm(device.id()), key);
         ready
     }
 
@@ -540,10 +625,7 @@ impl ObjectStore {
             if let Some(ev) = entry.ready.get(&shard) {
                 ev.set();
             }
-            matches!(
-                inner.tier.as_ref(),
-                Some(ts) if ts.cfg.checkpoint_interval.is_some()
-            ) && entry.checkpoint_candidate()
+            self.checkpoints_scheduled() && entry.checkpoint_candidate()
         };
         if schedule_checkpoint {
             self.spawn_checkpoint(id);
@@ -663,7 +745,7 @@ impl ObjectStore {
                 if entry.error.is_none() {
                     entry.error = Some(ObjectError::ProducerFailed { object: id, reason });
                 }
-                let shards: Vec<StoredShard> = entry.shards.drain().map(|(_, s)| s).collect();
+                let shards: Vec<(u32, StoredShard)> = entry.shards.drain().collect();
                 let chain = std::mem::take(&mut entry.checkpoints);
                 let lineage = entry.lineage.take();
                 if let Some(rec) = entry.recovering.take() {
@@ -674,8 +756,8 @@ impl ObjectStore {
                 }
                 (shards, chain, lineage)
             };
-            for shard in &shards {
-                inner.untier_shard(id, shard);
+            for (no, shard) in &shards {
+                inner.untier_shard(id, *no, shard);
             }
             if let Some(ts) = inner.tier.as_mut() {
                 ts.release_chain(&chain);
@@ -711,39 +793,25 @@ impl ObjectStore {
         self.inner.lock().objects.get(&id).map(|e| e.owner)
     }
 
-    /// Ids of all objects with a live HBM shard on `device`, ascending
-    /// and deduplicated — the deterministic blast-radius snapshot.
-    pub(crate) fn objects_on_device(&self, device: DeviceId) -> Vec<ObjectId> {
-        // The device index holds exactly the objects with a live HBM
-        // shard here (failed/spilled shards were unindexed when they
-        // left) — one occurrence per shard, so objects with several
-        // shards on this device are deduplicated along with the
-        // determinism sort.
-        let mut ids: Vec<ObjectId> = self
-            .inner
-            .lock()
-            .by_device
-            .get(&device)
-            .map(|objs| objs.to_vec())
-            .unwrap_or_default();
+    /// Ids of all objects with a shard residing in `place`, ascending
+    /// and deduplicated (an object with several shards there appears
+    /// once) — the deterministic blast-radius snapshot.
+    fn objects_in(&self, place: Place) -> Vec<ObjectId> {
+        let inner = self.inner.lock();
+        let mut ids: Vec<ObjectId> = inner.resident.of(place).map(|key| key.1).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
     }
 
-    /// Ids of all objects with a shard spilled to `host`'s DRAM,
-    /// ascending and deduplicated (host-death blast radius).
+    /// Ids of all objects with a live HBM shard on `device`.
+    pub(crate) fn objects_on_device(&self, device: DeviceId) -> Vec<ObjectId> {
+        self.objects_in(Place::Hbm(device))
+    }
+
+    /// Ids of all objects with a shard spilled to `host`'s DRAM.
     pub(crate) fn objects_with_dram_on(&self, host: HostId) -> Vec<ObjectId> {
-        let mut ids: Vec<ObjectId> = self
-            .inner
-            .lock()
-            .by_dram_host
-            .get(&host)
-            .map(|objs| objs.to_vec())
-            .unwrap_or_default();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.objects_in(Place::Dram(host))
     }
 
     /// Fails every object with a shard pinned on `device` (the data is

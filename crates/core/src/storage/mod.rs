@@ -5,8 +5,9 @@
 //!
 //! - [`index`] — the **object index**: refcounted logical buffers keyed
 //!   by [`ObjectId`], per-shard readiness events, owner-tagged GC,
-//!   failure records. Owns the [`ObjectStore`] facade every other layer
-//!   hangs methods off.
+//!   failure records, and the ordered HBM/DRAM residency sets that
+//!   victim selection and failure fan-out read. Owns the
+//!   [`ObjectStore`] facade every other layer hangs methods off.
 //! - [`tiers`] — **tier backends** behind the `TierBackend` trait: HBM
 //!   (device-resident, lease-backed), host DRAM (per-host ledgers), and
 //!   disk modeled as an **append-only segment store** with extent

@@ -37,6 +37,7 @@ impl TierState {
     /// non-local policy draws from.
     fn live_hosts(&self) -> Vec<HostId> {
         let mut hosts: Vec<HostId> = self
+            .env
             .topo
             .hosts()
             .filter(|h| !self.down_hosts.contains(h))
@@ -47,7 +48,7 @@ impl TierState {
 
     /// The host whose DRAM receives a spill from a device on `local`.
     pub(crate) fn spill_host(&mut self, local: HostId) -> HostId {
-        match self.cfg.placement {
+        match self.env.cfg.placement {
             PlacementPolicy::LocalFirst => local,
             PlacementPolicy::Spread => {
                 let hosts = self.live_hosts();
@@ -59,7 +60,7 @@ impl TierState {
                 hosts[idx]
             }
             PlacementPolicy::CapacityWeighted => {
-                let budget = self.cfg.dram_per_host;
+                let budget = self.env.cfg.dram_per_host;
                 self.live_hosts()
                     .into_iter()
                     .max_by_key(|h| {
@@ -99,7 +100,7 @@ impl ObjectStore {
         let Some(ts) = inner.tier.as_mut() else {
             return Some(candidates[0]);
         };
-        let pick = match ts.cfg.placement {
+        let pick = match ts.env.cfg.placement {
             PlacementPolicy::LocalFirst => 0,
             PlacementPolicy::Spread => {
                 let idx = (ts.placement_cursor as usize) % candidates.len();
@@ -107,7 +108,7 @@ impl ObjectStore {
                 idx
             }
             PlacementPolicy::CapacityWeighted => {
-                let budget = ts.cfg.dram_per_host;
+                let budget = ts.env.cfg.dram_per_host;
                 candidates
                     .iter()
                     .enumerate()

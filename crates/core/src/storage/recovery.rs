@@ -51,7 +51,7 @@ use crate::fault::FaultInjector;
 use crate::objref::ObjectRef;
 use crate::program::{CompId, Program};
 
-use super::index::{FailureReason, ObjectId, ObjectStore, StoredShard};
+use super::index::{FailureReason, ObjectId, ObjectStore, Place, StoredShard};
 use super::tiers::{Tier, TierConfig};
 
 /// How to reproduce one object: the producing program plus the exact
@@ -395,7 +395,7 @@ impl RecoveryManager {
         let t0 = h.now();
         h.sleep(time).await;
         if store.complete_restore(id, device, host) {
-            h.trace_span("tiers", format!("restore {id}"), t0, h.now());
+            store.trace_tiers(format!("restore {id}"), t0);
             self.stats.lock().restored += 1;
             return true;
         }
@@ -440,7 +440,7 @@ impl RecoveryManager {
                     .map(|(s, d)| (s as u32, out.bytes_per_shard(), *d, topo.host_of_device(*d)))
                     .collect();
                 if store.complete_recompute(id, &shards) {
-                    h.trace_span("tiers", format!("recompute {id}"), t0, h.now());
+                    store.trace_tiers(format!("recompute {id}"), t0);
                     self.stats.lock().recomputed += 1;
                     done = true;
                 }
@@ -554,7 +554,7 @@ impl ObjectStore {
     pub(crate) fn drop_shards_on_device(&self, id: ObjectId, device: DeviceId) -> u64 {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let taken: Vec<StoredShard> = {
+        let taken: Vec<(u32, StoredShard)> = {
             let Some(entry) = inner.objects.get_mut(&id) else {
                 return 0;
             };
@@ -565,12 +565,12 @@ impl ObjectStore {
                 .map(|(k, _)| *k)
                 .collect();
             keys.into_iter()
-                .filter_map(|k| entry.shards.remove(&k))
+                .filter_map(|k| Some((k, entry.shards.remove(&k)?)))
                 .collect()
         };
         let mut bytes = 0;
-        for sh in &taken {
-            inner.untier_shard(id, sh);
+        for (no, sh) in &taken {
+            inner.untier_shard(id, *no, sh);
             bytes += sh.bytes;
         }
         bytes
@@ -581,7 +581,7 @@ impl ObjectStore {
     pub(crate) fn drop_dram_on_host(&self, id: ObjectId, host: HostId) -> u64 {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let taken: Vec<StoredShard> = {
+        let taken: Vec<(u32, StoredShard)> = {
             let Some(entry) = inner.objects.get_mut(&id) else {
                 return 0;
             };
@@ -592,12 +592,12 @@ impl ObjectStore {
                 .map(|(k, _)| *k)
                 .collect();
             keys.into_iter()
-                .filter_map(|k| entry.shards.remove(&k))
+                .filter_map(|k| Some((k, entry.shards.remove(&k)?)))
                 .collect()
         };
         let mut bytes = 0;
-        for sh in &taken {
-            inner.untier_shard(id, sh);
+        for (no, sh) in &taken {
+            inner.untier_shard(id, *no, sh);
             bytes += sh.bytes;
         }
         bytes
@@ -629,7 +629,7 @@ impl ObjectStore {
         let Some(ts) = inner.tier.as_mut() else {
             return false;
         };
-        let at = ts.handle.now();
+        let at = ts.env.handle.now();
         for (shard, bytes) in &set {
             if entry.shards.contains_key(shard) {
                 continue;
@@ -651,7 +651,9 @@ impl ObjectStore {
                 },
             );
             ts.dram.charge(host, *bytes);
-            inner.by_dram_host.entry(host).or_default().push(id);
+            inner
+                .resident
+                .insert(Place::Dram(host), (ts.clock, id, *shard));
             ts.log.push(super::tiers::SpillEvent {
                 at,
                 object: id,
@@ -685,7 +687,7 @@ impl ObjectStore {
     ) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let old: Vec<StoredShard> = {
+        let old: Vec<(u32, StoredShard)> = {
             let Some(entry) = inner.objects.get_mut(&id) else {
                 return false;
             };
@@ -695,10 +697,10 @@ impl ObjectStore {
                 }
                 return false;
             }
-            entry.shards.drain().map(|(_, s)| s).collect()
+            entry.shards.drain().collect()
         };
-        for sh in &old {
-            inner.untier_shard(id, sh);
+        for (no, sh) in &old {
+            inner.untier_shard(id, *no, sh);
         }
         drop(old); // surviving leases return
         let Some(entry) = inner.objects.get_mut(&id) else {
@@ -707,7 +709,7 @@ impl ObjectStore {
         let Some(ts) = inner.tier.as_mut() else {
             return false;
         };
-        let at = ts.handle.now();
+        let at = ts.env.handle.now();
         for (shard, bytes, device, host) in shards {
             ts.clock += 1;
             let ready = entry.ready.entry(*shard).or_default().clone();
@@ -726,7 +728,9 @@ impl ObjectStore {
                 },
             );
             ts.dram.charge(*host, *bytes);
-            inner.by_dram_host.entry(*host).or_default().push(id);
+            inner
+                .resident
+                .insert(Place::Dram(*host), (ts.clock, id, *shard));
             ts.log.push(super::tiers::SpillEvent {
                 at,
                 object: id,

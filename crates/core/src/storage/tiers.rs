@@ -463,11 +463,37 @@ impl TierBackend for DiskBackend {
 // Tier machinery state
 // ---------------------------------------------------------------------
 
-/// Tier machinery state, present only on tiered stores.
-pub(crate) struct TierState {
+/// What a tiered store was built with: nothing here changes after
+/// [`ObjectStore::with_tiers`], so one `Arc` of it sits beside the
+/// store's lock and is read without it.
+pub(crate) struct TierEnv {
     pub(crate) cfg: TierConfig,
     pub(crate) handle: SimHandle,
     pub(crate) topo: Arc<Topology>,
+    /// The `tiers` trace track, interned: a span costs its label only.
+    track: Arc<str>,
+}
+
+impl TierEnv {
+    pub(crate) fn new(handle: SimHandle, topo: Arc<Topology>, cfg: TierConfig) -> Self {
+        TierEnv {
+            cfg,
+            handle,
+            topo,
+            track: "tiers".into(),
+        }
+    }
+
+    /// Stamps `label` on the `tiers` trace track from `t0` to now.
+    pub(crate) fn trace(&self, label: String, t0: SimTime) {
+        self.handle
+            .trace_span(Arc::clone(&self.track), label, t0, self.handle.now());
+    }
+}
+
+/// Tier machinery state, present only on tiered stores.
+pub(crate) struct TierState {
+    pub(crate) env: Arc<TierEnv>,
     /// LRU clock: bumped on every shard store/read.
     pub(crate) clock: u64,
     pub(crate) hbm: HbmBackend,
@@ -483,12 +509,10 @@ pub(crate) struct TierState {
 }
 
 impl TierState {
-    pub(crate) fn new(handle: SimHandle, topo: Arc<Topology>, cfg: TierConfig) -> Self {
-        let disk = DiskBackend::new(cfg.disk_segment_bytes);
+    pub(crate) fn new(env: Arc<TierEnv>) -> Self {
+        let disk = DiskBackend::new(env.cfg.disk_segment_bytes);
         TierState {
-            cfg,
-            handle,
-            topo,
+            env,
             clock: 0,
             hbm: HbmBackend::default(),
             dram: DramBackend::default(),
@@ -516,28 +540,91 @@ impl TierState {
 use pathways_device::DeviceHandle;
 use pathways_net::DeviceId;
 
-use super::index::unindex;
+use super::index::{Place, StoreInner, StoredShard};
+
+/// A spill or demotion victim: `(object, shard, bytes)`.
+type Victim = (ObjectId, u32, u64);
+
+impl StoreInner {
+    fn shard(&self, id: ObjectId, no: u32) -> Option<&StoredShard> {
+        self.objects.get(&id)?.shards.get(&no)
+    }
+
+    /// The spill victim on `device`: its least-recently-used *ready* HBM
+    /// shard (unready shards are pinned), ties on `(object, shard)`.
+    fn hbm_victim(&self, device: DeviceId) -> Option<Victim> {
+        let victim = self
+            .resident
+            .of(Place::Hbm(device))
+            .find_map(|(_, id, no)| {
+                let sh = self.shard(id, no)?;
+                sh.ready.is_set().then_some((id, no, sh.bytes))
+            });
+        #[cfg(debug_assertions)]
+        assert_eq!(victim, self.hbm_victim_by_scan(device), "HBM index drift");
+        victim
+    }
+
+    /// The demotion victim on `host`: its least-recently-used DRAM shard.
+    fn dram_victim(&self, host: HostId) -> Option<Victim> {
+        let first = self.resident.of(Place::Dram(host)).next();
+        let victim = first.and_then(|(_, id, no)| Some((id, no, self.shard(id, no)?.bytes)));
+        #[cfg(debug_assertions)]
+        assert_eq!(victim, self.dram_victim_by_scan(host), "DRAM index drift");
+        victim
+    }
+
+    /// Reference model of [`StoreInner::hbm_victim`]: the scan over the
+    /// object table the residency sets replaced.
+    #[cfg(any(test, debug_assertions))]
+    fn hbm_victim_by_scan(&self, device: DeviceId) -> Option<Victim> {
+        self.victim_by_scan(|sh| sh.tier == Tier::Hbm && sh.device == device && sh.ready.is_set())
+    }
+
+    /// Reference model of [`StoreInner::dram_victim`].
+    #[cfg(any(test, debug_assertions))]
+    fn dram_victim_by_scan(&self, host: HostId) -> Option<Victim> {
+        self.victim_by_scan(|sh| sh.tier == Tier::Dram && sh.host == Some(host))
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    fn victim_by_scan(&self, eligible: impl Fn(&StoredShard) -> bool) -> Option<Victim> {
+        self.objects
+            .iter()
+            .flat_map(|(id, entry)| entry.shards.iter().map(move |(no, sh)| (*id, *no, sh)))
+            .filter(|(_, _, sh)| eligible(sh))
+            .min_by_key(|&(id, no, sh)| (sh.last_access, id, no))
+            .map(|(id, no, sh)| (id, no, sh.bytes))
+    }
+}
 
 impl ObjectStore {
     /// The tier config, sim handle and topology, if this store is
     /// tiered.
-    pub(crate) fn tier_env(&self) -> Option<(SimHandle, Arc<Topology>, TierConfig)> {
-        self.inner
-            .lock()
-            .tier
-            .as_ref()
-            .map(|ts| (ts.handle.clone(), Arc::clone(&ts.topo), ts.cfg.clone()))
+    pub(crate) fn tier_env(&self) -> Option<&TierEnv> {
+        self.env.as_deref()
+    }
+
+    /// Stamps `label` on the `tiers` trace track from `t0` to now
+    /// (nothing on an untiered store).
+    pub(crate) fn trace_tiers(&self, label: String, t0: SimTime) {
+        if let Some(env) = self.tier_env() {
+            env.trace(label, t0);
+        }
     }
 
     /// True if this store records lineage and recovers lost objects
     /// (tiered with `recovery` on). Gates the client's lineage
     /// registration so untiered runs keep seed-identical refcounts.
     pub fn lineage_enabled(&self) -> bool {
-        self.inner
-            .lock()
-            .tier
-            .as_ref()
-            .is_some_and(|ts| ts.cfg.recovery)
+        self.tier_env().is_some_and(|env| env.cfg.recovery)
+    }
+
+    /// True if completed objects are checkpointed on the timer wheel
+    /// (tiered, with a checkpoint interval).
+    pub(crate) fn checkpoints_scheduled(&self) -> bool {
+        self.tier_env()
+            .is_some_and(|env| env.cfg.checkpoint_interval.is_some())
     }
 
     /// Frees HBM on `device` until `bytes` fit (or nothing ready is
@@ -549,44 +636,26 @@ impl ObjectStore {
     /// No-op on untiered stores; callers then rely on classic HBM
     /// back-pressure.
     pub async fn ensure_room(&self, device: &DeviceHandle, bytes: u64) {
-        let Some((handle, topo, _cfg)) = self.tier_env() else {
+        let Some(env) = self.tier_env() else {
             return;
         };
         let d = device.id();
-        let local = topo.host_of_device(d);
+        let local = env.topo.host_of_device(d);
         loop {
             if device.hbm().free() >= bytes {
                 return;
             }
-            // LRU victim among ready HBM shards on this device; ties
-            // break on (object, shard) so replay is order-independent.
             // The receiving host is chosen with the victim (placement
             // policy over live hosts).
             let victim = {
                 let mut inner = self.inner.lock();
                 let inner = &mut *inner;
-                let mut best: Option<(u64, ObjectId, u32, u64)> = None;
-                if let Some(ids) = inner.by_device.get(&d) {
-                    for &oid in ids {
-                        let Some(entry) = inner.objects.get(&oid) else {
-                            continue;
-                        };
-                        for (s, sh) in &entry.shards {
-                            if sh.tier == Tier::Hbm && sh.device == d && sh.ready.is_set() {
-                                let key = (sh.last_access, oid, *s, sh.bytes);
-                                if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                                    best = Some(key);
-                                }
-                            }
-                        }
-                    }
-                }
-                best.map(|(_, vid, vshard, vbytes)| {
+                inner.hbm_victim(d).map(|(vid, vshard, vbytes)| {
                     let ts = inner.tier.as_mut().expect("tiered");
                     let host = ts.spill_host(local);
-                    let mut cost = ts.dram.write_time(&ts.cfg, vbytes);
+                    let mut cost = ts.dram.write_time(&env.cfg, vbytes);
                     if host != local {
-                        cost += ts.cfg.cross_host_time(vbytes);
+                        cost += env.cfg.cross_host_time(vbytes);
                     }
                     (vid, vshard, vbytes, host, cost)
                 })
@@ -596,50 +665,44 @@ impl ObjectStore {
                 // transient staging): fall back to back-pressure.
                 return;
             };
-            let t0 = handle.now();
-            handle.sleep(cost).await;
+            let t0 = env.handle.now();
+            env.handle.sleep(cost).await;
             // Revalidate after the staging copy: the shard may have been
             // freed, failed, or spilled by a concurrent caller.
-            let (committed, lease) = {
+            let spilled = {
                 let mut inner = self.inner.lock();
                 let inner = &mut *inner;
-                let mut lease = None;
-                let mut ok = false;
-                if let Some(entry) = inner.objects.get_mut(&vid) {
-                    if let Some(sh) = entry.shards.get_mut(&vshard) {
-                        if sh.tier == Tier::Hbm && sh.device == d && sh.ready.is_set() {
-                            sh.tier = Tier::Dram;
-                            sh.host = Some(host);
-                            lease = sh.lease.take();
-                            ok = true;
-                        }
-                    }
+                let sh = inner
+                    .objects
+                    .get_mut(&vid)
+                    .and_then(|entry| entry.shards.get_mut(&vshard))
+                    .filter(|sh| sh.tier == Tier::Hbm && sh.device == d && sh.ready.is_set());
+                if let (Some(sh), Some(ts)) = (sh, inner.tier.as_mut()) {
+                    let key = (sh.last_access, vid, vshard);
+                    inner.resident.remove(Place::Hbm(d), key);
+                    inner.resident.insert(Place::Dram(host), key);
+                    sh.tier = Tier::Dram;
+                    sh.host = Some(host);
+                    ts.hbm.uncharge(vbytes);
+                    ts.dram.charge(host, vbytes);
+                    ts.stats.spills += 1;
+                    ts.log.push(SpillEvent {
+                        at: env.handle.now(),
+                        object: vid,
+                        shard: vshard,
+                        bytes: vbytes,
+                        from: ts.hbm.tier(),
+                        to: ts.dram.tier(),
+                        host,
+                    });
+                    Some(sh.lease.take())
+                } else {
+                    None
                 }
-                if ok {
-                    if let Some(objs) = inner.by_device.get_mut(&d) {
-                        unindex(objs, vid);
-                    }
-                    inner.by_dram_host.entry(host).or_default().push(vid);
-                    if let Some(ts) = inner.tier.as_mut() {
-                        ts.hbm.uncharge(vbytes);
-                        ts.dram.charge(host, vbytes);
-                        ts.stats.spills += 1;
-                        ts.log.push(SpillEvent {
-                            at: ts.handle.now(),
-                            object: vid,
-                            shard: vshard,
-                            bytes: vbytes,
-                            from: ts.hbm.tier(),
-                            to: ts.dram.tier(),
-                            host,
-                        });
-                    }
-                }
-                (ok, lease)
             };
-            drop(lease); // HBM returns outside the store borrow
-            if committed {
-                handle.trace_span("tiers", format!("spill {vid}#{vshard}"), t0, handle.now());
+            if let Some(lease) = spilled {
+                drop(lease); // HBM returns outside the store borrow
+                env.trace(format!("spill {vid}#{vshard}"), t0);
                 self.drain_dram(host).await;
             }
         }
@@ -649,7 +712,7 @@ impl ObjectStore {
     /// back under its DRAM budget. Each demotion appends an extent into
     /// the disk backend's active segment.
     pub(crate) async fn drain_dram(&self, host: HostId) {
-        let Some((handle, _topo, _cfg)) = self.tier_env() else {
+        let Some(env) = self.tier_env() else {
             return;
         };
         loop {
@@ -658,72 +721,50 @@ impl ObjectStore {
                 let Some(ts) = inner.tier.as_ref() else {
                     return;
                 };
-                if ts.dram.used_on(host) <= ts.cfg.dram_per_host {
+                if ts.dram.used_on(host) <= env.cfg.dram_per_host {
                     return;
                 }
-                let mut best: Option<(u64, ObjectId, u32, u64)> = None;
-                if let Some(ids) = inner.by_dram_host.get(&host) {
-                    for &oid in ids {
-                        let Some(entry) = inner.objects.get(&oid) else {
-                            continue;
-                        };
-                        for (s, sh) in &entry.shards {
-                            if sh.tier == Tier::Dram && sh.host == Some(host) {
-                                let key = (sh.last_access, oid, *s, sh.bytes);
-                                if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                                    best = Some(key);
-                                }
-                            }
-                        }
-                    }
-                }
-                best.map(|(_, vid, vshard, vbytes)| {
-                    (vid, vshard, vbytes, ts.disk.write_time(&ts.cfg, vbytes))
+                inner.dram_victim(host).map(|(vid, vshard, vbytes)| {
+                    (vid, vshard, vbytes, ts.disk.write_time(&env.cfg, vbytes))
                 })
             };
             let Some((vid, vshard, vbytes, cost)) = victim else {
                 return;
             };
-            let t0 = handle.now();
-            handle.sleep(cost).await;
+            let t0 = env.handle.now();
+            env.handle.sleep(cost).await;
             let committed = {
                 let mut inner = self.inner.lock();
                 let inner = &mut *inner;
-                let mut ok = false;
-                if let Some(entry) = inner.objects.get_mut(&vid) {
-                    if let Some(sh) = entry.shards.get_mut(&vshard) {
-                        if sh.tier == Tier::Dram && sh.host == Some(host) {
-                            sh.tier = Tier::Disk;
-                            sh.host = None;
-                            if let Some(ts) = inner.tier.as_mut() {
-                                sh.extent = Some(ts.disk.charge(vbytes));
-                            }
-                            ok = true;
-                        }
-                    }
+                let sh = inner
+                    .objects
+                    .get_mut(&vid)
+                    .and_then(|entry| entry.shards.get_mut(&vshard))
+                    .filter(|sh| sh.tier == Tier::Dram && sh.host == Some(host));
+                if let (Some(sh), Some(ts)) = (sh, inner.tier.as_mut()) {
+                    let key = (sh.last_access, vid, vshard);
+                    inner.resident.remove(Place::Dram(host), key);
+                    sh.tier = Tier::Disk;
+                    sh.host = None;
+                    sh.extent = Some(ts.disk.charge(vbytes));
+                    ts.dram.uncharge(host, vbytes);
+                    ts.stats.demotions += 1;
+                    ts.log.push(SpillEvent {
+                        at: env.handle.now(),
+                        object: vid,
+                        shard: vshard,
+                        bytes: vbytes,
+                        from: ts.dram.tier(),
+                        to: ts.disk.tier(),
+                        host,
+                    });
+                    true
+                } else {
+                    false
                 }
-                if ok {
-                    if let Some(objs) = inner.by_dram_host.get_mut(&host) {
-                        unindex(objs, vid);
-                    }
-                    if let Some(ts) = inner.tier.as_mut() {
-                        ts.dram.uncharge(host, vbytes);
-                        ts.stats.demotions += 1;
-                        ts.log.push(SpillEvent {
-                            at: ts.handle.now(),
-                            object: vid,
-                            shard: vshard,
-                            bytes: vbytes,
-                            from: ts.dram.tier(),
-                            to: ts.disk.tier(),
-                            host,
-                        });
-                    }
-                }
-                ok
             };
             if committed {
-                handle.trace_span("tiers", format!("demote {vid}#{vshard}"), t0, handle.now());
+                env.trace(format!("demote {vid}#{vshard}"), t0);
             }
         }
     }
@@ -738,17 +779,24 @@ impl ObjectStore {
         id: ObjectId,
         shard: u32,
     ) -> Option<(DeviceId, pathways_sim::SimDuration)> {
+        let cfg = &self.tier_env()?.cfg;
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let ts = inner.tier.as_mut()?;
         let entry = inner.objects.get_mut(&id)?;
         let sh = entry.shards.get_mut(&shard)?;
         ts.clock += 1;
+        // The bump moves the shard behind its peers in its residency set.
+        if let Some(place) = sh.place() {
+            let (old, new) = ((sh.last_access, id, shard), (ts.clock, id, shard));
+            inner.resident.remove(place, old);
+            inner.resident.insert(place, new);
+        }
         sh.last_access = ts.clock;
         let penalty = match sh.tier {
-            Tier::Hbm => ts.hbm.read_time(&ts.cfg, sh.bytes),
-            Tier::Dram => ts.dram.read_time(&ts.cfg, sh.bytes),
-            Tier::Disk => ts.disk.read_time(&ts.cfg, sh.bytes),
+            Tier::Hbm => ts.hbm.read_time(cfg, sh.bytes),
+            Tier::Dram => ts.dram.read_time(cfg, sh.bytes),
+            Tier::Disk => ts.disk.read_time(cfg, sh.bytes),
         };
         Some((sh.device, penalty))
     }
@@ -830,15 +878,20 @@ impl ObjectStore {
             .map(|s| s.tier)
     }
 
-    /// Byte conservation across tiers: recomputes the per-host DRAM,
-    /// disk, and HBM totals from the object table and checks them
-    /// against the backends' incremental ledgers (plus the disk
-    /// backend's internal segment sums). True on untiered stores. A
-    /// `false` here means a tier transition charged and uncharged
-    /// asymmetrically — the accounting-drift class of bug this
-    /// subsystem makes un-maskable.
+    /// Conservation across tiers: recounts the HBM and DRAM residency
+    /// sets (every shard in exactly the set of its tier and place, under
+    /// its current `last_access`; no strays) and the per-host DRAM,
+    /// disk, and HBM byte totals from the object table, and checks them
+    /// against the incrementally maintained sets and ledgers (plus the
+    /// disk backend's internal segment sums). Untiered stores have sets
+    /// but no ledgers. A `false` here means a tier transition indexed or
+    /// charged asymmetrically — the drift class of bug this subsystem
+    /// makes un-maskable.
     pub fn tiers_conserved(&self) -> bool {
         let inner = self.inner.lock();
+        if !inner.residency_recounts() {
+            return false;
+        }
         let Some(ts) = inner.tier.as_ref() else {
             return true;
         };
@@ -873,7 +926,296 @@ impl ObjectStore {
 
 #[cfg(test)]
 mod tests {
+    use super::super::index::FailureReason;
+    use super::super::testutil::{device, obj, tiered_with};
     use super::*;
+    use pathways_net::ClientId;
+    use pathways_sim::Sim;
+
+    /// One-shard object `run`, stored on `dev` and (optionally) ready.
+    async fn put(store: &ObjectStore, run: u64, dev: &DeviceHandle, bytes: u64, ready: bool) {
+        store.declare(obj(run, 0), ClientId(0), 1);
+        store.put_shard(obj(run, 0), 0, dev, bytes).await;
+        if ready {
+            store.mark_ready(obj(run, 0), 0);
+        }
+    }
+
+    /// `(run, from, to)` of every tier transition so far.
+    fn moves(store: &ObjectStore) -> Vec<(u64, Tier, Tier)> {
+        store
+            .spill_events()
+            .iter()
+            .map(|e| (e.object.run.0, e.from, e.to))
+            .collect()
+    }
+
+    /// Both picks agree with the reference scans on `device`/`host`.
+    fn picks_match_scan(store: &ObjectStore, device: u32, host: u32) -> bool {
+        let inner = store.inner.lock();
+        inner.hbm_victim(DeviceId(device)) == inner.hbm_victim_by_scan(DeviceId(device))
+            && inner.dram_victim(HostId(host)) == inner.dram_victim_by_scan(HostId(host))
+    }
+
+    #[test]
+    fn spill_takes_the_lru_ready_shard_and_skips_unready_ones() {
+        let mut sim = Sim::new(0);
+        let store = tiered_with(&sim, TierConfig::default());
+        let dev = device(&sim, 0, 300);
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            put(&store2, 0, &dev, 100, false).await; // oldest, but pinned
+            put(&store2, 1, &dev, 100, true).await;
+            put(&store2, 2, &dev, 100, true).await;
+            put(&store2, 3, &dev, 100, true).await;
+            assert_eq!(moves(&store2), vec![(1, Tier::Hbm, Tier::Dram)]);
+            put(&store2, 4, &dev, 100, true).await;
+            assert_eq!(moves(&store2)[1..], [(2, Tier::Hbm, Tier::Dram)]);
+            assert_eq!(store2.shard_tier(obj(0, 0), 0), Some(Tier::Hbm));
+            assert!(picks_match_scan(&store2, 0, 0));
+            assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+    }
+
+    #[test]
+    fn read_shard_moves_a_resident_behind_its_peers() {
+        let mut sim = Sim::new(0);
+        let store = tiered_with(
+            &sim,
+            TierConfig {
+                dram_per_host: 250,
+                ..TierConfig::default()
+            },
+        );
+        let dev = device(&sim, 0, 300);
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            for run in 0..3 {
+                put(&store2, run, &dev, 100, true).await;
+            }
+            // HBM: reading 0 makes 1 the next spill victim.
+            store2.read_shard(obj(0, 0), 0).unwrap();
+            put(&store2, 3, &dev, 100, true).await;
+            assert_eq!(moves(&store2), vec![(1, Tier::Hbm, Tier::Dram)]);
+            put(&store2, 4, &dev, 100, true).await; // spills 2
+                                                    // DRAM holds 1 then 2: reading 1 makes 2 the next demotion.
+            store2.read_shard(obj(1, 0), 0).unwrap();
+            put(&store2, 5, &dev, 100, true).await; // spills 0, DRAM over
+            assert_eq!(
+                moves(&store2)[1..],
+                [
+                    (2, Tier::Hbm, Tier::Dram),
+                    (0, Tier::Hbm, Tier::Dram),
+                    (2, Tier::Dram, Tier::Disk),
+                ]
+            );
+            // A disk resident is in no set; its bump only restamps it.
+            store2.read_shard(obj(2, 0), 0).unwrap();
+            assert!(picks_match_scan(&store2, 0, 0));
+            assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+    }
+
+    #[test]
+    fn equal_age_residents_tie_on_object_then_shard() {
+        // Only an untiered store has equal ages (its clock never ticks).
+        let mut sim = Sim::new(0);
+        let store = ObjectStore::new();
+        let dev = device(&sim, 0, 1_000);
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            for (run, shard) in [(2, 0), (1, 1), (1, 0)] {
+                store2.create(obj(run, 0), ClientId(0));
+                store2.put_shard(obj(run, 0), shard, &dev, 10).await;
+            }
+            let pick = |s: &ObjectStore| s.inner.lock().hbm_victim(DeviceId(0));
+            assert_eq!(pick(&store2), None, "nothing ready yet");
+            for (run, shard, victim) in [(2, 0, (2, 0)), (1, 1, (1, 1)), (1, 0, (1, 0))] {
+                store2.mark_ready(obj(run, 0), shard);
+                assert_eq!(pick(&store2), Some((obj(victim.0, 0), victim.1, 10)));
+            }
+            assert!(picks_match_scan(&store2, 0, 0));
+            assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+    }
+
+    #[test]
+    fn demotion_order_on_one_host_follows_spill_order() {
+        let mut sim = Sim::new(0);
+        let store = tiered_with(
+            &sim,
+            TierConfig {
+                dram_per_host: 150,
+                ..TierConfig::default()
+            },
+        );
+        // Two devices of host 0 spill into the same DRAM.
+        let devs = [device(&sim, 0, 100), device(&sim, 1, 100)];
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            for run in 0..6 {
+                put(&store2, run, &devs[(run % 2) as usize], 100, true).await;
+            }
+            let spills: Vec<u64> = moves(&store2)
+                .iter()
+                .filter(|m| m.2 == Tier::Dram)
+                .map(|m| m.0)
+                .collect();
+            let demotions: Vec<u64> = moves(&store2)
+                .iter()
+                .filter(|m| m.2 == Tier::Disk)
+                .map(|m| m.0)
+                .collect();
+            assert_eq!(spills, vec![0, 1, 2, 3]);
+            assert_eq!(demotions, vec![0, 1, 2]);
+            assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+    }
+
+    /// A victim that leaves its tier during the staging sleep is skipped
+    /// by the revalidation, and whatever removed it also unthreaded it
+    /// from its residency set.
+    #[test]
+    fn a_victim_gone_during_the_staging_sleep_is_skipped() {
+        const MB: u64 = 1_000_000; // 62.5 us of staging, 700 us of disk
+        type Removal = fn(&ObjectStore);
+        let hbm_cases: [Removal; 3] = [
+            |s| s.release(obj(0, 0)),
+            |s| {
+                s.fail_object(obj(0, 0), FailureReason::OwnerGone);
+            },
+            |s| {
+                s.drop_shards_on_device(obj(0, 0), DeviceId(0));
+            },
+        ];
+        for remove in hbm_cases {
+            let mut sim = Sim::new(0);
+            let store = tiered_with(&sim, TierConfig::default());
+            let dev = device(&sim, 0, 2 * MB);
+            let (store2, dev2) = (store.clone(), dev.clone());
+            sim.spawn("writer", async move {
+                for run in 0..3 {
+                    put(&store2, run, &dev2, MB, true).await; // 2 picks 0
+                }
+            });
+            let (store3, h) = (store.clone(), sim.handle());
+            sim.spawn("remover", async move {
+                h.sleep(SimDuration::from_micros(10)).await;
+                assert_eq!(store3.shard_tier(obj(0, 0), 0), Some(Tier::Hbm));
+                remove(&store3);
+            });
+            sim.run_to_quiescence();
+            assert_eq!(moves(&store), vec![], "the freed HBM was room enough");
+            assert_eq!(store.shard_tier(obj(2, 0), 0), Some(Tier::Hbm));
+            assert_eq!(store.objects_on_device(DeviceId(0)), [obj(1, 0), obj(2, 0)]);
+            assert!(picks_match_scan(&store, 0, 0));
+            assert!(store.tiers_conserved());
+        }
+
+        // The same for a demotion victim dropped with its host's DRAM.
+        let mut sim = Sim::new(0);
+        let store = tiered_with(
+            &sim,
+            TierConfig {
+                dram_per_host: MB + MB / 2,
+                ..TierConfig::default()
+            },
+        );
+        let dev = device(&sim, 0, MB);
+        let (store2, dev2) = (store.clone(), dev.clone());
+        sim.spawn("writer", async move {
+            for run in 0..3 {
+                put(&store2, run, &dev2, MB, true).await; // 2 demotes 0
+            }
+        });
+        let (store3, h) = (store.clone(), sim.handle());
+        sim.spawn("remover", async move {
+            h.sleep(SimDuration::from_micros(200)).await;
+            assert_eq!(store3.dram_used(), 2 * MB, "0 and 1 spilled, 0 staging");
+            store3.drop_dram_on_host(obj(0, 0), HostId(0));
+        });
+        sim.run_to_quiescence();
+        let spills = [(0, Tier::Hbm, Tier::Dram), (1, Tier::Hbm, Tier::Dram)];
+        assert_eq!(moves(&store), spills, "no demotion: the drop was room");
+        assert_eq!(store.objects_with_dram_on(HostId(0)), [obj(1, 0)]);
+        assert!(picks_match_scan(&store, 0, 0));
+        assert!(store.tiers_conserved());
+    }
+
+    /// Spills, demotions, an LRU bump, a kill and a restore: the whole
+    /// log, instants included, as the scan-based store produced it.
+    #[test]
+    fn spill_event_log_of_a_fixed_scenario_is_pinned() {
+        let mut sim = Sim::new(0);
+        let store = tiered_with(
+            &sim,
+            TierConfig {
+                dram_per_host: 500,
+                ..TierConfig::default()
+            },
+        );
+        // Two-shard objects, shard s on device s; two fit per device.
+        let devs = [device(&sim, 0, 250), device(&sim, 1, 250)];
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            let put_pair = |run: u64| {
+                let (store, devs) = (store2.clone(), devs.clone());
+                async move {
+                    store.declare(obj(run, 0), ClientId(0), 2);
+                    for s in 0..2 {
+                        store
+                            .put_shard(obj(run, 0), s, &devs[s as usize], 100)
+                            .await;
+                        store.mark_ready(obj(run, 0), s);
+                    }
+                }
+            };
+            for run in 0..4 {
+                put_pair(run).await;
+            }
+            store2.read_shard(obj(0, 0), 1).unwrap();
+            assert_eq!(store2.checkpoint_now(obj(3, 0)), Some(200));
+            put_pair(4).await;
+            // Device 1 dies under object 3; its checkpoint restores it.
+            assert_eq!(store2.drop_shards_on_device(obj(3, 0), DeviceId(1)), 100);
+            store2.begin_recovery(obj(3, 0)).unwrap();
+            assert!(store2.complete_restore(obj(3, 0), DeviceId(0), HostId(0)));
+            put_pair(5).await;
+            put_pair(6).await;
+            assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+        let log: Vec<String> = store
+            .spill_events()
+            .iter()
+            .map(|e| format!("{} {e}", e.at.as_nanos()))
+            .collect();
+        assert_eq!(log, PINNED_LOG, "{log:#?}");
+    }
+
+    /// Produced by the commit before the residency sets (the `Vec`
+    /// indexes and per-pick scans), `<virtual ns> <event>`.
+    const PINNED_LOG: [&str; 15] = [
+        "6 obj(run0,comp0)#0 100B hbm->dram (host0)",
+        "12 obj(run0,comp0)#1 100B hbm->dram (host0)",
+        "18 obj(run1,comp0)#0 100B hbm->dram (host0)",
+        "24 obj(run1,comp0)#1 100B hbm->dram (host0)",
+        "30 obj(run2,comp0)#0 100B hbm->dram (host0)",
+        "36 obj(run2,comp0)#1 100B hbm->dram (host0)",
+        "200086 obj(run0,comp0)#0 100B dram->disk (host0)",
+        "200086 obj(run3,comp0)#1 100B disk->dram (host0)",
+        "200092 obj(run3,comp0)#0 100B hbm->dram (host0)",
+        "400142 obj(run1,comp0)#0 100B dram->disk (host0)",
+        "600192 obj(run1,comp0)#1 100B dram->disk (host0)",
+        "600198 obj(run4,comp0)#0 100B hbm->dram (host0)",
+        "800248 obj(run2,comp0)#0 100B dram->disk (host0)",
+        "800254 obj(run4,comp0)#1 100B hbm->dram (host0)",
+        "1000304 obj(run2,comp0)#1 100B dram->disk (host0)",
+    ];
 
     #[test]
     fn defaults_are_sane() {

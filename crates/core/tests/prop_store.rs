@@ -7,10 +7,11 @@
 use proptest::prelude::*;
 
 use pathways_core::{
-    FaultSpec, FnSpec, InputSpec, ObjectRef, PathwaysConfig, PathwaysRuntime, Run, SliceRequest,
-    TierConfig,
+    CompId, FaultSpec, FnSpec, InputSpec, ObjectId, ObjectRef, PathwaysConfig, PathwaysRuntime,
+    Run, SliceRequest, TierConfig,
 };
-use pathways_net::{ClusterSpec, DeviceId, HostId, NetworkParams};
+use pathways_net::{ClientId, ClusterSpec, DeviceId, HostId, NetworkParams};
+use pathways_plaque::RunId;
 use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
 
 /// Per-program action in the random schedule.
@@ -146,6 +147,85 @@ proptest! {
             &train,
             keep
         );
+    }
+
+    /// Residency-index satellite: a random train of put / `read_shard`
+    /// / release / device-kill / host-kill steps, with waits that let
+    /// checkpoint restores land in between, driven straight at the
+    /// store under the tight budgets above. After *every* step the
+    /// store recounts its residency sets and tier ledgers from the
+    /// object table (`tiers_conserved`), and a build with debug
+    /// assertions (CI runs one) also compares every victim pick with
+    /// the reference scan.
+    #[test]
+    fn residency_sets_track_every_shard_under_random_trains(
+        train in proptest::collection::vec((0u8..24, 0u8..16), 8..64),
+        seed in any::<u64>(),
+    ) {
+        const SHARD: u64 = 192 << 10; // 2 per device HBM, 1 per host DRAM
+        let mut sim = Sim::new(seed);
+        let rt = PathwaysRuntime::new(
+            &sim,
+            ClusterSpec::config_b(2),
+            NetworkParams::tpu_cluster(),
+            tiered_cfg(),
+        );
+        let core = std::sync::Arc::clone(rt.core());
+        let faults = std::sync::Arc::clone(rt.faults());
+        let (train2, core2) = (train.clone(), std::sync::Arc::clone(&core));
+        let job = sim.spawn("train", async move {
+            let (core, store) = (&core2, &core2.store);
+            // Two devices on each host take all the pressure.
+            let devices = [DeviceId(0), DeviceId(1), DeviceId(8), DeviceId(9)];
+            let id = |n: u64| ObjectId { run: RunId(n), comp: CompId(0) };
+            let mut live: Vec<u64> = Vec::new();
+            for (n, (op, arg)) in train2.into_iter().enumerate() {
+                let pick = live.get(usize::from(arg) % live.len().max(1)).copied();
+                match op {
+                    // Put a ready one-shard object; half of them are
+                    // checkpointed, i.e. restorable after a kill.
+                    0..=13 => {
+                        let d = devices[usize::from(arg) % devices.len()];
+                        if !faults.state().device_dead(d) {
+                            let n = n as u64;
+                            store.declare(id(n), ClientId(0), 1);
+                            store.put_shard(id(n), 0, &core.devices[&d], SHARD).await;
+                            store.mark_ready(id(n), 0);
+                            if arg / 4 % 2 == 0 {
+                                store.checkpoint_now(id(n));
+                            }
+                            live.push(n);
+                        }
+                    }
+                    14..=16 => {
+                        if let Some(n) = pick {
+                            store.read_shard(id(n), 0);
+                        }
+                    }
+                    17..=19 => {
+                        if let Some(n) = pick {
+                            store.release(id(n));
+                            live.retain(|x| *x != n);
+                        }
+                    }
+                    20 => faults.inject(&FaultSpec::Device(devices[usize::from(arg) % 4])),
+                    21 => faults.inject(&FaultSpec::Host(HostId(u32::from(arg) % 2))),
+                    _ => core.handle.sleep(SimDuration::from_micros(300)).await,
+                }
+                assert!(store.tiers_conserved(), "drift after step {n}: {op} {arg}");
+            }
+            for n in live {
+                store.release(id(n));
+                assert!(store.tiers_conserved(), "drift releasing {n}");
+            }
+        });
+        let outcome = sim.run();
+        prop_assert!(outcome.is_quiescent(), "wedged on {:?}: {:?}", train, outcome);
+        prop_assert!(job.try_take().is_some(), "train never finished: {:?}", train);
+        prop_assert!(core.store.tiers_conserved());
+        prop_assert!(core.store.is_empty(), "store leaked {} objects", core.store.len());
+        prop_assert_eq!(core.store.dram_used(), 0);
+        prop_assert_eq!(core.store.disk_used(), 0);
     }
 
     #[test]
