@@ -10,7 +10,7 @@ use pathways_sim::Lock;
 use std::sync::Arc;
 
 use pathways_core::{
-    FaultSpec, FnSpec, InputSpec, ObjectError, PathwaysConfig, PathwaysRuntime, SliceRequest,
+    FaultSpec, FnSpec, InputSpec, ObjectError, PathwaysConfig, PathwaysRuntime, SliceRequest, Tier,
     TierConfig,
 };
 use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
@@ -187,6 +187,99 @@ fn recovery_disabled_surfaces_producer_failed() {
         (stats.restored, stats.recomputed, stats.abandoned),
         (0, 0, 0)
     );
+}
+
+/// Where recovered and spilled bytes land. After a checkpoint commits,
+/// host 0 dies under the producer's output: the restore stages into the
+/// lowest-numbered live host's DRAM (host 1, via its lowest device), and
+/// a later spill under HBM pressure on island 1 stays on the pressured
+/// device's own host.
+#[test]
+fn restores_land_on_the_first_live_host_and_spills_stay_local() {
+    let mut sim = Sim::new(5);
+    let cfg = PathwaysConfig {
+        hbm_per_device: 16 << 10,
+        ..tiered_cfg(Some(200))
+    };
+    let rt = tiered_rt(&sim, cfg);
+    rt.install_fault_plan(FaultPlan::new().at(t(1500), FaultSpec::Host(HostId(0))));
+    let client = rt.client(HostId(2));
+    let results = Arc::new(Lock::new(None));
+    let results2 = Arc::clone(&results);
+    sim.spawn("client", async move {
+        let h = client.handle().clone();
+        let slice = client
+            .virtual_slice(SliceRequest::devices(4).in_island(IslandId(0)))
+            .unwrap();
+        let mut b = client.trace("producer");
+        let k = b.computation(
+            FnSpec::compute_only("p", SimDuration::from_micros(100)).with_output_bytes(1 << 12),
+            &slice,
+        );
+        let run = client.submit(&client.prepare(&b.build().unwrap())).await;
+        let out = run.object_ref(k).unwrap();
+        run.finish().await;
+        assert_eq!(out.ready().await, Ok(()));
+        // Host 0 dies at 1.5 ms; the restore runs behind the recovery
+        // window this waits through.
+        h.sleep_until(t(2000)).await;
+        let restored = out.ready().await;
+
+        // Two 12 KiB outputs cannot share a 16 KiB device: the second
+        // spills the first (still held) to DRAM.
+        let slice = client
+            .virtual_slice(SliceRequest::devices(4).in_island(IslandId(1)))
+            .unwrap();
+        let mut b = client.trace("pressure");
+        let k = b.computation(
+            FnSpec::compute_only("q", SimDuration::from_micros(100)).with_output_bytes(12 << 10),
+            &slice,
+        );
+        let prepared = client.prepare(&b.build().unwrap());
+        let first = client.run(&prepared).await;
+        let second = client.run(&prepared).await;
+        let spilled = first.object_ref(k).unwrap();
+        *results2.lock() = Some((out, restored, spilled));
+        drop(second);
+    });
+    let outcome = sim.run();
+    assert!(outcome.is_quiescent(), "wedged: {outcome:?}");
+    let (out, restored, spilled) = results.lock().take().unwrap();
+    assert_eq!(restored, Ok(()), "the loss must be absorbed");
+    assert_eq!(rt.faults().recovery_stats().restored, 1);
+    let topo = rt.topology();
+    assert!(
+        out.devices()
+            .iter()
+            .any(|d| topo.host_of_device(*d) == HostId(0)),
+        "the producer must have lost shards with host 0"
+    );
+    let events = rt.core().store.spill_events();
+    let restores: Vec<HostId> = events
+        .iter()
+        .filter(|e| e.object == out.id() && (e.from, e.to) == (Tier::Disk, Tier::Dram))
+        .map(|e| e.host)
+        .collect();
+    assert!(!restores.is_empty(), "no restore event: {events:?}");
+    assert!(
+        restores.iter().all(|h| *h == HostId(1)),
+        "restores must land on the lowest live host: {restores:?}"
+    );
+    let spills: Vec<(u32, HostId)> = events
+        .iter()
+        .filter(|e| e.object == spilled.id() && (e.from, e.to) == (Tier::Hbm, Tier::Dram))
+        .map(|e| (e.shard, e.host))
+        .collect();
+    assert!(!spills.is_empty(), "no spill on island 1: {events:?}");
+    for (shard, host) in spills {
+        let device = spilled.devices()[shard as usize];
+        assert_ne!(host, HostId(0));
+        assert_eq!(
+            host,
+            topo.host_of_device(device),
+            "shard {shard} spilled off its own host"
+        );
+    }
 }
 
 /// A device kill *mid-production* fails the producing run, but its sink
