@@ -456,7 +456,7 @@ impl Client {
         // per-shard readiness events) before anything executes.
         let refs = self.mint_output_refs(prepared, run);
 
-        // Lineage (tiered store with recovery only): record each sink's
+        // Lineage (tiered store only): record each sink's
         // producing program and exact input bindings so a later hardware
         // loss can recompute it by re-submission. The record's ObjectRef
         // clones retain the inputs for as long as the outputs live.

@@ -1,4 +1,7 @@
-//! Runtime configuration.
+//! Runtime configuration: dispatch mode, scheduler policy, client and
+//! scheduler costs, HBM size, grant batching, and the optional storage
+//! tiers. A configuration that nothing but a test would select is not
+//! offered.
 
 use pathways_sim::SimDuration;
 
@@ -25,11 +28,10 @@ pub enum DispatchMode {
 pub struct PathwaysConfig {
     /// Host-side dispatch strategy.
     pub dispatch: DispatchMode,
-    /// Island-scheduler policy. A constructor facade: each island
-    /// scheduler builds its own policy-engine instance from this value
-    /// (see [`crate::sched::policy`]), so accounting state is never
-    /// shared across islands. Use [`SchedPolicy::custom`] to plug in an
-    /// out-of-tree policy.
+    /// Island-scheduler policy: FIFO, stride or weighted-fair. Each
+    /// island scheduler builds its own policy-engine instance from this
+    /// value (see [`crate::sched::policy`]), so accounting state is
+    /// never shared across islands.
     pub policy: SchedPolicy,
     /// Client-side cost per program submission (Python call, tracing
     /// cache lookup, serialization).
@@ -52,8 +54,7 @@ pub struct PathwaysConfig {
     /// the single-tier seed semantics: HBM only, no spill, no
     /// checkpoints, `ProducerFailed` terminal. `Some` enables host-DRAM
     /// and disk tiers with LRU spill under HBM pressure, periodic disk
-    /// checkpoints, and (if [`TierConfig::recovery`]) lineage-based
-    /// object recovery.
+    /// checkpoints, and checkpoint-or-lineage object recovery.
     pub tiers: Option<TierConfig>,
 }
 

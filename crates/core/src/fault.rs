@@ -205,9 +205,9 @@ pub struct FaultInjector {
     /// Every healing action taken so far, in injection order.
     heals: Lock<Vec<HealEvent>>,
     heal_log: HealLog,
-    /// Present when object recovery is enabled (tiered store with
-    /// `recovery: true`): hardware loss is absorbed into checkpoint
-    /// restore / lineage recompute instead of terminal `ProducerFailed`.
+    /// Present on a tiered store: hardware loss is absorbed into
+    /// checkpoint restore / lineage recompute instead of terminal
+    /// `ProducerFailed`.
     recovery: Lock<Option<Arc<RecoveryManager>>>,
 }
 
@@ -232,10 +232,10 @@ impl FaultInjector {
         }
     }
 
-    /// Turns on object recovery (called by the runtime assembly when the
-    /// store is tiered with `recovery: true`): the blast-radius walk
-    /// routes object loss through the [`RecoveryManager`] before
-    /// declaring anything `ProducerFailed`.
+    /// Turns on object recovery if the store is tiered (called by the
+    /// runtime assembly): the blast-radius walk routes object loss
+    /// through the [`RecoveryManager`] before declaring anything
+    /// `ProducerFailed`.
     pub(crate) fn enable_recovery(self: &Arc<Self>) {
         let Some(cfg) = self.core.cfg.tiers.clone() else {
             return;
@@ -248,7 +248,7 @@ impl FaultInjector {
         *self.recovery.lock() = Some(manager);
     }
 
-    /// Recovery outcome counters (all zero when recovery is disabled).
+    /// Recovery outcome counters (all zero on an untiered store).
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery
             .lock()
@@ -320,8 +320,8 @@ impl FaultInjector {
     }
 
     /// Launches a chain-recovery task for everything the walk that just
-    /// finished absorbed (no-op when recovery is disabled or nothing was
-    /// absorbed).
+    /// finished absorbed (no-op on an untiered store or when nothing
+    /// was absorbed).
     fn launch_recoveries(&self) {
         if let Some(r) = self.recovery.lock().clone() {
             r.launch_pending();
@@ -454,8 +454,6 @@ impl FaultInjector {
             }
         }
         self.core.fabric.fail_host(h);
-        // Placement policies must stop targeting the host's DRAM.
-        self.core.store.set_host_down(h);
         let reason = FailureReason::Host(h);
         // The host's devices die with it.
         for d in self.core.fabric.topology().devices_of_host(h) {

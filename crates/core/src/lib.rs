@@ -16,13 +16,16 @@
 //!   ([`ProgramBuilder::input`] + [`Client::submit_with`]) without
 //!   awaiting intermediate runs,
 //! * per-island **centralized gang schedulers** that consistently order
-//!   all computations sharing an island (§4.4), with a pluggable policy
-//!   engine ([`sched::policy`]) shipping FIFO, stride proportional
-//!   share, strict priority, and gang-aware weighted-fair queueing,
+//!   all computations sharing an island (§4.4), with a policy engine
+//!   ([`sched::policy`]) shipping FIFO, stride proportional share, and
+//!   gang-aware weighted-fair queueing,
 //! * per-host **executors** implementing parallel asynchronous dispatch
 //!   with a sequential fallback (§4.5),
 //! * a **sharded object store** with logical-buffer refcounting,
-//!   ownership-labelled GC, and HBM back-pressure (§4.2, §4.6).
+//!   ownership-labelled GC, and HBM back-pressure (§4.2, §4.6); with
+//!   [`PathwaysConfig::tiers`] set it also spills to the local host's
+//!   DRAM and to disk, checkpoints, and recovers objects lost to
+//!   hardware death.
 //!
 //! ## Quickstart
 //!
@@ -132,11 +135,9 @@ pub use resource::{
     HealEvent, ResourceError, ResourceManager, SliceId, SliceRequest, VirtualSlice,
 };
 pub use runtime::PathwaysRuntime;
-pub use sched::policy::{
-    FifoPolicy, PriorityPolicy, QueuedProgram, SchedPolicyImpl, StridePolicy, WfqPolicy,
-};
+pub use sched::policy::{FifoPolicy, QueuedProgram, SchedPolicyImpl, StridePolicy, WfqPolicy};
 pub use sched::{SchedPolicy, SchedulerHandle};
 pub use storage::{
-    FailureReason, ObjectError, ObjectId, ObjectStore, PlacementPolicy, RecoveryStats,
-    SegmentStats, SpillEvent, StoreError, StoredShard, Tier, TierConfig, TierStats,
+    FailureReason, ObjectError, ObjectId, ObjectStore, RecoveryStats, SegmentStats, SpillEvent,
+    StoreError, StoredShard, Tier, TierConfig, TierStats,
 };

@@ -18,8 +18,8 @@
 //! the new ones. Counts live in a ledger that spans *all* devices of the
 //! topology, attached or not, so a detach/attach cycle can never reset
 //! the load a detached device still carries from live slices. Underflow
-//! is a `debug_assert` — drift is caught in tests, never silently
-//! saturated away.
+//! is a hard `assert!` in every build profile: drift aborts, and is
+//! never silently saturated away.
 //!
 //! ## Elasticity
 //!

@@ -148,9 +148,7 @@ impl PathwaysRuntime {
             Arc::clone(&rm),
             core.failures.clone(),
         ));
-        if core.cfg.tiers.as_ref().is_some_and(|t| t.recovery) {
-            FaultInjector::enable_recovery(&injector);
-        }
+        FaultInjector::enable_recovery(&injector);
         PathwaysRuntime {
             core,
             rm,

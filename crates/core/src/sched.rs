@@ -9,13 +9,11 @@
 //! in `pathways-device`'s tests.
 //!
 //! The *decision* of which client's program to grant next is delegated
-//! to a pluggable [`SchedPolicyImpl`] (see
-//! [`policy`]): FIFO (the paper's current implementation: "our current
-//! implementation simply enqueues work in FIFO order"), stride-based
-//! proportional share (the policy behind Figure 9's 1:2:4:8
-//! interleaving), strict priority, and gang-aware weighted-fair
-//! queueing. The [`SchedPolicy`] enum is a thin constructor facade kept
-//! for configuration ergonomics and backward compatibility.
+//! to a [`SchedPolicyImpl`] (see [`policy`]): FIFO (the paper's current
+//! implementation: "our current implementation simply enqueues work in
+//! FIFO order"), stride-based proportional share (the policy behind
+//! Figure 9's 1:2:4:8 interleaving), or gang-aware weighted-fair
+//! queueing. The [`SchedPolicy`] enum names which one to build.
 
 pub mod policy;
 
@@ -32,15 +30,15 @@ use pathways_sim::{IdleToken, SimDuration, SimHandle, SimTime};
 
 use crate::fault::FailureState;
 use crate::program::CompId;
-use policy::{FifoPolicy, PriorityPolicy, QueuedProgram, SchedPolicyImpl, StridePolicy, WfqPolicy};
+use policy::{FifoPolicy, QueuedProgram, SchedPolicyImpl, StridePolicy, WfqPolicy};
 
-/// Scheduling policy of an island scheduler: a constructor facade over
-/// the [`policy::SchedPolicyImpl`] engine.
+/// Scheduling policy of an island scheduler: which
+/// [`policy::SchedPolicyImpl`] to build.
 ///
 /// Each island scheduler builds its *own* policy instance via
 /// [`SchedPolicy::build`], so per-island accounting state (stride
 /// passes, deficit counters) is never shared across islands.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Grant programs in arrival order ([`policy::FifoPolicy`]).
     #[default]
@@ -49,12 +47,6 @@ pub enum SchedPolicy {
     /// to its weight when the island is contended
     /// ([`policy::StridePolicy`]).
     ProportionalShare(BTreeMap<ClientId, u32>),
-    /// Strict priority (higher number wins; ties in arrival order) —
-    /// one of the §6.2 multi-tenancy policies the centralized scheduler
-    /// makes possible. Low-priority clients can starve under sustained
-    /// high-priority load; that is the policy's contract
-    /// ([`policy::PriorityPolicy`]).
-    Priority(BTreeMap<ClientId, u32>),
     /// Gang-aware weighted-fair queueing with per-client deficit
     /// counters ([`policy::WfqPolicy`]): fairness in device-seconds
     /// even when tenants submit gangs of very different sizes.
@@ -63,16 +55,6 @@ pub enum SchedPolicy {
         weights: BTreeMap<ClientId, u32>,
         /// Deficit credited per round-robin turn per unit weight.
         quantum: SimDuration,
-    },
-    /// An out-of-tree policy: `factory` is invoked once per island.
-    /// This is the drop-in extension point — a new policy needs no
-    /// change to this enum or the scheduler loop.
-    Custom {
-        /// Name shown in `Debug`/comparison (two customs with the same
-        /// name compare equal).
-        name: &'static str,
-        /// Builds a fresh policy instance for one island scheduler.
-        factory: Arc<dyn Fn() -> Box<dyn SchedPolicyImpl> + Send + Sync>,
     },
 }
 
@@ -86,84 +68,17 @@ impl SchedPolicy {
         }
     }
 
-    /// Wraps an out-of-tree policy constructor.
-    pub fn custom(
-        name: &'static str,
-        factory: impl Fn() -> Box<dyn SchedPolicyImpl> + Send + Sync + 'static,
-    ) -> Self {
-        SchedPolicy::Custom {
-            name,
-            factory: Arc::new(factory),
-        }
-    }
-
     /// Instantiates the policy engine for one island scheduler.
     pub fn build(&self) -> Box<dyn SchedPolicyImpl> {
         match self {
             SchedPolicy::Fifo => Box::new(FifoPolicy),
             SchedPolicy::ProportionalShare(w) => Box::new(StridePolicy::new(w.clone())),
-            SchedPolicy::Priority(p) => Box::new(PriorityPolicy::new(p.clone())),
             SchedPolicy::WeightedFair { weights, quantum } => {
                 Box::new(WfqPolicy::new(weights.clone(), *quantum))
             }
-            SchedPolicy::Custom { factory, .. } => factory(),
-        }
-    }
-
-    /// The name of the policy this facade builds.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedPolicy::Fifo => "fifo",
-            SchedPolicy::ProportionalShare(_) => "stride",
-            SchedPolicy::Priority(_) => "priority",
-            SchedPolicy::WeightedFair { .. } => "wfq",
-            SchedPolicy::Custom { name, .. } => name,
         }
     }
 }
-
-impl fmt::Debug for SchedPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SchedPolicy::Fifo => f.write_str("Fifo"),
-            SchedPolicy::ProportionalShare(w) => {
-                f.debug_tuple("ProportionalShare").field(w).finish()
-            }
-            SchedPolicy::Priority(p) => f.debug_tuple("Priority").field(p).finish(),
-            SchedPolicy::WeightedFair { weights, quantum } => f
-                .debug_struct("WeightedFair")
-                .field("weights", weights)
-                .field("quantum", quantum)
-                .finish(),
-            SchedPolicy::Custom { name, .. } => f.debug_tuple("Custom").field(name).finish(),
-        }
-    }
-}
-
-impl PartialEq for SchedPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (SchedPolicy::Fifo, SchedPolicy::Fifo) => true,
-            (SchedPolicy::ProportionalShare(a), SchedPolicy::ProportionalShare(b)) => a == b,
-            (SchedPolicy::Priority(a), SchedPolicy::Priority(b)) => a == b,
-            (
-                SchedPolicy::WeightedFair {
-                    weights: wa,
-                    quantum: qa,
-                },
-                SchedPolicy::WeightedFair {
-                    weights: wb,
-                    quantum: qb,
-                },
-            ) => wa == wb && qa == qb,
-            // Custom policies are opaque; equality is by declared name.
-            (SchedPolicy::Custom { name: a, .. }, SchedPolicy::Custom { name: b, .. }) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl Eq for SchedPolicy {}
 
 /// Per-computation description inside a [`SubmitMsg`].
 #[derive(Debug, Clone)]
@@ -650,33 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_policy_prefers_high_priority_clients() {
-        let prio: BTreeMap<ClientId, u32> =
-            [(ClientId(0), 0), (ClientId(1), 10)].into_iter().collect();
-        let mut st = state_with(&SchedPolicy::Priority(prio));
-        st.push(submit(0, 1, 10), SimTime::ZERO);
-        st.push(submit(0, 2, 10), SimTime::ZERO);
-        st.push(submit(1, 3, 10), SimTime::ZERO);
-        st.push(submit(1, 4, 10), SimTime::ZERO);
-        // All of client 1's work drains before any of client 0's.
-        assert_eq!(st.pop().unwrap().run, RunId(3));
-        assert_eq!(st.pop().unwrap().run, RunId(4));
-        assert_eq!(st.pop().unwrap().run, RunId(1));
-        assert_eq!(st.pop().unwrap().run, RunId(2));
-    }
-
-    #[test]
-    fn priority_ties_break_by_arrival() {
-        let prio: BTreeMap<ClientId, u32> =
-            [(ClientId(0), 5), (ClientId(1), 5)].into_iter().collect();
-        let mut st = state_with(&SchedPolicy::Priority(prio));
-        st.push(submit(1, 1, 10), SimTime::ZERO);
-        st.push(submit(0, 2, 10), SimTime::ZERO);
-        assert_eq!(st.pop().unwrap().run, RunId(1));
-        assert_eq!(st.pop().unwrap().run, RunId(2));
-    }
-
-    #[test]
     fn weighted_fair_shares_grants_by_weight() {
         let weights: BTreeMap<ClientId, u32> =
             [(ClientId(0), 1), (ClientId(1), 3)].into_iter().collect();
@@ -695,30 +583,6 @@ mod tests {
         }
         let ratio = counts[1] as f64 / counts[0] as f64;
         assert!((2.5..=3.5).contains(&ratio), "ratio {ratio} ({counts:?})");
-    }
-
-    #[test]
-    fn custom_policy_plugs_into_the_scheduler_state() {
-        // A last-client-first policy defined entirely out of tree: the
-        // drop-in extension path the engine exists for.
-        struct LastClientFirst;
-        impl SchedPolicyImpl for LastClientFirst {
-            fn name(&self) -> &'static str {
-                "last-client-first"
-            }
-            fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId> {
-                queues.last().map(|q| q.client)
-            }
-        }
-        let policy = SchedPolicy::custom("last-client-first", || Box::new(LastClientFirst));
-        let mut st = state_with(&policy);
-        assert_eq!(st.policy_name(), "last-client-first");
-        st.push(submit(0, 1, 10), SimTime::ZERO);
-        st.push(submit(2, 2, 10), SimTime::ZERO);
-        st.push(submit(1, 3, 10), SimTime::ZERO);
-        assert_eq!(st.pop().unwrap().client, ClientId(2));
-        assert_eq!(st.pop().unwrap().client, ClientId(1));
-        assert_eq!(st.pop().unwrap().client, ClientId(0));
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Pluggable island-scheduling policies.
+//! Island-scheduling policies.
 //!
 //! The per-island gang scheduler (§4.4) consistently orders all
-//! computations sharing an island; *which* order is a policy decision.
-//! This module extracts that decision behind [`SchedPolicyImpl`] so new
-//! multi-tenancy policies (§6.2 sketches deadline, backfill, …) are
-//! ~100-line drop-ins instead of new arms threaded through the
-//! scheduler loop.
+//! computations sharing an island; *which* order is a policy decision,
+//! made behind [`SchedPolicyImpl`]. A new multi-tenancy policy (§6.2
+//! sketches deadline, backfill, …) is one [`SchedPolicy`](super::SchedPolicy)
+//! arm plus its `SchedPolicyImpl`; the scheduler loop does not change.
 //!
 //! A policy never touches the queues themselves: the scheduler owns one
 //! FIFO backlog per client (preserving per-client program order, which
@@ -14,19 +13,17 @@
 //! and grants through hooks and keep whatever accounting state they
 //! need.
 //!
-//! Four policies ship in-tree:
+//! Three policies ship:
 //!
 //! * [`FifoPolicy`] — global arrival order (the paper's own
 //!   implementation: "our current implementation simply enqueues work
 //!   in FIFO order");
 //! * [`StridePolicy`] — stride scheduling, the proportional-share
 //!   policy behind Figure 9's 1:2:4:8 interleaving;
-//! * [`PriorityPolicy`] — strict priority with documented starvation;
 //! * [`WfqPolicy`] — gang-aware weighted-fair queueing with per-client
-//!   deficit counters, which the old hard-coded enum could not express:
-//!   it charges each grant the program's *whole-gang* device time, so
-//!   fairness holds in device-seconds even when tenants submit gangs of
-//!   very different sizes.
+//!   deficit counters: it charges each grant the program's *whole-gang*
+//!   device time, so fairness holds in device-seconds even when tenants
+//!   submit gangs of very different sizes.
 
 use std::collections::BTreeMap;
 
@@ -71,7 +68,7 @@ pub trait SchedPolicyImpl: Send {
     /// `queues` holds every client with pending work (ascending client
     /// id, never empty). Returning a client not present in `queues` is
     /// a policy bug and makes the scheduler panic; returning `None`
-    /// leaves the backlog untouched (no policy in-tree does).
+    /// leaves the backlog untouched (no shipped policy does).
     fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId>;
 
     /// Accounting hook: `msg` (the head chosen by the last
@@ -142,44 +139,6 @@ impl SchedPolicyImpl for StridePolicy {
         let weight = self.weights.get(&msg.client).copied().unwrap_or(1).max(1) as u64;
         let cost = msg.est_cost.as_nanos().max(1);
         *self.pass.entry(msg.client).or_insert(0) += cost / weight;
-    }
-}
-
-/// Strict priority: the highest-priority backlogged client wins; ties
-/// break in arrival order.
-///
-/// One of the §6.2 multi-tenancy policies the centralized scheduler
-/// makes possible. **Contract:** low-priority clients starve for as
-/// long as any higher-priority client has pending work — that is the
-/// policy's documented behaviour, not a bug (see
-/// `priority_starves_low_under_sustained_load` in this module's tests).
-#[derive(Debug)]
-pub struct PriorityPolicy {
-    priorities: BTreeMap<ClientId, u32>,
-}
-
-impl PriorityPolicy {
-    /// A priority scheduler; clients absent from the map get priority 0.
-    pub fn new(priorities: BTreeMap<ClientId, u32>) -> Self {
-        PriorityPolicy { priorities }
-    }
-}
-
-impl SchedPolicyImpl for PriorityPolicy {
-    fn name(&self) -> &'static str {
-        "priority"
-    }
-
-    fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId> {
-        queues
-            .iter()
-            .max_by_key(|q| {
-                let p = self.priorities.get(&q.client).copied().unwrap_or(0);
-                // Higher priority first; within a priority, earliest
-                // submission (lowest run id) first.
-                (p, std::cmp::Reverse(q.head.run))
-            })
-            .map(|q| q.client)
     }
 }
 
@@ -444,48 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn priority_starves_low_under_sustained_load() {
-        // Satellite acceptance: the starvation contract. Under
-        // sustained high-priority load the low-priority client receives
-        // nothing; it is served only once the high queue drains.
-        let prio: BTreeMap<ClientId, u32> =
-            [(ClientId(0), 0), (ClientId(1), 10)].into_iter().collect();
-        let mut policy = PriorityPolicy::new(prio);
-        let low: Vec<SubmitMsg> = (0..50).map(|i| submit(0, i, 10)).collect();
-        let mut high: Vec<SubmitMsg> = (0..200).map(|i| submit(1, 100 + i, 10)).collect();
-        // While client 1 has backlog, every single grant goes to it.
-        for round in 0..200 {
-            let queues = [
-                QueuedProgram {
-                    client: ClientId(0),
-                    head: &low[0],
-                    backlog: low.len(),
-                },
-                QueuedProgram {
-                    client: ClientId(1),
-                    head: &high[0],
-                    backlog: high.len(),
-                },
-            ];
-            let picked = policy.pick_next(&queues).unwrap();
-            assert_eq!(
-                picked,
-                ClientId(1),
-                "low-priority client granted at round {round} despite high backlog"
-            );
-            let granted = high.remove(0);
-            policy.on_grant(&granted, high.is_empty());
-        }
-        // High queue drained: the starved client is finally served.
-        let queues = [QueuedProgram {
-            client: ClientId(0),
-            head: &low[0],
-            backlog: low.len(),
-        }];
-        assert_eq!(policy.pick_next(&queues), Some(ClientId(0)));
-    }
-
-    #[test]
     fn fifo_picks_global_arrival_order() {
         let mut policy = FifoPolicy;
         let a = submit(1, 10, 5);
@@ -514,17 +431,10 @@ mod tests {
                 .name(),
             "stride"
         );
-        assert_eq!(
-            SchedPolicy::Priority(BTreeMap::new()).build().name(),
-            "priority"
-        );
-        assert_eq!(
-            SchedPolicy::weighted_fair(BTreeMap::new()).build().name(),
-            "wfq"
-        );
-        let custom = SchedPolicy::custom("always-fifo", || Box::new(FifoPolicy));
-        assert_eq!(custom.build().name(), "fifo");
-        assert_eq!(custom, custom.clone());
+        let wfq = SchedPolicy::weighted_fair(BTreeMap::new());
+        assert_eq!(wfq.build().name(), "wfq");
+        assert_eq!(wfq, wfq.clone());
+        assert_ne!(wfq, SchedPolicy::Fifo);
     }
 
     #[test]

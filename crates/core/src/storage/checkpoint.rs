@@ -26,7 +26,7 @@ use pathways_net::FxHashSet;
 use pathways_sim::{SimDuration, SimTime};
 
 use super::index::{ObjectId, ObjectStore};
-use super::tiers::{xfer_time, DiskBackend, ExtentRef};
+use super::tiers::{xfer_time, DiskBackend, ExtentRef, Tier};
 
 /// One durable checkpoint epoch: the dirty shards it persisted, and the
 /// disk extent holding their bytes.
@@ -159,7 +159,7 @@ impl ObjectStore {
                 return;
             };
             let t0 = h.now();
-            h.sleep(env.cfg.disk_time(dirty)).await;
+            h.sleep(env.cfg.transfer_time(Tier::Disk, dirty)).await;
             if store.commit_checkpoint(id).is_some() {
                 env.trace(format!("ckpt {id}"), t0);
             }
@@ -335,7 +335,6 @@ impl ObjectStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::tiers::TierBackend;
     use pathways_net::FxHashMap;
     use proptest::prelude::*;
 

@@ -8,35 +8,33 @@
 //!   failure records, and the ordered HBM/DRAM residency sets that
 //!   victim selection and failure fan-out read. Owns the
 //!   [`ObjectStore`] facade every other layer hangs methods off.
-//! - [`tiers`] — **tier backends** behind the `TierBackend` trait: HBM
-//!   (device-resident, lease-backed), host DRAM (per-host ledgers), and
-//!   disk modeled as an **append-only segment store** with extent
-//!   accounting (live/dead bytes per segment, sealed segments reclaimed
-//!   when their last live extent dies). Also the spill/demote machinery
-//!   and the conservation auditor `tiers_conserved`.
+//! - [`tiers`] — one byte ledger per tier: HBM (device-resident,
+//!   lease-backed), host DRAM (per-host ledgers), and disk modeled as an
+//!   **append-only segment store** with extent accounting (live/dead
+//!   bytes per segment, sealed segments reclaimed when their last live
+//!   extent dies). Also the spill/demote machinery, which spills into
+//!   the pressured device's own host, and the conservation auditor
+//!   `tiers_conserved`.
 //! - [`checkpoint`] — the **checkpoint engine**: incremental *delta*
 //!   checkpoints (only shards dirtied since the last durable epoch are
 //!   persisted, one disk extent per epoch), the restore-set computation
 //!   (newest durable copy per shard), and keep-last-K GC that never
 //!   collects an epoch a live restore could need.
-//! - [`placement`] — the pluggable **cross-host DRAM placement policy**
-//!   (local-first / spread / capacity-weighted) for spills and restores.
-//! - [`recovery`] — **chain recovery**: the `RecoveryManager` absorbs
-//!   loss of whole *sets* of objects, dedupes shared upstream
-//!   producers, walks the lineage DAG in topological order, and picks
-//!   restore-vs-recompute per node by modeled cost.
+//! - [`recovery`] — **chain recovery**, always on for a tiered store:
+//!   the `RecoveryManager` absorbs loss of whole *sets* of objects,
+//!   dedupes shared upstream producers, walks the lineage DAG in
+//!   topological order, picks restore-vs-recompute per node by modeled
+//!   cost, and restores into the first live host's DRAM.
 //!
 //! Everything below the `ObjectStore` facade is crate-private; the
 //! public surface re-exported here is what `lib.rs` exposes.
 
 pub(crate) mod checkpoint;
 pub(crate) mod index;
-pub(crate) mod placement;
 pub(crate) mod recovery;
 pub(crate) mod tiers;
 
 pub use index::{FailureReason, ObjectError, ObjectId, ObjectStore, StoreError, StoredShard};
-pub use placement::PlacementPolicy;
 pub use recovery::RecoveryStats;
 pub use tiers::{SegmentStats, SpillEvent, Tier, TierConfig, TierStats};
 

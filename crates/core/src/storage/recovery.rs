@@ -10,9 +10,9 @@
 //! durable checkpoints per the storage engine's checkpoint chains):
 //!
 //! 1. **Restore from checkpoint** — copy the restore set of the object's
-//!    delta-checkpoint chain back into a live host's DRAM (one disk
-//!    latency per epoch touched, bytes at disk bandwidth) and fire the
-//!    readiness events.
+//!    delta-checkpoint chain back into the first live host's DRAM (one
+//!    disk latency per epoch touched, bytes at disk bandwidth) and fire
+//!    the readiness events.
 //! 2. **Recompute via lineage** — re-submit the producing program with
 //!    its recorded bindings through the client's normal path. Because
 //!    the fault injector heals slices *before* recovery tasks run, the
@@ -431,7 +431,8 @@ impl RecoveryManager {
             if out.ready().await.is_ok() {
                 // Stage the fresh output into DRAM under the original id
                 // (one HBM->DRAM copy).
-                h.sleep(self.cfg.hbm_dram_time(out.total_bytes())).await;
+                h.sleep(self.cfg.transfer_time(Tier::Dram, out.total_bytes()))
+                    .await;
                 let topo = Arc::clone(self.core.fabric.topology());
                 let shards: Vec<(u32, u64, DeviceId, HostId)> = out
                     .devices()
@@ -455,26 +456,19 @@ impl RecoveryManager {
         done
     }
 
-    /// Live `(device, host)` restore candidates in host order — where
-    /// checkpoint restores stage their data. The placement policy picks
-    /// among them (`LocalFirst` keeps the seed choice: the first).
+    /// Where checkpoint restores stage their data: the lowest-numbered
+    /// live host with a live device, and its lowest live device.
     fn restore_target(&self) -> Option<(DeviceId, HostId)> {
-        let topo = Arc::clone(self.core.fabric.topology());
+        let topo = self.core.fabric.topology();
         let failures = &self.core.failures;
-        let mut hosts: Vec<HostId> = topo.hosts().collect();
-        hosts.sort();
-        let mut candidates: Vec<(DeviceId, HostId)> = Vec::new();
-        for h in hosts {
-            if failures.host_dead(h) {
-                continue;
-            }
-            let mut devs: Vec<DeviceId> = topo.devices_of_host(h).collect();
-            devs.sort();
-            if let Some(d) = devs.into_iter().find(|d| !failures.device_dead(*d)) {
-                candidates.push((d, h));
-            }
-        }
-        self.core.store.choose_restore_target(&candidates)
+        topo.hosts()
+            .filter(|h| !failures.host_dead(*h))
+            .find_map(|h| {
+                let d = topo
+                    .devices_of_host(h)
+                    .find(|d| !failures.device_dead(*d))?;
+                Some((d, h))
+            })
     }
 }
 

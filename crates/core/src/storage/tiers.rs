@@ -1,5 +1,5 @@
-//! Tier vocabulary and tier *backends*: HBM, host DRAM, and a
-//! segmented append-only disk.
+//! Tier vocabulary and tier ledgers: HBM, host DRAM, and a segmented
+//! append-only disk.
 //!
 //! The seed store modeled exactly one tier — device HBM — so every byte
 //! of produced data died with its device and `ProducerFailed` was
@@ -13,30 +13,31 @@
 //! and is stamped onto the `tiers` trace track, so tiered runs replay
 //! bit-identically.
 //!
-//! Each tier's byte accounting lives behind the [`TierBackend`] trait:
+//! Each tier keeps its own byte ledger, and
+//! [`TierConfig::transfer_time`] prices moving bytes in or out of it:
 //!
 //! * [`HbmBackend`] — a pure ledger; residency itself is owned by the
 //!   per-device [`HbmPool`](pathways_device::HbmPool) leases, the
 //!   backend just mirrors the bytes the *store* has pinned so
 //!   conservation is checkable from one place.
 //! * [`DramBackend`] — per-host spill ledgers (capacity decisions are
-//!   per host).
+//!   per host). A spill always lands in the pressured device's own
+//!   host.
 //! * [`DiskBackend`] — an append-only segment format: every disk write
 //!   (demoted shard, checkpoint epoch) allocates an [`ExtentRef`] in
 //!   the active segment; a segment seals when full and is reclaimed
-//!   once every extent in it has died. Live bytes ([`TierBackend::used`])
-//!   drain to zero with the objects; *occupied* bytes (live + dead in
-//!   unreclaimed segments) are what the disk durably holds — the metric
-//!   checkpoint GC exists to bound.
+//!   once every extent in it has died. Live bytes
+//!   ([`DiskBackend::used`]) drain to zero with the objects; *occupied*
+//!   bytes (live + dead in unreclaimed segments) are what the disk
+//!   durably holds — the metric checkpoint GC exists to bound.
 
 use std::fmt;
 use std::sync::Arc;
 
-use pathways_net::{FxHashMap, FxHashSet, HostId, Topology};
+use pathways_net::{FxHashMap, HostId, Topology};
 use pathways_sim::{SimDuration, SimHandle, SimTime};
 
 use super::index::{ObjectId, ObjectStore};
-use super::placement::PlacementPolicy;
 
 /// Where one shard's bytes currently live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,7 +65,9 @@ impl fmt::Display for Tier {
 /// Installed through
 /// [`PathwaysConfig::tiers`](crate::PathwaysConfig::tiers); `None`
 /// (the default) keeps the seed behavior: HBM only, no spill, no
-/// checkpoints, `ProducerFailed` terminal.
+/// checkpoints, `ProducerFailed` terminal. `Some` always records
+/// lineage and recovers lost objects (restore from checkpoint, then
+/// recompute) before surfacing `ProducerFailed`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierConfig {
     /// Host-DRAM spill capacity per host.
@@ -73,10 +76,6 @@ pub struct TierConfig {
     pub hbm_dram_bw: u64,
     /// DRAM↔disk bandwidth, bytes per second.
     pub dram_disk_bw: u64,
-    /// Cross-host staging bandwidth (DCN class) paid *on top of* the
-    /// local leg when a placement policy spills or restores a shard
-    /// into a remote host's DRAM.
-    pub cross_host_bw: u64,
     /// Fixed per-operation disk access latency (seek + request).
     pub disk_latency: SimDuration,
     /// Capacity of one append-only disk segment: writes append into the
@@ -93,12 +92,6 @@ pub struct TierConfig {
     /// restore set) — GC never collects an epoch a live restore could
     /// need.
     pub checkpoint_keep: u32,
-    /// Which host's DRAM receives spilled and restored shards.
-    pub placement: PlacementPolicy,
-    /// Attempt restore-from-checkpoint, then recompute-via-lineage,
-    /// before surfacing `ProducerFailed` for objects lost to hardware
-    /// death.
-    pub recovery: bool,
     /// Recovery attempts per object before the failure becomes terminal.
     pub max_recovery_attempts: u32,
 }
@@ -109,34 +102,25 @@ impl Default for TierConfig {
             dram_per_host: 64 << 30,
             hbm_dram_bw: 16_000_000_000,
             dram_disk_bw: 2_000_000_000,
-            cross_host_bw: 12_500_000_000,
             disk_latency: SimDuration::from_micros(200),
             disk_segment_bytes: 64 << 20,
             checkpoint_interval: Some(SimDuration::from_micros(500)),
             checkpoint_keep: 2,
-            placement: PlacementPolicy::LocalFirst,
-            recovery: true,
             max_recovery_attempts: 2,
         }
     }
 }
 
 impl TierConfig {
-    /// Virtual time to move `bytes` between HBM and host DRAM.
-    pub fn hbm_dram_time(&self, bytes: u64) -> SimDuration {
-        xfer_time(bytes, self.hbm_dram_bw)
-    }
-
-    /// Virtual time to move `bytes` between DRAM and disk (one disk
-    /// latency plus the bandwidth term).
-    pub fn disk_time(&self, bytes: u64) -> SimDuration {
-        self.disk_latency + xfer_time(bytes, self.dram_disk_bw)
-    }
-
-    /// Extra virtual time to stage `bytes` across hosts (remote spill
-    /// or restore under a non-local placement policy).
-    pub fn cross_host_time(&self, bytes: u64) -> SimDuration {
-        xfer_time(bytes, self.cross_host_bw)
+    /// Virtual time to move `bytes` into `tier` from the tier above it,
+    /// or back out of it for a read: free for HBM, the staging leg for
+    /// DRAM, one disk latency plus the bandwidth term for disk.
+    pub fn transfer_time(&self, tier: Tier, bytes: u64) -> SimDuration {
+        match tier {
+            Tier::Hbm => SimDuration::ZERO,
+            Tier::Dram => xfer_time(bytes, self.hbm_dram_bw),
+            Tier::Disk => self.disk_latency + xfer_time(bytes, self.dram_disk_bw),
+        }
     }
 }
 
@@ -205,24 +189,8 @@ pub(crate) fn ledger_sub(ledger: &mut u64, bytes: u64, what: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Tier backends
+// Tier ledgers
 // ---------------------------------------------------------------------
-
-/// Byte accounting of one storage tier. Charges and uncharges are
-/// backend-specific (DRAM is keyed by host, disk by extent), so the
-/// trait carries the tier-agnostic surface: identity, live bytes, and
-/// the virtual-time transfer model the store's data path uses.
-pub(crate) trait TierBackend {
-    /// Which tier this backend accounts for.
-    fn tier(&self) -> Tier;
-    /// Live bytes currently charged to the tier.
-    fn used(&self) -> u64;
-    /// Virtual time to write `bytes` into this tier (from the tier
-    /// above it).
-    fn write_time(&self, cfg: &TierConfig, bytes: u64) -> SimDuration;
-    /// Virtual time to stage `bytes` back out for a consuming read.
-    fn read_time(&self, cfg: &TierConfig, bytes: u64) -> SimDuration;
-}
 
 /// HBM ledger: mirrors the bytes the store has pinned across all
 /// devices (the leases themselves live in the per-device pools). Lets
@@ -241,23 +209,9 @@ impl HbmBackend {
     pub(crate) fn uncharge(&mut self, bytes: u64) {
         ledger_sub(&mut self.used, bytes, "HBM");
     }
-}
 
-impl TierBackend for HbmBackend {
-    fn tier(&self) -> Tier {
-        Tier::Hbm
-    }
-
-    fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.used
-    }
-
-    fn write_time(&self, _cfg: &TierConfig, _bytes: u64) -> SimDuration {
-        SimDuration::ZERO
-    }
-
-    fn read_time(&self, _cfg: &TierConfig, _bytes: u64) -> SimDuration {
-        SimDuration::ZERO
     }
 }
 
@@ -285,23 +239,9 @@ impl DramBackend {
     pub(crate) fn per_host(&self) -> &FxHashMap<HostId, u64> {
         &self.per_host
     }
-}
 
-impl TierBackend for DramBackend {
-    fn tier(&self) -> Tier {
-        Tier::Dram
-    }
-
-    fn used(&self) -> u64 {
+    pub(crate) fn used(&self) -> u64 {
         self.per_host.values().sum()
-    }
-
-    fn write_time(&self, cfg: &TierConfig, bytes: u64) -> SimDuration {
-        cfg.hbm_dram_time(bytes)
-    }
-
-    fn read_time(&self, cfg: &TierConfig, bytes: u64) -> SimDuration {
-        cfg.hbm_dram_time(bytes)
     }
 }
 
@@ -411,6 +351,11 @@ impl DiskBackend {
         }
     }
 
+    /// Live bytes: every extent not yet uncharged.
+    pub(crate) fn used(&self) -> u64 {
+        self.live
+    }
+
     /// Live + dead bytes in unreclaimed segments.
     pub(crate) fn occupied(&self) -> u64 {
         self.segments
@@ -438,24 +383,6 @@ impl DiskBackend {
                 .segments
                 .iter()
                 .all(|s| !s.reclaimed || (s.sealed && s.live == 0 && s.dead == 0))
-    }
-}
-
-impl TierBackend for DiskBackend {
-    fn tier(&self) -> Tier {
-        Tier::Disk
-    }
-
-    fn used(&self) -> u64 {
-        self.live
-    }
-
-    fn write_time(&self, cfg: &TierConfig, bytes: u64) -> SimDuration {
-        cfg.disk_time(bytes)
-    }
-
-    fn read_time(&self, cfg: &TierConfig, bytes: u64) -> SimDuration {
-        cfg.disk_time(bytes)
     }
 }
 
@@ -501,11 +428,6 @@ pub(crate) struct TierState {
     pub(crate) disk: DiskBackend,
     pub(crate) log: Vec<SpillEvent>,
     pub(crate) stats: TierStats,
-    /// Round-robin cursor of the `Spread` placement policy.
-    pub(crate) placement_cursor: u64,
-    /// Hosts the fault injector declared dead — non-local placement
-    /// policies never target them.
-    pub(crate) down_hosts: FxHashSet<HostId>,
 }
 
 impl TierState {
@@ -519,8 +441,6 @@ impl TierState {
             disk,
             log: Vec::new(),
             stats: TierStats::default(),
-            placement_cursor: 0,
-            down_hosts: FxHashSet::default(),
         }
     }
 
@@ -613,11 +533,11 @@ impl ObjectStore {
         }
     }
 
-    /// True if this store records lineage and recovers lost objects
-    /// (tiered with `recovery` on). Gates the client's lineage
-    /// registration so untiered runs keep seed-identical refcounts.
+    /// True if this store records lineage and recovers lost objects:
+    /// every tiered store does. Gates the client's lineage registration
+    /// so untiered runs keep seed-identical refcounts.
     pub fn lineage_enabled(&self) -> bool {
-        self.tier_env().is_some_and(|env| env.cfg.recovery)
+        self.tier_env().is_some()
     }
 
     /// True if completed objects are checkpointed on the timer wheel
@@ -628,45 +548,30 @@ impl ObjectStore {
     }
 
     /// Frees HBM on `device` until `bytes` fit (or nothing ready is
-    /// left to spill), by moving least-recently-used ready shards to a
-    /// host's DRAM at the configured staging bandwidth — cascading to
-    /// disk when the DRAM budget overflows. The receiving host is the
-    /// device's own under [`PlacementPolicy::LocalFirst`]; other
-    /// policies may pick a remote host and pay the cross-host leg.
-    /// No-op on untiered stores; callers then rely on classic HBM
-    /// back-pressure.
+    /// left to spill), by moving least-recently-used ready shards to the
+    /// device's own host's DRAM at the configured staging bandwidth —
+    /// cascading to disk when the DRAM budget overflows. No-op on
+    /// untiered stores; callers then rely on classic HBM back-pressure.
     pub async fn ensure_room(&self, device: &DeviceHandle, bytes: u64) {
         let Some(env) = self.tier_env() else {
             return;
         };
         let d = device.id();
-        let local = env.topo.host_of_device(d);
+        let host = env.topo.host_of_device(d);
         loop {
             if device.hbm().free() >= bytes {
                 return;
             }
-            // The receiving host is chosen with the victim (placement
-            // policy over live hosts).
-            let victim = {
-                let mut inner = self.inner.lock();
-                let inner = &mut *inner;
-                inner.hbm_victim(d).map(|(vid, vshard, vbytes)| {
-                    let ts = inner.tier.as_mut().expect("tiered");
-                    let host = ts.spill_host(local);
-                    let mut cost = ts.dram.write_time(&env.cfg, vbytes);
-                    if host != local {
-                        cost += env.cfg.cross_host_time(vbytes);
-                    }
-                    (vid, vshard, vbytes, host, cost)
-                })
-            };
-            let Some((vid, vshard, vbytes, host, cost)) = victim else {
+            let victim = self.inner.lock().hbm_victim(d);
+            let Some((vid, vshard, vbytes)) = victim else {
                 // Nothing spillable (all HBM residents are unready or
                 // transient staging): fall back to back-pressure.
                 return;
             };
             let t0 = env.handle.now();
-            env.handle.sleep(cost).await;
+            env.handle
+                .sleep(env.cfg.transfer_time(Tier::Dram, vbytes))
+                .await;
             // Revalidate after the staging copy: the shard may have been
             // freed, failed, or spilled by a concurrent caller.
             let spilled = {
@@ -691,8 +596,8 @@ impl ObjectStore {
                         object: vid,
                         shard: vshard,
                         bytes: vbytes,
-                        from: ts.hbm.tier(),
-                        to: ts.dram.tier(),
+                        from: Tier::Hbm,
+                        to: Tier::Dram,
                         host,
                     });
                     Some(sh.lease.take())
@@ -724,15 +629,15 @@ impl ObjectStore {
                 if ts.dram.used_on(host) <= env.cfg.dram_per_host {
                     return;
                 }
-                inner.dram_victim(host).map(|(vid, vshard, vbytes)| {
-                    (vid, vshard, vbytes, ts.disk.write_time(&env.cfg, vbytes))
-                })
+                inner.dram_victim(host)
             };
-            let Some((vid, vshard, vbytes, cost)) = victim else {
+            let Some((vid, vshard, vbytes)) = victim else {
                 return;
             };
             let t0 = env.handle.now();
-            env.handle.sleep(cost).await;
+            env.handle
+                .sleep(env.cfg.transfer_time(Tier::Disk, vbytes))
+                .await;
             let committed = {
                 let mut inner = self.inner.lock();
                 let inner = &mut *inner;
@@ -754,8 +659,8 @@ impl ObjectStore {
                         object: vid,
                         shard: vshard,
                         bytes: vbytes,
-                        from: ts.dram.tier(),
-                        to: ts.disk.tier(),
+                        from: Tier::Dram,
+                        to: Tier::Disk,
                         host,
                     });
                     true
@@ -771,9 +676,9 @@ impl ObjectStore {
 
     /// Resolves shard `shard` of `id` for a consuming transfer: bumps
     /// the LRU clock and returns the device the read stages through plus
-    /// the staging penalty for non-HBM tiers (the backend's
-    /// `TierBackend::read_time`). `None` on untiered stores (the seed
-    /// data path is then byte-identical) and for absent shards.
+    /// the staging penalty for non-HBM tiers
+    /// ([`TierConfig::transfer_time`]). `None` on untiered stores (the
+    /// seed data path is then byte-identical) and for absent shards.
     pub fn read_shard(
         &self,
         id: ObjectId,
@@ -793,12 +698,7 @@ impl ObjectStore {
             inner.resident.insert(place, new);
         }
         sh.last_access = ts.clock;
-        let penalty = match sh.tier {
-            Tier::Hbm => ts.hbm.read_time(cfg, sh.bytes),
-            Tier::Dram => ts.dram.read_time(cfg, sh.bytes),
-            Tier::Disk => ts.disk.read_time(cfg, sh.bytes),
-        };
-        Some((sh.device, penalty))
+        Some((sh.device, cfg.transfer_time(sh.tier, sh.bytes)))
     }
 
     // -----------------------------------------------------------------
@@ -1076,6 +976,28 @@ mod tests {
         sim.run_to_quiescence();
     }
 
+    /// Two hosts, tight HBM on a device of host 0: the spill lands in
+    /// host 0's DRAM, never the other host's.
+    #[test]
+    fn local_first_spills_stay_on_the_local_host() {
+        let mut sim = Sim::new(0);
+        let store = tiered_with(&sim, TierConfig::default());
+        let dev = device(&sim, 0, 100);
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            for run in 0..2 {
+                put(&store2, run, &dev, 80, true).await;
+            }
+            let spills: Vec<HostId> = store2.spill_events().iter().map(|e| e.host).collect();
+            assert_eq!(spills, vec![HostId(0)]);
+            for run in 0..2 {
+                store2.release(obj(run, 0));
+            }
+            assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+    }
+
     /// A victim that leaves its tier during the staging sleep is skipped
     /// by the revalidation, and whatever removed it also unthreaded it
     /// from its residency set.
@@ -1221,9 +1143,8 @@ mod tests {
     fn defaults_are_sane() {
         let c = TierConfig::default();
         assert!(c.dram_per_host > 0 && c.hbm_dram_bw > c.dram_disk_bw);
-        assert!(c.recovery && c.max_recovery_attempts >= 1);
+        assert!(c.max_recovery_attempts >= 1);
         assert!(c.disk_segment_bytes > 0 && c.checkpoint_keep >= 1);
-        assert_eq!(c.placement, PlacementPolicy::LocalFirst);
     }
 
     #[test]
@@ -1231,11 +1152,12 @@ mod tests {
         let c = TierConfig::default();
         assert_eq!(xfer_time(0, c.hbm_dram_bw), SimDuration::ZERO);
         assert_eq!(
-            xfer_time(c.hbm_dram_bw, c.hbm_dram_bw),
+            c.transfer_time(Tier::Dram, c.hbm_dram_bw),
             SimDuration::from_nanos(1_000_000_000)
         );
+        assert_eq!(c.transfer_time(Tier::Hbm, 1 << 30), SimDuration::ZERO);
         // Disk ops always pay the fixed latency.
-        assert!(c.disk_time(0) >= c.disk_latency);
+        assert_eq!(c.transfer_time(Tier::Disk, 0), c.disk_latency);
         // No overflow at warehouse sizes.
         let big = xfer_time(u64::MAX, 1);
         assert!(big > SimDuration::ZERO);

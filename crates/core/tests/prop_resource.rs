@@ -9,9 +9,9 @@
 //!
 //! and, after releasing everything, that all counts drain to zero.
 //! The seed repo masked ledger drift with a `saturating_sub`; the
-//! manager now moves counts on every mapping change and `debug_assert`s
-//! on underflow, so any drift fails this test loudly (test profiles
-//! keep debug assertions on).
+//! manager now moves counts on every mapping change and `assert!`s on
+//! underflow in every build profile, so any drift fails this test
+//! loudly.
 //!
 //! The manager also keeps incremental placement indexes (per-island
 //! load sums, a load-ordered device set, and a device -> slices reverse

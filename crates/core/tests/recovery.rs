@@ -1,10 +1,10 @@
-//! Tiered-store recovery acceptance tests (ISSUE 8).
+//! Tiered-store recovery acceptance tests.
 //!
 //! The bar: under a seeded fault plan, an object lost to a device kill
 //! is restored from its disk checkpoint or recomputed via lineage, and
 //! the consuming run completes successfully — no `ProducerFailed`
-//! reaches the client. With recovery disabled, the seed semantics are
-//! unchanged (the error surfaces).
+//! reaches the client. Only an exhausted attempt budget surfaces the
+//! error.
 
 use pathways_sim::Lock;
 use std::sync::Arc;
@@ -159,34 +159,6 @@ fn device_kill_restores_object_from_checkpoint() {
     );
     let (_, _, _, trace_b) = kill_and_consume(11, tiered_cfg(Some(200)));
     assert_eq!(trace_a, trace_b, "restore must replay bit-identically");
-}
-
-/// Recovery off (tiers on): the seed failure semantics are preserved —
-/// the kill surfaces `ProducerFailed` to the consumer.
-#[test]
-fn recovery_disabled_surfaces_producer_failed() {
-    let cfg = PathwaysConfig {
-        tiers: Some(TierConfig {
-            recovery: false,
-            checkpoint_interval: None,
-            ..TierConfig::default()
-        }),
-        ..PathwaysConfig::default()
-    };
-    let (producer, consumer, rt, _) = kill_and_consume(11, cfg);
-    assert!(
-        matches!(producer, Err(ObjectError::ProducerFailed { .. })),
-        "without recovery the loss is terminal: {producer:?}"
-    );
-    assert!(
-        matches!(consumer, Err(ObjectError::ProducerFailed { .. })),
-        "consumer of a dead object must observe the error: {consumer:?}"
-    );
-    let stats = rt.faults().recovery_stats();
-    assert_eq!(
-        (stats.restored, stats.recomputed, stats.abandoned),
-        (0, 0, 0)
-    );
 }
 
 /// Where recovered and spilled bytes land. After a checkpoint commits,

@@ -19,9 +19,9 @@
 //! * [`baselines`] — JAX-like, TF1-like and Ray-like comparators;
 //! * [`models`] — Transformer workloads and cost models.
 //!
-//! See `examples/` for runnable end-to-end scenarios and
-//! `crates/bench/src/bin/` for the binaries regenerating every table
-//! and figure of the paper's evaluation.
+//! See `examples/` for runnable end-to-end scenarios, and
+//! `cargo run --release -p pathways-bench -- list` for the figures that
+//! regenerate every table and figure of the paper's evaluation.
 //!
 //! ## Quickstart
 //!

@@ -84,7 +84,7 @@ proptest! {
     /// inconsistent-enqueue deadlock of §2.
     #[test]
     fn gang_grant_order_identical_across_island_devices(
-        policy_sel in 0u8..4,
+        policy_sel in 0u8..3,
         n_clients in 2u32..5,
         cost_us in 50u64..500,
         seed in any::<u64>(),
@@ -95,7 +95,6 @@ proptest! {
         let policy = match policy_sel {
             0 => SchedPolicy::Fifo,
             1 => SchedPolicy::ProportionalShare(weights),
-            2 => SchedPolicy::Priority(weights),
             _ => SchedPolicy::WeightedFair {
                 weights,
                 quantum: SimDuration::from_micros(500),
