@@ -8,7 +8,7 @@ use pathways_core::{
     SubmitError,
 };
 use pathways_net::{ClientId, ClusterSpec, HostId, IslandId, NetworkParams};
-use pathways_sim::{Sim, SimDuration};
+use pathways_sim::{Sim, SimDuration, SimTime};
 
 fn default_rt(sim: &Sim, spec: ClusterSpec) -> PathwaysRuntime {
     PathwaysRuntime::new(
@@ -701,4 +701,42 @@ fn two_island_chain_stays_within_its_poll_budget() {
     assert!(rt.core().store.is_empty());
     assert_eq!(end.as_nanos(), 1_710_191, "virtual time moved");
     assert_eq!(sim.poll_count(), 995, "1318 with a task per message");
+}
+
+/// One 8-shard → 8-shard all-to-all program on two hosts: 64
+/// (producer shard, consumer shard) pairs, each with its transfer, its
+/// address handshake and its punctuations, and 8 consumer kernels each
+/// waiting on one input. What the pair count costs in tasks and polls
+/// is pinned here; a change that moves either says why, here.
+#[test]
+fn all_to_all_fan_out_stays_within_its_task_and_poll_budget() {
+    let mut sim = Sim::new(0);
+    let rt = default_rt(&sim, ClusterSpec::config_a(2));
+    let client = rt.client(HostId(0));
+    let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
+    let mut b = client.trace("fan-out");
+    let f =
+        |n: &str| FnSpec::compute_only(n, SimDuration::from_micros(100)).with_output_bytes(1 << 16);
+    let src = b.computation(f("src"), &slice);
+    let dst = b.computation(f("dst"), &slice);
+    b.reshard_edge(src, dst, 1 << 16);
+    let prepared = client.prepare(&b.build().unwrap());
+    let job = sim.spawn("client", async move {
+        client.run(&prepared).await;
+    });
+    // Step virtual time in 1 us slices and sample the live tasks at each
+    // boundary: the per-pair tasks live across instants, so the peak
+    // shows them.
+    let mut peak = 0;
+    let mut limit = SimTime::ZERO;
+    while !job.is_finished() && limit < SimTime::ZERO + SimDuration::from_secs(1) {
+        limit = limit + SimDuration::from_micros(1);
+        sim.run_until_time(limit);
+        peak = peak.max(sim.live_tasks());
+    }
+    let end = sim.run_to_quiescence();
+    assert!(job.is_finished());
+    assert_eq!(end.as_nanos(), 341_366, "virtual time moved");
+    assert_eq!(sim.poll_count(), 741, "polls");
+    assert_eq!(peak, 55, "peak live tasks");
 }
