@@ -20,7 +20,7 @@ use pathways_device::{
 use pathways_net::{DeviceId, Fabric, HostId, Router};
 use pathways_plaque::RunId;
 use pathways_sim::channel::{self, OneshotReceiver, OneshotSender};
-use pathways_sim::sync::{Event, Notify};
+use pathways_sim::sync::{first_set, Event, Notify};
 use pathways_sim::{IdleToken, SimHandle};
 
 use crate::config::DispatchMode;
@@ -139,7 +139,6 @@ pub fn spawn_executor(
     mode: DispatchMode,
 ) {
     let mut inbox = router.register(host);
-    let h = handle.clone();
     let token = IdleToken::new();
     let token_task = token.clone();
     handle.spawn_service(format!("executor-{host}"), &token, async move {
@@ -220,25 +219,18 @@ pub fn spawn_executor(
                     store
                         .put_shard(object, *shard, &device, grant.output_bytes)
                         .await;
-                    // Wire input futures.
-                    let mut inputs_ready = Vec::with_capacity(reg.input_events.len());
-                    for ev in &reg.input_events {
-                        let (tx, rx) = channel::oneshot();
-                        let ev = ev.clone();
-                        // Raced against the run's failure: a run failed
-                        // mid-enqueue may have had its input slots swept
-                        // by the aborting shard driver before this
-                        // adapter started waiting, so nothing would ever
-                        // deliver the event. The unblock matches poison
-                        // semantics — the kernel drains, the run's typed
-                        // error is what consumers observe.
-                        let cancel = failures.failed_event(grant.run);
-                        h.spawn("input-adapter", async move {
-                            crate::ops::event_or_cancel(&ev, cancel.as_ref()).await;
-                            let _ = tx.send(());
-                        });
-                        inputs_ready.push(rx);
-                    }
+                    // Wire input futures, each raced against the run's
+                    // failure: a run failed mid-enqueue may have had its
+                    // input slots swept by the aborting shard driver, so
+                    // nothing would ever deliver the event. The unblock
+                    // matches poison semantics — the kernel drains, the
+                    // run's typed error is what consumers observe.
+                    let cancel = failures.failed_event(grant.run);
+                    let inputs_ready = reg
+                        .input_events
+                        .iter()
+                        .map(|ev| first_set(ev, cancel.as_ref()))
+                        .collect();
                     let kernel = Kernel {
                         label: Arc::clone(&grant.label),
                         compute: grant.compute,

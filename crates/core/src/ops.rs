@@ -23,14 +23,14 @@
 //! across program boundaries.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 use pathways_net::{ClientId, DeviceId, HostId, IslandId};
 use pathways_plaque::{
-    EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, RunId, ShardCtx, Tuple,
+    EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, Payload, RunId, ShardCtx, Tuple,
 };
-use pathways_sim::sync::Event;
-use pathways_sim::{join_all, SimDuration, TaskName};
+use pathways_sim::sync::{event_or_cancel, Event};
+use pathways_sim::{join_each, SimDuration, TaskName};
 
 use crate::context::CoreCtx;
 use crate::exec::CompRegistration;
@@ -64,8 +64,13 @@ pub(crate) struct CompletionSignal {
 
 const SIGNAL_BYTES: u64 = 16;
 
-// Names of the per-shard and per-transfer tasks: the ids now, the text
-// only if a deadlock report asks for it.
+// The unit signals go out once per shard pair; each shares one payload.
+static FUTURE: LazyLock<Payload> = LazyLock::new(|| Arc::new(FwdSignal::Future));
+static DATA: LazyLock<Payload> = LazyLock::new(|| Arc::new(FwdSignal::Data));
+static ADDR: LazyLock<Payload> = LazyLock::new(|| Arc::new(AddrSignal));
+
+// Names of the per-shard tasks: the ids now, the text only if a
+// deadlock report asks for it.
 
 /// `driver-{run}-{comp}-{shard}`.
 fn driver_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
@@ -81,17 +86,6 @@ fn input_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
         let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
         write!(f, "input-{run}-{comp}-{}", ids[2])
     })
-}
-
-/// `xfer-{run}-{comp}-{shard}-{dst shard}`.
-fn xfer_task_name(run: RunId, comp: CompId, shard: u32, dst: u32) -> TaskName {
-    TaskName::lazy(
-        [run.0, comp.0.into(), shard.into(), dst.into()],
-        |ids, f| {
-            let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
-            write!(f, "xfer-{run}-{comp}-{}-{}", ids[2], ids[3])
-        },
-    )
 }
 
 /// Immutable lowered-program structures shared by all shard operators.
@@ -456,7 +450,7 @@ pub fn prepare(
 /// The consumer-address events of one producer shard: one per
 /// (out-edge of the computation, consumer shard that edge feeds from this
 /// shard). The operator sets them as address tuples arrive; the shard's
-/// transfer tasks wait on them.
+/// transfers wait on them.
 struct AddrEvents {
     /// Per local out-edge index: the first consumer shard fed, and one
     /// event per consumer shard from there.
@@ -679,11 +673,7 @@ async fn drive_shard(
     // gate on these)...
     for &e in out_edges.iter() {
         for d in info.feeds(e, shard) {
-            emitter.send(
-                info.fwd_edges[e],
-                d,
-                Tuple::new(FwdSignal::Future, SIGNAL_BYTES),
-            );
+            emitter.send(info.fwd_edges[e], d, Tuple::shared(&FUTURE, SIGNAL_BYTES));
         }
     }
     // ...and our input-buffer addresses upstream (the Figure 4
@@ -693,7 +683,7 @@ async fn drive_shard(
     // address of a consumer that will never enqueue.
     for &e in in_edges {
         for s in info.feeders(e, shard) {
-            emitter.send(info.back_edges[e], s, Tuple::new(AddrSignal, SIGNAL_BYTES));
+            emitter.send(info.back_edges[e], s, Tuple::shared(&ADDR, SIGNAL_BYTES));
         }
     }
 
@@ -724,7 +714,7 @@ async fn drive_shard(
     } else {
         TransferMode::Poison
     };
-    let transfers = spawn_output_transfers(
+    join_each(output_transfers(
         &core,
         &info,
         comp,
@@ -735,8 +725,8 @@ async fn drive_shard(
         src_dev,
         None,
         mode,
-    );
-    join_all(transfers).await;
+    ))
+    .await;
     // Release this shard's input-slot registrations.
     {
         let mut slots = core.input_slots.lock();
@@ -771,7 +761,7 @@ async fn drive_shard(
 
 /// How a producer shard's output reaches (or fails to reach) each
 /// consumer input buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum TransferMode {
     /// Move the real bytes over the interconnect.
     Data,
@@ -786,141 +776,98 @@ enum TransferMode {
     CheckObject(ObjectId),
 }
 
-/// Spawns one transfer task per (out-edge, consumer shard) of `comp`
-/// shard `shard` — the producer half of the Figure 4 handshake, shared
-/// by kernel shards and external-input replays. Each task waits for the
-/// consumer's buffer address (eager: allocated during grant processing),
-/// then the optional readiness `gate` (external inputs gate on the
-/// producer's per-shard event; kernel shards pass `None` because their
-/// kernel already completed), moves the bytes from `src_dev` (unless
-/// the `mode` poisons the delivery), delivers the consumer's input slot
-/// in-band (the transfer's arrival is the consumer kernel's trigger —
-/// no control message in between), and closes the plaque edge off the
+/// One transfer per (out-edge, consumer shard) of `comp` shard `shard`
+/// — the producer half of the Figure 4 handshake, shared by kernel
+/// shards and external-input replays, run by the shard's driver through
+/// [`join_each`]. Each transfer waits for the consumer's buffer address
+/// (eager: allocated during grant processing), then the optional
+/// readiness `gate` (external inputs gate on the producer's per-shard
+/// event; kernel shards pass `None` because their kernel already
+/// completed), moves the bytes from `src_dev` (unless the `mode`
+/// poisons the delivery), delivers the consumer's input slot in-band
+/// (the transfer's arrival is the consumer kernel's trigger — no
+/// control message in between), and closes the plaque edge off the
 /// critical path.
 #[allow(clippy::too_many_arguments)]
-fn spawn_output_transfers(
-    core: &Arc<CoreCtx>,
-    info: &Arc<ProgInfo>,
+fn output_transfers<'a>(
+    core: &'a Arc<CoreCtx>,
+    info: &'a ProgInfo,
     comp: CompId,
     shard: u32,
     run: pathways_plaque::RunId,
-    emitter: &Emitter,
-    addr_events: &AddrEvents,
+    emitter: &'a Emitter,
+    addr_events: &'a AddrEvents,
     src_dev: DeviceId,
-    gate: Option<Event>,
+    gate: Option<&'a Event>,
     mode: TransferMode,
-) -> Vec<pathways_sim::JoinHandle<()>> {
+) -> Vec<impl std::future::Future<Output = ()> + Send + 'a> {
+    // The address arrives as a dataflow tuple from the consumer host —
+    // which a fault may have silenced (dead NIC, severed link). Racing
+    // the wait against the run's failure event keeps the transfer from
+    // wedging; the consumer's input slot is still delivered
+    // (shared-memory simulation state), so a consumer kernel already
+    // sitting on a live device unblocks.
+    let cancel = core.failures.failed_event(run);
     let mut transfers = Vec::new();
-    let spawner = &core.handle;
-    for (oi, &e) in info.out_edges[comp.index()].iter().enumerate() {
+    let out_edges = &info.out_edges[comp.index()];
+    for (&e, (first, addrs)) in out_edges.iter().zip(&addr_events.per_out_edge) {
         let bytes = info.pair_bytes(e);
         let dst_comp = info.program.edges()[e].dst;
         let dst_in_idx = info.edge_slots[e].dst_in;
-        for d in info.feeds(e, shard) {
-            let addr = addr_events
-                .get(oi, d)
-                .expect("address event missing")
-                .clone();
-            let gate = gate.clone();
-            let mode = mode.clone();
+        for (d, addr) in (*first..).zip(addrs) {
             let dst_dev = info.devices[dst_comp.index()][d as usize];
-            let core = Arc::clone(core);
-            let info2 = Arc::clone(info);
-            let emitter = emitter.clone();
-            // The address arrives as a dataflow tuple from the consumer
-            // host — which a fault may have silenced (dead NIC, severed
-            // link). Racing the wait against the run's failure event
-            // keeps the transfer from wedging; the consumer's input slot
-            // is still delivered (shared-memory simulation state), so a
-            // consumer kernel already sitting on a live device unblocks.
-            let cancel = core.failures.failed_event(run);
-            transfers.push(
-                spawner.spawn(xfer_task_name(run, comp, shard, d), async move {
-                    event_or_cancel(&addr, cancel.as_ref()).await;
-                    if let Some(ready) = &gate {
-                        ready.wait().await;
-                    }
-                    let mut src = src_dev;
-                    let mut move_data = addr.is_set();
-                    if move_data {
-                        match mode {
-                            TransferMode::Data => {}
-                            TransferMode::Poison => move_data = false,
-                            TransferMode::CheckObject(src_obj) => {
-                                // Tiered store: a source object mid
-                                // restore/recompute is neither stale nor
-                                // failed — wait the recovery window out
-                                // (racing the consumer's own failure so
-                                // a doomed run still unwedges).
-                                while let Some(rec) = core.store.recovering(src_obj) {
-                                    event_or_cancel(&rec, cancel.as_ref()).await;
-                                    if !rec.is_set() {
-                                        break;
-                                    }
+            let cancel = cancel.clone();
+            transfers.push(async move {
+                let cancel = cancel.as_ref();
+                event_or_cancel(addr, cancel).await;
+                if let Some(ready) = gate {
+                    ready.wait().await;
+                }
+                let mut src = src_dev;
+                let mut move_data = addr.is_set();
+                if move_data {
+                    match mode {
+                        TransferMode::Data => {}
+                        TransferMode::Poison => move_data = false,
+                        TransferMode::CheckObject(src_obj) => {
+                            // Tiered store: a source object mid
+                            // restore/recompute is neither stale nor
+                            // failed — wait the recovery window out
+                            // (racing the consumer's own failure so a
+                            // doomed run still unwedges).
+                            while let Some(rec) = core.store.recovering(src_obj) {
+                                event_or_cancel(&rec, cancel).await;
+                                if !rec.is_set() {
+                                    break;
                                 }
-                                if core.store.object_error(src_obj).is_some() {
-                                    move_data = false;
-                                } else if let Some((loc, penalty)) =
-                                    core.store.read_shard(src_obj, shard)
-                                {
-                                    // Spilled/restored shards replay from
-                                    // their current tier location with the
-                                    // staging penalty.
-                                    if penalty > pathways_sim::SimDuration::ZERO {
-                                        core.handle.sleep(penalty).await;
-                                    }
-                                    src = loc;
+                            }
+                            if core.store.object_error(src_obj).is_some() {
+                                move_data = false;
+                            } else if let Some((loc, penalty)) =
+                                core.store.read_shard(src_obj, shard)
+                            {
+                                // Spilled/restored shards replay from
+                                // their current tier location with the
+                                // staging penalty.
+                                if penalty > SimDuration::ZERO {
+                                    core.handle.sleep(penalty).await;
                                 }
+                                src = loc;
                             }
                         }
                     }
-                    if move_data {
-                        core.move_bytes(src, dst_dev, bytes).await;
-                    }
-                    if let Some(slot) = core.input_slots.lock().get(&(run, dst_comp, d, dst_in_idx))
-                    {
-                        slot.deliver();
-                    }
-                    emitter.send(
-                        info2.fwd_edges[e],
-                        d,
-                        Tuple::new(FwdSignal::Data, SIGNAL_BYTES),
-                    );
-                }),
-            );
+                }
+                if move_data {
+                    core.move_bytes(src, dst_dev, bytes).await;
+                }
+                if let Some(slot) = core.input_slots.lock().get(&(run, dst_comp, d, dst_in_idx)) {
+                    slot.deliver();
+                }
+                emitter.send(info.fwd_edges[e], d, Tuple::shared(&DATA, SIGNAL_BYTES));
+            });
         }
     }
     transfers
-}
-
-/// Resolves when `event` fires — or, if `cancel` is provided, when the
-/// cancel event fires first.
-pub(crate) async fn event_or_cancel(event: &Event, cancel: Option<&Event>) {
-    struct Either {
-        a: pathways_sim::sync::EventWait,
-        b: Option<pathways_sim::sync::EventWait>,
-    }
-    impl std::future::Future for Either {
-        type Output = ();
-        fn poll(
-            self: std::pin::Pin<&mut Self>,
-            cx: &mut std::task::Context<'_>,
-        ) -> std::task::Poll<()> {
-            let this = self.get_mut();
-            if std::pin::Pin::new(&mut this.a).poll(cx).is_ready() {
-                return std::task::Poll::Ready(());
-            }
-            match &mut this.b {
-                Some(b) => std::pin::Pin::new(b).poll(cx),
-                None => std::task::Poll::Pending,
-            }
-        }
-    }
-    Either {
-        a: event.wait(),
-        b: cancel.map(Event::wait),
-    }
-    .await
 }
 
 // ---------------------------------------------------------------------------
@@ -963,11 +910,7 @@ impl Operator for InputOperator {
         // serializes on a cross-program edge.
         for &e in out_edges {
             for d in info.feeds(e, self.shard) {
-                ctx.send(
-                    info.fwd_edges[e],
-                    d,
-                    Tuple::new(FwdSignal::Future, SIGNAL_BYTES),
-                );
+                ctx.send(info.fwd_edges[e], d, Tuple::shared(&FUTURE, SIGNAL_BYTES));
             }
         }
 
@@ -1038,8 +981,7 @@ async fn drive_input_shard(
     // the error; the replay then poisons (delivers without data) rather
     // than replaying stale bytes.
     let src_dev = binding.objref.devices()[shard as usize];
-    let ready = binding.objref.shard_ready(shard).clone();
-    let transfers = spawn_output_transfers(
+    join_each(output_transfers(
         &core,
         &info,
         comp,
@@ -1048,10 +990,10 @@ async fn drive_input_shard(
         &emitter,
         &addr_events,
         src_dev,
-        Some(ready),
+        Some(binding.objref.shard_ready(shard)),
         TransferMode::CheckObject(binding.objref.id()),
-    );
-    join_all(transfers).await;
+    ))
+    .await;
     // Last shard of this input drops the binding, releasing its
     // ObjectRef clone (and with it, possibly, the object).
     let left = binding
@@ -1092,7 +1034,7 @@ mod tests {
 
     #[test]
     fn lazy_task_names_render_as_the_formatted_strings_they_replaced() {
-        let (run, comp, shard, d) = (RunId(1 << 40), CompId(17), 2047u32, 63u32);
+        let (run, comp, shard) = (RunId(1 << 40), CompId(17), 2047u32);
         assert_eq!(
             driver_task_name(run, comp, shard).to_string(),
             format!("driver-{run}-{comp}-{shard}")
@@ -1100,10 +1042,6 @@ mod tests {
         assert_eq!(
             input_task_name(run, comp, shard).to_string(),
             format!("input-{run}-{comp}-{shard}")
-        );
-        assert_eq!(
-            xfer_task_name(run, comp, shard, d).to_string(),
-            format!("xfer-{run}-{comp}-{shard}-{d}")
         );
     }
 }

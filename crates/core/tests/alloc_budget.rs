@@ -8,7 +8,11 @@
 //! services, then counted over a second run.
 //!
 //! A per-pair cost shows up here multiplied by the fan-out. The second
-//! run makes 1 683 allocations, 105 per kernel.
+//! run makes 856 allocations, 53 per kernel. It made 1 683, 105 per
+//! kernel, with a task per transfer and per kernel input, a `Vec` of
+//! every destination shard per send and punctuation, hashed per-edge
+//! PLAQUE state, an `Arc` per control tuple and a fresh egress buffer
+//! per flush.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,7 +65,7 @@ fn allocs() -> u64 {
 }
 
 /// Allocations per kernel the fan-out program may make.
-const BUDGET_PER_KERNEL: u64 = 105;
+const BUDGET_PER_KERNEL: u64 = 53;
 
 #[test]
 fn fan_out_kernels_stay_within_their_allocation_budget() {

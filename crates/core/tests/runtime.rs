@@ -651,11 +651,14 @@ fn hbm_back_pressure_stalls_but_completes() {
 /// grants, PLAQUE tuples and punctuations, the shard transfers), so the
 /// run's poll count is mostly wire bookkeeping.
 ///
-/// With closed-form links, one egress actor per NIC and one flusher per
-/// host the run takes exactly 995 polls. It took 1318, to the same
-/// virtual end time, while the router spawned a task per DCN message and
-/// PLAQUE a task per flush, each behind a link made of a semaphore and
-/// two timers. A change that moves the count says why, here.
+/// With closed-form links, one egress actor per NIC, one flusher per
+/// host, and the shard transfers and kernel-input waits run without
+/// tasks of their own, the run takes exactly 883 polls. It took 995, to
+/// the same virtual end time, with an `xfer-…` task per transfer and an
+/// `input-adapter` task per kernel input; 1318 while the router also
+/// spawned a task per DCN message and PLAQUE a task per flush, each
+/// behind a link made of a semaphore and two timers. A change that moves
+/// the count says why, here.
 #[test]
 fn two_island_chain_stays_within_its_poll_budget() {
     let mut sim = Sim::new(0);
@@ -700,7 +703,11 @@ fn two_island_chain_stays_within_its_poll_budget() {
     assert!(job.is_finished());
     assert!(rt.core().store.is_empty());
     assert_eq!(end.as_nanos(), 1_710_191, "virtual time moved");
-    assert_eq!(sim.poll_count(), 995, "1318 with a task per message");
+    assert_eq!(
+        sim.poll_count(),
+        883,
+        "995 → 883: no task per transfer or kernel input (1318 with a task per message)"
+    );
 }
 
 /// One 8-shard → 8-shard all-to-all program on two hosts: 64
@@ -708,6 +715,11 @@ fn two_island_chain_stays_within_its_poll_budget() {
 /// address handshake and its punctuations, and 8 consumer kernels each
 /// waiting on one input. What the pair count costs in tasks and polls
 /// is pinned here; a change that moves either says why, here.
+///
+/// The shard drivers run their transfers in place and the kernels' input
+/// waits are wakers, not tasks: 633 polls and at most 36 live tasks. It
+/// was 741 polls and 55 tasks, to the same virtual end time, with an
+/// `xfer-…` task per pair and an `input-adapter` task per kernel input.
 #[test]
 fn all_to_all_fan_out_stays_within_its_task_and_poll_budget() {
     let mut sim = Sim::new(0);
@@ -730,13 +742,13 @@ fn all_to_all_fan_out_stays_within_its_task_and_poll_budget() {
     let mut peak = 0;
     let mut limit = SimTime::ZERO;
     while !job.is_finished() && limit < SimTime::ZERO + SimDuration::from_secs(1) {
-        limit = limit + SimDuration::from_micros(1);
+        limit += SimDuration::from_micros(1);
         sim.run_until_time(limit);
         peak = peak.max(sim.live_tasks());
     }
     let end = sim.run_to_quiescence();
     assert!(job.is_finished());
     assert_eq!(end.as_nanos(), 341_366, "virtual time moved");
-    assert_eq!(sim.poll_count(), 741, "polls");
-    assert_eq!(peak, 55, "peak live tasks");
+    assert_eq!(sim.poll_count(), 633, "polls: 741 → 633");
+    assert_eq!(peak, 36, "peak live tasks: 55 → 36");
 }

@@ -12,6 +12,7 @@
 //! as shard counts grow.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pathways_net::HostId;
@@ -304,11 +305,11 @@ impl Graph {
     }
 
     /// Destination shards a given source shard may address on `edge`.
-    pub fn reachable_dst_shards(&self, edge: EdgeId, src_shard: u32) -> Vec<u32> {
+    pub fn reachable_dst_shards(&self, edge: EdgeId, src_shard: u32) -> Range<u32> {
         let e = &self.inner.edges[edge.index()];
         match e.mapping {
-            EdgeMapping::AllToAll => (0..self.shards(e.dst)).collect(),
-            EdgeMapping::OneToOne => vec![src_shard],
+            EdgeMapping::AllToAll => 0..self.shards(e.dst),
+            EdgeMapping::OneToOne => src_shard..src_shard + 1,
         }
     }
 

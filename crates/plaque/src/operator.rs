@@ -8,9 +8,9 @@
 //! messages from async tasks (the "send critical messages with low
 //! latency" requirement).
 
-use pathways_sim::hash::FxHashMap;
 use pathways_sim::Lock;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pathways_net::HostId;
@@ -68,115 +68,126 @@ pub(crate) struct ShardCore {
     pub shard: u32,
     pub host: HostId,
     pub graph: Graph,
-    /// Per out-edge, per destination shard: tuples sent so far.
-    pub sent: FxHashMap<EdgeId, Vec<u64>>,
-    /// Out-edges already punctuated.
-    pub edge_done: FxHashMap<EdgeId, bool>,
+    /// The node's out-edges, in edge-id order.
+    out: Vec<OutEdge>,
     /// Shard declared finished.
     pub halted: bool,
     /// Completion was already propagated to the run tracker.
     pub finalized: bool,
 }
 
+/// One out-edge's send accounting.
+struct OutEdge {
+    edge: EdgeId,
+    /// Destination shards this shard may address under the mapping.
+    reach: Range<u32>,
+    /// Tuples sent to each of them so far, indexed from `reach.start`.
+    sent: Vec<u64>,
+    /// Punctuated.
+    done: bool,
+}
+
 impl ShardCore {
     pub fn new(run: RunId, node: NodeId, shard: u32, host: HostId, graph: Graph) -> Self {
-        let mut sent = FxHashMap::default();
-        let mut edge_done = FxHashMap::default();
-        for &e in graph.out_edges(node) {
-            let (_, dst) = graph.edge_endpoints(e);
-            sent.insert(e, vec![0; graph.shards(dst) as usize]);
-            edge_done.insert(e, false);
-        }
+        let out = graph
+            .out_edges(node)
+            .iter()
+            .map(|&edge| {
+                let reach = graph.reachable_dst_shards(edge, shard);
+                OutEdge {
+                    edge,
+                    sent: vec![0; reach.len()],
+                    reach,
+                    done: false,
+                }
+            })
+            .collect();
         ShardCore {
             run,
             node,
             shard,
             host,
             graph,
-            sent,
-            edge_done,
+            out,
             halted: false,
             finalized: false,
         }
+    }
+
+    fn out_index(&self, edge: EdgeId) -> Option<usize> {
+        self.out.iter().position(|o| o.edge == edge)
     }
 
     /// Validates and accounts one send; returns the destination node
     /// and the host its `dst_shard` is placed on.
     pub fn record_send(&mut self, edge: EdgeId, dst_shard: u32) -> (NodeId, HostId) {
         assert!(!self.halted, "shard sent a tuple after halting");
-        let done = *self
-            .edge_done
-            .get(&edge)
+        let i = self
+            .out_index(edge)
             .unwrap_or_else(|| panic!("{edge} is not an out-edge of {}", self.node));
-        assert!(!done, "shard sent a tuple on {edge} after punctuating it");
-        let counts = self.sent.get_mut(&edge).expect("validated above");
+        let (_, dst) = self.graph.edge_endpoints(edge);
+        let dst_shards = self.graph.shards(dst);
+        let out = &mut self.out[i];
         assert!(
-            (dst_shard as usize) < counts.len(),
+            !out.done,
+            "shard sent a tuple on {edge} after punctuating it"
+        );
+        assert!(
+            dst_shard < dst_shards,
             "destination shard {dst_shard} out of range on {edge}"
         );
         assert!(
-            self.graph
-                .reachable_dst_shards(edge, self.shard)
-                .contains(&dst_shard),
+            out.reach.contains(&dst_shard),
             "shard {} cannot address destination shard {dst_shard} on {edge} under its mapping",
             self.shard
         );
-        counts[dst_shard as usize] += 1;
-        let (_, dst) = self.graph.edge_endpoints(edge);
+        out.sent[(dst_shard - out.reach.start) as usize] += 1;
         (dst, self.graph.placement(dst)[dst_shard as usize])
     }
 
-    /// Marks an out-edge punctuated and returns the punctuation messages
-    /// to deliver: one per destination shard this shard *may address*
+    /// Marks an out-edge punctuated and appends the punctuation messages
+    /// to `msgs`: one per destination shard this shard *may address*
     /// under the edge mapping, with its exact count. Sparse mappings keep
     /// this O(1) per shard rather than O(destination shards).
-    pub fn punctuate(&mut self, edge: EdgeId) -> Vec<(HostId, PlaqueMsg, u64)> {
-        let done = self
-            .edge_done
-            .get_mut(&edge)
+    pub fn punctuate(&mut self, edge: EdgeId, msgs: &mut Vec<(HostId, PlaqueMsg, u64)>) {
+        let i = self
+            .out_index(edge)
             .unwrap_or_else(|| panic!("{edge} is not an out-edge of {}", self.node));
-        assert!(!*done, "{edge} punctuated twice");
-        *done = true;
-        let counts = self.sent.get(&edge).expect("out-edge has counts").clone();
-        let (_, dst) = self.graph.edge_endpoints(edge);
-        self.graph
-            .reachable_dst_shards(edge, self.shard)
-            .into_iter()
-            .map(|d| {
-                let host = self.graph.placement(dst)[d as usize];
-                (
-                    host,
-                    PlaqueMsg::Done {
-                        run: self.run,
-                        dst,
-                        edge,
-                        src_shard: self.shard,
-                        dst_shard: d,
-                        sent: counts[d as usize],
-                    },
-                    DONE_BYTES,
-                )
-            })
-            .collect()
+        assert!(!self.out[i].done, "{edge} punctuated twice");
+        self.punctuate_at(i, msgs);
     }
 
-    /// Punctuates all remaining out-edges and marks the shard halted.
-    pub fn halt(&mut self) -> Vec<(HostId, PlaqueMsg, u64)> {
+    fn punctuate_at(&mut self, i: usize, msgs: &mut Vec<(HostId, PlaqueMsg, u64)>) {
+        let out = &mut self.out[i];
+        out.done = true;
+        let (_, dst) = self.graph.edge_endpoints(out.edge);
+        let placement = self.graph.placement(dst);
+        msgs.extend(out.reach.clone().zip(&out.sent).map(|(d, &sent)| {
+            (
+                placement[d as usize],
+                PlaqueMsg::Done {
+                    run: self.run,
+                    dst,
+                    edge: out.edge,
+                    src_shard: self.shard,
+                    dst_shard: d,
+                    sent,
+                },
+                DONE_BYTES,
+            )
+        }));
+    }
+
+    /// Punctuates all remaining out-edges, in edge-id order, and marks
+    /// the shard halted.
+    pub fn halt(&mut self, msgs: &mut Vec<(HostId, PlaqueMsg, u64)>) {
         assert!(!self.halted, "shard halted twice");
         self.halted = true;
-        let open: Vec<EdgeId> = self
-            .edge_done
-            .iter()
-            .filter(|(_, done)| !**done)
-            .map(|(e, _)| *e)
-            .collect();
-        let mut msgs = Vec::new();
-        let mut open = open;
-        open.sort();
-        for e in open {
-            msgs.extend(self.punctuate(e));
+        for i in 0..self.out.len() {
+            if !self.out[i].done {
+                self.punctuate_at(i, msgs);
+            }
         }
-        msgs
     }
 }
 
@@ -266,15 +277,13 @@ impl ShardCtx<'_> {
     /// Declares this shard finished emitting on `edge`; punctuations are
     /// sent so destinations can complete their progress tracking.
     pub fn done(&mut self, edge: EdgeId) {
-        let msgs = self.core.lock().punctuate(edge);
-        self.egress.extend(msgs);
+        self.core.lock().punctuate(edge, self.egress);
     }
 
     /// Halts the shard: punctuates any open out-edges and releases the
     /// shard's slot in the run's completion tracking.
     pub fn halt(&mut self) {
-        let msgs = self.core.lock().halt();
-        self.egress.extend(msgs);
+        self.core.lock().halt(self.egress);
         self.shared.finalize_shard(self.core);
     }
 
@@ -330,7 +339,7 @@ impl Emitter {
     ///
     /// Same conditions as [`ShardCtx::send`].
     pub fn send(&self, edge: EdgeId, dst_shard: u32, tuple: Tuple) {
-        let (src_host, msg, bytes) = {
+        let (src_host, msg) = {
             let mut core = self.core.lock();
             let (dst, host) = core.record_send(edge, dst_shard);
             let bytes = tuple.bytes() + DATA_OVERHEAD_BYTES;
@@ -348,29 +357,123 @@ impl Emitter {
                     },
                     bytes,
                 ),
-                bytes,
             )
         };
-        let _ = bytes;
-        self.shared.route_from_async(src_host, vec![msg]);
+        self.shared.route_from_async(src_host, [msg]);
     }
 
     /// Punctuates `edge` immediately.
     pub fn done(&self, edge: EdgeId) {
-        let (src_host, msgs) = {
+        let mut msgs = Vec::new();
+        let src_host = {
             let mut core = self.core.lock();
-            (core.host, core.punctuate(edge))
+            core.punctuate(edge, &mut msgs);
+            core.host
         };
         self.shared.route_from_async(src_host, msgs);
     }
 
     /// Halts the shard (see [`ShardCtx::halt`]).
     pub fn halt(&self) {
-        let (src_host, msgs) = {
+        let mut msgs = Vec::new();
+        let src_host = {
             let mut core = self.core.lock();
-            (core.host, core.halt())
+            core.halt(&mut msgs);
+            core.host
         };
         self.shared.route_from_async(src_host, msgs);
         self.shared.finalize_shard(&self.core);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::graph::GraphBuilder;
+
+    /// Shard 2 of `A` (4 shards) with three out-edges: all-to-all to `B`
+    /// (4 shards, hosts 10..), one-to-one to `C` (4, hosts 20..) and
+    /// all-to-all to `D` (3, hosts 30..).
+    fn mixed_core() -> (ShardCore, [EdgeId; 3]) {
+        let hosts = |base: u32, n: u32| (base..base + n).map(HostId).collect::<Vec<_>>();
+        let mut g = GraphBuilder::new("mixed");
+        let a = g.node("A", hosts(0, 4), |_| Box::new(NullOperator));
+        let b = g.node("B", hosts(10, 4), |_| Box::new(NullOperator));
+        let c = g.node("C", hosts(20, 4), |_| Box::new(NullOperator));
+        let d = g.node("D", hosts(30, 3), |_| Box::new(NullOperator));
+        let edges = [g.edge(a, b), g.one_to_one_edge(a, c), g.edge(a, d)];
+        let graph = g.build().unwrap();
+        (ShardCore::new(RunId(7), a, 2, HostId(2), graph), edges)
+    }
+
+    /// `(edge, destination shard, promised count, destination host)` of
+    /// each punctuation, in order.
+    fn dones(msgs: &[(HostId, PlaqueMsg, u64)]) -> Vec<(u32, u32, u64, u32)> {
+        msgs.iter()
+            .map(|(host, msg, bytes)| match msg {
+                PlaqueMsg::Done {
+                    run,
+                    edge,
+                    src_shard,
+                    dst_shard,
+                    sent,
+                    ..
+                } => {
+                    assert_eq!((*run, *src_shard, *bytes), (RunId(7), 2, DONE_BYTES));
+                    (edge.0, *dst_shard, *sent, host.0)
+                }
+                other => panic!("not a punctuation: {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn punctuations_carry_exact_counts_per_edge_and_destination_shard() {
+        let (mut core, [ab, ac, ad]) = mixed_core();
+        for (edge, dst) in [
+            (ab, 0),
+            (ab, 3),
+            (ac, 2),
+            (ab, 3),
+            (ad, 2),
+            (ac, 2),
+            (ab, 1),
+        ] {
+            core.record_send(edge, dst);
+        }
+        let mut msgs = Vec::new();
+        core.punctuate(ac, &mut msgs);
+        // One-to-one: only the one destination this shard may address.
+        assert_eq!(dones(&msgs), [(1, 2, 2, 22)]);
+        msgs.clear();
+        core.halt(&mut msgs);
+        // The open edges close in edge-id order, every reachable
+        // destination with its exact count, zero included.
+        assert_eq!(
+            dones(&msgs),
+            [
+                (0, 0, 1, 10),
+                (0, 1, 1, 11),
+                (0, 2, 0, 12),
+                (0, 3, 2, 13),
+                (2, 0, 0, 30),
+                (2, 1, 0, 31),
+                (2, 2, 1, 32),
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "destination shard 3 out of range on edge2")]
+    fn record_send_rejects_an_out_of_range_destination() {
+        let (mut core, [_, _, ad]) = mixed_core();
+        core.record_send(ad, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "shard 2 cannot address destination shard 1 on edge1")]
+    fn record_send_rejects_an_unreachable_destination() {
+        let (mut core, [_, ac, _]) = mixed_core();
+        core.record_send(ac, 1);
     }
 }

@@ -84,10 +84,20 @@ pub enum PlaqueMsg {
 struct Slot {
     op: Box<dyn Operator>,
     core: Arc<Lock<ShardCore>>,
-    trackers: FxHashMap<EdgeId, ProgressTracker>,
+    /// One per in-edge, in the node's in-edge (= edge-id) order.
+    trackers: Vec<(EdgeId, ProgressTracker)>,
     started: bool,
     pending: Vec<PlaqueMsg>,
     inputs_complete_fired: bool,
+}
+
+impl Slot {
+    fn tracker(&mut self, edge: EdgeId) -> Option<&mut ProgressTracker> {
+        self.trackers
+            .iter_mut()
+            .find(|(e, _)| *e == edge)
+            .map(|(_, t)| t)
+    }
 }
 
 type ShardKey = (RunId, NodeId, u32);
@@ -145,20 +155,21 @@ fn flush_task_name(src: HostId) -> TaskName {
 }
 
 impl RuntimeShared {
-    /// Groups messages by destination host (deterministically) and sends
-    /// one batched DCN message per host.
-    pub(crate) fn route_from(&self, src: HostId, msgs: Vec<(HostId, PlaqueMsg, u64)>) {
+    /// Drains `msgs`, grouped by destination host (deterministically),
+    /// into one batched DCN message per host. `msgs` keeps its capacity
+    /// for the caller's next batch.
+    pub(crate) fn route_from(&self, src: HostId, msgs: &mut EgressBuffer) {
         let Some(&(first, ..)) = msgs.first() else {
             return;
         };
         if msgs.iter().all(|m| m.0 == first) {
             let bytes = msgs.iter().map(|m| m.2).sum();
-            let batch = msgs.into_iter().map(|m| m.1).collect();
+            let batch = msgs.drain(..).map(|m| m.1).collect();
             self.router.send(src, first, batch, bytes);
             return;
         }
         let mut by_host: BTreeMap<HostId, (Vec<PlaqueMsg>, u64)> = BTreeMap::new();
-        for (dst, msg, bytes) in msgs {
+        for (dst, msg, bytes) in msgs.drain(..) {
             let entry = by_host.entry(dst).or_default();
             entry.0.push(msg);
             entry.1 += bytes;
@@ -170,8 +181,13 @@ impl RuntimeShared {
 
     /// Queues messages on the source host's egress buffer; everything
     /// queued within one virtual instant flushes as one batch.
-    pub(crate) fn route_from_async(&self, src: HostId, msgs: Vec<(HostId, PlaqueMsg, u64)>) {
-        if msgs.is_empty() {
+    pub(crate) fn route_from_async(
+        &self,
+        src: HostId,
+        msgs: impl IntoIterator<Item = (HostId, PlaqueMsg, u64)>,
+    ) {
+        let mut msgs = msgs.into_iter().peekable();
+        if msgs.peek().is_none() {
             return;
         }
         let mut egress = self.async_egress.lock();
@@ -193,17 +209,18 @@ impl RuntimeShared {
         let token_task = token.clone();
         self.handle
             .spawn_service(flush_task_name(src), &token, async move {
+                // Swapped with the host's buffer each round, so both keep
+                // their capacity.
+                let mut batch = EgressBuffer::new();
                 loop {
                     token_task.set_idle();
                     let Some(()) = rung.recv().await else { break };
                     token_task.set_busy();
                     shared.handle.yield_now().await;
-                    let batch = shared
-                        .async_egress
-                        .lock()
-                        .get_mut(&src)
-                        .map(|host| std::mem::take(&mut host.buffer));
-                    shared.route_from(src, batch.unwrap_or_default());
+                    if let Some(host) = shared.async_egress.lock().get_mut(&src) {
+                        std::mem::swap(&mut host.buffer, &mut batch);
+                    }
+                    shared.route_from(src, &mut batch);
                 }
             });
         HostEgress {
@@ -317,17 +334,15 @@ impl PlaqueRuntime {
         self.shared
             .handle
             .spawn_service(format!("plaque-worker-{host}"), &token, async move {
+                let mut egress = EgressBuffer::new();
                 loop {
                     token_task.set_idle();
                     let Some(env) = inbox.recv().await else { break };
                     token_task.set_busy();
-                    let mut egress: Vec<(HostId, PlaqueMsg, u64)> = Vec::new();
                     for msg in env.msg {
                         Self::dispatch(&shared, &map_task, msg, &mut egress);
                     }
-                    if !egress.is_empty() {
-                        shared.route_from(host, egress);
-                    }
+                    shared.route_from(host, &mut egress);
                 }
             });
         map
@@ -363,49 +378,40 @@ impl PlaqueRuntime {
                 None => return,
             }
         };
+        let mut slot = slot_rc.lock();
         match msg {
             PlaqueMsg::Start { .. } => {
-                {
-                    let mut slot = slot_rc.lock();
-                    assert!(!slot.started, "shard started twice");
-                    slot.started = true;
-                    let core = Arc::clone(&slot.core);
-                    let mut ctx = ShardCtx {
-                        core: &core,
-                        shared,
-                        egress,
-                    };
-                    slot.op.on_start(&mut ctx);
-                }
+                assert!(!slot.started, "shard started twice");
+                slot.started = true;
+                let Slot { op, core, .. } = &mut *slot;
+                op.on_start(&mut ShardCtx {
+                    core,
+                    shared,
+                    egress,
+                });
                 // Replay messages that raced ahead of Start.
-                let pending = std::mem::take(&mut slot_rc.lock().pending);
-                for m in pending {
-                    Self::deliver(shared, &slot_rc, m, egress);
+                for m in std::mem::take(&mut slot.pending) {
+                    Self::deliver(shared, &mut slot, m, egress);
                 }
-                Self::check_inputs_complete(shared, &slot_rc, egress);
             }
-            data_or_done => {
-                if !slot_rc.lock().started {
-                    slot_rc.lock().pending.push(data_or_done);
-                    return;
-                }
-                Self::deliver(shared, &slot_rc, data_or_done, egress);
-                Self::check_inputs_complete(shared, &slot_rc, egress);
+            data_or_done if !slot.started => {
+                slot.pending.push(data_or_done);
+                return;
             }
+            data_or_done => Self::deliver(shared, &mut slot, data_or_done, egress),
         }
+        Self::check_inputs_complete(shared, &mut slot, egress);
     }
 
     fn deliver(
         shared: &RuntimeShared,
-        slot_rc: &Arc<Lock<Slot>>,
+        slot: &mut Slot,
         msg: PlaqueMsg,
         egress: &mut Vec<(HostId, PlaqueMsg, u64)>,
     ) {
-        let mut slot = slot_rc.lock();
         if slot.core.lock().halted {
             return; // late messages to an already-halted shard
         }
-        let core = Arc::clone(&slot.core);
         match msg {
             PlaqueMsg::Data {
                 edge,
@@ -413,28 +419,30 @@ impl PlaqueRuntime {
                 tuple,
                 ..
             } => {
-                slot.trackers
-                    .get_mut(&edge)
+                slot.tracker(edge)
                     .unwrap_or_else(|| panic!("data on unexpected {edge}"))
                     .record_data(src_shard);
-                let mut ctx = ShardCtx {
-                    core: &core,
-                    shared,
-                    egress,
-                };
-                slot.op.on_tuple(&mut ctx, edge, src_shard, tuple);
-                if slot
-                    .trackers
-                    .get_mut(&edge)
-                    .expect("checked")
-                    .take_completion()
-                {
-                    let mut ctx = ShardCtx {
-                        core: &core,
+                let Slot { op, core, .. } = &mut *slot;
+                op.on_tuple(
+                    &mut ShardCtx {
+                        core,
                         shared,
                         egress,
-                    };
-                    slot.op.on_edge_complete(&mut ctx, edge);
+                    },
+                    edge,
+                    src_shard,
+                    tuple,
+                );
+                if slot.tracker(edge).expect("checked").take_completion() {
+                    let Slot { op, core, .. } = slot;
+                    op.on_edge_complete(
+                        &mut ShardCtx {
+                            core,
+                            shared,
+                            egress,
+                        },
+                        edge,
+                    );
                 }
             }
             PlaqueMsg::Done {
@@ -443,22 +451,20 @@ impl PlaqueRuntime {
                 sent,
                 ..
             } => {
-                slot.trackers
-                    .get_mut(&edge)
-                    .unwrap_or_else(|| panic!("punctuation on unexpected {edge}"))
-                    .record_done(src_shard, sent);
-                if slot
-                    .trackers
-                    .get_mut(&edge)
-                    .expect("checked")
-                    .take_completion()
-                {
-                    let mut ctx = ShardCtx {
-                        core: &core,
-                        shared,
-                        egress,
-                    };
-                    slot.op.on_edge_complete(&mut ctx, edge);
+                let tracker = slot
+                    .tracker(edge)
+                    .unwrap_or_else(|| panic!("punctuation on unexpected {edge}"));
+                tracker.record_done(src_shard, sent);
+                if tracker.take_completion() {
+                    let Slot { op, core, .. } = slot;
+                    op.on_edge_complete(
+                        &mut ShardCtx {
+                            core,
+                            shared,
+                            egress,
+                        },
+                        edge,
+                    );
                 }
             }
             PlaqueMsg::Start { .. } => unreachable!("Start handled by dispatch"),
@@ -467,22 +473,20 @@ impl PlaqueRuntime {
 
     fn check_inputs_complete(
         shared: &RuntimeShared,
-        slot_rc: &Arc<Lock<Slot>>,
+        slot: &mut Slot,
         egress: &mut Vec<(HostId, PlaqueMsg, u64)>,
     ) {
-        let mut slot = slot_rc.lock();
         if slot.inputs_complete_fired || slot.core.lock().halted {
             return;
         }
-        if slot.trackers.values().all(|t| t.is_complete()) {
+        if slot.trackers.iter().all(|(_, t)| t.is_complete()) {
             slot.inputs_complete_fired = true;
-            let core = Arc::clone(&slot.core);
-            let mut ctx = ShardCtx {
-                core: &core,
+            let Slot { op, core, .. } = slot;
+            op.on_all_inputs_complete(&mut ShardCtx {
+                core,
                 shared,
                 egress,
-            };
-            slot.op.on_all_inputs_complete(&mut ctx);
+            });
         }
     }
 
@@ -522,16 +526,14 @@ impl PlaqueRuntime {
                     .unwrap_or_else(|| panic!("start_local on {host} with no plaque worker")),
             )
         };
-        let mut egress: Vec<(HostId, PlaqueMsg, u64)> = Vec::new();
+        let mut egress = EgressBuffer::new();
         Self::dispatch(
             &self.shared,
             &map,
             PlaqueMsg::Start { run, node, shard },
             &mut egress,
         );
-        if !egress.is_empty() {
-            self.shared.route_from(host, egress);
-        }
+        self.shared.route_from(host, &mut egress);
     }
 
     fn launch_inner(&self, graph: &Graph, client_host: HostId, send_starts: bool) -> RunHandle {
@@ -551,7 +553,7 @@ impl PlaqueRuntime {
             },
         );
         // Install shard slots.
-        let mut starts: Vec<(HostId, PlaqueMsg, u64)> = Vec::new();
+        let mut starts = EgressBuffer::new();
         for node in graph.nodes() {
             for (shard, &host) in graph.placement(node).iter().enumerate() {
                 let shard = shard as u32;
@@ -563,10 +565,11 @@ impl PlaqueRuntime {
                     host,
                     graph.clone(),
                 )));
-                let mut trackers = FxHashMap::default();
-                for &e in graph.in_edges(node) {
-                    trackers.insert(e, ProgressTracker::new(graph.expected_srcs(e, shard)));
-                }
+                let trackers = graph
+                    .in_edges(node)
+                    .iter()
+                    .map(|&e| (e, ProgressTracker::new(graph.expected_srcs(e, shard))))
+                    .collect();
                 let factory = Arc::clone(&graph.inner.nodes[node.index()].factory);
                 let op = factory(shard);
                 let prev = map.lock().insert(
@@ -586,7 +589,7 @@ impl PlaqueRuntime {
         }
         // One batched message per destination host.
         if send_starts {
-            self.shared.route_from(client_host, starts);
+            self.shared.route_from(client_host, &mut starts);
         }
         RunHandle {
             id: run,

@@ -34,6 +34,16 @@ impl Tuple {
         }
     }
 
+    /// A tuple of simulated wire size `bytes` over an existing payload.
+    /// Allocates nothing, so a signal sent once per shard pair can share
+    /// one payload across every message.
+    pub fn shared(payload: &Payload, bytes: u64) -> Self {
+        Tuple {
+            payload: Arc::clone(payload),
+            bytes,
+        }
+    }
+
     /// A zero-byte control tuple.
     pub fn control<T: Send + Sync + 'static>(value: T) -> Self {
         Self::new(value, 0)
@@ -84,6 +94,14 @@ mod tests {
     fn expect_panics_with_type_name() {
         let t = Tuple::control(7u8);
         let _ = t.expect::<String>();
+    }
+
+    #[test]
+    fn shared_tuples_reuse_the_payload() {
+        let payload: Payload = Arc::new(7u8);
+        let (t, u) = (Tuple::shared(&payload, 16), Tuple::shared(&payload, 0));
+        assert!(Arc::ptr_eq(t.payload(), &payload) && Arc::ptr_eq(u.payload(), &payload));
+        assert_eq!((t.bytes(), u.bytes(), *t.expect::<u8>()), (16, 0, 7));
     }
 
     #[test]

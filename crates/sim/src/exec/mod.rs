@@ -35,7 +35,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 
 use parking_lot::Mutex;
 
@@ -66,11 +66,10 @@ pub type RenderName = fn(&[u64; 4], &mut fmt::Formatter<'_>) -> fmt::Result;
 /// A task's name, rendered only when something reads it (deadlock
 /// reports, `Debug`).
 ///
-/// Spawning is hot — one task per transfer, per shard driver — and the
-/// name is read only when a run deadlocks, so the per-transfer spawn
-/// sites hand over a few integers and a render function
-/// ([`TaskName::lazy`]) instead of a formatted `String`. Literals and
-/// owned strings convert with `into()`.
+/// Spawning is hot — one task per shard driver — and the name is read
+/// only when a run deadlocks, so the per-shard spawn sites hand over a
+/// few integers and a render function ([`TaskName::lazy`]) instead of a
+/// formatted `String`. Literals and owned strings convert with `into()`.
 #[derive(Clone)]
 pub struct TaskName(NameRepr);
 
@@ -600,6 +599,145 @@ pub async fn join_all<T>(handles: Vec<JoinHandle<T>>) -> Vec<T> {
     out
 }
 
+/// Runs `futures` concurrently inside the awaiting task, resolving once
+/// every one has finished.
+///
+/// Each child is polled the way a task of its own would be, minus the
+/// task: first once each, in index order, on the join's first poll; then
+/// only when its own waker fires, in wake order, on the join's next
+/// poll. A child woken twice before that poll is polled once. Children
+/// nobody woke are never re-polled — so a child sleeping on a timer arms
+/// exactly one, as it would alone.
+pub fn join_each<F: Future<Output = ()>>(futures: Vec<F>) -> JoinEach<F> {
+    let n = futures.len();
+    let woken = Arc::new(Mutex::new(Woken {
+        queue: Vec::new(),
+        queued: vec![false; n],
+        parent: None,
+    }));
+    JoinEach {
+        children: futures.into_iter().map(|f| Some(Box::pin(f))).collect(),
+        wakers: (0..n)
+            .map(|index| {
+                let woken = Mutex::new(Some(Arc::clone(&woken)));
+                Arc::new(ChildWaker { index, woken })
+            })
+            .collect(),
+        woken,
+        batch: (0..n).collect(),
+        left: n,
+    }
+}
+
+/// Future returned by [`join_each`].
+pub struct JoinEach<F> {
+    children: Vec<Option<Pin<Box<F>>>>,
+    wakers: Vec<Arc<ChildWaker>>,
+    woken: Arc<Mutex<Woken>>,
+    /// The children the next poll polls: all of them at first, then the
+    /// ones woken since.
+    batch: Vec<usize>,
+    left: usize,
+}
+
+/// Children woken since the join's last poll, in wake order.
+struct Woken {
+    queue: Vec<usize>,
+    queued: Vec<bool>,
+    parent: Option<Waker>,
+}
+
+impl<F> fmt::Debug for JoinEach<F> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("JoinEach")
+            .field("children", &self.children.len())
+            .field("left", &self.left)
+            .finish()
+    }
+}
+
+impl<F> Drop for JoinEach<F> {
+    fn drop(&mut self) {
+        for w in &self.wakers {
+            w.woken.lock().take();
+        }
+    }
+}
+
+/// A child's waker: queues the child and wakes the join's task unless
+/// an earlier child already did.
+struct ChildWaker {
+    index: usize,
+    /// Emptied when the join is dropped, so a registration that outlives
+    /// it (say, on an event that never fires) keeps only this alive.
+    woken: Mutex<Option<Arc<Mutex<Woken>>>>,
+}
+
+impl Wake for ChildWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let parent = {
+            let woken = self.woken.lock();
+            let Some(woken) = &*woken else {
+                return; // the join is gone
+            };
+            let mut w = woken.lock();
+            if std::mem::replace(&mut w.queued[self.index], true) {
+                return;
+            }
+            w.queue.push(self.index);
+            if w.queue.len() > 1 {
+                return;
+            }
+            w.parent.clone()
+        };
+        if let Some(parent) = parent {
+            parent.wake();
+        }
+    }
+}
+
+impl<F: Future<Output = ()>> Future for JoinEach<F> {
+    type Output = ();
+
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        {
+            let mut w = this.woken.lock();
+            if !w.parent.as_ref().is_some_and(|p| p.will_wake(cx.waker())) {
+                w.parent = Some(cx.waker().clone());
+            }
+            let Woken { queue, queued, .. } = &mut *w;
+            for i in queue.drain(..) {
+                queued[i] = false;
+                this.batch.push(i);
+            }
+        }
+        for i in this.batch.drain(..) {
+            let Some(child) = &mut this.children[i] else {
+                continue; // finished; a stale wake
+            };
+            let waker = Waker::from(Arc::clone(&this.wakers[i]));
+            if child
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_ready()
+            {
+                this.children[i] = None;
+                this.left -= 1;
+            }
+        }
+        if this.left == 0 {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
 /// Anything that can hand out a [`SimHandle`]: the deterministic
 /// executor, the [`Executor`] front, and `SimHandle` itself. Lets
 /// runtime constructors accept any of them.
@@ -733,5 +871,36 @@ impl Executor {
 impl ExecutorRef for Executor {
     fn executor_handle(&self) -> SimHandle {
         self.handle()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::Event;
+
+    struct Noop;
+
+    impl Wake for Noop {
+        fn wake(self: Arc<Self>) {}
+    }
+
+    /// An event that never fires keeps the child's waker registered after
+    /// the join is dropped; that registration must not keep the join's
+    /// state, and with it the awaiting task's waker, alive.
+    #[test]
+    fn a_dropped_join_leaves_stale_registrations_holding_nothing() {
+        let parent = Arc::new(Noop);
+        let waker = Waker::from(Arc::clone(&parent));
+        let never = Event::new();
+        let mut join = Box::pin(join_each(vec![never.wait()]));
+        assert!(join
+            .as_mut()
+            .poll(&mut Context::from_waker(&waker))
+            .is_pending());
+        drop(waker);
+        assert_eq!(Arc::strong_count(&parent), 2, "the join holds the waker");
+        drop(join);
+        assert_eq!(Arc::strong_count(&parent), 1, "released with the join");
     }
 }

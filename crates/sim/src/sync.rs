@@ -10,9 +10,11 @@ use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll, Wake, Waker};
 
 use parking_lot::Mutex;
+
+use crate::channel::{OneshotReceiver, OneshotSender};
 
 /// A counting semaphore with FIFO-fair acquisition.
 ///
@@ -476,6 +478,72 @@ impl Future for EventWait {
                 inner.rest.push(waker);
             }
             Poll::Pending
+        }
+    }
+}
+
+/// Resolves when `event` fires or, if given, when `cancel` fires first.
+pub fn event_or_cancel(event: &Event, cancel: Option<&Event>) -> EventOrCancel {
+    EventOrCancel {
+        event: event.wait(),
+        cancel: cancel.map(Event::wait),
+    }
+}
+
+/// Future returned by [`event_or_cancel`].
+#[derive(Debug)]
+pub struct EventOrCancel {
+    event: EventWait,
+    cancel: Option<EventWait>,
+}
+
+impl Future for EventOrCancel {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        if Pin::new(&mut self.event).poll(cx).is_ready() {
+            return Poll::Ready(());
+        }
+        match &mut self.cancel {
+            Some(cancel) => Pin::new(cancel).poll(cx),
+            None => Poll::Pending,
+        }
+    }
+}
+
+/// A receiver that completes once `event` or, if given, `cancel` fires,
+/// whichever is first (at once if one already has).
+///
+/// No task waits on the events: one waker registered on both sends the
+/// value from inside whichever `set` comes first, so the receiver's task
+/// is woken right there. Dropping both events unset drops the sender,
+/// and the receiver resolves to `Err`.
+pub fn first_set(event: &Event, cancel: Option<&Event>) -> OneshotReceiver<()> {
+    let (tx, rx) = crate::channel::oneshot();
+    let waker = Waker::from(Arc::new(SendOnWake(Mutex::new(Some(tx)))));
+    let mut cx = Context::from_waker(&waker);
+    for ev in std::iter::once(event).chain(cancel) {
+        // Registers the waker, or finds the event already set.
+        if Pin::new(&mut ev.wait()).poll(&mut cx).is_ready() {
+            waker.wake_by_ref();
+        }
+    }
+    rx
+}
+
+/// The waker behind [`first_set`]: the first wake sends, later ones find
+/// the sender gone.
+struct SendOnWake(Mutex<Option<OneshotSender<()>>>);
+
+impl Wake for SendOnWake {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        let tx = self.0.lock().take();
+        if let Some(tx) = tx {
+            let _ = tx.send(());
         }
     }
 }

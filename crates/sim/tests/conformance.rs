@@ -10,15 +10,18 @@
 //! The last test is threaded only: a deadlock inside polls is reported,
 //! not hung.
 
+use std::future::Future;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use pathways_sim::channel::channel;
+use pathways_sim::channel::{channel, RecvError};
 use pathways_sim::exec::threaded::STALL_BOUND;
-use pathways_sim::sync::Notify;
+use pathways_sim::sync::{first_set, Event, Notify};
 use pathways_sim::{
-    Backend, Executor, ExecutorKind, JoinHandle, Lock, RunOutcome, SimDuration, SimTime,
+    join_each, Backend, Executor, ExecutorKind, JoinHandle, Lock, RunOutcome, SimDuration, SimTime,
     ThreadedExecutor,
 };
 
@@ -335,6 +338,154 @@ fn abort_from_inside_the_running_task() {
             "{kind:?}: self-aborted task resumed after its abort"
         );
     }
+}
+
+// ------------------------------------------------------ in-task helpers
+
+/// Appends `id` to the shared log each time the wrapped future is
+/// polled.
+struct Logged<F> {
+    id: usize,
+    log: Arc<Lock<Vec<usize>>>,
+    inner: Pin<Box<F>>,
+}
+
+impl<F: Future> Future for Logged<F> {
+    type Output = F::Output;
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<F::Output> {
+        self.log.lock().push(self.id);
+        self.inner.as_mut().poll(cx)
+    }
+}
+
+fn logged<F: Future>(id: usize, log: &Arc<Lock<Vec<usize>>>, inner: F) -> Logged<F> {
+    Logged {
+        id,
+        log: Arc::clone(log),
+        inner: Box::pin(inner),
+    }
+}
+
+/// `join_each` first-polls every child once, in index order, then polls
+/// only the children whose wakers fired, in wake order — never one
+/// nobody woke.
+#[test]
+fn join_each_polls_only_woken_children_in_wake_order() {
+    const N: usize = 5;
+    for kind in BOTH {
+        let mut ex = Executor::new(kind, 7);
+        let log: Arc<Lock<Vec<usize>>> = Arc::new(Lock::new(Vec::new()));
+        let events: Vec<Event> = (0..N).map(|_| Event::new()).collect();
+        let started = Event::new();
+        let mut children: Vec<Pin<Box<dyn Future<Output = ()> + Send>>> = events
+            .iter()
+            .enumerate()
+            .map(|(i, ev)| Box::pin(logged(i, &log, ev.wait())) as Pin<Box<_>>)
+            .collect();
+        // Polled last on the first pass: every other child has been too.
+        let started2 = started.clone();
+        children.push(Box::pin(logged(N, &log, async move { started2.set() })));
+        ex.spawn("join", join_each(children));
+        let order = [3, 1, 4, 0, 2];
+        ex.spawn("setter", async move {
+            started.wait().await;
+            for i in order {
+                events[i].set();
+            }
+        });
+        assert!(ex.run().is_quiescent(), "{kind:?}");
+        let first_pass: Vec<usize> = (0..=N).collect();
+        let expected: Vec<usize> = first_pass.into_iter().chain(order).collect();
+        assert_eq!(*log.lock(), expected, "{kind:?}");
+    }
+}
+
+/// A sleeping child arms exactly one timer: the join re-polls it only
+/// when that timer fires, however often its siblings wake the join.
+#[test]
+fn join_each_child_sleep_arms_one_timer() {
+    for kind in BOTH {
+        let mut ex = Executor::new(kind, 7);
+        let log: Arc<Lock<Vec<usize>>> = Arc::new(Lock::new(Vec::new()));
+        let h = ex.handle();
+        let sleeper = {
+            let h = h.clone();
+            async move { h.sleep(SimDuration::from_millis(1)).await }
+        };
+        let yielder = async move {
+            for _ in 0..8 {
+                h.yield_now().await;
+            }
+        };
+        let children: Vec<Pin<Box<dyn Future<Output = ()> + Send>>> = vec![
+            Box::pin(logged(0, &log, sleeper)),
+            Box::pin(logged(1, &log, yielder)),
+        ];
+        ex.spawn("join", join_each(children));
+        let outcome = ex.run();
+        assert!(outcome.is_quiescent(), "{kind:?}");
+        let log = log.lock().clone();
+        let polls = |i| log.iter().filter(|&&c| c == i).count();
+        assert_eq!((polls(0), polls(1)), (2, 9), "{kind:?}: {log:?}");
+        if kind.backend() == Backend::Deterministic {
+            assert_eq!(outcome.time(), SimTime::ZERO + SimDuration::from_millis(1));
+        }
+    }
+}
+
+/// `first_set` completes its receiver once, from whichever event is set
+/// first, without a task; at once if an event already is; and with an
+/// error if both events die unset.
+#[test]
+fn first_set_fires_once_on_the_first_event() {
+    for kind in BOTH {
+        for cancel_first in [false, true] {
+            let mut ex = Executor::new(kind, 7);
+            let (event, cancel, ack) = (Event::new(), Event::new(), Event::new());
+            let rx = first_set(&event, Some(&cancel));
+            let log: Arc<Lock<Vec<usize>>> = Arc::new(Lock::new(Vec::new()));
+            let (e2, c2, ack2) = (event.clone(), cancel.clone(), ack.clone());
+            let waiter = ex.spawn("waiter", async move {
+                let got = logged(0, &log, rx).await;
+                let seen = (e2.is_set(), c2.is_set());
+                ack2.set();
+                (got, seen, log.lock().len())
+            });
+            let (first, second) = if cancel_first {
+                (cancel.clone(), event.clone())
+            } else {
+                (event.clone(), cancel.clone())
+            };
+            ex.spawn("setter", async move {
+                first.set();
+                ack.wait().await;
+                second.set();
+            });
+            assert!(ex.run().is_quiescent(), "{kind:?}");
+            let (got, seen, polls) = waiter.try_take().expect("waiter finished");
+            assert_eq!(got, Ok(()), "{kind:?}");
+            assert_eq!(seen, (!cancel_first, cancel_first), "{kind:?}");
+            assert!(polls <= 2, "{kind:?}: woken {polls} times");
+        }
+    }
+    // Already set: ready on the first poll. Neither ever set: `Err` once
+    // both events are gone.
+    let mut cx = Context::from_waker(Waker::noop());
+    for (event, cancel) in [(true, false), (false, true)] {
+        let (e, c) = (Event::new(), Event::new());
+        for (ev, set) in [(&e, event), (&c, cancel)] {
+            if set {
+                ev.set();
+            }
+        }
+        let mut rx = first_set(&e, Some(&c));
+        assert_eq!(Pin::new(&mut rx).poll(&mut cx), Poll::Ready(Ok(())));
+    }
+    let (e, c) = (Event::new(), Event::new());
+    let mut rx = first_set(&e, Some(&c));
+    assert!(Pin::new(&mut rx).poll(&mut cx).is_pending());
+    drop((e, c));
+    assert_eq!(Pin::new(&mut rx).poll(&mut cx), Poll::Ready(Err(RecvError)));
 }
 
 // ------------------------------------------------- deadlock inside a poll
