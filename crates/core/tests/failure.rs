@@ -4,9 +4,11 @@
 
 use std::sync::Arc;
 
-use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
-use pathways_net::{ClusterSpec, DeviceId, HostId, NetworkParams};
-use pathways_sim::{Sim, SimDuration, SimTime};
+use pathways_core::{
+    FailureReason, FaultSpec, FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest,
+};
+use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
+use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
 
 fn rt(sim: &Sim, hosts: u32) -> PathwaysRuntime {
     PathwaysRuntime::new(
@@ -170,4 +172,89 @@ fn gc_is_idempotent_and_scoped() {
     assert_eq!(rt.fail_client(a_id), 1);
     assert_eq!(rt.fail_client(a_id), 0, "second GC finds nothing");
     assert_eq!(rt.core().store.len(), 1, "b's object untouched");
+}
+
+/// What a submission at t = 100 µs reports after `faults` applied at
+/// t = 1 µs. The cluster is two islands of two hosts with four devices
+/// each (island 0: hosts 0–1, devices 0–7; island 1: hosts 2–3, devices
+/// 8–15; each island's scheduler sits on its first host). The client
+/// runs on host 1. `hold` devices of island 1 are taken by another
+/// client's slice first; the submitted program then takes `want` more
+/// on island 1. `None` means the submission was launched and completed.
+fn submit_verdict(hold: u32, want: u32, faults: &[FaultSpec]) -> Option<FailureReason> {
+    let mut sim = Sim::new(0);
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::islands_of(2, 2, 4),
+        NetworkParams::tpu_cluster(),
+        PathwaysConfig::default(),
+    );
+    let island1 = |n| SliceRequest::devices(n).in_island(IslandId(1));
+    let _held = (hold > 0).then(|| rt.client(HostId(0)).virtual_slice(island1(hold)).unwrap());
+    let client = rt.client(HostId(1));
+    let slice = client.virtual_slice(island1(want)).unwrap();
+    let mut b = client.trace("verdict");
+    b.computation(
+        FnSpec::compute_only("f", SimDuration::from_micros(10)).with_output_bytes(1 << 10),
+        &slice,
+    );
+    let prepared = client.prepare(&b.build().unwrap());
+    let at = |us| SimTime::ZERO + SimDuration::from_micros(us);
+    let plan = faults
+        .iter()
+        .fold(FaultPlan::new(), |plan, spec| plan.at(at(1), *spec));
+    rt.install_fault_plan(plan);
+    let h = sim.handle();
+    let task = sim.spawn("client", async move {
+        h.sleep_until(at(100)).await;
+        let run = client.submit(&prepared).await;
+        let error = run.refs()[0].1.error();
+        run.finish().await;
+        error.map(|e| e.reason())
+    });
+    assert!(sim.run().is_quiescent());
+    task.try_take().expect("the client finished")
+}
+
+/// Fail-fast submission checks dead devices first, then dead islands,
+/// then dead hosts, then severed links between involved hosts, and
+/// names the first hit in that order.
+#[test]
+fn submission_verdicts_name_the_first_dead_component() {
+    use FaultSpec::{Device, Host, Link};
+    assert_eq!(submit_verdict(0, 8, &[]), None);
+    // Island 1 is full, so the slice cannot heal off device 9.
+    assert_eq!(
+        submit_verdict(0, 8, &[Device(DeviceId(9))]),
+        Some(FailureReason::Device(DeviceId(9)))
+    );
+    // The client's host: none of the program's devices are on it.
+    assert_eq!(
+        submit_verdict(0, 8, &[Host(HostId(1))]),
+        Some(FailureReason::Host(HostId(1)))
+    );
+    // Devices are checked before hosts.
+    assert_eq!(
+        submit_verdict(0, 8, &[Host(HostId(1)), Device(DeviceId(12))]),
+        Some(FailureReason::Device(DeviceId(12)))
+    );
+    // Island 1's scheduler host dies with the held slice's devices, not
+    // the program's.
+    assert_eq!(
+        submit_verdict(4, 4, &[Host(HostId(2))]),
+        Some(FailureReason::Island(IslandId(1)))
+    );
+    // Involved hosts are 1, 2 and 3: of two severed involved pairs the
+    // first in host order is named, whatever order they were cut in.
+    assert_eq!(
+        submit_verdict(
+            0,
+            8,
+            &[Link(HostId(3), HostId(2)), Link(HostId(3), HostId(1))]
+        ),
+        Some(FailureReason::Link(HostId(1), HostId(3)))
+    );
+    // Host 0 is not involved: cutting it off the client's host leaves the
+    // submission alone.
+    assert_eq!(submit_verdict(0, 8, &[Link(HostId(1), HostId(0))]), None);
 }
