@@ -131,6 +131,7 @@ fn run_chain(
 ) -> (SimDuration, TraceLog) {
     assert!(islands >= 1 && chain_len >= 1);
     let mut sim = Sim::new(seed);
+    sim.handle().record_trace(true);
     // 2 hosts x 4 TPUs per island; each stage gangs 4 devices.
     let rt = PathwaysRuntime::new(
         &sim,

@@ -72,6 +72,7 @@ pub fn tenancy_trace_with_policy(
     window: SimDuration,
 ) -> TenancyTrace {
     let mut sim = Sim::new(0);
+    sim.handle().record_trace(true);
     let weight_map: BTreeMap<ClientId, u32> = weights
         .iter()
         .enumerate()

@@ -407,6 +407,7 @@ pub fn chain_recovery() -> ChainPoint {
     const KILL_US: u64 = 300_000;
     const CHAIN_SHARD_BYTES: u64 = 4 << 20;
     let mut sim = Sim::new(0);
+    sim.handle().record_trace(true);
     let rt = PathwaysRuntime::new(
         &sim,
         ClusterSpec::islands_of(2, 2, 4),

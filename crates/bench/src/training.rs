@@ -111,6 +111,7 @@ pub fn pathways_pipeline_islands_tokens_per_sec(
     steps: u32,
 ) -> (f64, String) {
     let mut sim = Sim::new(0);
+    sim.handle().record_trace(true);
     let rt = PathwaysRuntime::new(
         &sim,
         ClusterSpec::islands_of(islands, hosts_per_island, 8),

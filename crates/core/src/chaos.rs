@@ -293,6 +293,7 @@ pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     // threads. Invariants hold on both; only the deterministic backend
     // additionally guarantees bit-identical traces.
     let mut sim = Executor::from_env(spec.seed);
+    sim.handle().record_trace(true);
     let cfg = PathwaysConfig {
         tiers: spec.tiered.then(crate::TierConfig::default),
         ..PathwaysConfig::default()

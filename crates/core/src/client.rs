@@ -425,7 +425,8 @@ impl Client {
         // run's footprint. The run is never launched; its output refs
         // are minted already carrying the error, so consumers observe
         // `Err(ObjectError::ProducerFailed)` instead of a hang.
-        if let Some(reason) = self.submission_blocked(prepared, bindings) {
+        let hosts = self.involved_hosts(prepared);
+        if let Some(reason) = self.submission_blocked(prepared, bindings, &hosts) {
             let run = self.core.plaque.reserve_run_id();
             let refs = self.mint_output_refs(prepared, run);
             for (_, r) in &refs {
@@ -445,12 +446,17 @@ impl Client {
         // grant messages carry the start signal to every participating
         // host (§4.5's single subgraph message). Input placeholders and
         // the Result node — all local to this client — are started here.
-        let run_handle = self.core.plaque.launch_unstarted(&prepared.graph);
+        // A completed run deregisters its footprint itself.
+        let failures = self.core.failures.clone();
+        let run_handle = self
+            .core
+            .plaque
+            .launch_unstarted(&prepared.graph, move |run| failures.complete_run(run));
         let run = run_handle.id();
         let failed = pathways_sim::sync::Event::new();
         self.core
             .failures
-            .register_run(run, self.footprint(prepared, run, failed.clone()));
+            .register_run(run, self.footprint(prepared, run, failed.clone(), hosts));
 
         // Mint the output futures: declare each sink's object (with its
         // per-shard readiness events) before anything executes.
@@ -585,12 +591,14 @@ impl Client {
     }
 
     /// The run's failure footprint: everything the fault injector needs
-    /// to decide whether a later fault dooms this run.
+    /// to decide whether a later fault dooms this run. `hosts` is
+    /// [`Client::involved_hosts`].
     fn footprint(
         &self,
         prepared: &PreparedProgram,
         run: RunId,
         failed: pathways_sim::sync::Event,
+        hosts: Vec<HostId>,
     ) -> RunFootprint {
         let info = &prepared.info;
         let mut devices: Vec<pathways_net::DeviceId> =
@@ -608,7 +616,7 @@ impl Client {
             client: self.id,
             client_host: self.host,
             devices,
-            hosts: self.involved_hosts(prepared),
+            hosts,
             islands,
             sinks,
             failed,
@@ -618,47 +626,28 @@ impl Client {
     /// Checks a submission against the failure registry; `Some(reason)`
     /// if it cannot execute. Checked *before* launch so doomed runs
     /// fail fast with a typed error instead of hanging on control
-    /// messages that would be dropped by dead NICs.
+    /// messages that would be dropped by dead NICs. `hosts` is
+    /// [`Client::involved_hosts`].
     fn submission_blocked(
         &self,
         prepared: &PreparedProgram,
         bindings: &[(CompId, ObjectRef)],
+        hosts: &[HostId],
     ) -> Option<FailureReason> {
-        let failures = &self.core.failures;
         // A bound input whose producer already failed poisons this run.
         for (_, objref) in bindings {
             if objref.error().is_some() {
                 return Some(FailureReason::Upstream(objref.id()));
             }
         }
-        let info = &prepared.info;
-        if let Some(d) = info
-            .devices
-            .iter()
-            .flatten()
-            .find(|d| failures.device_dead(**d))
-        {
-            return Some(FailureReason::Device(*d));
-        }
-        for island in prepared.submits.keys() {
-            if failures.island_dead(*island) {
-                return Some(FailureReason::Island(*island));
-            }
-        }
-        let hosts = self.involved_hosts(prepared);
-        if let Some(h) = hosts.iter().find(|h| failures.host_dead(**h)) {
-            return Some(FailureReason::Host(*h));
-        }
-        // Any severed link between two involved hosts partitions the
-        // run's control or data plane (grants, plaque signal tuples).
-        for (i, a) in hosts.iter().enumerate() {
-            for b in &hosts[i + 1..] {
-                if failures.link_down(*a, *b) {
-                    return Some(FailureReason::Link(*a, *b));
-                }
-            }
-        }
-        None
+        // Dead hardware anywhere in the footprint; any severed link
+        // between two involved hosts partitions the run's control or
+        // data plane (grants, plaque signal tuples).
+        self.core.failures.first_dead(
+            prepared.info.devices.iter().flatten().copied(),
+            prepared.submits.keys().copied(),
+            hosts,
+        )
     }
 
     /// Runs a prepared program to completion, returning output handles.

@@ -78,7 +78,8 @@ impl fmt::Display for FaultSpec {
 
 /// What one in-flight run touches — enough to decide whether a fault
 /// dooms it, and to wind it down if so. Registered by
-/// [`Client::submit_with`](crate::Client::submit_with).
+/// [`Client::submit_with`](crate::Client::submit_with) and dropped when
+/// the run completes, unless the run failed.
 #[derive(Debug, Clone)]
 pub struct RunFootprint {
     /// Submitting client.
@@ -154,11 +155,6 @@ impl FailureState {
         self.inner.lock().dead_hosts.contains(&host)
     }
 
-    /// True if `island` lost its scheduler.
-    pub fn island_dead(&self, island: IslandId) -> bool {
-        self.inner.lock().dead_islands.contains(&island)
-    }
-
     /// True if the link between `a` and `b` is severed or either end is
     /// dead.
     pub fn link_down(&self, a: HostId, b: HostId) -> bool {
@@ -168,9 +164,57 @@ impl FailureState {
             || (a != b && inner.severed.contains(&pair_key(a, b)))
     }
 
+    /// The first dead component a run over `devices`, `islands` and
+    /// `hosts` (sorted, deduped) would touch, checked in that order
+    /// under one lock: a dead device, a dead island, a dead host, then
+    /// a severed link between two of `hosts` — the lowest such pair,
+    /// which is the one a scan over host pairs in order meets first.
+    pub(crate) fn first_dead(
+        &self,
+        devices: impl IntoIterator<Item = DeviceId>,
+        islands: impl IntoIterator<Item = IslandId>,
+        hosts: &[HostId],
+    ) -> Option<FailureReason> {
+        let inner = self.inner.lock();
+        if !inner.dead_devices.is_empty() {
+            if let Some(d) = devices.into_iter().find(|d| inner.dead_devices.contains(d)) {
+                return Some(FailureReason::Device(d));
+            }
+        }
+        if let Some(i) = islands.into_iter().find(|i| inner.dead_islands.contains(i)) {
+            return Some(FailureReason::Island(i));
+        }
+        if let Some(h) = hosts.iter().find(|h| inner.dead_hosts.contains(h)) {
+            return Some(FailureReason::Host(*h));
+        }
+        let involved = |h: &HostId| hosts.binary_search(h).is_ok();
+        inner
+            .severed
+            .iter()
+            .filter(|(a, b)| a != b && involved(a) && involved(b))
+            .min()
+            .map(|&(a, b)| FailureReason::Link(a, b))
+    }
+
     /// Registers an in-flight run's footprint (client submission path).
     pub fn register_run(&self, run: RunId, footprint: RunFootprint) {
         self.inner.lock().runs.insert(run, footprint);
+    }
+
+    /// Forgets a completed run's footprint, unless the run failed: a
+    /// finished run can no longer be doomed, and its footprint holds the
+    /// run's failure event and every waker still registered on it.
+    /// Called by PLAQUE once the run's last shard halts.
+    pub(crate) fn complete_run(&self, run: RunId) {
+        let footprint = {
+            let mut inner = self.inner.lock();
+            if inner.failed_runs.contains_key(&run) {
+                return;
+            }
+            inner.runs.remove(&run)
+        };
+        // The event's wakers drop outside the lock.
+        drop(footprint);
     }
 
     /// The run's failure event, if the run is registered. Transfer
@@ -183,6 +227,12 @@ impl FailureState {
     /// Number of runs currently failed (tests/metrics).
     pub fn failed_run_count(&self) -> usize {
         self.inner.lock().failed_runs.len()
+    }
+
+    /// Number of runs whose footprint is registered: the in-flight ones
+    /// and the failed ones (tests/metrics).
+    pub fn registered_run_count(&self) -> usize {
+        self.inner.lock().runs.len()
     }
 }
 
@@ -286,7 +336,9 @@ impl FaultInjector {
         let this = Arc::clone(self);
         let h = handle.clone();
         plan.spawn(handle, move |at, spec| {
-            h.trace_span("faults", spec.to_string(), at, at);
+            if h.tracing() {
+                h.trace_span("faults", spec.to_string(), at, at);
+            }
             this.inject(&spec);
         });
     }
@@ -311,7 +363,6 @@ impl FaultInjector {
             FaultSpec::Link(a, b) => self.sever_link(a, b, &mut newly_failed),
         }
         self.heal_dead_hardware(&newly_dead);
-        self.purge_completed();
         self.deliver(newly_failed);
         // After healing, so lineage re-submissions re-lower onto healed
         // slices. Everything this fault absorbed recovers as one batch
@@ -357,9 +408,10 @@ impl FaultInjector {
                     Ok(to) => format!("remapped {:?} -> {:?}", e.from, to),
                     Err(err) => format!("unplaceable: {err}"),
                 };
-                self.core
-                    .handle
-                    .trace_span("heals", format!("{} {outcome}", e.slice), now, now);
+                let h = &self.core.handle;
+                if h.tracing() {
+                    h.trace_span("heals", format!("{} {outcome}", e.slice), now, now);
+                }
                 (e.slice, outcome)
             })
             .collect();
@@ -394,7 +446,6 @@ impl FaultInjector {
         self.cascade_objects(&doomed_objects, &mut newly_failed);
         let freed = self.core.store.gc_client(client);
         self.rm.release_client(client);
-        self.purge_completed();
         self.deliver(newly_failed);
         self.launch_recoveries();
         freed
@@ -628,7 +679,6 @@ impl FaultInjector {
     pub(crate) fn cascade_failure(&self, objects: &[ObjectId]) {
         let mut newly_failed: Vec<RunId> = Vec::new();
         self.cascade_objects(objects, &mut newly_failed);
-        self.purge_completed();
         self.deliver(newly_failed);
         // The cascade's fail_run walk may itself absorb in-flight sinks.
         self.launch_recoveries();
@@ -652,17 +702,6 @@ impl FaultInjector {
         for (run, object) in consumers {
             self.fail_run(run, FailureReason::Upstream(object), newly_failed);
         }
-    }
-
-    /// Drops footprints of completed runs so the registry stays bounded
-    /// on long-lived simulations.
-    fn purge_completed(&self) {
-        let plaque = self.core.plaque.clone();
-        let inner = &mut *self.state.inner.lock();
-        let failed_runs = &inner.failed_runs;
-        inner
-            .runs
-            .retain(|run, _| plaque.is_live(*run) || failed_runs.contains_key(run));
     }
 
     /// Fans newly-failed runs out to every live host over the

@@ -161,7 +161,7 @@ impl ObjectStore {
             let t0 = h.now();
             h.sleep(env.cfg.transfer_time(Tier::Disk, dirty)).await;
             if store.commit_checkpoint(id).is_some() {
-                env.trace(format!("ckpt {id}"), t0);
+                env.trace(format_args!("ckpt {id}"), t0);
             }
         });
     }

@@ -517,6 +517,10 @@ impl ObjectStore {
             inner.by_owner.entry(owner).or_default().push(id);
             ObjectEntry::new(owner)
         });
+        // Sized once for every shard the producer will put: a 2048-shard
+        // object otherwise regrows its table ten times on the put path.
+        let unseen = (shards as usize).saturating_sub(entry.shards.len());
+        entry.shards.reserve(unseen);
         (0..shards)
             .map(|s| entry.ready.entry(s).or_default().clone())
             .collect()

@@ -395,7 +395,7 @@ impl RecoveryManager {
         let t0 = h.now();
         h.sleep(time).await;
         if store.complete_restore(id, device, host) {
-            store.trace_tiers(format!("restore {id}"), t0);
+            store.trace_tiers(format_args!("restore {id}"), t0);
             self.stats.lock().restored += 1;
             return true;
         }
@@ -441,7 +441,7 @@ impl RecoveryManager {
                     .map(|(s, d)| (s as u32, out.bytes_per_shard(), *d, topo.host_of_device(*d)))
                     .collect();
                 if store.complete_recompute(id, &shards) {
-                    store.trace_tiers(format!("recompute {id}"), t0);
+                    store.trace_tiers(format_args!("recompute {id}"), t0);
                     self.stats.lock().recomputed += 1;
                     done = true;
                 }
@@ -648,7 +648,7 @@ impl ObjectStore {
             inner
                 .resident
                 .insert(Place::Dram(host), (ts.clock, id, *shard));
-            ts.log.push(super::tiers::SpillEvent {
+            ts.record(super::tiers::SpillEvent {
                 at,
                 object: id,
                 shard: *shard,
@@ -725,7 +725,7 @@ impl ObjectStore {
             inner
                 .resident
                 .insert(Place::Dram(*host), (ts.clock, id, *shard));
-            ts.log.push(super::tiers::SpillEvent {
+            ts.record(super::tiers::SpillEvent {
                 at,
                 object: id,
                 shard: *shard,

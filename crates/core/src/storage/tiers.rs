@@ -411,10 +411,14 @@ impl TierEnv {
         }
     }
 
-    /// Stamps `label` on the `tiers` trace track from `t0` to now.
-    pub(crate) fn trace(&self, label: String, t0: SimTime) {
-        self.handle
-            .trace_span(Arc::clone(&self.track), label, t0, self.handle.now());
+    /// Stamps `label` on the `tiers` trace track from `t0` to now; the
+    /// label is formatted only if spans are recorded.
+    pub(crate) fn trace(&self, label: fmt::Arguments<'_>, t0: SimTime) {
+        if self.handle.tracing() {
+            let now = self.handle.now();
+            self.handle
+                .trace_span(Arc::clone(&self.track), label.to_string(), t0, now);
+        }
     }
 }
 
@@ -426,7 +430,9 @@ pub(crate) struct TierState {
     pub(crate) hbm: HbmBackend,
     pub(crate) dram: DramBackend,
     pub(crate) disk: DiskBackend,
-    pub(crate) log: Vec<SpillEvent>,
+    /// Shared with the snapshots [`ObjectStore::spill_events`] hands
+    /// out; an append copies it only while a snapshot is alive.
+    pub(crate) log: Arc<Vec<SpillEvent>>,
     pub(crate) stats: TierStats,
 }
 
@@ -439,9 +445,14 @@ impl TierState {
             hbm: HbmBackend::default(),
             dram: DramBackend::default(),
             disk,
-            log: Vec::new(),
+            log: Arc::default(),
             stats: TierStats::default(),
         }
+    }
+
+    /// Appends one tier transition to the log.
+    pub(crate) fn record(&mut self, event: SpillEvent) {
+        Arc::make_mut(&mut self.log).push(event);
     }
 
     /// Uncharges every epoch of a dropped checkpoint chain.
@@ -527,7 +538,7 @@ impl ObjectStore {
 
     /// Stamps `label` on the `tiers` trace track from `t0` to now
     /// (nothing on an untiered store).
-    pub(crate) fn trace_tiers(&self, label: String, t0: SimTime) {
+    pub(crate) fn trace_tiers(&self, label: fmt::Arguments<'_>, t0: SimTime) {
         if let Some(env) = self.tier_env() {
             env.trace(label, t0);
         }
@@ -591,7 +602,7 @@ impl ObjectStore {
                     ts.hbm.uncharge(vbytes);
                     ts.dram.charge(host, vbytes);
                     ts.stats.spills += 1;
-                    ts.log.push(SpillEvent {
+                    ts.record(SpillEvent {
                         at: env.handle.now(),
                         object: vid,
                         shard: vshard,
@@ -607,7 +618,7 @@ impl ObjectStore {
             };
             if let Some(lease) = spilled {
                 drop(lease); // HBM returns outside the store borrow
-                env.trace(format!("spill {vid}#{vshard}"), t0);
+                env.trace(format_args!("spill {vid}#{vshard}"), t0);
                 self.drain_dram(host).await;
             }
         }
@@ -654,7 +665,7 @@ impl ObjectStore {
                     sh.extent = Some(ts.disk.charge(vbytes));
                     ts.dram.uncharge(host, vbytes);
                     ts.stats.demotions += 1;
-                    ts.log.push(SpillEvent {
+                    ts.record(SpillEvent {
                         at: env.handle.now(),
                         object: vid,
                         shard: vshard,
@@ -669,7 +680,7 @@ impl ObjectStore {
                 }
             };
             if committed {
-                env.trace(format!("demote {vid}#{vshard}"), t0);
+                env.trace(format_args!("demote {vid}#{vshard}"), t0);
             }
         }
     }
@@ -715,13 +726,15 @@ impl ObjectStore {
             .unwrap_or_default()
     }
 
-    /// Every tier transition so far, in event order.
-    pub fn spill_events(&self) -> Vec<SpillEvent> {
+    /// Every tier transition so far, in event order: a snapshot shared
+    /// with the store, so taking one copies nothing. Transitions after
+    /// the call do not show up in it.
+    pub fn spill_events(&self) -> Arc<Vec<SpillEvent>> {
         self.inner
             .lock()
             .tier
             .as_ref()
-            .map(|ts| ts.log.clone())
+            .map(|ts| Arc::clone(&ts.log))
             .unwrap_or_default()
     }
 
@@ -874,6 +887,27 @@ mod tests {
             assert_eq!(store2.shard_tier(obj(0, 0), 0), Some(Tier::Hbm));
             assert!(picks_match_scan(&store2, 0, 0));
             assert!(store2.tiers_conserved());
+        });
+        sim.run_to_quiescence();
+    }
+
+    #[test]
+    fn spill_event_snapshots_share_storage_and_do_not_change() {
+        let mut sim = Sim::new(0);
+        let store = tiered_with(&sim, TierConfig::default());
+        let dev = device(&sim, 0, 200);
+        let store2 = store.clone();
+        sim.spawn("t", async move {
+            for run in 0..3 {
+                put(&store2, run, &dev, 100, true).await; // the third spills 0
+            }
+            let (a, b) = (store2.spill_events(), store2.spill_events());
+            assert!(Arc::ptr_eq(&a, &b), "no transition in between: one log");
+            put(&store2, 3, &dev, 100, true).await; // spills 1
+            let c = store2.spill_events();
+            assert_eq!(a.len(), 1, "an earlier snapshot keeps its length");
+            assert_eq!(a[0], c[0]);
+            assert_eq!(c.len(), 2);
         });
         sim.run_to_quiescence();
     }

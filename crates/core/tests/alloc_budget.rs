@@ -1,58 +1,75 @@
-//! Allocation budget of the kernel path.
+//! Allocation and retention budgets of the kernel path.
 //!
-//! This test binary installs its own counting global allocator, so it
-//! holds exactly one test: nothing else allocates on the counted thread
-//! while it runs. The program is `runtime.rs`'s fan-out program — one
+//! This test binary installs its own counting global allocator. It
+//! counts per thread, and each test runs its simulation on its own
+//! thread, so nothing else allocates on the counted thread while a test
+//! runs.
+//!
+//! *Allocations.* The program is `runtime.rs`'s fan-out program — one
 //! 8-shard → 8-shard all-to-all edge over two hosts, 64 (producer,
 //! consumer) shard pairs — run once to warm the runtime's lazily built
-//! services, then counted over a second run.
+//! services, then counted over a second run. A per-pair cost shows up
+//! here multiplied by the fan-out. The second run makes 856 allocations,
+//! 53 per kernel. It made 1 683, 105 per kernel, with a task per
+//! transfer and per kernel input, a `Vec` of every destination shard per
+//! send and punctuation, hashed per-edge PLAQUE state, an `Arc` per
+//! control tuple and a fresh egress buffer per flush.
 //!
-//! A per-pair cost shows up here multiplied by the fan-out. The second
-//! run makes 856 allocations, 53 per kernel. It made 1 683, 105 per
-//! kernel, with a task per transfer and per kernel input, a `Vec` of
-//! every destination shard per send and punctuation, hashed per-edge
-//! PLAQUE state, an `Arc` per control tuple and a fresh egress buffer
-//! per flush.
+//! *Retention.* A finished run, once its outputs are dropped, must leave
+//! nothing behind: the controller's memory may not grow with the number
+//! of runs it has completed. Each finished run used to keep its failure
+//! footprint, its failure event and the stale wakers its kernel inputs
+//! and transfers had registered on that event until a fault happened to
+//! purge them, and the executor kept a trace span per kernel that
+//! nothing read: 150 more chains below grew live bytes by 1 006 352
+//! (6.7 KiB per chain of two runs). They now grow them by 9 600.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
+use pathways_core::{FnSpec, InputSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
 use pathways_net::{ClusterSpec, HostId, NetworkParams};
 use pathways_sim::{Sim, SimDuration};
 
 /// Counts every allocation (`alloc`, `alloc_zeroed`, `realloc`) made on
-/// the current thread.
+/// the current thread, and the bytes the thread holds.
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(grown: i64) {
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    held(grown);
+}
+
+fn held(bytes: i64) {
+    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a thread-local `Cell` with a const initializer, which never
-// allocates.
+// only thread-local `Cell`s with const initializers, which never
+// allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        held(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -62,6 +79,11 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes allocated and not yet freed by the current thread.
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
 }
 
 /// Allocations per kernel the fan-out program may make.
@@ -107,5 +129,66 @@ fn fan_out_kernels_stay_within_their_allocation_budget() {
     assert!(
         per_kernel <= BUDGET_PER_KERNEL,
         "{made} allocations, {per_kernel} per kernel (budget {BUDGET_PER_KERNEL})"
+    );
+}
+
+/// Live bytes 150 more finished chains may add. Each island scheduler
+/// remembers the arrival time of its last 1 024 runs; going from 100 to
+/// 400 runs grows that map and its order queue from 128 to 512 slots,
+/// 9 600 bytes. Past 1 024 runs they stop growing.
+const RETENTION_SLACK: i64 = 16 << 10;
+
+#[test]
+fn finished_runs_retain_nothing() {
+    let mut sim = Sim::new(0);
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::config_a(2),
+        NetworkParams::tpu_cluster(),
+        PathwaysConfig::default(),
+    );
+    let client = rt.client(HostId(0));
+    let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
+    let f =
+        |n: &str| FnSpec::compute_only(n, SimDuration::from_micros(100)).with_output_bytes(1 << 16);
+    let mut b = client.trace("producer");
+    let src = b.computation(f("src"), &slice);
+    let producer = std::sync::Arc::new(client.prepare(&b.build().unwrap()));
+    // The consumer is submitted before the producer finishes, so its
+    // kernel inputs and its input transfers wait on the producer's
+    // events while racing their own run's failure event.
+    let mut b = client.trace("consumer");
+    let x = b.input(InputSpec::new("x", 8));
+    let dst = b.computation(f("dst"), &slice);
+    b.reshard_edge(x, dst, 1 << 16);
+    let consumer = std::sync::Arc::new(client.prepare(&b.build().unwrap()));
+
+    let chains = |sim: &mut Sim, n: usize| {
+        let client = client.clone();
+        let (producer, consumer) = (producer.clone(), consumer.clone());
+        sim.spawn("client", async move {
+            for _ in 0..n {
+                let first = client.submit(&producer).await;
+                let input = first.object_ref(src).unwrap();
+                let second = client.submit_with(&consumer, &[(x, input)]).await.unwrap();
+                first.finish().await;
+                second.finish().await;
+            }
+        });
+        sim.run_to_quiescence();
+    };
+    chains(&mut sim, 50);
+    let after_50 = live_bytes();
+    chains(&mut sim, 150);
+    let after_200 = live_bytes();
+    assert!(rt.core().store.is_empty());
+    assert_eq!(
+        rt.core().failures.registered_run_count(),
+        0,
+        "a completed, unfailed run leaves no footprint"
+    );
+    assert!(
+        after_200 - after_50 <= RETENTION_SLACK,
+        "150 more chains grew live bytes {after_50} -> {after_200}"
     );
 }

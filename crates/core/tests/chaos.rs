@@ -331,6 +331,7 @@ fn fail_client_between_submit_and_first_grant_unblocks_consumers() {
 fn device_kill_heals_slice_and_next_submit_succeeds() {
     fn scenario() -> pathways_sim::trace::TraceLog {
         let mut sim = Sim::new(11);
+        sim.handle().record_trace(true);
         let rt = two_island_rt(&sim); // 2 islands x 8 devices
         rt.install_fault_plan(FaultPlan::new().at(t(300), FaultSpec::Device(DeviceId(1))));
         let client = rt.client(HostId(2)); // lives on the surviving island
@@ -662,6 +663,7 @@ fn chain_loss_run(
 ) {
     use pathways_core::TierConfig;
     let mut sim = Sim::new(seed);
+    sim.handle().record_trace(true);
     let rt = PathwaysRuntime::new(
         &sim,
         ClusterSpec::islands_of(2, 2, 4),

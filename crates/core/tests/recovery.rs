@@ -54,6 +54,7 @@ fn kill_and_consume(
     pathways_sim::trace::TraceLog,
 ) {
     let mut sim = Sim::new(seed);
+    sim.handle().record_trace(true);
     let rt = tiered_rt(&sim, cfg);
     rt.install_fault_plan(FaultPlan::new().at(t(1500), FaultSpec::Device(DeviceId(1))));
     // Client on island 1's host: its agent outlives the island-0 fault.

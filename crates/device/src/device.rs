@@ -486,6 +486,7 @@ mod tests {
     #[test]
     fn trace_spans_cover_busy_time() {
         let mut sim = Sim::new(0);
+        sim.handle().record_trace(true);
         let devs = spawn_devices(&sim, 1);
         let d = devs[0].clone();
         drop(d.enqueue_simple(Kernel::compute("k", SimDuration::from_micros(10)), "A"));

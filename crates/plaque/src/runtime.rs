@@ -103,9 +103,13 @@ impl Slot {
 type ShardKey = (RunId, NodeId, u32);
 type ShardMap = Arc<Lock<FxHashMap<ShardKey, Arc<Lock<Slot>>>>>;
 
+/// Called once, with the run's id, after the run's last shard halts.
+type OnRunDone = Box<dyn FnOnce(RunId) + Send>;
+
 struct RunEntry {
     remaining: u32,
     done_tx: Option<channel::OneshotSender<()>>,
+    on_done: Option<OnRunDone>,
 }
 
 /// Pending `(destination, message, bytes)` triples coalescing into one
@@ -244,14 +248,22 @@ impl RuntimeShared {
         if let Some(map) = self.workers.lock().get(&host) {
             map.lock().remove(&(run, node, shard));
         }
-        let mut runs = self.runs.lock();
-        let entry = runs.get_mut(&run).expect("run entry missing");
-        entry.remaining -= 1;
-        if entry.remaining == 0 {
+        let on_done = {
+            let mut runs = self.runs.lock();
+            let entry = runs.get_mut(&run).expect("run entry missing");
+            entry.remaining -= 1;
+            if entry.remaining > 0 {
+                return;
+            }
             if let Some(tx) = entry.done_tx.take() {
                 let _ = tx.send(());
             }
-            runs.remove(&run);
+            runs.remove(&run).and_then(|entry| entry.on_done)
+        };
+        // Outside the run table's lock: the hook may take locks of its
+        // own, and their holders may ask which runs are live.
+        if let Some(on_done) = on_done {
+            on_done(run);
         }
     }
 }
@@ -495,7 +507,7 @@ impl PlaqueRuntime {
     /// "one message for the whole subgraph" pattern of §4.5) is sent from
     /// `client_host`.
     pub fn launch(&self, graph: &Graph, client_host: HostId) -> RunHandle {
-        self.launch_inner(graph, client_host, true)
+        self.launch_inner(graph, Some(client_host), None)
     }
 
     /// Installs the run's shard slots without sending Start messages.
@@ -505,8 +517,16 @@ impl PlaqueRuntime {
     /// start signal with its own fan-out, so the dataflow launch costs
     /// no extra DCN messages — the start information piggybacks on the
     /// grant (§4.5's single subgraph message).
-    pub fn launch_unstarted(&self, graph: &Graph) -> RunHandle {
-        self.launch_inner(graph, HostId(0), false)
+    ///
+    /// `on_done` is called with the run's id once its last shard halts,
+    /// after the runtime has forgotten the run
+    /// ([`PlaqueRuntime::is_live`] is already false).
+    pub fn launch_unstarted(
+        &self,
+        graph: &Graph,
+        on_done: impl FnOnce(RunId) + Send + 'static,
+    ) -> RunHandle {
+        self.launch_inner(graph, None, Some(Box::new(on_done)))
     }
 
     /// Starts a shard in place on `host`, as if its Start message had
@@ -536,7 +556,14 @@ impl PlaqueRuntime {
         self.shared.route_from(host, &mut egress);
     }
 
-    fn launch_inner(&self, graph: &Graph, client_host: HostId, send_starts: bool) -> RunHandle {
+    /// Installs `graph`'s shard slots; with a `client_host`, sends their
+    /// Start messages from it.
+    fn launch_inner(
+        &self,
+        graph: &Graph,
+        client_host: Option<HostId>,
+        on_done: Option<OnRunDone>,
+    ) -> RunHandle {
         let run = {
             let mut next = self.next_run.lock();
             let id = RunId(*next);
@@ -550,6 +577,7 @@ impl PlaqueRuntime {
             RunEntry {
                 remaining: total_shards,
                 done_tx: Some(done_tx),
+                on_done,
             },
         );
         // Install shard slots.
@@ -584,11 +612,13 @@ impl PlaqueRuntime {
                     })),
                 );
                 assert!(prev.is_none(), "duplicate shard deployment");
-                starts.push((host, PlaqueMsg::Start { run, node, shard }, START_BYTES));
+                if client_host.is_some() {
+                    starts.push((host, PlaqueMsg::Start { run, node, shard }, START_BYTES));
+                }
             }
         }
         // One batched message per destination host.
-        if send_starts {
+        if let Some(client_host) = client_host {
             self.shared.route_from(client_host, &mut starts);
         }
         RunHandle {

@@ -405,3 +405,42 @@ fn same_host_messages_batch_into_one_dcn_message() {
         "fan-out did not batch: took {end}"
     );
 }
+
+/// A run launched unstarted calls its completion hook exactly once, when
+/// its last shard halts, with the run already forgotten — and without
+/// holding the run table's lock, which the hook may take itself (on the
+/// deterministic backend a re-entrant lock panics).
+#[test]
+fn completion_hook_runs_once_after_the_run_is_forgotten() {
+    let mut sim = Sim::new(0);
+    let rt = make_runtime(&sim, 2);
+    let got = Arc::new(Lock::new(Vec::new()));
+    let mut g = GraphBuilder::new("hooked");
+    let src = g.node("src", vec![HostId(0)], |_| Box::new(NullOperator));
+    let dst = g.node("dst", vec![HostId(1)], {
+        let got = Arc::clone(&got);
+        move |_| {
+            Box::new(Sink {
+                got: Arc::clone(&got),
+            })
+        }
+    });
+    g.edge(src, dst);
+    let graph = g.build().unwrap();
+    let calls = Arc::new(Lock::new(Vec::new()));
+    let (rt_hook, calls_hook) = (rt.clone(), Arc::clone(&calls));
+    let run = rt.launch_unstarted(&graph, move |run| {
+        calls_hook.lock().push((run, rt_hook.is_live(run)));
+    });
+    let id = run.id();
+    assert!(rt.is_live(id));
+    let rt_task = rt.clone();
+    sim.spawn("starter", async move {
+        rt_task.start_local(HostId(0), id, src, 0);
+        rt_task.start_local(HostId(1), id, dst, 0);
+        run.await_done().await;
+    });
+    sim.run_to_quiescence();
+    assert_eq!(*calls.lock(), vec![(id, false)]);
+    assert_eq!(rt.live_runs(), 0);
+}

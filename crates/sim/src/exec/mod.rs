@@ -280,6 +280,9 @@ struct HandleShared {
     /// `Relaxed` suffices: the value publishes no other data, and the
     /// run loop and every task share one thread.
     clock: Option<AtomicU64>,
+    /// Whether spans are recorded ([`SimHandle::record_trace`]); off by
+    /// default, so a trace nobody reads costs one load per span.
+    tracing: AtomicBool,
 }
 
 impl fmt::Debug for SimHandle {
@@ -299,6 +302,7 @@ impl SimHandle {
             shared: Arc::new(HandleShared {
                 backend,
                 clock: mirrored_clock.then(|| AtomicU64::new(0)),
+                tracing: AtomicBool::new(false),
             }),
         }
     }
@@ -432,7 +436,23 @@ impl SimHandle {
         self.upgrade().rng_range(bound)
     }
 
-    /// Records a span on the shared trace log.
+    /// Turns span recording on or off for every clone of this handle.
+    /// Off by default: until a caller that reads the trace asks for it,
+    /// [`SimHandle::trace_span`] and [`SimHandle::with_trace`] return
+    /// without touching the log.
+    pub fn record_trace(&self, on: bool) {
+        self.shared.tracing.store(on, Ordering::Relaxed);
+    }
+
+    /// True while spans are recorded. Callers that format a label check
+    /// this first, so an unrecorded span builds no string.
+    #[inline]
+    pub fn tracing(&self) -> bool {
+        self.shared.tracing.load(Ordering::Relaxed)
+    }
+
+    /// Records a span on the shared trace log, if spans are recorded.
+    #[inline]
     pub fn trace_span(
         &self,
         track: impl Into<Arc<str>>,
@@ -440,20 +460,29 @@ impl SimHandle {
         start: SimTime,
         end: SimTime,
     ) {
-        let (track, label) = (track.into(), label.into());
+        if self.tracing() {
+            self.record_span(track.into(), label.into(), start, end);
+        }
+    }
+
+    /// Out of line, so the inlined check is all a caller's code carries.
+    #[inline(never)]
+    fn record_span(&self, track: Arc<str>, label: Arc<str>, start: SimTime, end: SimTime) {
         self.with_trace(move |t| t.record(track, label, start, end));
     }
 
-    /// Runs `f` with mutable access to the trace log.
-    pub fn with_trace<R>(&self, f: impl FnOnce(&mut TraceLog) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.upgrade().with_trace_log(&mut |trace| {
-            if let Some(f) = f.take() {
-                out = Some(f(trace));
-            }
-        });
-        out.expect("with_trace_log must invoke the callback")
+    /// Runs `f` with mutable access to the trace log, if spans are
+    /// recorded.
+    #[inline]
+    pub fn with_trace(&self, f: impl FnOnce(&mut TraceLog)) {
+        if self.tracing() {
+            let mut f = Some(f);
+            self.upgrade().with_trace_log(&mut |trace| {
+                if let Some(f) = f.take() {
+                    f(trace);
+                }
+            });
+        }
     }
 
     pub(crate) fn register_timer(&self, deadline: SimTime, waker: Waker) {

@@ -12,7 +12,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
@@ -22,7 +22,7 @@ use pathways_sim::exec::threaded::STALL_BOUND;
 use pathways_sim::sync::{first_set, Event, Notify};
 use pathways_sim::{
     join_each, Backend, Executor, ExecutorKind, JoinHandle, Lock, RunOutcome, SimDuration, SimTime,
-    ThreadedExecutor,
+    ThreadedExecutor, TraceLog,
 };
 
 const BOTH: [ExecutorKind; 2] = [
@@ -489,6 +489,57 @@ fn first_set_fires_once_on_the_first_event() {
 }
 
 // ------------------------------------------------- deadlock inside a poll
+
+// ------------------------------------------------------------ trace spans
+
+/// A span label that counts how often it is turned into a string.
+struct CountedLabel(Arc<AtomicUsize>);
+
+impl From<CountedLabel> for Arc<str> {
+    fn from(label: CountedLabel) -> Arc<str> {
+        label.0.fetch_add(1, Ordering::Relaxed);
+        "k".into()
+    }
+}
+
+/// Spans are recorded only when asked. Off (the default), `trace_span`
+/// builds no label, `with_trace` does not run, and `take_trace` is
+/// empty; on, every span lands in recording order.
+#[test]
+fn spans_are_recorded_only_when_asked() {
+    let at = SimTime::from_nanos;
+    for kind in BOTH {
+        for on in [false, true] {
+            let mut ex = Executor::new(kind, 7);
+            let h = ex.handle();
+            if on {
+                h.record_trace(true);
+            }
+            assert_eq!(h.tracing(), on, "{kind:?}");
+            let built = Arc::new(AtomicUsize::new(0));
+            let built_task = Arc::clone(&built);
+            ex.spawn("tracer", async move {
+                for i in 0..3 {
+                    let label = CountedLabel(Arc::clone(&built_task));
+                    h.trace_span("dev", label, at(10 * i), at(10 * i + 5));
+                    h.sleep(SimDuration::from_micros(1)).await;
+                }
+                h.with_trace(|t| t.record("dev", "end", at(30), at(30)));
+            });
+            assert!(ex.run().is_quiescent(), "{kind:?}");
+            let mut want = TraceLog::new();
+            if on {
+                for i in 0..3 {
+                    want.record("dev", "k", at(10 * i), at(10 * i + 5));
+                }
+                want.record("dev", "end", at(30), at(30));
+            }
+            assert_eq!(ex.take_trace(), want, "{kind:?} recording={on}");
+            let labels = if on { 3 } else { 0 };
+            assert_eq!(built.load(Ordering::Relaxed), labels, "{kind:?}");
+        }
+    }
+}
 
 /// Two tasks that deadlock *inside* their polls — each holds one `Lock`
 /// and blocks on the other's — can never be woken, and the pool cannot

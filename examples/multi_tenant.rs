@@ -27,6 +27,7 @@ fn weights_1248() -> std::collections::BTreeMap<ClientId, u32> {
 
 fn run_policy(title: &str, policy: SchedPolicy) {
     let mut sim = Sim::new(7);
+    sim.handle().record_trace(true);
     let rt = PathwaysRuntime::new(
         &sim,
         ClusterSpec::config_b(1),

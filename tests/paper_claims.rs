@@ -96,6 +96,7 @@ fn every_registry_claim_holds() {
 fn full_system_determinism() {
     let run_once = || {
         let mut sim = Sim::new(123);
+        sim.handle().record_trace(true);
         let rt = PathwaysRuntime::new(
             &sim,
             ClusterSpec::config_b(2),

@@ -101,6 +101,7 @@ proptest! {
             },
         };
         let mut sim = Sim::new(seed);
+        sim.handle().record_trace(true);
         let rt = PathwaysRuntime::new(
             &sim,
             ClusterSpec::single_island(1, 8),
