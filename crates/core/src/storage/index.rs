@@ -983,6 +983,60 @@ mod tests {
     }
 
     #[test]
+    fn owner_queries_and_gc_answer_in_ascending_id_order() {
+        // Two clients create and release objects interleaved and out of
+        // id order; both owner queries still answer in ascending id
+        // order, the order deterministic fault replay relies on.
+        let store = ObjectStore::new();
+        let mut live: Vec<(ObjectId, ClientId)> = Vec::new();
+        for i in 0..30u64 {
+            let (id, owner) = (obj((i * 7) % 30, (i % 3) as u32), ClientId((i % 2) as u32));
+            store.declare(id, owner, 1);
+            live.push((id, owner));
+            if i % 4 == 3 {
+                let (gone, _) = live.remove((i as usize * 5) % live.len());
+                store.release(gone);
+            }
+        }
+        let owned_by = |client: ClientId| {
+            let mut ids: Vec<ObjectId> = live
+                .iter()
+                .filter(|(_, owner)| *owner == client)
+                .map(|(id, _)| *id)
+                .collect();
+            ids.sort_unstable();
+            ids
+        };
+        let (kept, doomed) = (owned_by(ClientId(0)), owned_by(ClientId(1)));
+        assert_eq!(store.objects_owned_by(ClientId(0)), kept);
+        assert_eq!(store.objects_owned_by(ClientId(1)), doomed);
+
+        // The GC fires each object's ready event as it removes it, so
+        // one waiter per object records the removal order.
+        let mut sim = Sim::new(0);
+        let order = Arc::new(Lock::new(Vec::new()));
+        let h = sim.handle();
+        let (store2, order2, ids) = (store.clone(), Arc::clone(&order), doomed.clone());
+        sim.spawn("gc", async move {
+            let n = ids.len();
+            for id in ids {
+                let ready = store2.shard_ready(id, 0).expect("declared");
+                let order = Arc::clone(&order2);
+                h.spawn("waiter", async move {
+                    ready.wait().await;
+                    order.lock().push(id);
+                });
+            }
+            h.sleep(pathways_sim::SimDuration::from_micros(1)).await;
+            assert_eq!(store2.gc_client(ClientId(1)), n);
+        });
+        sim.run_to_quiescence();
+        assert_eq!(*order.lock(), doomed);
+        assert!(store.objects_owned_by(ClientId(1)).is_empty());
+        assert_eq!(store.objects_owned_by(ClientId(0)), kept);
+    }
+
+    #[test]
     fn back_pressure_delays_put_shard() {
         let mut sim = Sim::new(0);
         let store = ObjectStore::new();
