@@ -260,23 +260,12 @@ impl HealEvent {
 /// slice's `MappingState` (mapping locks are private to this module and
 /// never held while calling into the manager).
 ///
-/// Alongside the authoritative ledger the state maintains three derived
-/// indexes so the placement and healing hot paths scale with the blast
-/// radius of a change rather than the cluster size:
-///
-/// * `island_load` — per-island sum of *attached* devices' use-counts,
-///   the island ranking key (`place` used to re-sum every island's
-///   devices on every allocation);
-/// * `by_load` — each island's attached devices ordered by
-///   `(use-count, id)`, so least-loaded selection reads the first `w`
-///   entries instead of sorting the whole island;
-/// * `dev_slices` — which live slices map each device (with
-///   multiplicity), so `heal` visits only the slices touching dead
-///   hardware instead of filtering every live slice.
-///
-/// All three are updated at the ledger's single choke points
-/// (`charge`/`uncharge`/`detach_device`/`attach_device`), and the
-/// `prop_resource` suite checks them against a naive linear-scan model.
+/// **One source of truth.** The state is the attach table, the
+/// use-count ledger and the live slices; nothing derived from them is
+/// kept alongside. Placement sums each candidate island's attached
+/// counts and sorts the chosen island's `(use-count, id)` pairs, and
+/// `heal` filters the live slices by mapping, on the call that needs
+/// them: O(candidate devices) per allocation, O(live slices) per heal.
 pub struct ResourceManager {
     topo: Arc<Topology>,
     state: Lock<RmState>,
@@ -292,13 +281,6 @@ struct RmState {
     use_counts: BTreeMap<DeviceId, u32>,
     slices: BTreeMap<SliceId, Allocation>,
     next_slice: u64,
-    /// Sum of attached devices' use-counts, per island.
-    island_load: BTreeMap<IslandId, u64>,
-    /// Attached devices of each island in `(use-count, id)` order.
-    by_load: BTreeMap<IslandId, BTreeSet<(u32, DeviceId)>>,
-    /// Live slices mapping each device, with multiplicity (a remap may
-    /// map the same physical device more than once).
-    dev_slices: BTreeMap<DeviceId, BTreeMap<SliceId, u32>>,
 }
 
 impl fmt::Debug for ResourceManager {
@@ -315,28 +297,16 @@ impl fmt::Debug for ResourceManager {
 impl ResourceManager {
     /// Creates a manager with every device of `topo` attached.
     pub fn new(topo: Arc<Topology>) -> Self {
-        let mut attached = BTreeMap::new();
-        let mut use_counts = BTreeMap::new();
-        let mut island_load = BTreeMap::new();
-        let mut by_load = BTreeMap::new();
-        for island in topo.islands() {
-            let devs: BTreeSet<DeviceId> = topo.devices_of_island(island).collect();
-            for d in &devs {
-                use_counts.insert(*d, 0);
-            }
-            island_load.insert(island, 0u64);
-            by_load.insert(island, devs.iter().map(|d| (0u32, *d)).collect());
-            attached.insert(island, devs);
-        }
+        let attached = topo
+            .islands()
+            .map(|island| (island, topo.devices_of_island(island).collect()))
+            .collect();
         let state = RmState {
             topo: Arc::clone(&topo),
             attached,
-            use_counts,
+            use_counts: topo.devices().map(|d| (d, 0)).collect(),
             slices: BTreeMap::new(),
             next_slice: 0,
-            island_load,
-            by_load,
-            dev_slices: BTreeMap::new(),
         };
         ResourceManager {
             topo,
@@ -378,15 +348,8 @@ impl ResourceManager {
     /// Panics if `device` is not part of the topology.
     pub fn attach_device(&self, device: DeviceId) {
         let island = self.topo.island_of_device(device);
-        let st = &mut *self.state.lock();
-        if st.attached.entry(island).or_default().insert(device) {
-            let count = st.use_counts[&device];
-            *st.island_load.entry(island).or_insert(0) += u64::from(count);
-            st.by_load
-                .entry(island)
-                .or_default()
-                .insert((count, device));
-        }
+        let mut st = self.state.lock();
+        st.attached.entry(island).or_default().insert(device);
     }
 
     /// Allocates a virtual slice for `client`.
@@ -412,7 +375,7 @@ impl ResourceManager {
         let chosen = st.place(&request, &[])?;
         let id = SliceId(st.next_slice);
         st.next_slice += 1;
-        st.charge(id, &chosen);
+        st.charge(&chosen);
         let slice = VirtualSlice::new(id, chosen);
         st.slices.insert(
             id,
@@ -467,8 +430,8 @@ impl ResourceManager {
         // slices built with `for_tests` are not.
         if st.slices.contains_key(&slice.id()) {
             let old = slice.state.lock().devices.clone();
-            st.uncharge(slice.id(), &old);
-            st.adopt_mapping(slice.id(), &slice.state, new_devices);
+            st.uncharge(&old);
+            st.adopt_mapping(&slice.state, new_devices);
         } else {
             set_mapping(&slice.state, new_devices);
         }
@@ -491,21 +454,18 @@ impl ResourceManager {
         for d in dead {
             st.detach_device(*d);
         }
-        // Blast radius only: the reverse index names the slices touching
-        // dead hardware; no scan over the live-slice table. The BTreeSet
-        // union preserves heal's deterministic id order.
-        let mut victims = BTreeSet::new();
-        for d in dead {
-            if let Some(owners) = st.dev_slices.get(d) {
-                victims.extend(owners.keys().copied());
-            }
-        }
+        let victims: Vec<SliceId> = st
+            .slices
+            .iter()
+            .filter(|(_, a)| a.state.lock().devices.iter().any(|d| dead.contains(d)))
+            .map(|(id, _)| *id)
+            .collect();
         let mut events = Vec::new();
         for id in victims {
             let a = &st.slices[&id];
             let (owner, request, state) = (a.owner, a.request, Arc::clone(&a.state));
             let from = state.lock().devices.clone();
-            let to = match st.try_replace(id, &state, &request, excluded_islands, |_, _, _| true) {
+            let to = match st.try_replace(&state, &request, excluded_islands, |_, _, _| true) {
                 Replace::Moved(to) => Ok(to),
                 Replace::Failed(e) => Err(e),
                 Replace::Kept => unreachable!("heal accepts every successful placement"),
@@ -535,14 +495,11 @@ impl ResourceManager {
         for id in ids {
             let a = &st.slices[&id];
             let (request, state) = (a.request, Arc::clone(&a.state));
-            let outcome = st.try_replace(id, &state, &request, &[], |st, from, to| {
+            let outcome = st.try_replace(&state, &request, &[], |st, from, to| {
                 if same_devices(to, from) {
                     return false;
                 }
-                let load = |devs: &[DeviceId]| -> u64 {
-                    devs.iter().map(|d| u64::from(st.use_counts[d])).sum()
-                };
-                let (cur, new) = (load(from), load(to));
+                let (cur, new) = (st.load(from), st.load(to));
                 let off_detached = from.iter().any(|d| !st.is_attached(*d));
                 new < cur || (off_detached && new <= cur)
             });
@@ -571,35 +528,20 @@ impl ResourceManager {
         self.state.lock().slices.len()
     }
 
-    /// Asserts that every incremental index (`island_load`, `by_load`,
-    /// `dev_slices`) agrees with a naive linear-scan recomputation from
-    /// the ground-truth ledger and live slices. Test-only hook for the
+    /// Asserts that the use-count ledger equals a recount of the live
+    /// slices' current mappings (with multiplicity), device by device,
+    /// taken under the manager's lock. Test-only hook for the
     /// resource-manager property tests; panics on any drift.
     #[doc(hidden)]
     pub fn assert_indexes_consistent(&self) {
         let st = self.state.lock();
-        let counts = &st.use_counts;
-
-        // island_load / by_load: recompute from attached devices' counts.
-        for (island, devs) in &st.attached {
-            let want_load: u64 = devs.iter().map(|d| u64::from(counts[d])).sum();
-            let got_load = st.island_load.get(island).copied().unwrap_or(0);
-            assert_eq!(got_load, want_load, "island_load drift on {island}");
-            let want_order: BTreeSet<(u32, DeviceId)> =
-                devs.iter().map(|d| (counts[d], *d)).collect();
-            let got_order = st.by_load.get(island).cloned().unwrap_or_default();
-            assert_eq!(got_order, want_order, "by_load drift on {island}");
-        }
-
-        // dev_slices: recompute device -> slice multiplicities from the
-        // live slices' current mappings.
-        let mut want: BTreeMap<DeviceId, BTreeMap<SliceId, u32>> = BTreeMap::new();
-        for (id, alloc) in &st.slices {
+        let mut recount: BTreeMap<DeviceId, u32> = st.use_counts.keys().map(|d| (*d, 0)).collect();
+        for alloc in st.slices.values() {
             for d in &alloc.state.lock().devices {
-                *want.entry(*d).or_default().entry(*id).or_insert(0) += 1;
+                *recount.entry(*d).or_insert(0) += 1;
             }
         }
-        assert_eq!(st.dev_slices, want, "dev_slices reverse index drift");
+        assert_eq!(st.use_counts, recount, "use-count ledger drift");
     }
 }
 
@@ -629,26 +571,24 @@ impl RmState {
         self.use_counts.values().map(|c| u64::from(*c)).sum()
     }
 
+    /// Summed use-count of `devs`.
+    fn load<'a>(&self, devs: impl IntoIterator<Item = &'a DeviceId>) -> u64 {
+        devs.into_iter()
+            .map(|d| u64::from(self.use_counts[d]))
+            .sum()
+    }
+
     fn detach_device(&mut self, device: DeviceId) {
         let island = self.topo.island_of_device(device);
-        if self
-            .attached
-            .get_mut(&island)
-            .is_some_and(|m| m.remove(&device))
-        {
-            let count = self.use_counts[&device];
-            *self.island_load.get_mut(&island).expect("island indexed") -= u64::from(count);
-            self.by_load
-                .get_mut(&island)
-                .expect("island indexed")
-                .remove(&(count, device));
+        if let Some(m) = self.attached.get_mut(&island) {
+            m.remove(&device);
         }
     }
 
     fn release(&mut self, id: SliceId) {
         if let Some(alloc) = self.slices.remove(&id) {
             let devices = alloc.state.lock().devices.clone();
-            self.uncharge(id, &devices);
+            self.uncharge(&devices);
         }
     }
 
@@ -657,8 +597,8 @@ impl RmState {
     /// bumps the generation so lowered programs go stale. The single
     /// place where a mapping change and the ledger meet — `remap`,
     /// `heal` and `rebalance` all move slices through here.
-    fn adopt_mapping(&mut self, id: SliceId, state: &Lock<MappingState>, new: Vec<DeviceId>) {
-        self.charge(id, &new);
+    fn adopt_mapping(&mut self, state: &Lock<MappingState>, new: Vec<DeviceId>) {
+        self.charge(&new);
         set_mapping(state, new);
     }
 
@@ -673,84 +613,48 @@ impl RmState {
     /// the old mapping, and the candidate.
     fn try_replace(
         &mut self,
-        id: SliceId,
         state: &Lock<MappingState>,
         request: &SliceRequest,
         excluded_islands: &[IslandId],
         accept: impl FnOnce(&Self, &[DeviceId], &[DeviceId]) -> bool,
     ) -> Replace {
         let from = state.lock().devices.clone();
-        self.uncharge(id, &from);
+        self.uncharge(&from);
         match self.place(request, excluded_islands) {
             Ok(to) if accept(self, &from, &to) => {
-                self.adopt_mapping(id, state, to.clone());
+                self.adopt_mapping(state, to.clone());
                 Replace::Moved(to)
             }
             Ok(_) => {
-                self.charge(id, &from);
+                self.charge(&from);
                 Replace::Kept
             }
             Err(e) => {
-                self.charge(id, &from);
+                self.charge(&from);
                 Replace::Failed(e)
             }
         }
     }
 
-    fn charge(&mut self, slice: SliceId, devs: &[DeviceId]) {
+    fn charge(&mut self, devs: &[DeviceId]) {
         for d in devs {
-            let c = self
+            *self
                 .use_counts
                 .get_mut(d)
-                .expect("device is in the topology");
-            let old = *c;
-            *c += 1;
-            *self
-                .dev_slices
-                .entry(*d)
-                .or_default()
-                .entry(slice)
-                .or_insert(0) += 1;
-            let island = self.topo.island_of_device(*d);
-            if self.attached.get(&island).is_some_and(|m| m.contains(d)) {
-                *self.island_load.get_mut(&island).expect("island indexed") += 1;
-                let order = self.by_load.get_mut(&island).expect("island indexed");
-                order.remove(&(old, *d));
-                order.insert((old + 1, *d));
-            }
+                .expect("device is in the topology") += 1;
         }
     }
 
-    fn uncharge(&mut self, slice: SliceId, devs: &[DeviceId]) {
+    fn uncharge(&mut self, devs: &[DeviceId]) {
         for d in devs {
             let c = self
                 .use_counts
                 .get_mut(d)
                 .expect("device is in the topology");
             // A hard invariant in every profile: saturating here would
-            // mask accounting drift in release builds and let by_load /
-            // island_load diverge from the true ledger.
+            // mask accounting drift in release builds.
             assert!(*c > 0, "use-count underflow on {d}: accounting drift");
-            let old = *c;
             *c -= 1;
-            if let Some(owners) = self.dev_slices.get_mut(d) {
-                if let Some(mult) = owners.get_mut(&slice) {
-                    *mult -= 1;
-                    if *mult == 0 {
-                        owners.remove(&slice);
-                    }
-                }
-                if owners.is_empty() {
-                    self.dev_slices.remove(d);
-                }
-            }
-            let island = self.topo.island_of_device(*d);
-            if self.attached.get(&island).is_some_and(|m| m.contains(d)) {
-                *self.island_load.get_mut(&island).expect("island indexed") -= 1;
-                let order = self.by_load.get_mut(&island).expect("island indexed");
-                order.remove(&(old, *d));
-                order.insert((old - 1, *d));
-            }
         }
     }
 
@@ -779,12 +683,13 @@ impl RmState {
                 .collect(),
         };
         // Islands with enough attached devices, least-loaded first (ties
-        // broken by id for determinism). Loads come from the maintained
-        // per-island index — O(candidates), not O(devices).
+        // broken by id for determinism); an island's load is the sum of
+        // its attached devices' use-counts.
         let mut ranked: Vec<(u64, IslandId)> = candidates
             .into_iter()
-            .filter(|i| self.attached[i].len() as u32 >= request.devices)
-            .map(|i| (self.island_load.get(&i).copied().unwrap_or(0), i))
+            .map(|i| (i, &self.attached[&i]))
+            .filter(|(_, devs)| devs.len() as u32 >= request.devices)
+            .map(|(i, devs)| (self.load(devs), i))
             .collect();
         ranked.sort();
         if ranked.is_empty() {
@@ -840,11 +745,10 @@ impl RmState {
             }
             best.map(|(_, start)| ids[start..start + w].to_vec())
         } else {
-            // Least-used devices first; ties broken by id — read
-            // straight off the maintained `(use-count, id)` order, no
-            // per-allocation sort.
-            let order = self.by_load.get(&island).expect("island indexed");
-            debug_assert_eq!(order.len(), devs.len(), "by_load index drift");
+            // Least-used devices first; ties broken by id.
+            let mut order: Vec<(u32, DeviceId)> =
+                devs.iter().map(|d| (self.use_counts[d], *d)).collect();
+            order.sort_unstable();
             Some(order.iter().take(w).map(|(_, d)| *d).collect())
         }
     }
@@ -890,11 +794,11 @@ mod tests {
         let s = rm.allocate(c, SliceRequest::devices(2)).unwrap();
         let devs = s.physical_devices();
         let mut st = rm.state.lock();
-        st.uncharge(s.id(), &devs);
+        st.uncharge(&devs);
         // The ledger is at zero for these devices; a second uncharge
         // must abort in every build profile (this suite runs in release
-        // on CI) rather than saturate and silently drift by_load.
-        st.uncharge(s.id(), &devs);
+        // on CI) rather than saturate and silently drift.
+        st.uncharge(&devs);
     }
 
     #[test]
