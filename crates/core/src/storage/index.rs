@@ -356,19 +356,30 @@ impl Residency {
     }
 }
 
-/// The object table plus the indexes failure fan-out and the tier
-/// machinery walk: which objects each client owns (failure-GC; plain
-/// `Vec`s — O(1) push and swap-remove, sorted by the rare query), and
-/// where every HBM and DRAM shard resides.
+/// The object table plus the residency sets hardware-failure fan-out
+/// and the tier machinery walk. Owner queries (failure-GC) filter the
+/// table instead: they run once per failed client.
 #[derive(Default)]
 pub(crate) struct StoreInner {
     pub(crate) objects: FxHashMap<ObjectId, ObjectEntry>,
-    pub(crate) by_owner: FxHashMap<ClientId, Vec<ObjectId>>,
     pub(crate) resident: Residency,
     pub(crate) tier: Option<TierState>,
 }
 
 impl StoreInner {
+    /// Ids of `client`'s objects in ascending order — the order
+    /// deterministic fault replay relies on.
+    fn owned_by(&self, client: ClientId) -> Vec<ObjectId> {
+        let mut owned: Vec<ObjectId> = self
+            .objects
+            .iter()
+            .filter(|(_, entry)| entry.owner == client)
+            .map(|(id, _)| *id)
+            .collect();
+        owned.sort_unstable();
+        owned
+    }
+
     /// True if the residency sets hold exactly the HBM and DRAM shards
     /// of the object table, each under its current key (drained sets
     /// aside).
@@ -415,12 +426,6 @@ impl StoreInner {
     /// observes the missing entry and abandons).
     pub(crate) fn remove_object(&mut self, id: ObjectId) -> Option<ObjectEntry> {
         let entry = self.objects.remove(&id)?;
-        if let Some(owned) = self.by_owner.get_mut(&entry.owner) {
-            // Creates and removals are 1:1, so one occurrence.
-            if let Some(pos) = owned.iter().position(|x| *x == id) {
-                owned.swap_remove(pos);
-            }
-        }
         for (no, shard) in &entry.shards {
             self.untier_shard(id, *no, shard);
         }
@@ -493,11 +498,10 @@ impl ObjectStore {
     /// per object: shards are added with [`ObjectStore::put_shard`].
     pub fn create(&self, id: ObjectId, owner: ClientId) {
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        inner.objects.entry(id).or_insert_with(|| {
-            inner.by_owner.entry(owner).or_default().push(id);
-            ObjectEntry::new(owner)
-        });
+        inner
+            .objects
+            .entry(id)
+            .or_insert_with(|| ObjectEntry::new(owner));
     }
 
     /// Declares an object with `shards` shards *before it is produced*,
@@ -512,11 +516,10 @@ impl ObjectStore {
     /// [`retain`](ObjectStore::retain) explicitly.
     pub fn declare(&self, id: ObjectId, owner: ClientId, shards: u32) -> Vec<Event> {
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let entry = inner.objects.entry(id).or_insert_with(|| {
-            inner.by_owner.entry(owner).or_default().push(id);
-            ObjectEntry::new(owner)
-        });
+        let entry = inner
+            .objects
+            .entry(id)
+            .or_insert_with(|| ObjectEntry::new(owner));
         // Sized once for every shard the producer will put: a 2048-shard
         // object otherwise regrows its table ten times on the put path.
         let unseen = (shards as usize).saturating_sub(entry.shards.len());
@@ -703,15 +706,8 @@ impl ObjectStore {
         // re-enter the store); leases and events keep the seed ordering.
         let deferred: Vec<ObjectEntry> = {
             let mut inner = self.inner.lock();
-            let mut doomed: Vec<ObjectId> = inner
-                .by_owner
-                .get(&client)
-                .map(|owned| owned.to_vec())
-                .unwrap_or_default();
-            // Swap-removes scramble the list; restore the ascending id
-            // order deterministic fault replay relies on.
-            doomed.sort_unstable();
-            doomed
+            inner
+                .owned_by(client)
                 .into_iter()
                 .filter_map(|id| {
                     let mut entry = inner.remove_object(id)?;
@@ -831,15 +827,7 @@ impl ObjectStore {
 
     /// Ids of all live objects owned by `client`, in ascending order.
     pub fn objects_owned_by(&self, client: ClientId) -> Vec<ObjectId> {
-        let mut owned: Vec<ObjectId> = self
-            .inner
-            .lock()
-            .by_owner
-            .get(&client)
-            .map(|owned| owned.to_vec())
-            .unwrap_or_default();
-        owned.sort_unstable();
-        owned
+        self.inner.lock().owned_by(client)
     }
 
     /// Number of live logical objects.
