@@ -9,8 +9,7 @@
 //!
 //! Constructors for all three are provided.
 
-use pathways_sim::hash::{FxHashMap, FxHashSet};
-use pathways_sim::Lock;
+use pathways_sim::hash::FxHashSet;
 
 use serde::{Deserialize, Serialize};
 
@@ -126,12 +125,6 @@ pub struct Topology {
     device_island: Vec<u32>,
     /// `host_island[h]` is the island index of host `h`.
     host_island: Vec<u32>,
-    /// Memo for [`Topology::is_connected_submesh`], keyed by the exact
-    /// device-id set. Sound because a topology is immutable: a set's
-    /// connectivity never changes. Bounded (cleared when full), since
-    /// the resource manager probes many distinct windows at 10k-device
-    /// scale.
-    submesh_cache: Lock<FxHashMap<Box<[u32]>, bool>>,
 }
 
 impl Topology {
@@ -178,7 +171,6 @@ impl Topology {
             num_devices: device_cursor,
             device_island,
             host_island,
-            submesh_cache: Lock::new(FxHashMap::default()),
         }
     }
 
@@ -353,10 +345,6 @@ impl Topology {
         if devs.iter().any(|d| self.island_of_device(*d) != island) {
             return false;
         }
-        let key: Box<[u32]> = devs.iter().map(|d| d.0).collect();
-        if let Some(&hit) = self.submesh_cache.lock().get(&key) {
-            return hit;
-        }
         // BFS over torus coordinates with O(1) 4-neighbor lookups:
         // O(w) for a w-device window, replacing the seed's all-pairs
         // adjacency probe (O(w²) with a binary search per probe).
@@ -383,13 +371,7 @@ impl Topology {
                 }
             }
         }
-        let connected = seen.len() == set.len();
-        let mut cache = self.submesh_cache.lock();
-        if cache.len() >= 1 << 16 {
-            cache.clear();
-        }
-        cache.insert(key, connected);
-        connected
+        seen.len() == set.len()
     }
 }
 
