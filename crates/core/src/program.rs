@@ -518,6 +518,26 @@ mod tests {
     }
 
     #[test]
+    fn slices_and_kernels_format_with_debug() {
+        // A slice's Debug takes its mapping lock once; taking it twice in
+        // one expression panicked as a re-entrant lock, and so did the
+        // derived Debug of every kernel computation holding the slice.
+        let s = slice(&[3, 4]);
+        let text = format!("{s:?}");
+        assert!(
+            text.contains("devices: 2") && text.contains("generation: 0"),
+            "{text}"
+        );
+        let mut b = ProgramBuilder::new("p");
+        b.computation(spec("a"), &s);
+        let kernel = format!("{:?}", b.build().unwrap().computations()[0]);
+        assert!(
+            kernel.starts_with("Kernel {") && kernel.contains("devices: 2"),
+            "{kernel}"
+        );
+    }
+
+    #[test]
     fn builder_produces_topo_order() {
         let mut b = ProgramBuilder::new("p");
         let s = slice(&[0, 1]);

@@ -157,10 +157,11 @@ pub struct VirtualSlice {
 
 impl fmt::Debug for VirtualSlice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let state = self.state.lock();
         f.debug_struct("VirtualSlice")
             .field("id", &self.id)
-            .field("devices", &self.state.lock().devices.len())
-            .field("generation", &self.state.lock().generation)
+            .field("devices", &state.devices.len())
+            .field("generation", &state.generation)
             .finish()
     }
 }
