@@ -48,7 +48,7 @@ use pathways_sim::sync::Event;
 use pathways_sim::{FaultPlan, SimHandle};
 
 use crate::context::CoreCtx;
-use crate::housekeeping::{spawn_error_delivery, spawn_heal_delivery, ErrorLog, HealLog};
+use crate::housekeeping::{spawn_delivery, ErrorLog, HealLog};
 use crate::resource::{HealEvent, ResourceManager};
 use crate::storage::{FailureReason, ObjectId};
 use crate::storage::{RecoveryManager, RecoveryStats};
@@ -416,7 +416,13 @@ impl FaultInjector {
             })
             .collect();
         self.heals.lock().extend(events);
-        spawn_heal_delivery(&self.core, &self.state, &self.heal_log, &notices);
+        spawn_delivery(
+            &self.core,
+            &self.state,
+            "heal-delivery",
+            &self.heal_log,
+            &notices,
+        );
     }
 
     /// Simulates abrupt client failure: every live run of the client
@@ -723,6 +729,12 @@ impl FaultInjector {
                 (*r, reason)
             })
             .collect();
-        spawn_error_delivery(&self.core, &self.state, &self.errors, &notices);
+        spawn_delivery(
+            &self.core,
+            &self.state,
+            "error-delivery",
+            &self.errors,
+            &notices,
+        );
     }
 }

@@ -262,52 +262,73 @@ pub async fn collect_health(
 }
 
 // ---------------------------------------------------------------------------
-// Error delivery (failures → owning hosts)
+// Notice delivery (failures and slice remaps → every live host)
 // ---------------------------------------------------------------------------
 
-/// One host's delivered failure notices: `(failed run, reason)`.
-pub type HostNotices = Vec<(RunId, String)>;
+/// Per-host record of notices delivered by housekeeping: each a key (a
+/// failed run, a remapped slice) with a human-readable detail, in
+/// delivery order per host.
+#[derive(Clone)]
+pub struct NoticeLog<K> {
+    inner: Arc<Lock<BTreeMap<HostId, Notices<K>>>>,
+}
+
+/// One host's delivered notices: `(key, detail)` in delivery order.
+type Notices<K> = Vec<(K, String)>;
 
 /// Per-host record of failures delivered by housekeeping: which runs
 /// died and why, as seen by each host's client agent.
-#[derive(Clone, Default)]
-pub struct ErrorLog {
-    inner: Arc<Lock<BTreeMap<HostId, HostNotices>>>,
+pub type ErrorLog = NoticeLog<RunId>;
+
+/// Per-host record of slice heals delivered by housekeeping: which
+/// virtual slices were remapped off dead hardware (and onto what), as
+/// seen by each host's client agent. The notice is the trigger for the
+/// client side of elasticity: programs lowered against a remapped slice
+/// are stale and re-lower on their next submit.
+pub type HealLog = NoticeLog<SliceId>;
+
+impl<K> Default for NoticeLog<K> {
+    fn default() -> Self {
+        NoticeLog {
+            inner: Arc::default(),
+        }
+    }
 }
 
-impl std::fmt::Debug for ErrorLog {
+impl<K> std::fmt::Debug for NoticeLog<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ErrorLog")
+        f.debug_struct("NoticeLog")
             .field("hosts", &self.inner.lock().len())
             .finish()
     }
 }
 
-impl ErrorLog {
+impl<K: Copy + PartialEq> NoticeLog<K> {
     /// Creates an empty log.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Failure notices delivered to `host`, in delivery order.
-    pub fn notices(&self, host: HostId) -> HostNotices {
+    /// Notices delivered to `host`, in delivery order.
+    pub fn notices(&self, host: HostId) -> Notices<K> {
         self.inner.lock().get(&host).cloned().unwrap_or_default()
     }
 
-    /// True if `host` has been told that `run` failed.
-    pub fn knows_about(&self, host: HostId, run: RunId) -> bool {
+    /// True if `host` has been told about `key` (that the run failed,
+    /// that the slice was remapped).
+    pub fn knows_about(&self, host: HostId, key: K) -> bool {
         self.inner
             .lock()
             .get(&host)
-            .is_some_and(|v| v.iter().any(|(r, _)| *r == run))
+            .is_some_and(|v| v.iter().any(|(k, _)| *k == key))
     }
 
-    fn record(&self, host: HostId, run: RunId, reason: String) {
+    fn record(&self, host: HostId, key: K, detail: String) {
         self.inner
             .lock()
             .entry(host)
             .or_default()
-            .push((run, reason));
+            .push((key, detail));
     }
 }
 
@@ -388,56 +409,35 @@ fn notice_delivery_graph<T: Clone + Send + Sync + 'static>(
     g.build().expect("housekeeping graph is valid")
 }
 
-fn error_delivery_graph(
-    controller: HostId,
-    hosts: Vec<HostId>,
-    log: &ErrorLog,
-    failures: Vec<(RunId, String)>,
-    acks: &Arc<Lock<u32>>,
-) -> pathways_plaque::Graph {
-    let log = log.clone();
-    notice_delivery_graph(
-        "error-delivery",
-        controller,
-        hosts,
-        failures,
-        Arc::new(move |host, (run, reason): &(RunId, String)| {
-            log.record(host, *run, reason.clone());
-        }),
-        acks,
-    )
-}
-
-/// Hosts that can still participate in housekeeping from `controller`'s
-/// point of view: alive, and with an unsevered link to the controller.
-fn reachable_hosts(
+/// Builds the `name` delivery program from the lowest live host to every
+/// host still reachable from it (alive, with an unsevered link to it),
+/// each of which records the notices in `log`; `None` if no host is
+/// left alive.
+fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     core: &Arc<CoreCtx>,
     failures: &FailureState,
-    controller: HostId,
-) -> Vec<HostId> {
-    core.fabric
-        .topology()
+    name: &str,
+    log: &NoticeLog<K>,
+    notices: &[(K, String)],
+) -> Option<(pathways_plaque::Graph, HostId, Arc<Lock<u32>>)> {
+    let topo = core.fabric.topology();
+    let controller = topo.hosts().find(|h| !failures.host_dead(*h))?;
+    let hosts = topo
         .hosts()
         .filter(|h| !failures.host_dead(*h) && !failures.link_down(controller, *h))
-        .collect()
-}
-
-/// Builds the delivery program against the hosts currently reachable
-/// from the lowest live host; `None` if no host is left alive.
-fn prepare_error_delivery(
-    core: &Arc<CoreCtx>,
-    failures: &FailureState,
-    log: &ErrorLog,
-    notices: &[(RunId, String)],
-) -> Option<(pathways_plaque::Graph, HostId, Arc<Lock<u32>>)> {
-    let controller = core
-        .fabric
-        .topology()
-        .hosts()
-        .find(|h| !failures.host_dead(*h))?;
-    let hosts = reachable_hosts(core, failures, controller);
+        .collect();
     let acks = Arc::new(Lock::new(0u32));
-    let graph = error_delivery_graph(controller, hosts, log, notices.to_vec(), &acks);
+    let log = log.clone();
+    let graph = notice_delivery_graph(
+        name,
+        controller,
+        hosts,
+        notices.to_vec(),
+        Arc::new(move |host, (key, detail): &(K, String)| {
+            log.record(host, *key, detail.clone());
+        }),
+        &acks,
+    );
     Some((graph, controller, acks))
 }
 
@@ -450,16 +450,17 @@ fn prepare_error_delivery(
 /// hosts dies *while the program is in flight*, its applier shard never
 /// halts and this future never resolves. Callers that may race further
 /// faults must not await delivery — the fault injector uses the
-/// fire-and-forget `spawn_error_delivery` internally for exactly that
-/// reason. Reserve this awaited form for quiescent-fault settings
-/// (tests, post-mortem reporting).
+/// fire-and-forget `spawn_delivery` internally for exactly that reason.
+/// Reserve this awaited form for quiescent-fault settings (tests,
+/// post-mortem reporting).
 pub async fn deliver_errors(
     core: &Arc<CoreCtx>,
     failures: &FailureState,
     log: &ErrorLog,
     notices: &[(RunId, String)],
 ) -> u32 {
-    let Some((graph, controller, acks)) = prepare_error_delivery(core, failures, log, notices)
+    let Some((graph, controller, acks)) =
+        prepare_delivery(core, failures, "error-delivery", log, notices)
     else {
         return 0;
     };
@@ -468,106 +469,23 @@ pub async fn deliver_errors(
     n
 }
 
-/// Fire-and-forget form of [`deliver_errors`], used by the fault
-/// injector: the delivery program runs in the background and is *not*
-/// awaited, so a second fault landing mid-delivery cannot wedge the
-/// injector (shards lost to the newer fault simply never ack).
-pub(crate) fn spawn_error_delivery(
+/// Fire-and-forget delivery, used by the fault injector for failure
+/// notices (`"error-delivery"`, the background form of
+/// [`deliver_errors`]) and, right after the resource manager remapped
+/// slices off dead hardware, for heal notices (`"heal-delivery"`). The
+/// program is *not* awaited, so a second fault landing mid-delivery
+/// cannot wedge the injector (shards lost to the newer fault simply
+/// never ack).
+pub(crate) fn spawn_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     core: &Arc<CoreCtx>,
     failures: &FailureState,
-    log: &ErrorLog,
-    notices: &[(RunId, String)],
+    name: &str,
+    log: &NoticeLog<K>,
+    notices: &[(K, String)],
 ) {
-    if let Some((graph, controller, _acks)) = prepare_error_delivery(core, failures, log, notices) {
+    if let Some((graph, controller, _acks)) = prepare_delivery(core, failures, name, log, notices) {
         drop(core.plaque.launch(&graph, controller));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Heal delivery (slice remaps → owning hosts)
-// ---------------------------------------------------------------------------
-
-/// One host's delivered heal notices: `(remapped slice, description)`.
-pub type HealNotices = Vec<(SliceId, String)>;
-
-/// Per-host record of slice heals delivered by housekeeping: which
-/// virtual slices were remapped off dead hardware (and onto what), as
-/// seen by each host's client agent. The notice is the trigger for the
-/// client side of elasticity: programs lowered against a remapped slice
-/// are stale and re-lower on their next submit.
-#[derive(Clone, Default)]
-pub struct HealLog {
-    inner: Arc<Lock<BTreeMap<HostId, HealNotices>>>,
-}
-
-impl std::fmt::Debug for HealLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HealLog")
-            .field("hosts", &self.inner.lock().len())
-            .finish()
-    }
-}
-
-impl HealLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Heal notices delivered to `host`, in delivery order.
-    pub fn notices(&self, host: HostId) -> HealNotices {
-        self.inner.lock().get(&host).cloned().unwrap_or_default()
-    }
-
-    /// True if `host` has been told that `slice` was remapped.
-    pub fn knows_about(&self, host: HostId, slice: SliceId) -> bool {
-        self.inner
-            .lock()
-            .get(&host)
-            .is_some_and(|v| v.iter().any(|(s, _)| *s == slice))
-    }
-
-    fn record(&self, host: HostId, slice: SliceId, detail: String) {
-        self.inner
-            .lock()
-            .entry(host)
-            .or_default()
-            .push((slice, detail));
-    }
-}
-
-/// Fire-and-forget heal-notice fan-out to every live, reachable host,
-/// launched by the fault injector right after the resource manager
-/// remapped slices off dead hardware. Mirrors `spawn_error_delivery`:
-/// not awaited, so an overlapping fault cannot wedge the injector.
-pub(crate) fn spawn_heal_delivery(
-    core: &Arc<CoreCtx>,
-    failures: &FailureState,
-    log: &HealLog,
-    notices: &[(SliceId, String)],
-) {
-    let Some(controller) = core
-        .fabric
-        .topology()
-        .hosts()
-        .find(|h| !failures.host_dead(*h))
-    else {
-        return;
-    };
-    let hosts = reachable_hosts(core, failures, controller);
-    let acks = Arc::new(Lock::new(0u32));
-    let log = log.clone();
-    let graph = notice_delivery_graph(
-        "heal-delivery",
-        controller,
-        hosts,
-        notices.to_vec(),
-        Arc::new(move |host, (slice, detail): &(SliceId, String)| {
-            log.record(host, *slice, detail.clone());
-        }),
-        &acks,
-    );
-    drop(core.plaque.launch(&graph, controller));
 }
 
 #[cfg(test)]
