@@ -11,9 +11,10 @@
 //!   path rebuilt for O(10k) devices: the timer wheel, the readiness
 //!   fan-out in the object store, and the gang rendezvous indexes.
 //! - [`heal_point`] — resource-manager healing in isolation: allocate a
-//!   fixed per-island load, kill one device, and time `heal`. With the
-//!   device -> slices reverse index the cost tracks the blast radius
-//!   (slices actually touching the dead device), not the cluster size.
+//!   fixed per-island load, kill one device, and time `heal`. The
+//!   slices remapped are the blast radius (those touching the dead
+//!   device), which stays fixed; finding them filters every live slice,
+//!   so the time grows with the cluster's live-slice count.
 //!
 //! Wall-clock numbers are measured with [`std::time::Instant`] and are
 //! machine-dependent; the virtual-time numbers are deterministic.

@@ -13,13 +13,10 @@
 //! underflow in every build profile, so any drift fails this test
 //! loudly.
 //!
-//! The manager also keeps incremental placement indexes (per-island
-//! load sums, a load-ordered device set, and a device -> slices reverse
-//! index) so allocation and healing scale with the blast radius rather
-//! than the cluster. After every step the test additionally calls
-//! [`ResourceManager::assert_indexes_consistent`], which recomputes all
-//! three from the ground-truth ledger with a naive linear scan and
-//! panics on any drift.
+//! After every step the test also calls
+//! [`ResourceManager::assert_indexes_consistent`], which recounts every
+//! device's use-count from the live slices' mappings under the
+//! manager's own lock and panics on any drift.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
