@@ -584,6 +584,73 @@ mod tests {
         );
     }
 
+    /// Delivers `first`, kills host 3, delivers `second` (each through
+    /// `deliver`, run to quiescence), then checks what every host holds.
+    fn two_batches_around_a_host_kill<K>(
+        first: &[(K, String)],
+        second: &[(K, String)],
+        deliver: impl Fn(&Sim, &Arc<CoreCtx>, &FailureState, &NoticeLog<K>, &[(K, String)]),
+    ) where
+        K: Copy + PartialEq + std::fmt::Debug,
+    {
+        use crate::fault::FaultSpec;
+
+        let mut sim = Sim::new(0);
+        let rt = runtime(&sim, 4);
+        let failures = rt.faults().state().clone();
+        let log = NoticeLog::new();
+        deliver(&sim, rt.core(), &failures, &log, first);
+        sim.run_to_quiescence();
+        rt.faults().inject(&FaultSpec::Host(HostId(3)));
+        deliver(&sim, rt.core(), &failures, &log, second);
+        sim.run_to_quiescence();
+
+        let both: Vec<(K, String)> = first.iter().chain(second).cloned().collect();
+        for h in 0..3 {
+            assert_eq!(log.notices(HostId(h)), both, "host {h}");
+        }
+        assert_eq!(
+            log.notices(HostId(3)),
+            first,
+            "the dead host keeps the first batch only"
+        );
+        for (key, _) in &both {
+            for h in 0..3 {
+                assert!(log.knows_about(HostId(h), *key), "host {h} missed {key:?}");
+            }
+            let in_first = first.iter().any(|(k, _)| k == key);
+            assert_eq!(log.knows_about(HostId(3), *key), in_first, "{key:?}");
+        }
+    }
+
+    #[test]
+    fn error_batches_reach_live_hosts_in_delivery_order() {
+        let first = [
+            (RunId(4), "device dev3 failed".to_string()),
+            (RunId(7), "upstream object 12 failed".to_string()),
+        ];
+        let second = [(RunId(2), "host host3 failed".to_string())];
+        two_batches_around_a_host_kill(&first, &second, |sim, core, failures, log, notices| {
+            let (core, failures, log) = (Arc::clone(core), failures.clone(), log.clone());
+            let notices = notices.to_vec();
+            sim.spawn("deliver", async move {
+                deliver_errors(&core, &failures, &log, &notices).await;
+            });
+        });
+    }
+
+    #[test]
+    fn heal_batches_reach_live_hosts_in_delivery_order() {
+        let first = [(SliceId(5), "remapped [dev1] -> [dev9]".to_string())];
+        let second = [
+            (SliceId(5), "remapped [dev9] -> [dev10]".to_string()),
+            (SliceId(6), "unplaceable: no capacity".to_string()),
+        ];
+        two_batches_around_a_host_kill(&first, &second, |_, core, failures, log, notices| {
+            spawn_delivery(core, failures, "heal-delivery", log, notices);
+        });
+    }
+
     #[test]
     fn housekeeping_runs_alongside_training() {
         // Config distribution and training programs share the substrate
