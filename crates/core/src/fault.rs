@@ -421,7 +421,7 @@ impl FaultInjector {
             &self.state,
             "heal-delivery",
             &self.heal_log,
-            &notices,
+            notices,
         );
     }
 
@@ -734,7 +734,7 @@ impl FaultInjector {
             &self.state,
             "error-delivery",
             &self.errors,
-            &notices,
+            notices,
         );
     }
 }

@@ -21,6 +21,11 @@
 //! * heal delivery ([`HealLog`]) — fan a slice-remap notice out to
 //!   every live host after elastic healing, so client agents know their
 //!   lowered programs are stale and must re-lower before resubmitting.
+//!
+//! Error and heal notices land in a [`NoticeLog`] per kind. Each
+//! delivery builds its notices once, into one shared batch that the
+//! broadcast tuple and every receiving host's log point to, so a fault
+//! costs its notice bytes once rather than once per host.
 
 use pathways_sim::hash::FxHashMap;
 use pathways_sim::Lock;
@@ -268,13 +273,20 @@ pub async fn collect_health(
 /// Per-host record of notices delivered by housekeeping: each a key (a
 /// failed run, a remapped slice) with a human-readable detail, in
 /// delivery order per host.
+///
+/// A delivery's notices are built once, into one shared batch: the
+/// broadcast tuple carries it and every host that receives it records a
+/// pointer to it. A notice so costs its bytes once however many hosts
+/// hear of it, plus one 16-byte entry per receiving host per delivery.
+/// [`notices`](Self::notices) flattens a host's batches when read.
 #[derive(Clone)]
 pub struct NoticeLog<K> {
-    inner: Arc<Lock<BTreeMap<HostId, Notices<K>>>>,
+    inner: Arc<Lock<BTreeMap<HostId, Vec<Batch<K>>>>>,
 }
 
-/// One host's delivered notices: `(key, detail)` in delivery order.
-type Notices<K> = Vec<(K, String)>;
+/// One delivery's `(key, detail)` notices, shared by its broadcast tuple
+/// and every receiving host's log.
+type Batch<K> = Arc<[(K, String)]>;
 
 /// Per-host record of failures delivered by housekeeping: which runs
 /// died and why, as seen by each host's client agent.
@@ -310,89 +322,79 @@ impl<K: Copy + PartialEq> NoticeLog<K> {
     }
 
     /// Notices delivered to `host`, in delivery order.
-    pub fn notices(&self, host: HostId) -> Notices<K> {
-        self.inner.lock().get(&host).cloned().unwrap_or_default()
+    pub fn notices(&self, host: HostId) -> Vec<(K, String)> {
+        let inner = self.inner.lock();
+        let batches = inner.get(&host).into_iter().flatten();
+        batches.flat_map(|b| b.iter().cloned()).collect()
     }
 
     /// True if `host` has been told about `key` (that the run failed,
     /// that the slice was remapped).
     pub fn knows_about(&self, host: HostId, key: K) -> bool {
-        self.inner
-            .lock()
-            .get(&host)
-            .is_some_and(|v| v.iter().any(|(k, _)| *k == key))
+        let inner = self.inner.lock();
+        let mut batches = inner.get(&host).into_iter().flatten();
+        batches.any(|b| b.iter().any(|(k, _)| *k == key))
     }
 
-    fn record(&self, host: HostId, key: K, detail: String) {
+    fn record(&self, host: HostId, batch: &Batch<K>) {
         self.inner
             .lock()
             .entry(host)
             .or_default()
-            .push((key, detail));
+            .push(Arc::clone(batch));
     }
 }
 
-/// A broadcast of `notices` from one controller shard.
-#[derive(Debug, Clone)]
-struct NoticeMsg<T> {
-    notices: Vec<T>,
-}
-
-struct NoticeBroadcaster<T> {
+/// Broadcasts one batch from the controller shard.
+struct NoticeBroadcaster<K> {
     out: EdgeId,
-    msg: NoticeMsg<T>,
+    batch: Batch<K>,
 }
 
-impl<T: Clone + Send + Sync + 'static> Operator for NoticeBroadcaster<T> {
+impl<K: Send + Sync + 'static> Operator for NoticeBroadcaster<K> {
     fn on_all_inputs_complete(&mut self, ctx: &mut ShardCtx<'_>) {
-        let bytes = 32 + 24 * self.msg.notices.len() as u64;
-        ctx.broadcast(self.out, Tuple::new(self.msg.clone(), bytes));
+        let bytes = 32 + 24 * self.batch.len() as u64;
+        ctx.broadcast(self.out, Tuple::new(Arc::clone(&self.batch), bytes));
         ctx.halt();
     }
 }
 
-/// How a host applies one received notice to its local log.
-type ApplyNotice<T> = Arc<dyn Fn(HostId, &T) + Send + Sync>;
-
-struct NoticeApplier<T> {
-    apply: ApplyNotice<T>,
+/// Records a received batch in its host's log and acknowledges it.
+struct NoticeApplier<K> {
+    log: NoticeLog<K>,
     ack_edge: EdgeId,
 }
 
-impl<T: Clone + Send + Sync + 'static> Operator for NoticeApplier<T> {
+impl<K: Copy + PartialEq + Send + Sync + 'static> Operator for NoticeApplier<K> {
     fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _edge: EdgeId, _src: u32, tuple: Tuple) {
-        let msg = tuple.expect::<NoticeMsg<T>>();
-        for notice in &msg.notices {
-            (self.apply)(ctx.host(), notice);
-        }
+        self.log.record(ctx.host(), tuple.expect::<Batch<K>>());
         ctx.send(self.ack_edge, 0, Tuple::control(Ack));
     }
 }
 
 /// The shared broadcast/apply/ack fan-out shape behind error and heal
-/// delivery: one controller shard broadcasts the notices, every host
-/// applies them through `apply`, acknowledgements gather back.
-fn notice_delivery_graph<T: Clone + Send + Sync + 'static>(
+/// delivery: one controller shard broadcasts `batch`, every host records
+/// it in `log`, acknowledgements gather back.
+fn notice_delivery_graph<K: Copy + PartialEq + Send + Sync + 'static>(
     name: &str,
     controller: HostId,
     hosts: Vec<HostId>,
-    notices: Vec<T>,
-    apply: ApplyNotice<T>,
+    batch: Batch<K>,
+    log: NoticeLog<K>,
     acks: &Arc<Lock<u32>>,
 ) -> pathways_plaque::Graph {
     let bcast_edge = EdgeId(0);
     let ack_edge = EdgeId(1);
     let mut g = GraphBuilder::new(name);
-    let msg = NoticeMsg { notices };
     let src = g.node("broadcast", vec![controller], move |_| {
         Box::new(NoticeBroadcaster {
             out: bcast_edge,
-            msg: msg.clone(),
+            batch: Arc::clone(&batch),
         })
     });
     let appliers = g.node("apply", hosts, move |_| {
         Box::new(NoticeApplier {
-            apply: Arc::clone(&apply),
+            log: log.clone(),
             ack_edge,
         })
     });
@@ -411,14 +413,14 @@ fn notice_delivery_graph<T: Clone + Send + Sync + 'static>(
 
 /// Builds the `name` delivery program from the lowest live host to every
 /// host still reachable from it (alive, with an unsevered link to it),
-/// each of which records the notices in `log`; `None` if no host is
-/// left alive.
+/// each of which records `batch` in `log`; `None` if no host is left
+/// alive.
 fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     core: &Arc<CoreCtx>,
     failures: &FailureState,
     name: &str,
     log: &NoticeLog<K>,
-    notices: &[(K, String)],
+    batch: Batch<K>,
 ) -> Option<(pathways_plaque::Graph, HostId, Arc<Lock<u32>>)> {
     let topo = core.fabric.topology();
     let controller = topo.hosts().find(|h| !failures.host_dead(*h))?;
@@ -427,17 +429,7 @@ fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
         .filter(|h| !failures.host_dead(*h) && !failures.link_down(controller, *h))
         .collect();
     let acks = Arc::new(Lock::new(0u32));
-    let log = log.clone();
-    let graph = notice_delivery_graph(
-        name,
-        controller,
-        hosts,
-        notices.to_vec(),
-        Arc::new(move |host, (key, detail): &(K, String)| {
-            log.record(host, *key, detail.clone());
-        }),
-        &acks,
-    );
+    let graph = notice_delivery_graph(name, controller, hosts, batch, log.clone(), &acks);
     Some((graph, controller, acks))
 }
 
@@ -460,7 +452,7 @@ pub async fn deliver_errors(
     notices: &[(RunId, String)],
 ) -> u32 {
     let Some((graph, controller, acks)) =
-        prepare_delivery(core, failures, "error-delivery", log, notices)
+        prepare_delivery(core, failures, "error-delivery", log, notices.into())
     else {
         return 0;
     };
@@ -481,9 +473,10 @@ pub(crate) fn spawn_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     failures: &FailureState,
     name: &str,
     log: &NoticeLog<K>,
-    notices: &[(K, String)],
+    notices: impl Into<Batch<K>>,
 ) {
-    if let Some((graph, controller, _acks)) = prepare_delivery(core, failures, name, log, notices) {
+    let batch = notices.into();
+    if let Some((graph, controller, _acks)) = prepare_delivery(core, failures, name, log, batch) {
         drop(core.plaque.launch(&graph, controller));
     }
 }

@@ -23,6 +23,14 @@
 //! purge them, and the executor kept a trace span per kernel that
 //! nothing read: 150 more chains below grew live bytes by 1 006 352
 //! (6.7 KiB per chain of two runs). They now grow them by 9 600.
+//!
+//! *Fault notices.* A heal tells every live host which slice moved. Each
+//! host used to keep its own `(key, String)` copy of every notice: 48
+//! heals on 32 hosts grew live bytes by 119 136, 2 482 per heal — the
+//! 41-byte detail plus a 32-byte entry on each of 32 hosts (2 336), and
+//! what the heal itself keeps. Each delivery's notices are now one
+//! shared batch and a host keeps a 16-byte pointer to it: 36 384, 758
+//! per heal (512 of it the hosts' pointers).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -190,5 +198,58 @@ fn finished_runs_retain_nothing() {
     assert!(
         after_200 - after_50 <= RETENTION_SLACK,
         "150 more chains grew live bytes {after_50} -> {after_200}"
+    );
+}
+
+/// Hosts of the heal-retention cluster (config B: 8 devices per host).
+const HEAL_HOSTS: i64 = 32;
+
+/// Live bytes one heal may keep besides its hosts' 16-byte log entries:
+/// its notice batch (a 48-byte shared slice header and entry plus the
+/// 41-byte detail), the `HealEvent` that `heal_events()` keeps on
+/// purpose (64 bytes plus its two one-device mappings) and the failure
+/// registries' entry for the dead device. 246 bytes are measured.
+const HEAL_SLACK: i64 = 512;
+
+#[test]
+fn a_heal_notice_is_stored_once_across_hosts() {
+    use pathways_core::FaultSpec;
+
+    let mut sim = Sim::new(0);
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::config_b(HEAL_HOSTS as u32),
+        NetworkParams::tpu_cluster(),
+        PathwaysConfig::default(),
+    );
+    let client = rt.client(HostId(0));
+    let slice = client.virtual_slice(SliceRequest::devices(1)).unwrap();
+    // Each kill takes the slice's one device; the heal remaps it onto a
+    // spare and tells every host.
+    let kill = |sim: &mut Sim, n: usize| {
+        for _ in 0..n {
+            let device = slice.physical_devices()[0];
+            rt.faults().inject(&FaultSpec::Device(device));
+            sim.run_to_quiescence();
+        }
+    };
+    // 16 then 48 more: the per-host logs and the heal history go from 16
+    // to 64 entries, so their growth is exactly one entry per heal.
+    kill(&mut sim, 16);
+    let before = live_bytes();
+    kill(&mut sim, 48);
+    let per_heal = (live_bytes() - before) / 48;
+    let heals = rt.faults().heal_events();
+    assert_eq!(heals.len(), 64);
+    assert!(heals.iter().all(|e| e.healed()));
+    for h in 0..HEAL_HOSTS as u32 {
+        let notices = rt.faults().heal_log().notices(HostId(h));
+        assert_eq!(notices.len(), 64, "host {h}");
+        assert!(notices.iter().all(|(id, _)| *id == slice.id()));
+    }
+    let budget = 16 * HEAL_HOSTS + HEAL_SLACK;
+    assert!(
+        per_heal <= budget,
+        "each heal kept {per_heal} live bytes (budget {budget})"
     );
 }
