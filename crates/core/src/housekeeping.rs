@@ -645,6 +645,51 @@ mod tests {
     }
 
     #[test]
+    fn a_host_that_misses_a_delivery_picks_up_with_the_next() {
+        use crate::fault::FaultSpec;
+
+        let batch = |slice: u64| vec![(SliceId(slice), format!("remapped slice {slice}"))];
+        let (b0, b1, b2) = (batch(0), batch(1), batch(2));
+        let mut sim = Sim::new(0);
+        let rt = runtime(&sim, 4);
+        let failures = rt.faults().state().clone();
+        let log = HealLog::new();
+        let deliver = |sim: &mut Sim, notices: &[(SliceId, String)]| {
+            spawn_delivery(
+                rt.core(),
+                &failures,
+                "heal-delivery",
+                &log,
+                notices.to_vec(),
+            );
+            sim.run_to_quiescence();
+        };
+        deliver(&mut sim, &b0);
+        // Host 0 controls the next delivery and cannot reach host 3.
+        rt.faults().inject(&FaultSpec::Link(HostId(0), HostId(3)));
+        deliver(&mut sim, &b1);
+        // Host 1 controls the last one, and reaches host 3 again.
+        rt.faults().inject(&FaultSpec::Host(HostId(0)));
+        deliver(&mut sim, &b2);
+
+        let expected = [
+            [&b0[..], &b1].concat(),
+            [&b0[..], &b1, &b2].concat(),
+            [&b0[..], &b1, &b2].concat(),
+            [&b0[..], &b2].concat(),
+        ];
+        for (h, want) in expected.iter().enumerate() {
+            let host = HostId(h as u32);
+            assert_eq!(&log.notices(host), want, "host {h}");
+            for slice in 0..3 {
+                let key = SliceId(slice);
+                let knows = want.iter().any(|(k, _)| *k == key);
+                assert_eq!(log.knows_about(host, key), knows, "host {h}, {key:?}");
+            }
+        }
+    }
+
+    #[test]
     fn housekeeping_runs_alongside_training() {
         // Config distribution and training programs share the substrate
         // without interfering.
