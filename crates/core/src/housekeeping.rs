@@ -23,13 +23,16 @@
 //!   lowered programs are stale and must re-lower before resubmitting.
 //!
 //! Error and heal notices land in a [`NoticeLog`] per kind. Each
-//! delivery builds its notices once, into one shared batch that the
-//! broadcast tuple and every receiving host's log point to, so a fault
-//! costs its notice bytes once rather than once per host.
+//! delivery builds its notices once, into one batch that the log keeps
+//! in its batch list and the broadcast tuple carries; a receiving host
+//! records only the batch's index, as part of a run of consecutive
+//! indices. The log so grows with the deliveries, not with hosts ×
+//! deliveries.
 
 use pathways_sim::hash::FxHashMap;
 use pathways_sim::Lock;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pathways_net::{DeviceId, HostId};
@@ -274,18 +277,31 @@ pub async fn collect_health(
 /// failed run, a remapped slice) with a human-readable detail, in
 /// delivery order per host.
 ///
-/// A delivery's notices are built once, into one shared batch: the
-/// broadcast tuple carries it and every host that receives it records a
-/// pointer to it. A notice so costs its bytes once however many hosts
-/// hear of it, plus one 16-byte entry per receiving host per delivery.
-/// [`notices`](Self::notices) flattens a host's batches when read.
+/// The log keeps every delivery's notices once, as one shared batch in a
+/// launch-ordered batch list: the broadcast tuple carries it and each
+/// receiving host records its index. A host keeps its indices as runs of
+/// consecutive indices, and recording the next index extends the last
+/// run in place, so a host that hears every delivery costs one run
+/// however many deliveries it heard. A host that misses a delivery (dead
+/// or cut off at launch) starts a new run with the next one it hears.
+/// The log so grows with the deliveries, not with hosts × deliveries.
+/// [`notices`](Self::notices) and [`knows_about`](Self::knows_about)
+/// walk a host's runs.
 #[derive(Clone)]
 pub struct NoticeLog<K> {
-    inner: Arc<Lock<BTreeMap<HostId, Vec<Batch<K>>>>>,
+    inner: Arc<Lock<LogInner<K>>>,
+}
+
+struct LogInner<K> {
+    /// Every delivery's batch, in launch order.
+    batches: Vec<Batch<K>>,
+    /// Per host, the runs of batch indices it received, in delivery
+    /// order.
+    hosts: BTreeMap<HostId, Vec<Range<u32>>>,
 }
 
 /// One delivery's `(key, detail)` notices, shared by its broadcast tuple
-/// and every receiving host's log.
+/// and the log's batch list.
 type Batch<K> = Arc<[(K, String)]>;
 
 /// Per-host record of failures delivered by housekeeping: which runs
@@ -302,16 +318,29 @@ pub type HealLog = NoticeLog<SliceId>;
 impl<K> Default for NoticeLog<K> {
     fn default() -> Self {
         NoticeLog {
-            inner: Arc::default(),
+            inner: Arc::new(Lock::new(LogInner {
+                batches: Vec::new(),
+                hosts: BTreeMap::new(),
+            })),
         }
     }
 }
 
 impl<K> std::fmt::Debug for NoticeLog<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.inner.lock();
         f.debug_struct("NoticeLog")
-            .field("hosts", &self.inner.lock().len())
+            .field("batches", &inner.batches.len())
+            .field("hosts", &inner.hosts.len())
             .finish()
+    }
+}
+
+impl<K> LogInner<K> {
+    /// The batches `host` received, in delivery order.
+    fn received(&self, host: HostId) -> impl Iterator<Item = &Batch<K>> {
+        let runs = self.hosts.get(&host).into_iter().flatten();
+        runs.flat_map(|run| &self.batches[run.start as usize..run.end as usize])
     }
 }
 
@@ -324,7 +353,7 @@ impl<K: Copy + PartialEq> NoticeLog<K> {
     /// Notices delivered to `host`, in delivery order.
     pub fn notices(&self, host: HostId) -> Vec<(K, String)> {
         let inner = self.inner.lock();
-        let batches = inner.get(&host).into_iter().flatten();
+        let batches = inner.received(host);
         batches.flat_map(|b| b.iter().cloned()).collect()
     }
 
@@ -332,16 +361,25 @@ impl<K: Copy + PartialEq> NoticeLog<K> {
     /// that the slice was remapped).
     pub fn knows_about(&self, host: HostId, key: K) -> bool {
         let inner = self.inner.lock();
-        let mut batches = inner.get(&host).into_iter().flatten();
+        let mut batches = inner.received(host);
         batches.any(|b| b.iter().any(|(k, _)| *k == key))
     }
 
-    fn record(&self, host: HostId, batch: &Batch<K>) {
-        self.inner
-            .lock()
-            .entry(host)
-            .or_default()
-            .push(Arc::clone(batch));
+    /// Appends one delivery's batch to the batch list; returns its index.
+    fn append(&self, batch: Batch<K>) -> usize {
+        let mut inner = self.inner.lock();
+        inner.batches.push(batch);
+        inner.batches.len() - 1
+    }
+
+    /// Records that `host` received batch `index`.
+    fn record(&self, host: HostId, index: u32) {
+        let mut inner = self.inner.lock();
+        let runs = inner.hosts.entry(host).or_default();
+        match runs.last_mut() {
+            Some(run) if run.end == index => run.end += 1,
+            _ => runs.push(index..index + 1),
+        }
     }
 }
 
@@ -359,22 +397,26 @@ impl<K: Send + Sync + 'static> Operator for NoticeBroadcaster<K> {
     }
 }
 
-/// Records a received batch in its host's log and acknowledges it.
+/// Records a received batch's index in its host's log and acknowledges
+/// it.
 struct NoticeApplier<K> {
     log: NoticeLog<K>,
+    index: u32,
     ack_edge: EdgeId,
 }
 
 impl<K: Copy + PartialEq + Send + Sync + 'static> Operator for NoticeApplier<K> {
     fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _edge: EdgeId, _src: u32, tuple: Tuple) {
-        self.log.record(ctx.host(), tuple.expect::<Batch<K>>());
+        tuple.expect::<Batch<K>>();
+        self.log.record(ctx.host(), self.index);
         ctx.send(self.ack_edge, 0, Tuple::control(Ack));
     }
 }
 
 /// The shared broadcast/apply/ack fan-out shape behind error and heal
-/// delivery: one controller shard broadcasts `batch`, every host records
-/// it in `log`, acknowledgements gather back.
+/// delivery: `batch` joins `log`'s batch list, one controller shard
+/// broadcasts it, every host records its index, acknowledgements
+/// gather back.
 fn notice_delivery_graph<K: Copy + PartialEq + Send + Sync + 'static>(
     name: &str,
     controller: HostId,
@@ -385,6 +427,7 @@ fn notice_delivery_graph<K: Copy + PartialEq + Send + Sync + 'static>(
 ) -> pathways_plaque::Graph {
     let bcast_edge = EdgeId(0);
     let ack_edge = EdgeId(1);
+    let index = u32::try_from(log.append(Arc::clone(&batch))).expect("under 2^32 deliveries");
     let mut g = GraphBuilder::new(name);
     let src = g.node("broadcast", vec![controller], move |_| {
         Box::new(NoticeBroadcaster {
@@ -395,6 +438,7 @@ fn notice_delivery_graph<K: Copy + PartialEq + Send + Sync + 'static>(
     let appliers = g.node("apply", hosts, move |_| {
         Box::new(NoticeApplier {
             log: log.clone(),
+            index,
             ack_edge,
         })
     });
