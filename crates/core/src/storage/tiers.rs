@@ -29,8 +29,12 @@
 //!   once every extent in it has died. Live bytes
 //!   ([`DiskBackend::used`]) drain to zero with the objects; *occupied*
 //!   bytes (live + dead in unreclaimed segments) are what the disk
-//!   durably holds — the metric checkpoint GC exists to bound.
+//!   durably holds — the metric checkpoint GC exists to bound. The
+//!   segment table drops reclaimed segments off its front, so it spans
+//!   the oldest unreclaimed segment to the active one, not the whole
+//!   history of the log.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -250,7 +254,9 @@ impl DramBackend {
 /// extent is what lets its segment eventually be reclaimed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ExtentRef {
-    pub(crate) segment: u32,
+    /// Absolute segment number: segments are numbered in the order they
+    /// opened, from 0, whether or not earlier ones were trimmed.
+    pub(crate) segment: u64,
     pub(crate) bytes: u64,
 }
 
@@ -274,9 +280,9 @@ pub(crate) struct Segment {
 pub struct SegmentStats {
     /// Segments ever created.
     pub segments: u64,
-    /// Segments sealed (full).
+    /// Segments ever sealed (full).
     pub sealed: u64,
-    /// Sealed segments whose extents all died and were reclaimed.
+    /// Sealed segments whose extents all died and were reclaimed, ever.
     pub reclaimed: u64,
     /// Live bytes across all segments (drains to zero with the objects).
     pub live_bytes: u64,
@@ -289,9 +295,19 @@ pub struct SegmentStats {
 /// charge extents in the active segment; a full segment seals; a sealed
 /// segment whose live bytes drain to zero is reclaimed whole (the
 /// log-structured reclaim unit).
+///
+/// The segment table holds the segments from the oldest unreclaimed one
+/// to the active one: when a segment opens, the reclaimed segments at
+/// the front are trimmed, so the table follows the live span of the log
+/// rather than every segment ever opened. A long-lived early extent
+/// holds the front, and every segment after it, in place until it dies.
 pub(crate) struct DiskBackend {
     segment_bytes: u64,
-    segments: Vec<Segment>,
+    /// Segments `base..base + segments.len()`.
+    segments: VecDeque<Segment>,
+    /// Absolute number of `segments`' front; every segment before it was
+    /// sealed and reclaimed.
+    base: u64,
     live: u64,
 }
 
@@ -299,7 +315,8 @@ impl DiskBackend {
     pub(crate) fn new(segment_bytes: u64) -> Self {
         DiskBackend {
             segment_bytes: segment_bytes.max(1),
-            segments: Vec::new(),
+            segments: VecDeque::new(),
+            base: 0,
             live: 0,
         }
     }
@@ -307,18 +324,22 @@ impl DiskBackend {
     /// Appends `bytes` into the active segment (sealing and opening
     /// segments as needed) and returns the extent.
     pub(crate) fn charge(&mut self, bytes: u64) -> ExtentRef {
-        let needs_new = match self.segments.last() {
+        let needs_new = match self.segments.back() {
             None => true,
             Some(seg) => seg.sealed || (seg.alloc > 0 && seg.alloc + bytes > self.segment_bytes),
         };
         if needs_new {
-            if let Some(seg) = self.segments.last_mut() {
+            if let Some(seg) = self.segments.back_mut() {
                 if !seg.sealed {
                     seg.sealed = true;
                     Self::maybe_reclaim(seg);
                 }
             }
-            self.segments.push(Segment::default());
+            while self.segments.front().is_some_and(|s| s.reclaimed) {
+                self.segments.pop_front();
+                self.base += 1;
+            }
+            self.segments.push_back(Segment::default());
         }
         let idx = self.segments.len() - 1;
         let seg = &mut self.segments[idx];
@@ -329,7 +350,7 @@ impl DiskBackend {
             seg.sealed = true;
         }
         ExtentRef {
-            segment: idx as u32,
+            segment: self.base + idx as u64,
             bytes,
         }
     }
@@ -338,7 +359,7 @@ impl DiskBackend {
     /// segment whose last live extent died is reclaimed whole.
     pub(crate) fn uncharge(&mut self, ext: ExtentRef) {
         ledger_sub(&mut self.live, ext.bytes, "disk");
-        let seg = &mut self.segments[ext.segment as usize];
+        let seg = &mut self.segments[(ext.segment - self.base) as usize];
         ledger_sub(&mut seg.live, ext.bytes, "disk segment");
         seg.dead += ext.bytes;
         Self::maybe_reclaim(seg);
@@ -365,11 +386,16 @@ impl DiskBackend {
             .sum()
     }
 
+    /// Cumulative counts: the `base` trimmed segments were each sealed
+    /// and reclaimed.
     pub(crate) fn stats(&self) -> SegmentStats {
+        let count = |f: fn(&Segment) -> bool| {
+            self.base + self.segments.iter().filter(|s| f(s)).count() as u64
+        };
         SegmentStats {
-            segments: self.segments.len() as u64,
-            sealed: self.segments.iter().filter(|s| s.sealed).count() as u64,
-            reclaimed: self.segments.iter().filter(|s| s.reclaimed).count() as u64,
+            segments: self.base + self.segments.len() as u64,
+            sealed: count(|s| s.sealed),
+            reclaimed: count(|s| s.reclaimed),
             live_bytes: self.live,
             occupied_bytes: self.occupied(),
         }
@@ -1225,6 +1251,25 @@ mod tests {
         assert_eq!(c.segment, 2);
         assert_eq!(disk.stats().reclaimed, 2);
         assert!(disk.segments_consistent());
+    }
+
+    #[test]
+    fn reclaimed_segments_leave_the_table() {
+        let mut disk = DiskBackend::new(100);
+        for n in 0..10_000 {
+            let ext = disk.charge(100); // fills its segment: sealed at once
+            assert_eq!(ext.segment, n);
+            disk.uncharge(ext);
+            assert!(disk.segments.len() <= 2, "{} segments", disk.segments.len());
+        }
+        let stats = disk.stats();
+        assert_eq!(
+            (stats.segments, stats.sealed, stats.reclaimed),
+            (10_000, 10_000, 10_000)
+        );
+        assert_eq!((stats.live_bytes, stats.occupied_bytes), (0, 0));
+        assert!(disk.segments_consistent());
+        assert_eq!(std::mem::size_of::<ExtentRef>(), 16);
     }
 
     #[test]
