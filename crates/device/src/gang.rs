@@ -79,7 +79,9 @@ struct RzState {
     by_member: FxHashMap<DeviceId, Vec<GangTag>>,
     /// Reverse index: owning run -> pending tags, for
     /// [`CollectiveRendezvous::mark_owner_failed`]. Owner 0 (unknown)
-    /// is never indexed.
+    /// is never indexed. Unlike `by_member`'s, an owner's entry goes
+    /// with its last pending tag: owner ids never recur, so an emptied
+    /// list would never be reused.
     by_owner: FxHashMap<u64, Vec<GangTag>>,
     dead: FxHashSet<DeviceId>,
     /// Owners (runs) whose gangs must abort: members that were never
@@ -110,6 +112,9 @@ impl RzState {
         if p.owner != 0 {
             if let Some(tags) = self.by_owner.get_mut(&p.owner) {
                 unindex(tags, tag);
+                if tags.is_empty() {
+                    self.by_owner.remove(&p.owner);
+                }
             }
         }
         Some(p)
@@ -496,6 +501,28 @@ mod tests {
         });
         sim.run_to_quiescence();
         assert!(late.try_take().unwrap().is_err());
+    }
+
+    #[test]
+    fn completed_gangs_leave_no_owner_entries() {
+        let mut sim = Sim::new(0);
+        let rz = CollectiveRendezvous::new(sim.handle());
+        let gang = [DeviceId(0), DeviceId(1)];
+        // Each run (owner) arrives at one gang of its own; owners never
+        // recur.
+        for owner in 1..=64u64 {
+            for d in gang {
+                let rz = rz.clone();
+                sim.spawn(format!("run{owner}-{d}"), async move {
+                    rz.arrive(GangTag(owner), 2, SimDuration::ZERO, &gang, owner)
+                        .await
+                        .unwrap();
+                });
+            }
+            sim.run_to_quiescence();
+        }
+        assert_eq!(rz.in_flight(), 0);
+        assert!(rz.state.lock().by_owner.is_empty());
     }
 
     #[test]
