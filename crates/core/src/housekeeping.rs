@@ -277,16 +277,13 @@ pub async fn collect_health(
 /// failed run, a remapped slice) with a human-readable detail, in
 /// delivery order per host.
 ///
-/// The log keeps every delivery's notices once, as one shared batch in a
-/// launch-ordered batch list: the broadcast tuple carries it and each
-/// receiving host records its index. A host keeps its indices as runs of
-/// consecutive indices, and recording the next index extends the last
-/// run in place, so a host that hears every delivery costs one run
-/// however many deliveries it heard. A host that misses a delivery (dead
-/// or cut off at launch) starts a new run with the next one it hears.
+/// The log keeps each delivery's notices once, as one batch in a
+/// launch-ordered batch list; the broadcast tuple carries the batch and
+/// each receiving host records its index. A host keeps runs of
+/// consecutive indices: the next index extends the last run in place, so
+/// a host that hears every delivery holds one run, and one that missed a
+/// delivery (dead or cut off at launch) starts a new run with the next.
 /// The log so grows with the deliveries, not with hosts × deliveries.
-/// [`notices`](Self::notices) and [`knows_about`](Self::knows_about)
-/// walk a host's runs.
 #[derive(Clone)]
 pub struct NoticeLog<K> {
     inner: Arc<Lock<LogInner<K>>>,
@@ -328,10 +325,8 @@ impl<K> Default for NoticeLog<K> {
 
 impl<K> std::fmt::Debug for NoticeLog<K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("NoticeLog")
-            .field("batches", &inner.batches.len())
-            .field("hosts", &inner.hosts.len())
+            .field("hosts", &self.inner.lock().hosts.len())
             .finish()
     }
 }

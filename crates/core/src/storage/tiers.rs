@@ -297,10 +297,9 @@ pub struct SegmentStats {
 /// log-structured reclaim unit).
 ///
 /// The segment table holds the segments from the oldest unreclaimed one
-/// to the active one: when a segment opens, the reclaimed segments at
-/// the front are trimmed, so the table follows the live span of the log
-/// rather than every segment ever opened. A long-lived early extent
-/// holds the front, and every segment after it, in place until it dies.
+/// to the active one: opening a segment trims reclaimed ones off the
+/// front. A long-lived early extent holds the front, and every segment
+/// after it, in place until it dies.
 pub(crate) struct DiskBackend {
     segment_bytes: u64,
     /// Segments `base..base + segments.len()`.
