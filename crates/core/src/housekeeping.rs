@@ -728,6 +728,45 @@ mod tests {
         }
     }
 
+    /// Each program's virtual duration (ns) and acknowledgement count on
+    /// four idle hosts, launched back to back from host 0: what the
+    /// graph shape, the tuple bytes and the send order cost on the wire.
+    #[test]
+    fn housekeeping_programs_resolve_at_pinned_instants() {
+        let mut sim = Sim::new(0);
+        let rt = runtime(&sim, 4);
+        let core = Arc::clone(rt.core());
+        let failures = rt.faults().state().clone();
+        let h = sim.handle();
+        let job = sim.spawn("hk", async move {
+            let store = ConfigStore::new();
+            let log = ErrorLog::new();
+            let notices = [
+                (RunId(3), "device dev1 failed".to_string()),
+                (RunId(5), "host host2 failed".to_string()),
+            ];
+            let t0 = h.now();
+            let config = distribute_config(&core, &store, HostId(0), "sched/policy", "fifo").await;
+            let t1 = h.now();
+            let health = collect_health(&core, HostId(0)).await.len() as u32;
+            let t2 = h.now();
+            let errors = deliver_errors(&core, &failures, &log, &notices).await;
+            let t3 = h.now();
+            [
+                ((t1 - t0).as_nanos(), config),
+                ((t2 - t1).as_nanos(), health),
+                ((t3 - t2).as_nanos(), errors),
+            ]
+        });
+        sim.run_to_quiescence();
+        let got = job.try_take().unwrap();
+        assert_eq!(got, PINNED_RESOLUTIONS, "{got:?}");
+    }
+
+    /// `(virtual ns, acks)` of `distribute_config`, `collect_health` and
+    /// `deliver_errors` (two notices), in that order.
+    const PINNED_RESOLUTIONS: [(u64, u32); 3] = [(88_046, 4), (88_035, 4), (88_049, 4)];
+
     #[test]
     fn housekeeping_runs_alongside_training() {
         // Config distribution and training programs share the substrate

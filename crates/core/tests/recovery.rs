@@ -386,3 +386,254 @@ fn recovery_attempts_are_bounded() {
     assert!(stats.abandoned >= 1, "{stats:?}");
     assert!(core.store.tiers_conserved());
 }
+
+/// What [`one_host_kill_on_a_tiered_store`] leaves behind.
+#[derive(Debug)]
+struct HostKillOutcome {
+    /// `<virtual ns> <event>` per tier transition.
+    spill_log: Vec<String>,
+    stats: pathways_core::RecoveryStats,
+    /// Per host, its error notices then its heal notices, each
+    /// `"<key> <detail>"`.
+    notices: Vec<(Vec<String>, Vec<String>)>,
+    /// Per consumer, in name order: `"<name> <virtual µs> <result>
+    /// <input errors>"` once its output resolved.
+    ready: Vec<String>,
+}
+
+/// One host kill on a tiered store (2 islands of 3 hosts × 2 devices,
+/// 16 KiB HBM per device, 4 KiB shards) with every shape of loss at
+/// once. The client sits on host 3; everything below lives on one
+/// 4-device slice of island 0 (hosts 0 and 1), produced in this order:
+///
+/// * `q` then `p` fed by `q`; `q` is then failed by hand, so `p` cannot
+///   be recomputed;
+/// * `r`, checkpointed on the spot: it can be restored (its kernel is
+///   slower than its restore) or recomputed;
+/// * `a`, then `b` and `c` fed by it, none checkpointed: a shared
+///   upstream only lineage brings back;
+/// * `e`, released at once. `c` and `e` overflow HBM: `p` spills whole,
+///   half to host 1's DRAM; then `r` spills on devices 0–2 and `b` on
+///   device 3 (where `r`'s shard was read last), so `r` and `b` lose
+///   HBM *and* DRAM shards with host 1;
+/// * `w` fed by `p` and `d` fed by `c`, both still computing when host
+///   1 dies: in-flight sinks. `w`'s sink is absorbed by the HBM walk
+///   (its input has not failed yet), and then abandoned once the DRAM
+///   walk fails `p`.
+///
+/// Consumers on island 1 bind the lost objects after the kill: `x`
+/// binds `b` and `c`, `y` binds `r`, `z` binds `d`, `v` binds `w`.
+/// `v` resolves `Ok` on its failed input: the chain cascades its
+/// terminal failures only once its last node is rebuilt, and by then
+/// `v` has run on the poisoned input and dropped its binding.
+fn one_host_kill_on_a_tiered_store() -> HostKillOutcome {
+    let mut sim = Sim::new(7);
+    let cfg = PathwaysConfig {
+        hbm_per_device: 16 << 10,
+        ..tiered_cfg(None)
+    };
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::islands_of(2, 3, 2),
+        NetworkParams::tpu_cluster(),
+        cfg,
+    );
+    let client = rt.client(HostId(3));
+    let faults = Arc::clone(rt.faults());
+    let store = rt.core().store.clone();
+    let ready = Arc::new(Lock::new(Vec::new()));
+    let ready2 = Arc::clone(&ready);
+    let job = sim.spawn("client", async move {
+        let h = client.handle().clone();
+        // A one-kernel program on `slice` with 4 KiB per output shard,
+        // each input resharded into it.
+        let submit = |name: &'static str,
+                      us: u64,
+                      slice: &pathways_core::VirtualSlice,
+                      inputs: Vec<pathways_core::ObjectRef>| {
+            let (client, slice) = (client.clone(), slice.clone());
+            async move {
+                let mut b = client.trace(name);
+                let k = b.computation(
+                    FnSpec::compute_only(name, SimDuration::from_micros(us))
+                        .with_output_bytes(4 << 10),
+                    &slice,
+                );
+                let mut bindings = Vec::new();
+                for (i, input) in inputs.into_iter().enumerate() {
+                    let x = b.input(InputSpec::new(format!("in{i}"), input.shards()));
+                    b.reshard_edge(x, k, 4 << 10);
+                    bindings.push((x, input));
+                }
+                let prepared = client.prepare(&b.build().unwrap());
+                let run = client.submit_with(&prepared, &bindings).await.unwrap();
+                let out = run.object_ref(k).unwrap();
+                (run, out, bindings)
+            }
+        };
+        let slice = client
+            .virtual_slice(SliceRequest::devices(4).in_island(IslandId(0)))
+            .unwrap();
+        let produce = |name, us, inputs| {
+            let run = submit(name, us, &slice, inputs);
+            async move {
+                let (run, out, _) = run.await;
+                run.finish().await;
+                out
+            }
+        };
+        let q = produce("q", 100, vec![]).await;
+        let p = produce("p", 100, vec![q.clone()]).await;
+        store.fail_object(q.id(), pathways_core::FailureReason::OwnerGone);
+        let r = produce("r", 2_000, vec![]).await;
+        assert_eq!(store.checkpoint_now(r.id()), Some(16 << 10));
+        let a = produce("a", 1_000, vec![]).await;
+        let b = produce("b", 100, vec![a.clone()]).await;
+        let c = produce("c", 100, vec![a.clone()]).await;
+        store.read_shard(r.id(), 3).unwrap();
+        drop(produce("e", 100, vec![]).await);
+        let (w_run, w, _) = submit("w", 2_000, &slice, vec![p.clone()]).await;
+        let (d_run, d, _) = submit("d", 2_000, &slice, vec![c.clone()]).await;
+        h.sleep(SimDuration::from_micros(500)).await;
+        faults.inject(&FaultSpec::Host(HostId(1)));
+        drop((w_run, d_run));
+
+        let cslice = client
+            .virtual_slice(SliceRequest::devices(2).in_island(IslandId(1)))
+            .unwrap();
+        let consume = |name: &'static str, inputs: Vec<pathways_core::ObjectRef>| {
+            let (run, ready, h) = (
+                submit(name, 100, &cslice, inputs),
+                Arc::clone(&ready2),
+                h.clone(),
+            );
+            h.clone().spawn(name, async move {
+                let (run, out, bindings) = run.await;
+                run.finish().await;
+                let result = out.ready().await;
+                let at = (h.now() - SimTime::ZERO).as_micros();
+                let inputs: Vec<_> = bindings.iter().map(|(_, r)| r.error()).collect();
+                ready
+                    .lock()
+                    .push(format!("{name} {at} {result:?} {inputs:?}"));
+            })
+        };
+        let consumers = [
+            consume("x", vec![b, c]),
+            consume("y", vec![r]),
+            consume("z", vec![d]),
+            consume("v", vec![w]),
+        ];
+        for consumer in consumers {
+            consumer.await;
+        }
+        drop((a, p, q));
+    });
+    let outcome = sim.run();
+    assert!(outcome.is_quiescent(), "wedged: {outcome:?}");
+    job.try_take().unwrap();
+    let store = &rt.core().store;
+    assert!(store.is_empty(), "store leaked {}", store.len());
+    assert!(store.tiers_conserved(), "tier byte ledgers drifted");
+    let spill_log = store
+        .spill_events()
+        .iter()
+        .map(|e| format!("{} {e}", e.at.as_nanos()))
+        .collect();
+    let faults = rt.faults();
+    fn lines<K: std::fmt::Display>(notices: Vec<(K, String)>) -> Vec<String> {
+        notices.iter().map(|(k, s)| format!("{k} {s}")).collect()
+    }
+    let notices = rt
+        .topology()
+        .hosts()
+        .map(|host| {
+            let errors = lines(faults.error_log().notices(host));
+            (errors, lines(faults.heal_log().notices(host)))
+        })
+        .collect();
+    let mut ready = ready.lock().clone();
+    ready.sort();
+    HostKillOutcome {
+        spill_log,
+        stats: faults.recovery_stats(),
+        notices,
+        ready,
+    }
+}
+
+/// The fault path's every step at once, pinned as the commit before
+/// the loss walk was keyed by `Place` produced it: the absorb order
+/// (HBM per device, then DRAM), restore-vs-recompute per object,
+/// the shared upstream rebuilt once, the in-flight sinks, and what
+/// each live host was told.
+#[test]
+fn one_host_kill_on_a_tiered_store_is_pinned() {
+    let got = one_host_kill_on_a_tiered_store();
+    assert_eq!(got.spill_log, PINNED_HOST_KILL_LOG, "{got:#?}");
+    let stats = pathways_core::RecoveryStats {
+        restored: 1,
+        recomputed: 4,
+        abandoned: 1,
+    };
+    assert_eq!(got.stats, stats, "{got:#?}");
+    let errors = ["run7 host1 failed", "run8 host1 failed"];
+    let heals = [
+        "slice0 remapped [DeviceId(0), DeviceId(1), DeviceId(2), DeviceId(3)] \
+         -> [DeviceId(0), DeviceId(1), DeviceId(4), DeviceId(5)]",
+    ];
+    for (host, (e, h)) in got.notices.iter().enumerate() {
+        let (want_e, want_h): (&[&str], &[&str]) = match host {
+            1 => (&[], &[]),
+            _ => (&errors, &heals),
+        };
+        assert_eq!(e, want_e, "host {host}");
+        assert_eq!(h, want_h, "host {host}");
+    }
+    assert_eq!(got.notices.len(), 6);
+    assert_eq!(got.ready, PINNED_HOST_KILL_READY, "{got:#?}");
+}
+
+/// `<virtual ns> <event>`: `q` = run 0, `p` = 1, `r` = 2, `a` = 3,
+/// `b` = 4, `c` = 5, `e` = 6, `w` = 7, `d` = 8.
+const PINNED_HOST_KILL_LOG: [&str; 32] = [
+    "4254607 obj(run1,comp0)#0 4096B hbm->dram (host0)",
+    "4262863 obj(run1,comp0)#1 4096B hbm->dram (host0)",
+    "4288615 obj(run1,comp0)#2 4096B hbm->dram (host1)",
+    "4296871 obj(run1,comp0)#3 4096B hbm->dram (host1)",
+    "4535167 obj(run2,comp0)#0 4096B hbm->dram (host0)",
+    "4543423 obj(run2,comp0)#1 4096B hbm->dram (host0)",
+    "4569175 obj(run2,comp0)#2 4096B hbm->dram (host1)",
+    "4577431 obj(run4,comp0)#3 4096B hbm->dram (host1)",
+    "4849834 obj(run4,comp0)#0 4096B hbm->dram (host0)",
+    "4858090 obj(run4,comp0)#1 4096B hbm->dram (host0)",
+    "4883842 obj(run4,comp0)#2 4096B hbm->dram (host1)",
+    "4892098 obj(run5,comp0)#3 4096B hbm->dram (host1)",
+    "5475624 obj(run2,comp0)#2 4096B disk->dram (host0)",
+    "5475624 obj(run2,comp0)#3 4096B disk->dram (host0)",
+    "5535889 obj(run3,comp0)#0 4096B hbm->dram (host0)",
+    "5544145 obj(run3,comp0)#1 4096B hbm->dram (host0)",
+    "9900811 obj(run3,comp0)#0 4096B hbm->dram (host0)",
+    "9900811 obj(run3,comp0)#1 4096B hbm->dram (host0)",
+    "9900811 obj(run3,comp0)#2 4096B hbm->dram (host2)",
+    "9900811 obj(run3,comp0)#3 4096B hbm->dram (host2)",
+    "10216203 obj(run4,comp0)#0 4096B hbm->dram (host0)",
+    "10216203 obj(run4,comp0)#1 4096B hbm->dram (host0)",
+    "10216203 obj(run4,comp0)#2 4096B hbm->dram (host2)",
+    "10216203 obj(run4,comp0)#3 4096B hbm->dram (host2)",
+    "10531595 obj(run5,comp0)#0 4096B hbm->dram (host0)",
+    "10531595 obj(run5,comp0)#1 4096B hbm->dram (host0)",
+    "10531595 obj(run5,comp0)#2 4096B hbm->dram (host2)",
+    "10531595 obj(run5,comp0)#3 4096B hbm->dram (host2)",
+    "12746987 obj(run8,comp0)#0 4096B hbm->dram (host0)",
+    "12746987 obj(run8,comp0)#1 4096B hbm->dram (host0)",
+    "12746987 obj(run8,comp0)#2 4096B hbm->dram (host2)",
+    "12746987 obj(run8,comp0)#3 4096B hbm->dram (host2)",
+];
+
+const PINNED_HOST_KILL_READY: [&str; 4] = [
+    "v 13033 Ok(()) [Some(ProducerFailed { object: ObjectId { run: RunId(7), comp: CompId(0) }, reason: Host(HostId(1)) })]",
+    "x 13133 Ok(()) [None, None]",
+    "y 5662 Ok(()) [None]",
+    "z 12933 Ok(()) [None]",
+];
