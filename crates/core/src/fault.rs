@@ -18,8 +18,8 @@
 //! * [`FaultInjector`] — applies a fault at its scripted virtual time
 //!   and *synchronously* walks the blast radius so that nothing is left
 //!   to hang: objects with shards on dead hardware fail in the store
-//!   (readiness events fire, HBM frees), in-flight runs touching dead
-//!   hardware fail (their sinks resolve to
+//!   (readiness events fire, HBM frees) unless recovery absorbs them,
+//!   in-flight runs touching dead hardware fail (their sinks resolve to
 //!   [`ObjectError::ProducerFailed`], their never-granted shards are
 //!   force-started so their drivers can wind the dataflow down, their
 //!   pending executor registrations are swept so drivers observe the
@@ -32,6 +32,16 @@
 //!   dead hardware, heal notices fan out to live hosts
 //!   ([`FaultInjector::heal_log`]), and the affected clients' next
 //!   submits re-lower onto the healed mappings and succeed.
+//!
+//! Data loss is one walk, keyed by the storage `Place` that died — a
+//! device's HBM, a host's DRAM — over the store's residency set for it:
+//! each object with a shard there is absorbed into recovery (a tiered
+//! store's `RecoveryManager` restores or recomputes it) or failed, and
+//! the failed ones cascade. A dead device walks its HBM; a dead host
+//! walks each of its devices' HBM, then its DRAM. A failed run's
+//! in-flight sinks take the same absorb-or-fail step with no place to
+//! drop. Which runs a fault dooms is one query over the registered
+//! footprints, by client, device, host or link.
 //!
 //! Everything here is deterministic: scans iterate in sorted id order,
 //! and the fault plan's driver fires on the simulation's timer wheel,
@@ -50,7 +60,7 @@ use pathways_sim::{FaultPlan, SimHandle};
 use crate::context::CoreCtx;
 use crate::housekeeping::{spawn_delivery, ErrorLog, HealLog};
 use crate::resource::{HealEvent, ResourceManager};
-use crate::storage::{FailureReason, ObjectId};
+use crate::storage::{FailureReason, ObjectId, Place};
 use crate::storage::{RecoveryManager, RecoveryStats};
 
 /// One scripted fault.
@@ -234,6 +244,20 @@ impl FailureState {
     pub fn registered_run_count(&self) -> usize {
         self.inner.lock().runs.len()
     }
+
+    /// The registered runs whose footprint `doomed` picks, ascending —
+    /// a fault's victims, in the order replay fails them.
+    fn runs_where(&self, doomed: impl Fn(&RunFootprint) -> bool) -> Vec<RunId> {
+        let inner = self.inner.lock();
+        let mut runs: Vec<RunId> = inner
+            .runs
+            .iter()
+            .filter(|(_, fp)| doomed(fp))
+            .map(|(r, _)| *r)
+            .collect();
+        runs.sort_unstable();
+        runs
+    }
 }
 
 fn pair_key(a: HostId, b: HostId) -> (HostId, HostId) {
@@ -258,7 +282,7 @@ pub struct FaultInjector {
     /// Present on a tiered store: hardware loss is absorbed into
     /// checkpoint restore / lineage recompute instead of terminal
     /// `ProducerFailed`.
-    recovery: Lock<Option<Arc<RecoveryManager>>>,
+    recovery: Option<Arc<RecoveryManager>>,
 }
 
 impl fmt::Debug for FaultInjector {
@@ -270,41 +294,32 @@ impl fmt::Debug for FaultInjector {
 }
 
 impl FaultInjector {
-    pub(crate) fn new(core: Arc<CoreCtx>, rm: Arc<ResourceManager>, state: FailureState) -> Self {
-        FaultInjector {
+    /// The injector of a runtime; on a tiered store it owns the
+    /// [`RecoveryManager`] that the loss walk routes object loss through
+    /// before declaring anything `ProducerFailed`.
+    pub(crate) fn new(
+        core: Arc<CoreCtx>,
+        rm: Arc<ResourceManager>,
+        state: FailureState,
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|injector| FaultInjector {
+            recovery: core.cfg.tiers.clone().map(|cfg| {
+                let core = Arc::clone(&core);
+                Arc::new(RecoveryManager::new(core, cfg, injector.clone()))
+            }),
             core,
             rm,
             state,
             errors: ErrorLog::new(),
             heals: Lock::new(Vec::new()),
             heal_log: HealLog::new(),
-            recovery: Lock::new(None),
-        }
-    }
-
-    /// Turns on object recovery if the store is tiered (called by the
-    /// runtime assembly): the blast-radius walk routes object loss
-    /// through the [`RecoveryManager`] before declaring anything
-    /// `ProducerFailed`.
-    pub(crate) fn enable_recovery(self: &Arc<Self>) {
-        let Some(cfg) = self.core.cfg.tiers.clone() else {
-            return;
-        };
-        let manager = Arc::new(RecoveryManager::new(
-            Arc::clone(&self.core),
-            cfg,
-            Arc::downgrade(self),
-        ));
-        *self.recovery.lock() = Some(manager);
+        })
     }
 
     /// Recovery outcome counters (all zero on an untiered store).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.recovery
-            .lock()
-            .as_ref()
-            .map(|r| r.stats())
-            .unwrap_or_default()
+        let recovery = self.recovery.as_ref();
+        recovery.map(|r| r.stats()).unwrap_or_default()
     }
 
     /// The shared failure registry.
@@ -374,7 +389,7 @@ impl FaultInjector {
     /// finished absorbed (no-op on an untiered store or when nothing
     /// was absorbed).
     fn launch_recoveries(&self) {
-        if let Some(r) = self.recovery.lock().clone() {
+        if let Some(r) = &self.recovery {
             r.launch_pending();
         }
     }
@@ -432,20 +447,8 @@ impl FaultInjector {
     pub fn fail_client(&self, client: ClientId) -> usize {
         let mut newly_failed: Vec<RunId> = Vec::new();
         // Live runs submitted by the client fail outright.
-        let victims: Vec<RunId> = {
-            let inner = self.state.inner.lock();
-            let mut v: Vec<RunId> = inner
-                .runs
-                .iter()
-                .filter(|(_, fp)| fp.client == client)
-                .map(|(r, _)| *r)
-                .collect();
-            v.sort();
-            v
-        };
-        for run in victims {
-            self.fail_run(run, FailureReason::Client(client), &mut newly_failed);
-        }
+        let reason = FailureReason::Client(client);
+        self.fail_runs_where(|fp| fp.client == client, reason, &mut newly_failed);
         // Consumers bound to any of the client's objects fail too —
         // their kernels must not run on stale data.
         let doomed_objects = self.core.store.objects_owned_by(client);
@@ -480,26 +483,10 @@ impl FaultInjector {
         if let Some(dev) = self.core.devices.get(&d) {
             dev.fail(now, reason.to_string());
         }
-        // Data already produced onto the device is lost — unless the
-        // recovery manager can absorb the loss (checkpoint restore or
-        // lineage recompute); absorbed objects are neither failed nor
-        // cascaded, their consumers wait through the recovery window.
-        let lost = self.fail_or_recover_device_objects(d, reason);
+        // Data already produced onto the device is lost.
+        let lost = self.lose(Place::Hbm(d), reason);
         // In-flight runs with any shard lowered onto the device fail.
-        let victims: Vec<RunId> = {
-            let inner = self.state.inner.lock();
-            let mut v: Vec<RunId> = inner
-                .runs
-                .iter()
-                .filter(|(_, fp)| fp.devices.contains(&d))
-                .map(|(r, _)| *r)
-                .collect();
-            v.sort();
-            v
-        };
-        for run in victims {
-            self.fail_run(run, reason, newly_failed);
-        }
+        self.fail_runs_where(|fp| fp.devices.contains(&d), reason, newly_failed);
         self.cascade_objects(&lost, newly_failed);
     }
 
@@ -518,18 +505,8 @@ impl FaultInjector {
         }
         // So do shards spilled to the host's DRAM (tiered store only;
         // untiered stores never populate the DRAM index).
-        let recovery = self.recovery.lock().clone();
-        let mut dram_lost: Vec<ObjectId> = Vec::new();
-        for id in self.core.store.objects_with_dram_on(h) {
-            let absorbed = recovery
-                .as_ref()
-                .is_some_and(|r| r.absorb_dram_loss(id, h, reason));
-            if !absorbed {
-                self.core.store.fail_object(id, reason);
-                dram_lost.push(id);
-            }
-        }
-        self.cascade_objects(&dram_lost, newly_failed);
+        let lost = self.lose(Place::Dram(h), reason);
+        self.cascade_objects(&lost, newly_failed);
         // An island scheduler on the host takes its island down: nothing
         // on the island can be granted anymore.
         let dead_islands: Vec<IslandId> = {
@@ -548,22 +525,10 @@ impl FaultInjector {
         }
         // Runs touching the host (shards, client process, scheduler) or
         // a newly dead island fail.
-        let victims: Vec<RunId> = {
-            let inner = self.state.inner.lock();
-            let mut v: Vec<RunId> = inner
-                .runs
-                .iter()
-                .filter(|(_, fp)| {
-                    fp.hosts.contains(&h) || fp.islands.iter().any(|i| dead_islands.contains(i))
-                })
-                .map(|(r, _)| *r)
-                .collect();
-            v.sort();
-            v
+        let doomed = |fp: &RunFootprint| {
+            fp.hosts.contains(&h) || fp.islands.iter().any(|i| dead_islands.contains(i))
         };
-        for run in victims {
-            self.fail_run(run, reason, newly_failed);
-        }
+        self.fail_runs_where(doomed, reason, newly_failed);
     }
 
     fn sever_link(&self, a: HostId, b: HostId, newly_failed: &mut Vec<RunId>) {
@@ -577,20 +542,8 @@ impl FaultInjector {
         // Conservative blast radius: any in-flight run whose control
         // plane spans both endpoints can no longer coordinate.
         let reason = FailureReason::Link(a, b);
-        let victims: Vec<RunId> = {
-            let inner = self.state.inner.lock();
-            let mut v: Vec<RunId> = inner
-                .runs
-                .iter()
-                .filter(|(_, fp)| fp.hosts.contains(&a) && fp.hosts.contains(&b))
-                .map(|(r, _)| *r)
-                .collect();
-            v.sort();
-            v
-        };
-        for run in victims {
-            self.fail_run(run, reason, newly_failed);
-        }
+        let doomed = |fp: &RunFootprint| fp.hosts.contains(&a) && fp.hosts.contains(&b);
+        self.fail_runs_where(doomed, reason, newly_failed);
     }
 
     /// Fails one run: records it (scheduler and executors skip it from
@@ -623,17 +576,7 @@ impl FaultInjector {
         // lineage (or a checkpoint from an earlier completed production)
         // recovers by re-submission instead of failing. Only terminally
         // dead sinks fail and cascade.
-        let recovery = self.recovery.lock().clone();
-        let mut dead_sinks: Vec<ObjectId> = Vec::new();
-        for sink in &sinks {
-            let absorbed = recovery
-                .as_ref()
-                .is_some_and(|r| r.absorb_run_loss(*sink, reason));
-            if !absorbed {
-                self.core.store.fail_object(*sink, reason);
-                dead_sinks.push(*sink);
-            }
-        }
+        let dead_sinks = self.absorb_or_fail(sinks, None, reason);
         // Abort the run's gang collectives: members whose grants are
         // already lost (dead host, severed link) will never arrive, so
         // arrived partners must not wait for them. Gang owner = run + 1
@@ -658,23 +601,46 @@ impl FaultInjector {
         self.cascade_objects(&dead_sinks, newly_failed);
     }
 
-    /// The device leg of the blast-radius walk: each object with HBM
-    /// shards on dead device `d` is absorbed into recovery when
-    /// possible, failed otherwise. Returns the *failed* (non-absorbed)
-    /// ids, ascending — the set the upstream cascade walks.
-    fn fail_or_recover_device_objects(&self, d: DeviceId, reason: FailureReason) -> Vec<ObjectId> {
-        let recovery = self.recovery.lock().clone();
-        let Some(recovery) = recovery else {
-            return self.core.store.fail_objects_on_device(d, reason);
-        };
-        let mut lost = Vec::new();
-        for id in self.core.store.objects_on_device(d) {
-            if !recovery.absorb_device_loss(id, d, reason) {
+    /// Fails every registered run that `doomed` picks, in id order.
+    fn fail_runs_where(
+        &self,
+        doomed: impl Fn(&RunFootprint) -> bool,
+        reason: FailureReason,
+        newly_failed: &mut Vec<RunId>,
+    ) {
+        for run in self.state.runs_where(doomed) {
+            self.fail_run(run, reason, newly_failed);
+        }
+    }
+
+    /// The loss walk over dead hardware: every object with a shard in
+    /// `place` loses those shards. Returns the failed ids, ascending —
+    /// the set the caller cascades to consumers.
+    fn lose(&self, place: Place, reason: FailureReason) -> Vec<ObjectId> {
+        let ids = self.core.store.objects_in(place);
+        self.absorb_or_fail(ids, Some(place), reason)
+    }
+
+    /// Each of `ids` lost its shards in `place` (`None`: its in-flight
+    /// production died) and is absorbed into recovery when the recovery
+    /// manager can restore or recompute it, failed otherwise. Absorbed
+    /// objects are neither failed nor cascaded: their consumers wait
+    /// through the recovery window. Returns the failed ids, in order.
+    fn absorb_or_fail(
+        &self,
+        ids: Vec<ObjectId>,
+        place: Option<Place>,
+        reason: FailureReason,
+    ) -> Vec<ObjectId> {
+        let recovery = self.recovery.as_ref();
+        let mut failed = Vec::new();
+        for id in ids {
+            if !recovery.is_some_and(|r| r.absorb(id, place, reason)) {
                 self.core.store.fail_object(id, reason);
-                lost.push(id);
+                failed.push(id);
             }
         }
-        lost
+        failed
     }
 
     /// The deferred half of the blast-radius walk, used by abandoned

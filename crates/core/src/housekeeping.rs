@@ -22,6 +22,13 @@
 //!   every live host after elastic healing, so client agents know their
 //!   lowered programs are stale and must re-lower before resubmitting.
 //!
+//! All four are one program shape, built by one private builder: a
+//! controller shard broadcasts a payload to one shard per host, each
+//! host's shard applies it there and replies, and a controller shard
+//! gathers the replies. Only the payload, its wire bytes (config 64,
+//! probe 0, notice batch `32 + 24 × notices`), the per-host step and
+//! the reply (an acknowledgement, or a 48-byte health report) differ.
+//!
 //! Error and heal notices land in a [`NoticeLog`] per kind. Each
 //! delivery builds its notices once, into one batch that the log keeps
 //! in its batch list and the broadcast tuple carries; a receiving host
@@ -95,41 +102,67 @@ struct ConfigMsg {
 #[derive(Debug, Clone, Copy)]
 struct Ack;
 
-struct Broadcaster {
-    out: EdgeId,
-    msg: ConfigMsg,
-}
+/// The controller shard of a housekeeping program: broadcasts its
+/// payload once, then halts.
+struct Broadcast(Tuple);
 
-impl Operator for Broadcaster {
+impl Operator for Broadcast {
     fn on_all_inputs_complete(&mut self, ctx: &mut ShardCtx<'_>) {
-        ctx.broadcast(self.out, Tuple::new(self.msg.clone(), 64));
+        ctx.broadcast(EdgeId(0), self.0.clone());
         ctx.halt();
     }
 }
 
-struct ConfigApplier {
-    store: ConfigStore,
-    ack_edge: EdgeId,
-}
+/// A per-host or gathering shard of a housekeeping program: runs its
+/// closure on every tuple that arrives.
+struct OnTuple<F>(Arc<F>);
 
-impl Operator for ConfigApplier {
+impl<F: Fn(&mut ShardCtx<'_>, Tuple) + Send + Sync> Operator for OnTuple<F> {
     fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _edge: EdgeId, _src: u32, tuple: Tuple) {
-        let msg = tuple.expect::<ConfigMsg>();
-        self.store
-            .set(ctx.host(), msg.key.clone(), msg.value.clone());
-        ctx.send(self.ack_edge, 0, Tuple::control(Ack));
+        (self.0)(ctx, tuple);
     }
 }
 
-struct AckCollector {
-    acks: Arc<Lock<u32>>,
+/// Builds the one shape every housekeeping program has, named `name`:
+/// a `nodes[0]` shard on `controller` broadcasts `payload` to one
+/// `nodes[1]` shard per host in `hosts` (edge 0); each passes its host
+/// and the payload to `apply` and sends the tuple it returns to one
+/// `collect` shard on `controller` (edge 1), which hands each reply to
+/// `gather`.
+fn fan_out<P: 'static, R: 'static>(
+    name: &str,
+    nodes: [&str; 2],
+    controller: HostId,
+    hosts: Vec<HostId>,
+    payload: Tuple,
+    apply: impl Fn(HostId, &P) -> Tuple + Send + Sync + 'static,
+    gather: impl Fn(&R) + Send + Sync + 'static,
+) -> pathways_plaque::Graph {
+    let reply_edge = EdgeId(1);
+    let apply = Arc::new(move |ctx: &mut ShardCtx<'_>, tuple: Tuple| {
+        let reply = apply(ctx.host(), tuple.expect::<P>());
+        ctx.send(reply_edge, 0, reply);
+    });
+    let gather = Arc::new(move |_: &mut ShardCtx<'_>, tuple: Tuple| gather(tuple.expect::<R>()));
+    let mut g = GraphBuilder::new(name);
+    let src = g.node(nodes[0], vec![controller], move |_| {
+        Box::new(Broadcast(payload.clone()))
+    });
+    let appliers = g.node(nodes[1], hosts, move |_| {
+        Box::new(OnTuple(Arc::clone(&apply)))
+    });
+    let collector = g.node("collect", vec![controller], move |_| {
+        Box::new(OnTuple(Arc::clone(&gather)))
+    });
+    assert_eq!(g.edge(src, appliers), EdgeId(0));
+    assert_eq!(g.edge(appliers, collector), reply_edge);
+    g.build().expect("housekeeping graph is valid")
 }
 
-impl Operator for AckCollector {
-    fn on_tuple(&mut self, _ctx: &mut ShardCtx<'_>, _e: EdgeId, _s: u32, tuple: Tuple) {
-        tuple.expect::<Ack>();
-        *self.acks.lock() += 1;
-    }
+/// A `gather` for [`fan_out`] that counts acknowledgements into `acks`.
+fn count_acks(acks: &Arc<Lock<u32>>) -> impl Fn(&Ack) + Send + Sync + 'static {
+    let acks = Arc::clone(acks);
+    move |_| *acks.lock() += 1
 }
 
 /// Broadcasts `key = value` to every host's [`ConfigStore`] via a
@@ -148,86 +181,40 @@ pub async fn distribute_config(
         key: key.into(),
         value: value.into(),
     };
-    // Edge ids are assigned in creation order: broadcast = 0, ack = 1.
-    let bcast_edge = EdgeId(0);
-    let ack_edge = EdgeId(1);
-    let mut g = GraphBuilder::new("config-distribution");
-    let src = g.node("broadcast", vec![controller], move |_| {
-        Box::new(Broadcaster {
-            out: bcast_edge,
-            msg: msg.clone(),
-        })
-    });
-    let appliers = {
-        let store = store.clone();
-        g.node("apply", hosts.clone(), move |_| {
-            Box::new(ConfigApplier {
-                store: store.clone(),
-                ack_edge,
-            })
-        })
-    };
-    let collector = {
-        let acks = Arc::clone(&acks);
-        g.node("collect", vec![controller], move |_| {
-            Box::new(AckCollector {
-                acks: Arc::clone(&acks),
-            })
-        })
-    };
-    assert_eq!(g.edge(src, appliers), bcast_edge);
-    assert_eq!(g.edge(appliers, collector), ack_edge);
-    let graph = g.build().expect("housekeeping graph is valid");
+    let store = store.clone();
+    let graph = fan_out(
+        "config-distribution",
+        ["broadcast", "apply"],
+        controller,
+        hosts,
+        Tuple::new(msg, 64),
+        move |host, msg: &ConfigMsg| {
+            store.set(host, msg.key.clone(), msg.value.clone());
+            Tuple::control(Ack)
+        },
+        count_acks(&acks),
+    );
     core.plaque.launch(&graph, controller).await_done().await;
     let n = *acks.lock();
     n
 }
 
-struct HealthProbe {
-    out: EdgeId,
-}
-
-impl Operator for HealthProbe {
-    fn on_all_inputs_complete(&mut self, ctx: &mut ShardCtx<'_>) {
-        ctx.broadcast(self.out, Tuple::control(Ack));
-        ctx.halt();
+/// `host`'s health: its devices, the kernels they executed and the HBM
+/// they use.
+fn host_health(core: &CoreCtx, host: HostId) -> HostHealth {
+    let devices: Vec<DeviceId> = core.fabric.topology().devices_of_host(host).collect();
+    let mut kernels = 0u64;
+    let mut hbm_used = 0u64;
+    for d in &devices {
+        let dev = &core.devices[d];
+        kernels += dev.stats().kernels;
+        hbm_used += dev.hbm().used();
     }
-}
-
-struct HealthReporter {
-    core: Arc<CoreCtx>,
-    report_edge: EdgeId,
-}
-
-impl Operator for HealthReporter {
-    fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _e: EdgeId, _s: u32, _t: Tuple) {
-        let host = ctx.host();
-        let devices: Vec<DeviceId> = self.core.fabric.topology().devices_of_host(host).collect();
-        let mut kernels = 0u64;
-        let mut hbm_used = 0u64;
-        for d in &devices {
-            let dev = &self.core.devices[d];
-            kernels += dev.stats().kernels;
-            hbm_used += dev.hbm().used();
-        }
-        let report = HostHealth {
-            host,
-            devices: devices.len() as u32,
-            kernels_executed: kernels,
-            hbm_used,
-        };
-        ctx.send(self.report_edge, 0, Tuple::new(report, 48));
-    }
-}
-
-struct HealthCollector {
-    reports: Arc<Lock<BTreeMap<HostId, HostHealth>>>,
-}
-
-impl Operator for HealthCollector {
-    fn on_tuple(&mut self, _ctx: &mut ShardCtx<'_>, _e: EdgeId, _s: u32, tuple: Tuple) {
-        let h = tuple.expect::<HostHealth>().clone();
-        self.reports.lock().insert(h.host, h);
+    HostHealth {
+        host,
+        devices: devices.len() as u32,
+        kernels_executed: kernels,
+        hbm_used,
     }
 }
 
@@ -238,32 +225,20 @@ pub async fn collect_health(
 ) -> BTreeMap<HostId, HostHealth> {
     let hosts: Vec<HostId> = core.fabric.topology().hosts().collect();
     let reports = Arc::new(Lock::new(BTreeMap::new()));
-    let probe_edge = EdgeId(0);
-    let report_edge = EdgeId(1);
-    let mut g = GraphBuilder::new("health-monitor");
-    let src = g.node("probe", vec![controller], move |_| {
-        Box::new(HealthProbe { out: probe_edge })
-    });
-    let reporters = {
-        let core = Arc::clone(core);
-        g.node("report", hosts.clone(), move |_| {
-            Box::new(HealthReporter {
-                core: Arc::clone(&core),
-                report_edge,
-            })
-        })
+    let graph = {
+        let (core, reports) = (Arc::clone(core), Arc::clone(&reports));
+        fan_out(
+            "health-monitor",
+            ["probe", "report"],
+            controller,
+            hosts,
+            Tuple::control(Ack),
+            move |host, _: &Ack| Tuple::new(host_health(&core, host), 48),
+            move |h: &HostHealth| {
+                reports.lock().insert(h.host, h.clone());
+            },
+        )
     };
-    let collector = {
-        let reports = Arc::clone(&reports);
-        g.node("collect", vec![controller], move |_| {
-            Box::new(HealthCollector {
-                reports: Arc::clone(&reports),
-            })
-        })
-    };
-    assert_eq!(g.edge(src, reporters), probe_edge);
-    assert_eq!(g.edge(reporters, collector), report_edge);
-    let graph = g.build().expect("housekeeping graph is valid");
     core.plaque.launch(&graph, controller).await_done().await;
     let out = reports.lock().clone();
     out
@@ -294,7 +269,7 @@ struct LogInner<K> {
     batches: Vec<Batch<K>>,
     /// Per host, the runs of batch indices it received, in delivery
     /// order.
-    hosts: BTreeMap<HostId, Vec<Range<u32>>>,
+    hosts: BTreeMap<HostId, Vec<Range<usize>>>,
 }
 
 /// One delivery's `(key, detail)` notices, shared by its broadcast tuple
@@ -335,7 +310,7 @@ impl<K> LogInner<K> {
     /// The batches `host` received, in delivery order.
     fn received(&self, host: HostId) -> impl Iterator<Item = &Batch<K>> {
         let runs = self.hosts.get(&host).into_iter().flatten();
-        runs.flat_map(|run| &self.batches[run.start as usize..run.end as usize])
+        runs.flat_map(|run| &self.batches[run.clone()])
     }
 }
 
@@ -368,7 +343,7 @@ impl<K: Copy + PartialEq> NoticeLog<K> {
     }
 
     /// Records that `host` received batch `index`.
-    fn record(&self, host: HostId, index: u32) {
+    fn record(&self, host: HostId, index: usize) {
         let mut inner = self.inner.lock();
         let runs = inner.hosts.entry(host).or_default();
         match runs.last_mut() {
@@ -378,82 +353,11 @@ impl<K: Copy + PartialEq> NoticeLog<K> {
     }
 }
 
-/// Broadcasts one batch from the controller shard.
-struct NoticeBroadcaster<K> {
-    out: EdgeId,
-    batch: Batch<K>,
-}
-
-impl<K: Send + Sync + 'static> Operator for NoticeBroadcaster<K> {
-    fn on_all_inputs_complete(&mut self, ctx: &mut ShardCtx<'_>) {
-        let bytes = 32 + 24 * self.batch.len() as u64;
-        ctx.broadcast(self.out, Tuple::new(Arc::clone(&self.batch), bytes));
-        ctx.halt();
-    }
-}
-
-/// Records a received batch's index in its host's log and acknowledges
-/// it.
-struct NoticeApplier<K> {
-    log: NoticeLog<K>,
-    index: u32,
-    ack_edge: EdgeId,
-}
-
-impl<K: Copy + PartialEq + Send + Sync + 'static> Operator for NoticeApplier<K> {
-    fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _edge: EdgeId, _src: u32, tuple: Tuple) {
-        tuple.expect::<Batch<K>>();
-        self.log.record(ctx.host(), self.index);
-        ctx.send(self.ack_edge, 0, Tuple::control(Ack));
-    }
-}
-
-/// The shared broadcast/apply/ack fan-out shape behind error and heal
-/// delivery: `batch` joins `log`'s batch list, one controller shard
-/// broadcasts it, every host records its index, acknowledgements
-/// gather back.
-fn notice_delivery_graph<K: Copy + PartialEq + Send + Sync + 'static>(
-    name: &str,
-    controller: HostId,
-    hosts: Vec<HostId>,
-    batch: Batch<K>,
-    log: NoticeLog<K>,
-    acks: &Arc<Lock<u32>>,
-) -> pathways_plaque::Graph {
-    let bcast_edge = EdgeId(0);
-    let ack_edge = EdgeId(1);
-    let index = u32::try_from(log.append(Arc::clone(&batch))).expect("under 2^32 deliveries");
-    let mut g = GraphBuilder::new(name);
-    let src = g.node("broadcast", vec![controller], move |_| {
-        Box::new(NoticeBroadcaster {
-            out: bcast_edge,
-            batch: Arc::clone(&batch),
-        })
-    });
-    let appliers = g.node("apply", hosts, move |_| {
-        Box::new(NoticeApplier {
-            log: log.clone(),
-            index,
-            ack_edge,
-        })
-    });
-    let collector = {
-        let acks = Arc::clone(acks);
-        g.node("collect", vec![controller], move |_| {
-            Box::new(AckCollector {
-                acks: Arc::clone(&acks),
-            })
-        })
-    };
-    assert_eq!(g.edge(src, appliers), bcast_edge);
-    assert_eq!(g.edge(appliers, collector), ack_edge);
-    g.build().expect("housekeeping graph is valid")
-}
-
 /// Builds the `name` delivery program from the lowest live host to every
-/// host still reachable from it (alive, with an unsevered link to it),
-/// each of which records `batch` in `log`; `None` if no host is left
-/// alive.
+/// host still reachable from it (alive, with an unsevered link to it):
+/// `batch` joins `log`'s batch list, the controller broadcasts it
+/// (`32 + 24 × notices` bytes), every host records its index and
+/// acknowledges; `None` if no host is left alive.
 fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     core: &Arc<CoreCtx>,
     failures: &FailureState,
@@ -468,7 +372,21 @@ fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
         .filter(|h| !failures.host_dead(*h) && !failures.link_down(controller, *h))
         .collect();
     let acks = Arc::new(Lock::new(0u32));
-    let graph = notice_delivery_graph(name, controller, hosts, batch, log.clone(), &acks);
+    let index = log.append(Arc::clone(&batch));
+    let bytes = 32 + 24 * batch.len() as u64;
+    let log = log.clone();
+    let graph = fan_out(
+        name,
+        ["broadcast", "apply"],
+        controller,
+        hosts,
+        Tuple::new(batch, bytes),
+        move |host, _: &Batch<K>| {
+            log.record(host, index);
+            Tuple::control(Ack)
+        },
+        count_acks(&acks),
+    );
     Some((graph, controller, acks))
 }
 

@@ -143,12 +143,8 @@ impl PathwaysRuntime {
             cfg,
         });
         let rm = Arc::new(ResourceManager::new(Arc::clone(&topo)));
-        let injector = Arc::new(FaultInjector::new(
-            Arc::clone(&core),
-            Arc::clone(&rm),
-            core.failures.clone(),
-        ));
-        FaultInjector::enable_recovery(&injector);
+        let injector =
+            FaultInjector::new(Arc::clone(&core), Arc::clone(&rm), core.failures.clone());
         PathwaysRuntime {
             core,
             rm,

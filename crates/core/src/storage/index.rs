@@ -795,34 +795,14 @@ impl ObjectStore {
 
     /// Ids of all objects with a shard residing in `place`, ascending
     /// and deduplicated (an object with several shards there appears
-    /// once) — the deterministic blast-radius snapshot.
-    fn objects_in(&self, place: Place) -> Vec<ObjectId> {
+    /// once) — the deterministic snapshot the fault injector's loss walk
+    /// absorbs or fails when the hardware behind `place` dies.
+    pub(crate) fn objects_in(&self, place: Place) -> Vec<ObjectId> {
         let inner = self.inner.lock();
         let mut ids: Vec<ObjectId> = inner.resident.of(place).map(|key| key.1).collect();
         ids.sort_unstable();
         ids.dedup();
         ids
-    }
-
-    /// Ids of all objects with a live HBM shard on `device`.
-    pub(crate) fn objects_on_device(&self, device: DeviceId) -> Vec<ObjectId> {
-        self.objects_in(Place::Hbm(device))
-    }
-
-    /// Ids of all objects with a shard spilled to `host`'s DRAM.
-    pub(crate) fn objects_with_dram_on(&self, host: HostId) -> Vec<ObjectId> {
-        self.objects_in(Place::Dram(host))
-    }
-
-    /// Fails every object with a shard pinned on `device` (the data is
-    /// gone with the hardware). Returns the failed ids in ascending
-    /// order — deterministic, so fault injection replays identically.
-    pub fn fail_objects_on_device(&self, device: DeviceId, reason: FailureReason) -> Vec<ObjectId> {
-        let doomed = self.objects_on_device(device);
-        for id in &doomed {
-            self.fail_object(*id, reason);
-        }
-        doomed
     }
 
     /// Ids of all live objects owned by `client`, in ascending order.
@@ -1138,15 +1118,22 @@ mod tests {
             store2.put_shard(obj(2, 0), 0, &d0, 10).await;
             store2.create(obj(1, 0), ClientId(0));
             store2.put_shard(obj(1, 0), 0, &d0, 10).await;
+            store2.put_shard(obj(1, 0), 1, &d0, 10).await;
             store2.create(obj(3, 0), ClientId(0));
             store2.put_shard(obj(3, 0), 0, &d1, 10).await;
-            let doomed =
-                store2.fail_objects_on_device(DeviceId(0), FailureReason::Device(DeviceId(0)));
+            // The walk a device death runs: once per object, ascending.
+            let doomed = store2.objects_in(Place::Hbm(DeviceId(0)));
             assert_eq!(doomed, vec![obj(1, 0), obj(2, 0)]);
+            for id in doomed {
+                store2.fail_object(id, FailureReason::Device(DeviceId(0)));
+            }
+            assert!(store2.objects_in(Place::Hbm(DeviceId(0))).is_empty());
+            assert_eq!(d0.hbm().used(), 0);
             assert!(
                 store2.object_error(obj(3, 0)).is_none(),
                 "other device intact"
             );
+            assert_eq!(store2.objects_in(Place::Hbm(DeviceId(1))), [obj(3, 0)]);
             assert_eq!(d1.hbm().used(), 10);
         });
         sim.run_to_quiescence();

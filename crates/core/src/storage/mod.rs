@@ -5,9 +5,10 @@
 //!
 //! - [`index`] — the **object index**: refcounted logical buffers keyed
 //!   by [`ObjectId`], per-shard readiness events, owner-tagged GC,
-//!   failure records, and the ordered HBM/DRAM residency sets that
-//!   victim selection and failure fan-out read. Owns the
-//!   [`ObjectStore`] facade every other layer hangs methods off.
+//!   failure records, and the ordered residency sets, one per `Place`
+//!   (a device's HBM, a host's DRAM), that victim selection reads and
+//!   the fault injector's loss walk reads when that place dies. Owns
+//!   the [`ObjectStore`] facade every other layer hangs methods off.
 //! - [`tiers`] — one byte ledger per tier: HBM (device-resident,
 //!   lease-backed), host DRAM (per-host ledgers), and disk modeled as an
 //!   **append-only segment store** with extent accounting (live/dead
@@ -21,10 +22,12 @@
 //!   (newest durable copy per shard), and keep-last-K GC that never
 //!   collects an epoch a live restore could need.
 //! - [`recovery`] — **chain recovery**, always on for a tiered store:
-//!   the `RecoveryManager` absorbs loss of whole *sets* of objects,
-//!   dedupes shared upstream producers, walks the lineage DAG in
-//!   topological order, picks restore-vs-recompute per node by modeled
-//!   cost, and restores into the first live host's DRAM.
+//!   the `RecoveryManager` absorbs loss of whole *sets* of objects
+//!   through one gate (shards lost in a `Place`, or an in-flight
+//!   production), dedupes shared upstream producers, walks the lineage
+//!   DAG in topological order, tries restore and recompute per node in
+//!   modeled-cost order, and installs either result into DRAM through
+//!   one loop (restores into the first live host's DRAM).
 //!
 //! Everything below the `ObjectStore` facade is crate-private; the
 //! public surface re-exported here is what `lib.rs` exposes.
@@ -38,6 +41,7 @@ pub use index::{FailureReason, ObjectError, ObjectId, ObjectStore, StoreError, S
 pub use recovery::RecoveryStats;
 pub use tiers::{SegmentStats, SpillEvent, Tier, TierConfig, TierStats};
 
+pub(crate) use index::Place;
 pub(crate) use recovery::{LineageRecord, RecoveryManager};
 
 /// Shared constructors for the storage-layer unit tests.

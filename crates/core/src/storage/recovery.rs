@@ -40,10 +40,11 @@
 //! of a consuming run never observes the loss at all.
 
 use pathways_sim::Lock;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Arc, Weak};
 
-use pathways_net::{DeviceId, FxHashMap, FxHashSet, HostId};
+use pathways_net::{DeviceId, FxHashMap, HostId};
 
 use crate::client::Client;
 use crate::context::CoreCtx;
@@ -51,7 +52,9 @@ use crate::fault::FaultInjector;
 use crate::objref::ObjectRef;
 use crate::program::{CompId, Program};
 
-use super::index::{FailureReason, ObjectId, ObjectStore, Place, StoredShard};
+use super::index::{
+    FailureReason, ObjectEntry, ObjectId, ObjectStore, Place, StoreInner, StoredShard,
+};
 use super::tiers::{Tier, TierConfig};
 
 /// How to reproduce one object: the producing program plus the exact
@@ -133,74 +136,31 @@ impl RecoveryManager {
         *self.stats.lock()
     }
 
-    /// Tries to absorb the loss of `id`'s HBM shards on dead `device`.
-    /// True means the object is (already or now) recovering and must not
-    /// be failed or cascaded; false means the loss is terminal and the
+    /// Tries to absorb a loss of `id`: its shards in `place` died with
+    /// the hardware, or (`None`) its in-flight production died — then
+    /// there is nothing to drop up front, the recompute commit sweeps
+    /// the partial output, and the object recovers by lineage (a
+    /// checkpoint exists only for a completed, earlier production). True
+    /// means the object is (already or now) recovering and must not be
+    /// failed or cascaded; false means the loss is terminal and the
     /// caller proceeds with `fail_object`.
-    pub(crate) fn absorb_device_loss(
-        self: &Arc<Self>,
-        id: ObjectId,
-        device: DeviceId,
-        reason: FailureReason,
-    ) -> bool {
+    pub(crate) fn absorb(&self, id: ObjectId, place: Option<Place>, reason: FailureReason) -> bool {
         let store = &self.core.store;
+        let drop_lost = || {
+            if let Some(place) = place {
+                store.drop_shards_in(id, place);
+            }
+        };
         if store.recovering(id).is_some() {
-            // An earlier fault already opened the window; this fault
-            // just killed another replica of the same object.
-            store.drop_shards_on_device(id, device);
+            // An earlier loss already opened the window; this one just
+            // took more of the same object.
+            drop_lost();
             return true;
         }
         if !self.budget_and_lineage_allow(id) {
             return false;
         }
-        store.drop_shards_on_device(id, device);
-        if store.begin_recovery(id).is_none() {
-            return false;
-        }
-        self.note_attempt(id);
-        self.pending.lock().push((id, reason));
-        true
-    }
-
-    /// Tries to absorb the loss of `id`'s DRAM shards spilled to dead
-    /// `host`. Same contract as
-    /// [`RecoveryManager::absorb_device_loss`].
-    pub(crate) fn absorb_dram_loss(
-        self: &Arc<Self>,
-        id: ObjectId,
-        host: HostId,
-        reason: FailureReason,
-    ) -> bool {
-        let store = &self.core.store;
-        if store.recovering(id).is_some() {
-            store.drop_dram_on_host(id, host);
-            return true;
-        }
-        if !self.budget_and_lineage_allow(id) {
-            return false;
-        }
-        store.drop_dram_on_host(id, host);
-        if store.begin_recovery(id).is_none() {
-            return false;
-        }
-        self.note_attempt(id);
-        self.pending.lock().push((id, reason));
-        true
-    }
-
-    /// Tries to absorb the failure of a run whose sink `id` is — the
-    /// in-flight production died with its hardware. No shards to drop up
-    /// front (partial output is swept by the recompute commit); the
-    /// object recovers by lineage re-submission (a checkpoint can only
-    /// exist for a *completed* production, i.e. an earlier incarnation).
-    pub(crate) fn absorb_run_loss(self: &Arc<Self>, id: ObjectId, reason: FailureReason) -> bool {
-        let store = &self.core.store;
-        if store.recovering(id).is_some() {
-            return true;
-        }
-        if !self.budget_and_lineage_allow(id) {
-            return false;
-        }
+        drop_lost();
         if store.begin_recovery(id).is_none() {
             return false;
         }
@@ -249,66 +209,49 @@ impl RecoveryManager {
         });
     }
 
-    /// Orders the batch by the lineage DAG restricted to the batch's
-    /// ids: upstream producers before their consumers, ascending object
-    /// id among peers — deterministic Kahn's algorithm.
+    /// Orders the batch — ascending and deduplicated by id, as
+    /// [`RecoveryManager::launch_pending`] hands it over — by the lineage
+    /// DAG restricted to the batch: upstream producers before their
+    /// consumers, ascending object id among peers (deterministic Kahn's
+    /// algorithm over batch positions).
     fn chain_order(&self, batch: &[(ObjectId, FailureReason)]) -> Vec<(ObjectId, FailureReason)> {
         let store = &self.core.store;
-        let ids: FxHashSet<ObjectId> = batch.iter().map(|(id, _)| *id).collect();
-        let reasons: FxHashMap<ObjectId, FailureReason> = batch.iter().copied().collect();
-        let mut preds: FxHashMap<ObjectId, Vec<ObjectId>> = FxHashMap::default();
-        let mut succs: FxHashMap<ObjectId, Vec<ObjectId>> = FxHashMap::default();
-        for (id, _) in batch {
-            if let Some(lineage) = store.lineage_of(*id) {
-                let mut ups: Vec<ObjectId> = lineage
-                    .bindings
-                    .iter()
-                    .map(|(_, r)| r.id())
-                    .filter(|up| *up != *id && ids.contains(up))
-                    .collect();
-                ups.sort_unstable();
-                ups.dedup();
-                for up in ups {
-                    preds.entry(*id).or_default().push(up);
-                    succs.entry(up).or_default().push(*id);
+        let position = |id: ObjectId| batch.binary_search_by_key(&id, |(b, _)| *b).ok();
+        let mut indeg = vec![0usize; batch.len()];
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); batch.len()];
+        for (i, (id, _)) in batch.iter().enumerate() {
+            let Some(lineage) = store.lineage_of(*id) else {
+                continue;
+            };
+            let mut ups: Vec<usize> = lineage
+                .bindings
+                .iter()
+                .filter_map(|(_, r)| position(r.id()))
+                .filter(|up| *up != i)
+                .collect();
+            ups.sort_unstable();
+            ups.dedup();
+            indeg[i] = ups.len();
+            for up in ups {
+                succs[up].push(i);
+            }
+        }
+        let mut ready: BTreeSet<usize> = (0..batch.len()).filter(|i| indeg[*i] == 0).collect();
+        let mut order = Vec::with_capacity(batch.len());
+        while let Some(i) = ready.pop_first() {
+            order.push(batch[i]);
+            for down in &succs[i] {
+                indeg[*down] -= 1;
+                if indeg[*down] == 0 {
+                    ready.insert(*down);
                 }
             }
         }
-        let mut indeg: FxHashMap<ObjectId, usize> = batch
-            .iter()
-            .map(|(id, _)| (*id, preds.get(id).map(Vec::len).unwrap_or(0)))
-            .collect();
-        let mut ready: Vec<ObjectId> = batch
-            .iter()
-            .map(|(id, _)| *id)
-            .filter(|id| indeg[id] == 0)
-            .collect();
-        let mut order: Vec<ObjectId> = Vec::with_capacity(batch.len());
-        while !ready.is_empty() {
-            // Pop the smallest id (descending sort, pop from the back).
-            ready.sort_unstable_by(|a, b| b.cmp(a));
-            let id = ready.pop().expect("non-empty");
-            order.push(id);
-            if let Some(downs) = succs.get(&id) {
-                for down in downs {
-                    let d = indeg.get_mut(down).expect("batch member");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.push(*down);
-                    }
-                }
-            }
-        }
-        if order.len() < batch.len() {
-            // Defensive: a cycle cannot arise from producer lineage, but
-            // if it ever did, recover the remainder in id order rather
-            // than dropping it.
-            let seen: FxHashSet<ObjectId> = order.iter().copied().collect();
-            let mut rest: Vec<ObjectId> = ids.difference(&seen).copied().collect();
-            rest.sort_unstable();
-            order.extend(rest);
-        }
-        order.into_iter().map(|id| (id, reasons[&id])).collect()
+        // Defensive: a cycle cannot arise from producer lineage, but if
+        // it ever did, recover the remainder in id order rather than
+        // dropping it.
+        order.extend((0..batch.len()).filter(|i| indeg[*i] > 0).map(|i| batch[i]));
+        order
     }
 
     /// Rebuilds a batch of lost objects: topological order over the
@@ -335,12 +278,10 @@ impl RecoveryManager {
     /// is terminal (the object has been failed; the caller cascades).
     async fn recover_node(self: &Arc<Self>, id: ObjectId, reason: FailureReason) -> bool {
         let store = self.core.store.clone();
-        if !store.contains(id) {
-            return true; // released while the batch was queued
-        }
         // Per-node cost choice: modeled restore time (epochs touched ×
         // disk latency + bytes at disk bandwidth) vs the producing
-        // program's estimated device time. Restore wins ties.
+        // program's estimated device time. Restore wins ties; the other
+        // path is the fallback.
         let restore_cost = store.checkpoint_restore_plan(id).map(|(_, t)| t);
         let recompute_cost = store
             .lineage_of(id)
@@ -351,24 +292,16 @@ impl RecoveryManager {
             (Some(_), None) => true,
             (None, _) => false,
         };
-        if restore_first {
-            if self.try_restore(id).await {
-                return true;
-            }
+        for restore in [restore_first, !restore_first] {
             if !store.contains(id) {
-                return true;
+                return true; // released meanwhile
             }
-            if self.try_recompute(id).await {
-                return true;
-            }
-        } else {
-            if self.try_recompute(id).await {
-                return true;
-            }
-            if !store.contains(id) {
-                return true;
-            }
-            if self.try_restore(id).await {
+            let recovered = if restore {
+                self.try_restore(id).await
+            } else {
+                self.try_recompute(id).await
+            };
+            if recovered {
                 return true;
             }
         }
@@ -542,10 +475,10 @@ impl ObjectStore {
         Some(ev)
     }
 
-    /// Drops the HBM shards of `id` held on `device` (lost with the
+    /// Drops the shards of `id` residing in `place` (lost with the
     /// hardware) *without* failing the object — the recovery-absorb
     /// path. Returns the bytes dropped.
-    pub(crate) fn drop_shards_on_device(&self, id: ObjectId, device: DeviceId) -> u64 {
+    pub(crate) fn drop_shards_in(&self, id: ObjectId, place: Place) -> u64 {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let taken: Vec<(u32, StoredShard)> = {
@@ -555,34 +488,7 @@ impl ObjectStore {
             let keys: Vec<u32> = entry
                 .shards
                 .iter()
-                .filter(|(_, s)| s.tier == Tier::Hbm && s.device == device)
-                .map(|(k, _)| *k)
-                .collect();
-            keys.into_iter()
-                .filter_map(|k| Some((k, entry.shards.remove(&k)?)))
-                .collect()
-        };
-        let mut bytes = 0;
-        for (no, sh) in &taken {
-            inner.untier_shard(id, *no, sh);
-            bytes += sh.bytes;
-        }
-        bytes
-    }
-
-    /// Drops the DRAM shards of `id` spilled to `host` (lost with the
-    /// host) without failing the object. Returns the bytes dropped.
-    pub(crate) fn drop_dram_on_host(&self, id: ObjectId, host: HostId) -> u64 {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let taken: Vec<(u32, StoredShard)> = {
-            let Some(entry) = inner.objects.get_mut(&id) else {
-                return 0;
-            };
-            let keys: Vec<u32> = entry
-                .shards
-                .iter()
-                .filter(|(_, s)| s.tier == Tier::Dram && s.host == Some(host))
+                .filter(|(_, s)| s.place() == Some(place))
                 .map(|(k, _)| *k)
                 .collect();
             keys.into_iter()
@@ -606,66 +512,15 @@ impl ObjectStore {
     /// terminally failed (the window, if any, is closed regardless).
     pub(crate) fn complete_restore(&self, id: ObjectId, device: DeviceId, host: HostId) -> bool {
         let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let Some(entry) = inner.objects.get_mut(&id) else {
+        let Some(entry) = inner.recoverable_entry(id) else {
             return false;
         };
-        if entry.error.is_some() {
-            if let Some(rec) = entry.recovering.take() {
-                rec.set();
-            }
-            return false;
-        }
         if entry.checkpoints.is_empty() {
             return false;
         }
         let set = entry.checkpoints.restore_set();
-        let Some(ts) = inner.tier.as_mut() else {
-            return false;
-        };
-        let at = ts.env.handle.now();
-        for (shard, bytes) in &set {
-            if entry.shards.contains_key(shard) {
-                continue;
-            }
-            ts.clock += 1;
-            let ready = entry.ready.entry(*shard).or_default().clone();
-            entry.shards.insert(
-                *shard,
-                StoredShard {
-                    device,
-                    bytes: *bytes,
-                    lease: None,
-                    ready,
-                    tier: Tier::Dram,
-                    host: Some(host),
-                    last_access: ts.clock,
-                    dirty: false,
-                    extent: None,
-                },
-            );
-            ts.dram.charge(host, *bytes);
-            inner
-                .resident
-                .insert(Place::Dram(host), (ts.clock, id, *shard));
-            ts.record(super::tiers::SpillEvent {
-                at,
-                object: id,
-                shard: *shard,
-                bytes: *bytes,
-                from: Tier::Disk,
-                to: Tier::Dram,
-                host,
-            });
-        }
-        ts.stats.restores += 1;
-        for ev in entry.ready.values() {
-            ev.set();
-        }
-        if let Some(rec) = entry.recovering.take() {
-            rec.set();
-        }
-        true
+        let shards = set.into_iter().map(|(s, bytes)| (s, bytes, device, host));
+        inner.install_recovered(id, shards, Tier::Disk)
     }
 
     /// Replaces the shards of `id` with freshly recomputed copies
@@ -681,61 +536,87 @@ impl ObjectStore {
     ) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let old: Vec<(u32, StoredShard)> = {
-            let Some(entry) = inner.objects.get_mut(&id) else {
-                return false;
-            };
-            if entry.error.is_some() {
-                if let Some(rec) = entry.recovering.take() {
-                    rec.set();
-                }
-                return false;
-            }
-            entry.shards.drain().collect()
+        let Some(entry) = inner.recoverable_entry(id) else {
+            return false;
         };
+        let old: Vec<(u32, StoredShard)> = entry.shards.drain().collect();
         for (no, sh) in &old {
             inner.untier_shard(id, *no, sh);
         }
         drop(old); // surviving leases return
-        let Some(entry) = inner.objects.get_mut(&id) else {
-            return false;
-        };
-        let Some(ts) = inner.tier.as_mut() else {
+        inner.install_recovered(id, shards.iter().copied(), Tier::Hbm)
+    }
+}
+
+impl StoreInner {
+    /// The entry of `id` if a recovery can still complete it: `None` if
+    /// it is gone or failed (a failed entry's recovery window, if any,
+    /// closes).
+    fn recoverable_entry(&mut self, id: ObjectId) -> Option<&mut ObjectEntry> {
+        let entry = self.objects.get_mut(&id)?;
+        if entry.error.is_some() {
+            if let Some(rec) = entry.recovering.take() {
+                rec.set();
+            }
+            return None;
+        }
+        Some(entry)
+    }
+
+    /// Installs recovered shards of `id` — `(shard, bytes, device,
+    /// host)` each, skipping shards `id` still holds — in their host's
+    /// DRAM, moved there `from` disk (a restore: clean shards) or from
+    /// HBM (a recompute: dirty shards); then fires every readiness event
+    /// of `id` and closes its recovery window. False if the entry is
+    /// gone or the store untiered.
+    fn install_recovered(
+        &mut self,
+        id: ObjectId,
+        shards: impl IntoIterator<Item = (u32, u64, DeviceId, HostId)>,
+        from: Tier,
+    ) -> bool {
+        let (Some(entry), Some(ts)) = (self.objects.get_mut(&id), self.tier.as_mut()) else {
             return false;
         };
         let at = ts.env.handle.now();
         for (shard, bytes, device, host) in shards {
+            if entry.shards.contains_key(&shard) {
+                continue;
+            }
             ts.clock += 1;
-            let ready = entry.ready.entry(*shard).or_default().clone();
+            let ready = entry.ready.entry(shard).or_default().clone();
             entry.shards.insert(
-                *shard,
+                shard,
                 StoredShard {
-                    device: *device,
-                    bytes: *bytes,
+                    device,
+                    bytes,
                     lease: None,
                     ready,
                     tier: Tier::Dram,
-                    host: Some(*host),
+                    host: Some(host),
                     last_access: ts.clock,
-                    dirty: true,
+                    dirty: from != Tier::Disk,
                     extent: None,
                 },
             );
-            ts.dram.charge(*host, *bytes);
-            inner
-                .resident
-                .insert(Place::Dram(*host), (ts.clock, id, *shard));
+            ts.dram.charge(host, bytes);
+            self.resident
+                .insert(Place::Dram(host), (ts.clock, id, shard));
             ts.record(super::tiers::SpillEvent {
                 at,
                 object: id,
-                shard: *shard,
-                bytes: *bytes,
-                from: Tier::Hbm,
+                shard,
+                bytes,
+                from,
                 to: Tier::Dram,
-                host: *host,
+                host,
             });
         }
-        ts.stats.recomputes += 1;
+        if from == Tier::Disk {
+            ts.stats.restores += 1;
+        } else {
+            ts.stats.recomputes += 1;
+        }
         for ev in entry.ready.values() {
             ev.set();
         }
@@ -789,7 +670,7 @@ mod tests {
             store2.mark_ready(obj(0, 0), 1);
             // No lineage -> the scheduled-checkpoint path declines.
             assert!(store2.commit_checkpoint(obj(0, 0)).is_none());
-            store2.drop_shards_on_device(obj(0, 0), pathways_net::DeviceId(0));
+            store2.drop_shards_in(obj(0, 0), Place::Hbm(pathways_net::DeviceId(0)));
             assert_eq!(dev.hbm().used(), 0);
             assert_eq!(store2.object_bytes(obj(0, 0)), 0);
             // Recovery window + restore path (no checkpoint: restore is
@@ -839,7 +720,7 @@ mod tests {
             assert_eq!(store2.checkpoint_restorable_bytes(obj(0, 0)), Some(200));
             assert_eq!(store2.disk_used(), 300, "base + delta live on disk");
             // Lose the live copies, restore from base+delta.
-            store2.drop_shards_on_device(obj(0, 0), pathways_net::DeviceId(0));
+            store2.drop_shards_in(obj(0, 0), Place::Hbm(pathways_net::DeviceId(0)));
             let win = store2.begin_recovery(obj(0, 0)).unwrap();
             let (bytes, _time) = store2.checkpoint_restore_plan(obj(0, 0)).unwrap();
             assert_eq!(bytes, 200, "restore set = newest copy of each shard");

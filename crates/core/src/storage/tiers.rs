@@ -864,7 +864,7 @@ impl ObjectStore {
 
 #[cfg(test)]
 mod tests {
-    use super::super::index::FailureReason;
+    use super::super::index::{FailureReason, Place};
     use super::super::testutil::{device, obj, tiered_with};
     use super::*;
     use pathways_net::ClientId;
@@ -1070,7 +1070,7 @@ mod tests {
                 s.fail_object(obj(0, 0), FailureReason::OwnerGone);
             },
             |s| {
-                s.drop_shards_on_device(obj(0, 0), DeviceId(0));
+                s.drop_shards_in(obj(0, 0), Place::Hbm(DeviceId(0)));
             },
         ];
         for remove in hbm_cases {
@@ -1092,7 +1092,10 @@ mod tests {
             sim.run_to_quiescence();
             assert_eq!(moves(&store), vec![], "the freed HBM was room enough");
             assert_eq!(store.shard_tier(obj(2, 0), 0), Some(Tier::Hbm));
-            assert_eq!(store.objects_on_device(DeviceId(0)), [obj(1, 0), obj(2, 0)]);
+            assert_eq!(
+                store.objects_in(Place::Hbm(DeviceId(0))),
+                [obj(1, 0), obj(2, 0)]
+            );
             assert!(picks_match_scan(&store, 0, 0));
             assert!(store.tiers_conserved());
         }
@@ -1117,12 +1120,12 @@ mod tests {
         sim.spawn("remover", async move {
             h.sleep(SimDuration::from_micros(200)).await;
             assert_eq!(store3.dram_used(), 2 * MB, "0 and 1 spilled, 0 staging");
-            store3.drop_dram_on_host(obj(0, 0), HostId(0));
+            store3.drop_shards_in(obj(0, 0), Place::Dram(HostId(0)));
         });
         sim.run_to_quiescence();
         let spills = [(0, Tier::Hbm, Tier::Dram), (1, Tier::Hbm, Tier::Dram)];
         assert_eq!(moves(&store), spills, "no demotion: the drop was room");
-        assert_eq!(store.objects_with_dram_on(HostId(0)), [obj(1, 0)]);
+        assert_eq!(store.objects_in(Place::Dram(HostId(0))), [obj(1, 0)]);
         assert!(picks_match_scan(&store, 0, 0));
         assert!(store.tiers_conserved());
     }
@@ -1162,7 +1165,10 @@ mod tests {
             assert_eq!(store2.checkpoint_now(obj(3, 0)), Some(200));
             put_pair(4).await;
             // Device 1 dies under object 3; its checkpoint restores it.
-            assert_eq!(store2.drop_shards_on_device(obj(3, 0), DeviceId(1)), 100);
+            assert_eq!(
+                store2.drop_shards_in(obj(3, 0), Place::Hbm(DeviceId(1))),
+                100
+            );
             store2.begin_recovery(obj(3, 0)).unwrap();
             assert!(store2.complete_restore(obj(3, 0), DeviceId(0), HostId(0)));
             put_pair(5).await;
