@@ -512,7 +512,7 @@ impl ObjectStore {
     /// terminally failed (the window, if any, is closed regardless).
     pub(crate) fn complete_restore(&self, id: ObjectId, device: DeviceId, host: HostId) -> bool {
         let mut inner = self.inner.lock();
-        let Some(entry) = inner.recoverable_entry(id) else {
+        let Some(entry) = inner.unfailed_entry(id) else {
             return false;
         };
         if entry.checkpoints.is_empty() {
@@ -536,7 +536,7 @@ impl ObjectStore {
     ) -> bool {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let Some(entry) = inner.recoverable_entry(id) else {
+        let Some(entry) = inner.unfailed_entry(id) else {
             return false;
         };
         let old: Vec<(u32, StoredShard)> = entry.shards.drain().collect();
@@ -552,7 +552,7 @@ impl StoreInner {
     /// The entry of `id` if a recovery can still complete it: `None` if
     /// it is gone or failed (a failed entry's recovery window, if any,
     /// closes).
-    fn recoverable_entry(&mut self, id: ObjectId) -> Option<&mut ObjectEntry> {
+    fn unfailed_entry(&mut self, id: ObjectId) -> Option<&mut ObjectEntry> {
         let entry = self.objects.get_mut(&id)?;
         if entry.error.is_some() {
             if let Some(rec) = entry.recovering.take() {
