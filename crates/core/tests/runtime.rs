@@ -4,11 +4,11 @@
 use std::collections::BTreeMap;
 
 use pathways_core::{
-    DispatchMode, FnSpec, InputSpec, PathwaysConfig, PathwaysRuntime, SchedPolicy, SliceRequest,
-    SubmitError,
+    DispatchMode, FailureReason, FaultSpec, FnSpec, InputSpec, PathwaysConfig, PathwaysRuntime,
+    SchedPolicy, SliceRequest, SubmitError,
 };
 use pathways_net::{ClientId, ClusterSpec, HostId, IslandId, NetworkParams};
-use pathways_sim::{Sim, SimDuration, SimTime};
+use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
 
 fn default_rt(sim: &Sim, spec: ClusterSpec) -> PathwaysRuntime {
     PathwaysRuntime::new(
@@ -751,4 +751,134 @@ fn all_to_all_fan_out_stays_within_its_task_and_poll_budget() {
     assert_eq!(end.as_nanos(), 341_366, "virtual time moved");
     assert_eq!(sim.poll_count(), 633, "polls: 741 → 633");
     assert_eq!(peak, 36, "peak live tasks: 55 → 36");
+}
+
+/// What [`handshake_chain`] observed, in ns of virtual time: each
+/// output's ready instant (or its typed error), when each run finished,
+/// and when the simulation went quiet (the failure wind-down included).
+#[derive(Debug, PartialEq, Eq)]
+struct ChainOutcome {
+    producer: Result<u64, FailureReason>,
+    reshard: Result<u64, FailureReason>,
+    one_to_one: Result<u64, FailureReason>,
+    finished: (u64, u64),
+    quiet: u64,
+}
+
+/// A producer → consumer chain through an external input: the consumer
+/// binds the producer's 4-shard sink as input `x`, which feeds a 4→2
+/// reshard edge and a one-to-one edge, so each input shard replays into
+/// buffers on hosts other than the client's. With `kill_at_us`, the
+/// device holding producer shard 1 dies that long into the run.
+fn handshake_chain(mode: DispatchMode, kill_at_us: Option<u64>) -> ChainOutcome {
+    let mut sim = Sim::new(0);
+    let cfg = PathwaysConfig {
+        dispatch: mode,
+        ..PathwaysConfig::default()
+    };
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::single_island(8, 2),
+        NetworkParams::tpu_cluster(),
+        cfg,
+    );
+    let client = rt.client(HostId(0));
+    let slice = |n| client.virtual_slice(SliceRequest::devices(n)).unwrap();
+    let (upstream, wide, narrow) = (slice(4), slice(4), slice(2));
+
+    let mut b = client.trace("producer");
+    let k = b.computation(
+        FnSpec::compute_only("k", SimDuration::from_micros(400)).with_output_bytes(1 << 16),
+        &upstream,
+    );
+    let producer = client.prepare(&b.build().unwrap());
+
+    let mut b = client.trace("consumer");
+    let x = b.input(InputSpec::new("x", 4));
+    let r = b.computation(
+        FnSpec::compute_only("r", SimDuration::from_micros(100)).with_output_bytes(1 << 12),
+        &narrow,
+    );
+    let o = b.computation(
+        FnSpec::compute_only("o", SimDuration::from_micros(100)).with_output_bytes(1 << 12),
+        &wide,
+    );
+    b.reshard_edge(x, r, 1 << 16);
+    b.edge(x, o, 1 << 16);
+    let consumer = client.prepare(&b.build().unwrap());
+
+    if let Some(us) = kill_at_us {
+        let victim = producer.info().devices[k.index()][1];
+        let at = SimTime::ZERO + SimDuration::from_micros(us);
+        rt.install_fault_plan(FaultPlan::new().at(at, FaultSpec::Device(victim)));
+    }
+    let h = sim.handle();
+    let job = sim.spawn("client", async move {
+        let p = client.submit(&producer).await;
+        let pk = p.object_ref(k).unwrap();
+        let c = client
+            .submit_with(&consumer, &[(x, pk.clone())])
+            .await
+            .unwrap();
+        let (cr, co) = (c.object_ref(r).unwrap(), c.object_ref(o).unwrap());
+        let ready_at = |res: Result<(), pathways_core::ObjectError>| {
+            res.map(|()| h.now().as_nanos()).map_err(|e| e.reason())
+        };
+        let producer = ready_at(pk.ready().await);
+        p.finish().await;
+        let p_done = h.now().as_nanos();
+        let reshard = ready_at(cr.ready().await);
+        let one_to_one = ready_at(co.ready().await);
+        c.finish().await;
+        (producer, reshard, one_to_one, (p_done, h.now().as_nanos()))
+    });
+    assert!(sim.run().is_quiescent());
+    let (producer, reshard, one_to_one, finished) = job.try_take().expect("the client finished");
+    assert!(rt.core().store.is_empty());
+    ChainOutcome {
+        producer,
+        reshard,
+        one_to_one,
+        finished,
+        quiet: sim.now().as_nanos(),
+    }
+}
+
+/// The Figure 4 handshake across a program boundary, pinned to the
+/// nanosecond. Sequential dispatch lands on the same instants: the input
+/// shards announce their output futures at start, so the consumer's
+/// kernels never wait on them.
+#[test]
+fn external_input_handshake_ready_instants_are_pinned() {
+    let want = ChainOutcome {
+        producer: Ok(476_008),
+        reshard: Ok(581_319),
+        one_to_one: Ok(581_319),
+        finished: (510_009, 617_352),
+        quiet: 617_352,
+    };
+    assert_eq!(handshake_chain(DispatchMode::Parallel, None), want);
+    assert_eq!(handshake_chain(DispatchMode::Sequential, None), want);
+}
+
+/// The producer's device dies mid-kernel: both runs still complete, the
+/// producer reports the dead device and both consumer outputs the
+/// upstream object, and the aborted shards wind the dataflow down by the
+/// time the surviving producer shards finish.
+#[test]
+fn external_input_handshake_survives_a_producer_device_kill() {
+    let upstream = FailureReason::Upstream(pathways_core::ObjectId {
+        run: pathways_plaque::RunId(0),
+        comp: pathways_core::CompId(0),
+    });
+    let want = ChainOutcome {
+        producer: Err(FailureReason::Device(pathways_net::DeviceId(1))),
+        reshard: Err(upstream),
+        one_to_one: Err(upstream),
+        finished: (200_000, 200_000),
+        quiet: 510_009,
+    };
+    for mode in [DispatchMode::Parallel, DispatchMode::Sequential] {
+        assert_eq!(handshake_chain(mode, Some(200)), want, "{mode:?}");
+    }
 }
