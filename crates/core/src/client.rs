@@ -331,7 +331,7 @@ impl Client {
     /// this through the slices' mapping generations and re-lower
     /// automatically — "programs simply re-lower".
     pub fn prepare(&self, program: &Program) -> PreparedProgram {
-        prepare(&self.core, self.id, self.host, &self.label, program)
+        prepare(&self.core, self.host, program)
     }
 
     /// Submits a prepared program with no external inputs: pays the
@@ -655,16 +655,5 @@ impl Client {
     /// Must be called from inside a simulation task.
     pub async fn run(&self, prepared: &PreparedProgram) -> RunResult {
         self.submit(prepared).await.finish().await
-    }
-
-    /// Runs a prepared program `n` times back to back (each run awaits
-    /// the previous one's results — the OpByOp pattern of §5.1) and
-    /// returns the results of the final run.
-    pub async fn run_op_by_op(&self, prepared: &PreparedProgram, n: u32) -> Option<RunResult> {
-        let mut last = None;
-        for _ in 0..n {
-            last = Some(self.run(prepared).await);
-        }
-        last
     }
 }

@@ -88,7 +88,9 @@ pub struct CoreCtx {
     pub exec_router: Router<CtrlMsg>,
     /// All device handles.
     pub devices: Arc<FxHashMap<DeviceId, DeviceHandle>>,
-    /// Per-host registration rendezvous.
+    /// Per-host executor hand-off: a kernel shard's `on_start` registers
+    /// its inputs here, and the host's executor, which started the shard,
+    /// takes the registration as soon as the start returns.
     pub executors: FxHashMap<HostId, ExecutorShared>,
     /// Island → scheduler host.
     pub sched_hosts: FxHashMap<IslandId, HostId>,

@@ -8,6 +8,13 @@
 //! grants arrive on a FIFO channel from a single scheduler, every
 //! device's queue sees concurrent programs' collectives in the same
 //! relative order — the deadlock-freedom invariant.
+//!
+//! The executor starts a granted shard's dataflow operator itself:
+//! `PlaqueRuntime::start_local` runs the operator's `on_start`, which
+//! registers the shard's input events and enqueue channel here, before
+//! it returns. So the executor takes the registration straight away;
+//! only a failed run, whose registrations the fault injector swept, can
+//! lack one.
 
 use pathways_sim::hash::FxHashMap;
 use pathways_sim::Lock;
@@ -20,7 +27,7 @@ use pathways_device::{
 use pathways_net::{DeviceId, Fabric, HostId, Router};
 use pathways_plaque::RunId;
 use pathways_sim::channel::{self, OneshotReceiver, OneshotSender};
-use pathways_sim::sync::{first_set, Event, Notify};
+use pathways_sim::sync::{first_set, Event};
 use pathways_sim::{IdleToken, SimHandle};
 
 use crate::config::DispatchMode;
@@ -38,8 +45,8 @@ pub struct CompRegistration {
     /// One readiness event per in-edge; the kernel waits on all of them.
     pub input_events: Vec<Event>,
     /// Sequential-dispatch gate: set once all predecessor future handles
-    /// arrived. `None` in parallel mode.
-    pub prereq: Option<Event>,
+    /// arrived. Parallel dispatch ignores it.
+    pub prereq: Event,
     /// Fired by the executor once the kernel is enqueued.
     pub on_enqueued: OneshotSender<EnqueueInfo>,
 }
@@ -48,8 +55,7 @@ impl fmt::Debug for CompRegistration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompRegistration")
             .field("inputs", &self.input_events.len())
-            .field("sequential", &self.prereq.is_some())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -67,12 +73,11 @@ impl fmt::Debug for EnqueueInfo {
     }
 }
 
-/// Registration rendezvous between dataflow operators and the host
+/// Registration hand-off between dataflow operators and the host
 /// executor.
 #[derive(Clone, Default)]
 pub struct ExecutorShared {
     regs: Arc<Lock<FxHashMap<ShardKey, CompRegistration>>>,
-    arrival: Notify,
 }
 
 impl fmt::Debug for ExecutorShared {
@@ -97,30 +102,29 @@ impl ExecutorShared {
     pub fn register(&self, key: ShardKey, reg: CompRegistration) {
         let prev = self.regs.lock().insert(key, reg);
         assert!(prev.is_none(), "shard {key:?} registered twice");
-        self.arrival.notify_waiters();
     }
 
     /// Drops every pending registration of `run` (failure sweep): the
     /// dropped `on_enqueued` senders make the shard drivers observe the
-    /// abort, and any executor parked in `wait_for` on
-    /// one of the run's shards is woken to notice the failure.
+    /// abort.
     pub fn fail_run(&self, run: RunId) {
         self.regs.lock().retain(|(r, _, _), _| *r != run);
-        self.arrival.notify_waiters();
     }
 
-    /// Waits for the shard's registration; `None` if the run is failed
-    /// (the registration was, or will be, swept by the fault injector).
-    async fn wait_for(&self, key: ShardKey, failures: &FailureState) -> Option<CompRegistration> {
-        loop {
-            if let Some(reg) = self.regs.lock().remove(&key) {
-                return Some(reg);
-            }
-            if failures.run_failed(key.0) {
-                return None;
-            }
-            self.arrival.notified().await;
-        }
+    /// Takes the registration of a shard whose operator has started;
+    /// `None` if the run failed and the fault injector swept it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a live run's shard never registered: starting it runs
+    /// its `on_start`, which registers before returning.
+    fn take(&self, key: ShardKey, failures: &FailureState) -> Option<CompRegistration> {
+        let reg = self.regs.lock().remove(&key);
+        assert!(
+            reg.is_some() || failures.run_failed(key.0),
+            "shard {key:?} of a live run started without registering"
+        );
+        reg
     }
 }
 
@@ -155,8 +159,7 @@ pub fn spawn_executor(
                 // Grants of a failed run are skipped wholesale: the
                 // fault injector already force-started the run's shards
                 // and swept their registrations, so touching them here
-                // would double-start (and waiting for their
-                // registrations would wedge this executor).
+                // would double-start them.
                 if failures.run_failed(grant.run) {
                     continue;
                 }
@@ -193,17 +196,13 @@ pub fn spawn_executor(
                         host,
                         "grant routed to wrong host"
                     );
-                    let Some(reg) = shared
-                        .wait_for((grant.run, grant.comp, *shard), &failures)
-                        .await
-                    else {
-                        // The run failed while this grant was in flight.
+                    let Some(reg) = shared.take((grant.run, grant.comp, *shard), &failures) else {
+                        // The run failed while this grant's earlier
+                        // shards were being enqueued.
                         continue;
                     };
                     if mode == DispatchMode::Sequential {
-                        if let Some(prereq) = &reg.prereq {
-                            prereq.wait().await;
-                        }
+                        reg.prereq.wait().await;
                     }
                     // Host-side resource allocation: output buffer in the
                     // object store (HBM back-pressure applies) plus
@@ -273,50 +272,66 @@ pub fn spawn_executor(
 mod tests {
     use super::*;
 
+    fn registration() -> CompRegistration {
+        CompRegistration {
+            input_events: vec![],
+            prereq: Event::new(),
+            on_enqueued: channel::oneshot().0,
+        }
+    }
+
     #[test]
     fn registration_rendezvous_is_order_independent() {
-        use pathways_sim::{Sim, SimDuration};
-        let mut sim = Sim::new(0);
+        // The operator registers first (its `on_start` runs inside
+        // `start_local`); the executor takes the registration once.
         let shared = ExecutorShared::new();
-        let key: ShardKey = (RunId(1), CompId(0), 0);
-        // Waiter first, registration later.
-        let s2 = shared.clone();
         let failures = FailureState::new();
-        let f2 = failures.clone();
-        let waiter = sim.spawn("waiter", async move { s2.wait_for(key, &f2).await });
-        let s3 = shared.clone();
-        let h = sim.handle();
-        sim.spawn("registrar", async move {
-            h.sleep(SimDuration::from_micros(5)).await;
-            let (tx, _rx) = channel::oneshot();
-            s3.register(
-                key,
-                CompRegistration {
-                    input_events: vec![],
-                    prereq: None,
-                    on_enqueued: tx,
-                },
-            );
-        });
-        sim.run_to_quiescence();
-        assert!(waiter.is_finished());
-        // Registration first, waiter later.
+        let key: ShardKey = (RunId(1), CompId(0), 0);
+        shared.register(key, registration());
+        assert!(shared.take(key, &failures).is_some());
+        assert!(shared.regs.lock().is_empty());
+    }
+
+    #[test]
+    fn a_swept_registration_of_a_failed_run_is_none() {
+        use crate::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
+        use pathways_net::{ClusterSpec, NetworkParams};
+        use pathways_sim::{Sim, SimDuration, SimTime};
+        // A run still in flight when its client fails.
         let mut sim = Sim::new(0);
-        let shared = ExecutorShared::new();
-        let (tx, _rx) = channel::oneshot();
-        shared.register(
-            key,
-            CompRegistration {
-                input_events: vec![],
-                prereq: None,
-                on_enqueued: tx,
-            },
+        let rt = PathwaysRuntime::new(
+            &sim,
+            ClusterSpec::config_b(1),
+            NetworkParams::tpu_cluster(),
+            PathwaysConfig::default(),
         );
-        let s2 = shared.clone();
-        let f3 = failures.clone();
-        let waiter = sim.spawn("waiter", async move { s2.wait_for(key, &f3).await });
-        sim.run_to_quiescence();
-        assert!(waiter.is_finished());
+        let client = rt.client(HostId(0));
+        let slice = client.virtual_slice(SliceRequest::devices(1)).unwrap();
+        let mut b = client.trace("long");
+        b.computation(
+            FnSpec::compute_only("k", SimDuration::from_millis(1)),
+            &slice,
+        );
+        let prepared = client.prepare(&b.build().unwrap());
+        let id = client.id();
+        let job = sim.spawn("client", async move { client.submit(&prepared).await });
+        sim.run_until_time(SimTime::ZERO + SimDuration::from_micros(100));
+        let run = job.try_take().expect("submitted").run();
+        rt.fail_client(id);
+        let (shared, failures) = (&rt.core().executors[&HostId(0)], &rt.core().failures);
+        assert!(failures.run_failed(run));
+        // A registration the failure sweep drops is reported as `None`.
+        let key: ShardKey = (run, CompId(7), 0);
+        shared.register(key, registration());
+        shared.fail_run(run);
+        assert!(shared.take(key, failures).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "started without registering")]
+    fn a_missing_registration_of_a_live_run_panics() {
+        let shared = ExecutorShared::new();
+        shared.take((RunId(0), CompId(0), 0), &FailureState::new());
     }
 
     #[test]
@@ -324,23 +339,7 @@ mod tests {
     fn duplicate_registration_panics() {
         let shared = ExecutorShared::new();
         let key: ShardKey = (RunId(0), CompId(0), 0);
-        let (tx1, _r1) = channel::oneshot();
-        let (tx2, _r2) = channel::oneshot();
-        shared.register(
-            key,
-            CompRegistration {
-                input_events: vec![],
-                prereq: None,
-                on_enqueued: tx1,
-            },
-        );
-        shared.register(
-            key,
-            CompRegistration {
-                input_events: vec![],
-                prereq: None,
-                on_enqueued: tx2,
-            },
-        );
+        shared.register(key, registration());
+        shared.register(key, registration());
     }
 }

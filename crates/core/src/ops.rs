@@ -10,22 +10,27 @@
 //! gains an edge to a single-shard `Result` node at the client's host
 //! that delivers output handles back to the client.
 //!
-//! External-input placeholders ([`crate::ProgramBuilder::input`])
-//! lower to [`InputOperator`] nodes on
-//! the *client's* host: virtual producers that replay another program's
-//! output (an [`ObjectRef`](crate::ObjectRef) bound at submit time)
-//! into the consumer's input buffers. Everything control-plane — the
-//! address handshake, scheduling, buffer allocation, PCIe enqueue —
-//! proceeds eagerly; only the data movement (and hence the consuming
-//! *kernel*, which gates on its input futures inside the device queue)
-//! waits for the producer's per-shard readiness events in the object
-//! store. That is the paper's parallel asynchronous dispatch, extended
-//! across program boundaries.
+//! One operator, `ShardOperator`, runs every computation shard, and one
+//! driver task per shard speaks the producer half of the handshake.
+//! A kernel shard registers its input buffers with its host's executor
+//! in `on_start`, which the executor runs itself through
+//! `PlaqueRuntime::start_local`, so the registration is there when the
+//! executor looks. External-input placeholders
+//! ([`crate::ProgramBuilder::input`]) lower to shards on the *client's*
+//! host: virtual producers that replay another program's output (an
+//! [`ObjectRef`](crate::ObjectRef) bound at submit time) into the
+//! consumer's input buffers. Everything control-plane — the address
+//! handshake, scheduling, buffer allocation, PCIe enqueue — proceeds
+//! eagerly; only the data movement (and hence the consuming *kernel*,
+//! which gates on its input futures inside the device queue) waits for
+//! the producer's per-shard readiness events in the object store. That
+//! is the paper's parallel asynchronous dispatch, extended across
+//! program boundaries.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
-use pathways_net::{ClientId, DeviceId, HostId, IslandId};
+use pathways_net::{DeviceId, HostId, IslandId};
 use pathways_plaque::{
     EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, Payload, RunId, ShardCtx, Tuple,
 };
@@ -69,33 +74,24 @@ static FUTURE: LazyLock<Payload> = LazyLock::new(|| Arc::new(FwdSignal::Future))
 static DATA: LazyLock<Payload> = LazyLock::new(|| Arc::new(FwdSignal::Data));
 static ADDR: LazyLock<Payload> = LazyLock::new(|| Arc::new(AddrSignal));
 
-// Names of the per-shard tasks: the ids now, the text only if a
-// deadlock report asks for it.
-
-/// `driver-{run}-{comp}-{shard}`.
-fn driver_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
-    TaskName::lazy([run.0, comp.0.into(), shard.into(), 0], |ids, f| {
-        let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
-        write!(f, "driver-{run}-{comp}-{}", ids[2])
-    })
-}
-
-/// `input-{run}-{comp}-{shard}`.
-fn input_task_name(run: RunId, comp: CompId, shard: u32) -> TaskName {
-    TaskName::lazy([run.0, comp.0.into(), shard.into(), 0], |ids, f| {
-        let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
-        write!(f, "input-{run}-{comp}-{}", ids[2])
-    })
+/// The name of a shard's driver task, `driver-{run}-{comp}-{shard}`
+/// (`input-…` for an external input): the ids now, the text only if a
+/// deadlock report asks for it.
+fn shard_task_name(run: RunId, comp: CompId, shard: u32, input: bool) -> TaskName {
+    TaskName::lazy(
+        [run.0, comp.0.into(), shard.into(), input.into()],
+        |ids, f| {
+            let (run, comp) = (RunId(ids[0]), CompId(ids[1] as u32));
+            let kind = if ids[3] == 0 { "driver" } else { "input" };
+            write!(f, "{kind}-{run}-{comp}-{}", ids[2])
+        },
+    )
 }
 
 /// Immutable lowered-program structures shared by all shard operators.
 pub struct ProgInfo {
     /// The traced program.
     pub program: Program,
-    /// Owning client.
-    pub client: ClientId,
-    /// Trace label.
-    pub label: String,
     /// Shard count per computation (inputs included).
     pub shards: Vec<u32>,
     /// Physical devices per computation (snapshot at lowering time).
@@ -111,8 +107,8 @@ pub struct ProgInfo {
     /// Plaque edge from each sink computation to the Result node.
     pub result_edges: BTreeMap<CompId, PEdge>,
     /// In-edges of each computation (indices into the program's edge
-    /// list, ascending) — [`Program::in_edges`] computed once, because
-    /// every shard of every run asks.
+    /// list, ascending), computed once because every shard of every run
+    /// asks.
     pub in_edges: Vec<Vec<usize>>,
     /// Out-edges of each computation, likewise.
     pub out_edges: Vec<Vec<usize>>,
@@ -134,7 +130,6 @@ impl std::fmt::Debug for ProgInfo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgInfo")
             .field("program", &self.program.name())
-            .field("client", &self.client)
             .finish()
     }
 }
@@ -176,7 +171,6 @@ pub struct PreparedProgram {
     pub(crate) info: Arc<ProgInfo>,
     pub(crate) graph: Graph,
     pub(crate) submits: BTreeMap<IslandId, Vec<CompSubmit>>,
-    pub(crate) est_cost: SimDuration,
     /// Mapping generation of each computation's slice at lowering time
     /// (`None` for external inputs). If any slice has been remapped
     /// since — healing, rebalancing, explicit `remap` — this
@@ -210,11 +204,6 @@ impl PreparedProgram {
         &self.info
     }
 
-    /// Whole-program device-time estimate (sum over islands).
-    pub fn estimated_cost(&self) -> SimDuration {
-        self.est_cost
-    }
-
     /// True if any slice this program was lowered against has been
     /// remapped since (its generation moved on) — the snapshot of
     /// physical devices in here no longer matches the virtual→physical
@@ -231,19 +220,14 @@ impl PreparedProgram {
     }
 }
 
-/// Lowers `program` for `client` into a runnable PLAQUE dataflow.
+/// Lowers `program` into a runnable PLAQUE dataflow whose external
+/// inputs run on `client_host`.
 ///
 /// # Panics
 ///
 /// Panics if any computation's slice spans islands (collectives require
 /// one island; the resource manager never produces such slices).
-pub fn prepare(
-    core: &Arc<CoreCtx>,
-    client: ClientId,
-    client_host: HostId,
-    label: &str,
-    program: &Program,
-) -> PreparedProgram {
+pub fn prepare(core: &Arc<CoreCtx>, client_host: HostId, program: &Program) -> PreparedProgram {
     let topo = Arc::clone(core.fabric.topology());
     let n_comps = program.computations().len();
 
@@ -296,8 +280,6 @@ pub fn prepare(
 
     let info = Arc::new(ProgInfo {
         program: program.clone(),
-        client,
-        label: label.to_string(),
         shards,
         devices,
         hosts,
@@ -316,26 +298,17 @@ pub fn prepare(
         let comp = CompId(c as u32);
         let core = Arc::clone(core);
         let info_f = Arc::clone(&info);
-        let is_input = program.computations()[c].is_input();
         let node = g.node(
             program.computations()[c].name().to_string(),
             info.hosts[c].clone(),
             move |shard| -> Box<dyn Operator> {
-                if is_input {
-                    Box::new(InputOperator::new(
-                        Arc::clone(&core),
-                        Arc::clone(&info_f),
-                        comp,
-                        shard,
-                    ))
-                } else {
-                    Box::new(CompOperator::new(
-                        Arc::clone(&core),
-                        Arc::clone(&info_f),
-                        comp,
-                        shard,
-                    ))
-                }
+                Box::new(ShardOperator {
+                    core: Arc::clone(&core),
+                    info: Arc::clone(&info_f),
+                    comp,
+                    shard,
+                    state: None,
+                })
             },
         );
         pnodes.push(node);
@@ -418,16 +391,6 @@ pub fn prepare(
         });
     }
 
-    // Device-time estimate including collective wire time (available
-    // here because lowering computed the collective durations).
-    let est_cost = submits
-        .values()
-        .flatten()
-        .map(|c| {
-            let coll = c.collective.map_or(SimDuration::ZERO, |(_, _, d)| d);
-            (c.compute + coll) * c.participants as u64
-        })
-        .sum();
     let slice_gens = program
         .computations()
         .iter()
@@ -437,14 +400,13 @@ pub fn prepare(
         info,
         graph,
         submits,
-        est_cost,
         slice_gens,
         relowered: pathways_sim::Lock::new(None),
     }
 }
 
 // ---------------------------------------------------------------------------
-// Computation shard operator
+// Shard operator
 // ---------------------------------------------------------------------------
 
 /// The consumer-address events of one producer shard: one per
@@ -470,15 +432,11 @@ impl AddrEvents {
         }
     }
 
-    /// The event for consumer shard `dst` on local out-edge `oi`.
-    fn get(&self, oi: usize, dst: u32) -> Option<&Event> {
-        let (first, events) = self.per_out_edge.get(oi)?;
-        events.get(dst.checked_sub(*first)? as usize)
-    }
-
     /// The event an address tuple on plaque edge `edge` from consumer
     /// shard `src_shard` stands for; `None` if `edge` is not a backward
-    /// edge into `comp` or this shard does not feed `src_shard`.
+    /// edge out of `comp` or this shard does not feed `src_shard`.
+    /// [`prepare`] numbers the forward plaque edges first, in
+    /// program-edge order, and the backward ones after them.
     fn for_address(
         &self,
         info: &ProgInfo,
@@ -486,35 +444,27 @@ impl AddrEvents {
         edge: PEdge,
         src_shard: u32,
     ) -> Option<&Event> {
-        let e = back_edge_into(info, comp, edge)?;
-        self.get(info.edge_slots[e].src_out, src_shard)
+        let e = edge.index().checked_sub(info.program.edges().len())?;
+        if info.program.edges().get(e)?.src != comp {
+            return None;
+        }
+        let (first, events) = self.per_out_edge.get(info.edge_slots[e].src_out)?;
+        events.get(src_shard.checked_sub(*first)? as usize)
     }
-}
-
-/// The program edge whose forward plaque edge is `edge`, if `comp`
-/// consumes it. Plaque edge ids are assigned by [`prepare`]: forward
-/// edges first, in program-edge order.
-fn fwd_edge_into(info: &ProgInfo, comp: CompId, edge: PEdge) -> Option<usize> {
-    let e = edge.index();
-    (info.program.edges().get(e)?.dst == comp).then_some(e)
-}
-
-/// The program edge whose backward plaque edge is `edge`, if `comp`
-/// produces it (backward edges follow the forward ones).
-fn back_edge_into(info: &ProgInfo, comp: CompId, edge: PEdge) -> Option<usize> {
-    let e = edge.index().checked_sub(info.program.edges().len())?;
-    (info.program.edges().get(e)?.src == comp).then_some(e)
 }
 
 struct OpState {
     addr_events: Arc<AddrEvents>,
-    /// Sequential-mode gate.
+    /// Sequential-mode gate: set once `futures_left` reaches zero.
     prereq: Event,
-    futures_needed: u64,
-    futures_seen: u64,
+    futures_left: u64,
 }
 
-pub(crate) struct CompOperator {
+/// One shard of a computation: a kernel on its device's host, or an
+/// external input on the client host — a virtual producer that speaks
+/// the producer half of the Figure 4 handshake for a buffer another
+/// program is (or will be) writing.
+pub(crate) struct ShardOperator {
     core: Arc<CoreCtx>,
     info: Arc<ProgInfo>,
     comp: CompId,
@@ -522,90 +472,86 @@ pub(crate) struct CompOperator {
     state: Option<OpState>,
 }
 
-impl CompOperator {
-    pub(crate) fn new(core: Arc<CoreCtx>, info: Arc<ProgInfo>, comp: CompId, shard: u32) -> Self {
-        CompOperator {
-            core,
-            info,
+impl Operator for ShardOperator {
+    fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
+        let (run, comp, shard) = (ctx.run(), self.comp, self.shard);
+        let info = &self.info;
+        let addr_events = Arc::new(AddrEvents::new(info, comp, shard));
+        let prereq = Event::new();
+        let mut futures_left = 0u64;
+        let source = if info.program.computations()[comp.index()].is_input() {
+            // The bound ObjectRef *is* the output future — announce it
+            // downstream immediately, before any data exists. Sequential
+            // dispatch within the consuming program therefore never
+            // serializes on a cross-program edge.
+            for &e in &info.out_edges[comp.index()] {
+                for d in info.feeds(e, shard) {
+                    ctx.send(info.fwd_edges[e], d, Tuple::shared(&FUTURE, SIGNAL_BYTES));
+                }
+            }
+            let binding = self
+                .core
+                .bindings
+                .lock()
+                .get(&(run, comp))
+                .cloned()
+                .unwrap_or_else(|| panic!("no ObjectRef bound for {run} input {comp}"));
+            Source::Replay(binding)
+        } else {
+            // Input buffers: one slot per in-edge, delivered directly by
+            // producer transfers (ICI path — no DCN hop before the kernel
+            // can start). Edges from external inputs deliver the same
+            // way, driven by the client-side input shard replaying the
+            // bound ObjectRef.
+            let in_edges = &info.in_edges[comp.index()];
+            let mut input_events = Vec::with_capacity(in_edges.len());
+            for (ii, &e) in in_edges.iter().enumerate() {
+                let feeders = info.feeders(e, shard).len() as u64;
+                let slot = crate::context::InputSlot::new(feeders);
+                input_events.push(slot.event().clone());
+                self.core
+                    .input_slots
+                    .lock()
+                    .insert((run, comp, shard, ii), slot);
+                futures_left += feeders;
+            }
+            if futures_left == 0 {
+                prereq.set();
+            }
+            // Hand the executor what it needs to enqueue our kernel; it
+            // takes the registration as soon as this returns.
+            let host = ctx.host();
+            let (enq_tx, enq_rx) = pathways_sim::channel::oneshot();
+            self.core
+                .executors
+                .get(&host)
+                .unwrap_or_else(|| panic!("no executor on {host}"))
+                .register(
+                    (run, comp, shard),
+                    CompRegistration {
+                        input_events,
+                        prereq: prereq.clone(),
+                        on_enqueued: enq_tx,
+                    },
+                );
+            Source::Kernel(enq_rx)
+        };
+        let name = shard_task_name(run, comp, shard, matches!(source, Source::Replay(_)));
+        let driver = drive_shard(
+            Arc::clone(&self.core),
+            Arc::clone(info),
             comp,
             shard,
-            state: None,
-        }
-    }
-}
-
-impl Operator for CompOperator {
-    fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
-        let run = ctx.run();
-        let info = &self.info;
-        let in_edges = &info.in_edges[self.comp.index()];
-
-        // Input buffers: one slot per in-edge, delivered directly by
-        // producer transfers (ICI path — no DCN hop before the kernel
-        // can start). Edges from external inputs deliver the same way,
-        // driven by the client-side InputOperator replaying the bound
-        // ObjectRef.
-        let mut input_events = Vec::with_capacity(in_edges.len());
-        let mut futures_needed = 0u64;
-        for (ii, &e) in in_edges.iter().enumerate() {
-            let feeders = info.feeders(e, self.shard).len() as u64;
-            let slot = crate::context::InputSlot::new(feeders);
-            input_events.push(slot.event().clone());
-            self.core
-                .input_slots
-                .lock()
-                .insert((run, self.comp, self.shard, ii), slot);
-            futures_needed += feeders;
-        }
-        let addr_events = Arc::new(AddrEvents::new(info, self.comp, self.shard));
-        let prereq = Event::new();
-        if futures_needed == 0 {
-            prereq.set();
-        }
-
-        // Hand the executor what it needs to enqueue our kernel.
-        let host = ctx.host();
-        let exec = self
-            .core
-            .executors
-            .get(&host)
-            .unwrap_or_else(|| panic!("no executor on {host}"))
-            .clone();
-        let (enq_tx, enq_rx) = pathways_sim::channel::oneshot();
-        exec.register(
-            (run, self.comp, self.shard),
-            CompRegistration {
-                input_events,
-                prereq: Some(prereq.clone()),
-                on_enqueued: enq_tx,
-            },
+            run,
+            ctx.emitter(),
+            source,
+            Arc::clone(&addr_events),
         );
-
-        // Spawn the shard driver.
-        let emitter = ctx.emitter();
-        let core = Arc::clone(&self.core);
-        let info = Arc::clone(&self.info);
-        let comp = self.comp;
-        let shard = self.shard;
-        ctx.handle().spawn(
-            driver_task_name(run, comp, shard),
-            drive_shard(
-                core,
-                info,
-                comp,
-                shard,
-                run,
-                emitter,
-                enq_rx,
-                Arc::clone(&addr_events),
-            ),
-        );
-
+        ctx.handle().spawn(name, driver);
         self.state = Some(OpState {
             addr_events,
             prereq,
-            futures_needed,
-            futures_seen: 0,
+            futures_left,
         });
     }
 
@@ -617,43 +563,58 @@ impl Operator for CompOperator {
         tuple: Tuple,
     ) {
         let st = self.state.as_mut().expect("tuple before start");
-        if fwd_edge_into(&self.info, self.comp, edge).is_some() {
-            match tuple.expect::<FwdSignal>() {
-                FwdSignal::Future => {
-                    st.futures_seen += 1;
-                    if st.futures_seen == st.futures_needed {
-                        st.prereq.set();
-                    }
-                }
-                // Data-readiness is delivered in-band with the transfer
-                // (InputSlot); the tuple only closes the plaque edge for
-                // progress tracking.
-                FwdSignal::Data => {}
-            }
-        } else {
-            let addr = st
-                .addr_events
-                .for_address(&self.info, self.comp, edge, src_shard)
-                .unwrap_or_else(|| panic!("unexpected tuple on {edge} from shard {src_shard}"));
+        if let Some(addr) = st
+            .addr_events
+            .for_address(&self.info, self.comp, edge, src_shard)
+        {
             tuple.expect::<AddrSignal>();
             addr.set();
+            return;
+        }
+        match tuple.expect::<FwdSignal>() {
+            FwdSignal::Future => {
+                st.futures_left -= 1;
+                if st.futures_left == 0 {
+                    st.prereq.set();
+                }
+            }
+            // Data-readiness is delivered in-band with the transfer
+            // (InputSlot); the tuple only closes the plaque edge for
+            // progress tracking.
+            FwdSignal::Data => {}
         }
     }
 
     fn on_all_inputs_complete(&mut self, _ctx: &mut ShardCtx<'_>) {
-        // The driver halts the shard after transfers finish.
+        // The driver halts the shard after its transfers finish.
     }
 }
 
-/// The asynchronous life of one computation shard after registration.
+/// Where a shard's output comes from.
+enum Source {
+    /// A kernel: the executor reports its enqueue here.
+    Kernel(pathways_sim::channel::OneshotReceiver<crate::exec::EnqueueInfo>),
+    /// An external input: the bound object it replays.
+    Replay(Arc<InputBinding>),
+}
+
+/// The asynchronous life of one shard after `on_start`.
 ///
-/// Failure-aware from end to end: an abort before the enqueue (the
-/// fault injector swept our registration), a dropped completion (our
-/// device died with the kernel queued) and a gang abort (a partner
-/// device died) all land in the same wind-down — announce the signals
-/// the rest of the dataflow gates on, *poison-deliver* the consumer
-/// input buffers instead of moving data, and halt, so the run drains to
-/// a clean completion instead of wedging.
+/// A kernel shard waits for its enqueue, then announces its output
+/// futures downstream and its input-buffer addresses upstream, and moves
+/// its output once the kernel completes. Failure-aware from end to end:
+/// an abort before the enqueue (the fault injector swept our
+/// registration), a dropped completion (our device died with the kernel
+/// queued) and a gang abort (a partner device died) all land in the same
+/// wind-down — announce the signals the rest of the dataflow gates on,
+/// *poison-deliver* the consumer input buffers instead of moving data,
+/// and halt, so the run drains to a clean completion instead of wedging.
+///
+/// An input shard replays its shard of the bound object into every
+/// consumer buffer. The address handshake and the transfer *setup*
+/// happen eagerly; the bytes move only once the producer's kernel has
+/// marked the shard ready in the object store — the single gate the
+/// consuming kernel inherits through its input future.
 #[allow(clippy::too_many_arguments)]
 async fn drive_shard(
     core: Arc<CoreCtx>,
@@ -662,58 +623,67 @@ async fn drive_shard(
     shard: u32,
     run: pathways_plaque::RunId,
     emitter: Emitter,
-    enq_rx: pathways_sim::channel::OneshotReceiver<crate::exec::EnqueueInfo>,
+    mut source: Source,
     addr_events: Arc<AddrEvents>,
 ) {
-    let enq = enq_rx.await.ok();
-    let in_edges = &info.in_edges[comp.index()];
-    let out_edges = &info.out_edges[comp.index()];
-
-    // Announce output futures downstream (sequential-dispatch consumers
-    // gate on these)...
-    for &e in out_edges.iter() {
-        for d in info.feeds(e, shard) {
-            emitter.send(info.fwd_edges[e], d, Tuple::shared(&FUTURE, SIGNAL_BYTES));
+    let (src_dev, gate, mode) = match &mut source {
+        Source::Kernel(enq_rx) => {
+            let enq = enq_rx.await.ok();
+            // Announce output futures downstream (sequential-dispatch
+            // consumers gate on these)...
+            for &e in &info.out_edges[comp.index()] {
+                for d in info.feeds(e, shard) {
+                    emitter.send(info.fwd_edges[e], d, Tuple::shared(&FUTURE, SIGNAL_BYTES));
+                }
+            }
+            // ...and our input-buffer addresses upstream (the Figure 4
+            // handshake: "Host B allocates B's inputs, transmits the
+            // input buffer addresses to host A"). Sent on the abort path
+            // too: an upstream producer mid-transfer must not wait
+            // forever for the address of a consumer that will never
+            // enqueue.
+            for &e in &info.in_edges[comp.index()] {
+                for s in info.feeders(e, shard) {
+                    emitter.send(info.back_edges[e], s, Tuple::shared(&ADDR, SIGNAL_BYTES));
+                }
+            }
+            let completed = match enq {
+                Some(enq) => {
+                    // A dropped completion sender is the device's abort
+                    // signal (it died with this kernel queued, or its
+                    // gang aborted).
+                    let done = enq.completion.await.is_ok();
+                    drop(enq.input_lease);
+                    done
+                }
+                None => false,
+            };
+            // No readiness gate: this shard's kernel just completed (or
+            // aborted, in which case consumers get a zero-byte poison
+            // delivery — their runs were failed by the injector, so the
+            // error, not the data, is what they observe).
+            let mode = if completed {
+                core.store.mark_ready(ObjectId { run, comp }, shard);
+                TransferMode::Data
+            } else {
+                TransferMode::Poison
+            };
+            (info.devices[comp.index()][shard as usize], None, mode)
         }
-    }
-    // ...and our input-buffer addresses upstream (the Figure 4
-    // handshake: "Host B allocates B's inputs, transmits the input
-    // buffer addresses to host A"). Sent on the abort path too: an
-    // upstream producer mid-transfer must not wait forever for the
-    // address of a consumer that will never enqueue.
-    for &e in in_edges {
-        for s in info.feeders(e, shard) {
-            emitter.send(info.back_edges[e], s, Tuple::shared(&ADDR, SIGNAL_BYTES));
-        }
-    }
-
-    let completed = match enq {
-        Some(enq) => {
-            // A dropped completion sender is the device's abort signal
-            // (it died with this kernel queued, or its gang aborted).
-            let done = enq.completion.await.is_ok();
-            drop(enq.input_lease);
-            done
-        }
-        None => false,
+        // Gate every transfer on the producer's per-shard readiness
+        // event. If the producer failed, the failure path fires those
+        // events and records the error; the replay then poisons
+        // (delivers without data) rather than replaying stale bytes.
+        Source::Replay(binding) => (
+            binding.objref.devices()[shard as usize],
+            Some(binding.objref.shard_ready(shard)),
+            TransferMode::CheckObject(binding.objref.id()),
+        ),
     };
-    let object = ObjectId { run, comp };
-    if completed {
-        core.store.mark_ready(object, shard);
-    }
 
     // Move outputs to every consumer shard as soon as its buffer address
     // is known; transfers to different consumers proceed concurrently.
-    // No readiness gate: this shard's kernel just completed (or aborted,
-    // in which case consumers get a zero-byte poison delivery — their
-    // runs were failed by the injector, so the error, not the data, is
-    // what they observe).
-    let src_dev = info.devices[comp.index()][shard as usize];
-    let mode = if completed {
-        TransferMode::Data
-    } else {
-        TransferMode::Poison
-    };
+    let completed = matches!(mode, TransferMode::Data);
     join_each(output_transfers(
         &core,
         &info,
@@ -723,38 +693,55 @@ async fn drive_shard(
         &emitter,
         &addr_events,
         src_dev,
-        None,
+        gate,
         mode,
     ))
     .await;
-    // Release this shard's input-slot registrations.
-    {
-        let mut slots = core.input_slots.lock();
-        for ii in 0..in_edges.len() {
-            slots.remove(&(run, comp, shard, ii));
-        }
-    }
 
-    if let Some(&result_edge) = info.result_edges.get(&comp) {
-        // Sink: shard 0 delivers the *logical* output handle to the
-        // Result node — one handle per sharded buffer, not per shard
-        // (the §4.2 amortization). The run still waits for every shard:
-        // completion requires all shards to halt. The client's ObjectRef
-        // (minted at submit time) owns the object's refcount; nothing is
-        // released here. Aborted shards skip the tuple — the plaque edge
-        // closes through halt's punctuation.
-        if completed && shard == 0 {
-            emitter.send(
-                result_edge,
-                0,
-                Tuple::new(CompletionSignal { comp, object }, SIGNAL_BYTES),
-            );
+    match source {
+        Source::Kernel(_) => {
+            // Release this shard's input-slot registrations.
+            {
+                let mut slots = core.input_slots.lock();
+                for ii in 0..info.in_edges[comp.index()].len() {
+                    slots.remove(&(run, comp, shard, ii));
+                }
+            }
+            if let Some(&result_edge) = info.result_edges.get(&comp) {
+                // Sink: shard 0 delivers the *logical* output handle to
+                // the Result node — one handle per sharded buffer, not
+                // per shard (the §4.2 amortization). The run still waits
+                // for every shard: completion requires all shards to
+                // halt. The client's ObjectRef (minted at submit time)
+                // owns the object's refcount; nothing is released here.
+                // Aborted shards skip the tuple — the plaque edge closes
+                // through halt's punctuation.
+                if completed && shard == 0 {
+                    let object = ObjectId { run, comp };
+                    emitter.send(
+                        result_edge,
+                        0,
+                        Tuple::new(CompletionSignal { comp, object }, SIGNAL_BYTES),
+                    );
+                }
+            } else {
+                // Intermediate output: consumers have their copies (or
+                // their poison); release ours. A release of an object
+                // the grant never created is a no-op.
+                core.store.release(ObjectId { run, comp });
+            }
         }
-    } else {
-        // Intermediate output: consumers have their copies (or their
-        // poison); release ours. A release of an object the grant never
-        // created is a no-op.
-        core.store.release(object);
+        // Last shard of this input drops the binding, releasing its
+        // ObjectRef clone (and with it, possibly, the object).
+        Source::Replay(binding) => {
+            if binding
+                .remaining
+                .fetch_sub(1, std::sync::atomic::Ordering::AcqRel)
+                == 1
+            {
+                core.bindings.lock().remove(&(run, comp));
+            }
+        }
     }
     emitter.halt();
 }
@@ -871,142 +858,6 @@ fn output_transfers<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// External-input operator
-// ---------------------------------------------------------------------------
-
-/// One shard of an external-input placeholder, running on the client
-/// host. A virtual producer: it speaks the producer half of the Figure 4
-/// handshake for a buffer that another program is (or will be) writing.
-pub(crate) struct InputOperator {
-    core: Arc<CoreCtx>,
-    info: Arc<ProgInfo>,
-    comp: CompId,
-    shard: u32,
-    addr_events: Arc<AddrEvents>,
-}
-
-impl InputOperator {
-    pub(crate) fn new(core: Arc<CoreCtx>, info: Arc<ProgInfo>, comp: CompId, shard: u32) -> Self {
-        let addr_events = Arc::new(AddrEvents::new(&info, comp, shard));
-        InputOperator {
-            core,
-            info,
-            comp,
-            shard,
-            addr_events,
-        }
-    }
-}
-
-impl Operator for InputOperator {
-    fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
-        let run = ctx.run();
-        let info = Arc::clone(&self.info);
-        let out_edges = &info.out_edges[self.comp.index()];
-
-        // The bound ObjectRef *is* the output future — announce it
-        // downstream immediately, before any data exists. Sequential
-        // dispatch within the consuming program therefore never
-        // serializes on a cross-program edge.
-        for &e in out_edges {
-            for d in info.feeds(e, self.shard) {
-                ctx.send(info.fwd_edges[e], d, Tuple::shared(&FUTURE, SIGNAL_BYTES));
-            }
-        }
-
-        let binding = self
-            .core
-            .bindings
-            .lock()
-            .get(&(run, self.comp))
-            .cloned()
-            .unwrap_or_else(|| panic!("no ObjectRef bound for {run} input {}", self.comp));
-        let comp = self.comp;
-        let shard = self.shard;
-        ctx.handle().spawn(
-            input_task_name(run, comp, shard),
-            drive_input_shard(
-                Arc::clone(&self.core),
-                Arc::clone(&info),
-                comp,
-                shard,
-                run,
-                ctx.emitter(),
-                binding,
-                Arc::clone(&self.addr_events),
-            ),
-        );
-    }
-
-    fn on_tuple(
-        &mut self,
-        _ctx: &mut ShardCtx<'_>,
-        edge: pathways_plaque::EdgeId,
-        src_shard: u32,
-        tuple: Tuple,
-    ) {
-        let addr = self
-            .addr_events
-            .for_address(&self.info, self.comp, edge, src_shard)
-            .unwrap_or_else(|| panic!("unexpected tuple on {edge} from shard {src_shard}"));
-        tuple.expect::<AddrSignal>();
-        addr.set();
-    }
-
-    fn on_all_inputs_complete(&mut self, _ctx: &mut ShardCtx<'_>) {
-        // The driver halts the shard after its transfers finish.
-    }
-}
-
-/// Replays shard `shard` of a bound object into every consumer buffer.
-///
-/// The address handshake and the transfer *setup* happen eagerly; the
-/// bytes move only once the producer's kernel has marked the shard ready
-/// in the object store — the single gate the consuming kernel inherits
-/// through its input future.
-#[allow(clippy::too_many_arguments)]
-async fn drive_input_shard(
-    core: Arc<CoreCtx>,
-    info: Arc<ProgInfo>,
-    comp: CompId,
-    shard: u32,
-    run: pathways_plaque::RunId,
-    emitter: Emitter,
-    binding: Arc<InputBinding>,
-    addr_events: Arc<AddrEvents>,
-) {
-    // Gate every transfer on the producer's per-shard readiness event —
-    // the single thing the consuming kernel ends up waiting for. If the
-    // producer failed, the failure path fires those events and records
-    // the error; the replay then poisons (delivers without data) rather
-    // than replaying stale bytes.
-    let src_dev = binding.objref.devices()[shard as usize];
-    join_each(output_transfers(
-        &core,
-        &info,
-        comp,
-        shard,
-        run,
-        &emitter,
-        &addr_events,
-        src_dev,
-        Some(binding.objref.shard_ready(shard)),
-        TransferMode::CheckObject(binding.objref.id()),
-    ))
-    .await;
-    // Last shard of this input drops the binding, releasing its
-    // ObjectRef clone (and with it, possibly, the object).
-    let left = binding
-        .remaining
-        .fetch_sub(1, std::sync::atomic::Ordering::AcqRel)
-        - 1;
-    if left == 0 {
-        core.bindings.lock().remove(&(run, comp));
-    }
-    emitter.halt();
-}
-
-// ---------------------------------------------------------------------------
 // Result operator
 // ---------------------------------------------------------------------------
 
@@ -1036,11 +887,11 @@ mod tests {
     fn lazy_task_names_render_as_the_formatted_strings_they_replaced() {
         let (run, comp, shard) = (RunId(1 << 40), CompId(17), 2047u32);
         assert_eq!(
-            driver_task_name(run, comp, shard).to_string(),
+            shard_task_name(run, comp, shard, false).to_string(),
             format!("driver-{run}-{comp}-{shard}")
         );
         assert_eq!(
-            input_task_name(run, comp, shard).to_string(),
+            shard_task_name(run, comp, shard, true).to_string(),
             format!("input-{run}-{comp}-{shard}")
         );
     }

@@ -435,16 +435,6 @@ impl Program {
             .unwrap_or_default()
     }
 
-    /// In-edges of `comp` (indices into [`Program::edges`]).
-    pub fn in_edges(&self, comp: CompId) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.dst == comp)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Out-edges of `comp` (indices into [`Program::edges`]).
     pub fn out_edges(&self, comp: CompId) -> Vec<usize> {
         self.edges
