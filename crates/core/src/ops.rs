@@ -220,8 +220,8 @@ impl PreparedProgram {
     }
 }
 
-/// Lowers `program` into a runnable PLAQUE dataflow whose external
-/// inputs run on `client_host`.
+/// Lowers `program` into a runnable PLAQUE dataflow whose Result node
+/// and external inputs run on `client_host`.
 ///
 /// # Panics
 ///
@@ -626,6 +626,8 @@ async fn drive_shard(
     mut source: Source,
     addr_events: Arc<AddrEvents>,
 ) {
+    // Every shard of every run holds one of these futures: keep the
+    // locals that live across its awaits few and small.
     let (src_dev, gate, mode) = match &mut source {
         Source::Kernel(enq_rx) => {
             let enq = enq_rx.await.ok();
