@@ -9,8 +9,8 @@
 //! 8-shard → 8-shard all-to-all edge over two hosts, 64 (producer,
 //! consumer) shard pairs — run once to warm the runtime's lazily built
 //! services, then counted over a second run. A per-pair cost shows up
-//! here multiplied by the fan-out. The second run makes 856 allocations,
-//! 53 per kernel. It made 1 683, 105 per kernel, with a task per
+//! here multiplied by the fan-out. The second run makes 847 allocations,
+//! 52 per kernel. It made 1 683, 105 per kernel, with a task per
 //! transfer and per kernel input, a `Vec` of every destination shard per
 //! send and punctuation, hashed per-edge PLAQUE state, an `Arc` per
 //! control tuple and a fresh egress buffer per flush.
@@ -98,7 +98,7 @@ fn live_bytes() -> i64 {
 }
 
 /// Allocations per kernel the fan-out program may make.
-const BUDGET_PER_KERNEL: u64 = 53;
+const BUDGET_PER_KERNEL: u64 = 52;
 
 #[test]
 fn fan_out_kernels_stay_within_their_allocation_budget() {
@@ -261,4 +261,42 @@ fn a_heal_notice_is_stored_once_across_hosts() {
             "each heal kept {per_heal} live bytes on {hosts} hosts (budget {HEAL_SLACK})"
         );
     }
+}
+
+/// Live bytes a device may cost at rest: the runtime built on
+/// `ClusterSpec::config_a(128)` (512 devices on 128 hosts), once one
+/// 512-wide all-reduce step has run and every service is parked, holds
+/// this much per device in all — its device loop, queue and stats, its
+/// share of its host's executor, router and PLAQUE state, and the
+/// program's per-shard tables.
+const BYTES_PER_DEVICE_AT_REST: i64 = 3_700;
+
+#[test]
+fn a_device_at_rest_costs_bounded_bytes() {
+    let mut sim = Sim::new(0);
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::config_a(128),
+        NetworkParams::tpu_cluster(),
+        PathwaysConfig::default(),
+    );
+    let devices = rt.core().devices.len() as i64;
+    assert_eq!(devices, 512);
+    let client = rt.client(HostId(0));
+    let slice = client.virtual_slice(SliceRequest::devices(512)).unwrap();
+    let mut b = client.trace("step");
+    b.computation(
+        FnSpec::compute_only("step", SimDuration::from_micros(500)).with_allreduce(4),
+        &slice,
+    );
+    let prepared = client.prepare(&b.build().unwrap());
+    sim.spawn("client", async move {
+        client.run(&prepared).await;
+    });
+    sim.run_to_quiescence();
+    let per_device = live_bytes() / devices;
+    assert!(
+        per_device <= BYTES_PER_DEVICE_AT_REST,
+        "{per_device} live bytes per device (budget {BYTES_PER_DEVICE_AT_REST})"
+    );
 }
