@@ -106,6 +106,11 @@ impl<T> Sender<T> {
             if !inner.receiver_alive {
                 return Err(SendError(value));
             }
+            // Most queues never hold more than one message; std's
+            // first growth would reserve four.
+            if inner.queue.capacity() == 0 {
+                inner.queue.reserve_exact(1);
+            }
             inner.queue.push_back(value);
             inner.recv_waker.take()
         };

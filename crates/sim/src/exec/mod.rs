@@ -399,21 +399,9 @@ impl SimHandle {
             waker: None,
             finished: false,
         }));
-        let state2 = Arc::clone(&state);
-        let wrapped = async move {
-            let out = future.await;
-            let waker = {
-                let mut st = state2.lock();
-                st.result = Some(out);
-                st.finished = true;
-                st.waker.take()
-            };
-            if let Some(w) = waker {
-                w.wake();
-            }
-        };
         let backend = self.upgrade();
-        let id = backend.spawn_task(name, idle, Box::pin(wrapped));
+        let completion = Completion::Running(future, Arc::clone(&state));
+        let id = backend.spawn_task(name, idle, Box::pin(completion));
         JoinHandle {
             state,
             id,
@@ -550,6 +538,49 @@ struct JoinState<T> {
     result: Option<T>,
     waker: Option<Waker>,
     finished: bool,
+}
+
+/// A spawned task's body: its future until that finishes, then nothing.
+///
+/// An `async` block that awaited the future and then published its
+/// output would store the future twice — once as a captured variable
+/// and once in the await's state — so the box the executor keeps would
+/// be twice the future's size.
+enum Completion<F: Future> {
+    Running(F, Arc<Mutex<JoinState<F::Output>>>),
+    Done,
+}
+
+impl<F: Future> Future for Completion<F> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // SAFETY: the projection is structural for `F` and not for the
+        // `Arc`: the future stays pinned where it lies while `Running`,
+        // is never moved out, and is dropped in place by `Pin::set`
+        // below; the `Arc` is only read.
+        let (future, state) = match unsafe { self.as_mut().get_unchecked_mut() } {
+            Completion::Running(future, state) => (unsafe { Pin::new_unchecked(future) }, state),
+            Completion::Done => return Poll::Ready(()),
+        };
+        let Poll::Ready(out) = future.poll(cx) else {
+            return Poll::Pending;
+        };
+        let state = Arc::clone(state);
+        // Drop the future before the output is published, so whoever
+        // awaits the handle finds the task's state already dropped.
+        self.set(Completion::Done);
+        let waker = {
+            let mut st = state.lock();
+            st.result = Some(out);
+            st.finished = true;
+            st.waker.take()
+        };
+        if let Some(w) = waker {
+            w.wake();
+        }
+        Poll::Ready(())
+    }
 }
 
 /// Handle to the output of a spawned task.
