@@ -43,7 +43,7 @@
 //! consumers.
 
 use pathways_core::{
-    FaultSpec, FnSpec, InputSpec, PathwaysConfig, PathwaysRuntime, SliceRequest, Tier, TierConfig,
+    FaultSpec, FnSpec, InputSpec, PathwaysConfig, PathwaysRuntime, SliceRequest, TierConfig,
 };
 use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
 use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
@@ -179,20 +179,13 @@ pub fn spill_throughput(hbm_bytes: u64, steps: u32) -> SpillPoint {
     let elapsed = job.try_take().expect("stepper finished");
     let core = rt.core();
     let stats = core.store.tier_stats();
-    let spilled_bytes: u64 = core
-        .store
-        .spill_events()
-        .iter()
-        .filter(|e| e.from == Tier::Hbm)
-        .map(|e| e.bytes)
-        .sum();
     assert!(core.store.is_empty(), "retained outputs must drain");
     SpillPoint {
         hbm_bytes,
         steps_per_sec: f64::from(steps) / elapsed.as_secs_f64(),
         spills: stats.spills,
         demotions: stats.demotions,
-        spilled_bytes,
+        spilled_bytes: stats.spilled_bytes,
     }
 }
 

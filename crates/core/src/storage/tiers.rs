@@ -173,6 +173,9 @@ pub struct TierStats {
     pub spills: u64,
     /// DRAM → disk demotions under DRAM pressure.
     pub demotions: u64,
+    /// Bytes the HBM → DRAM spills moved. Recompute materializations
+    /// (logged as `hbm -> dram` too) are not spills and are not counted.
+    pub spilled_bytes: u64,
     /// Disk checkpoint epochs committed.
     pub checkpoints: u64,
     /// Objects rematerialized from a checkpoint.
@@ -627,6 +630,7 @@ impl ObjectStore {
                     ts.hbm.uncharge(vbytes);
                     ts.dram.charge(host, vbytes);
                     ts.stats.spills += 1;
+                    ts.stats.spilled_bytes += vbytes;
                     ts.record(SpillEvent {
                         at: env.handle.now(),
                         object: vid,
@@ -1132,8 +1136,9 @@ mod tests {
 
     /// Spills, demotions, an LRU bump, a kill and a restore: the whole
     /// log, instants included, as the scan-based store produced it.
-    #[test]
-    fn spill_event_log_of_a_fixed_scenario_is_pinned() {
+    /// Spills, demotions, a checkpoint restore and more spills on two
+    /// devices of one host, run to quiescence.
+    fn fixed_scenario() -> ObjectStore {
         let mut sim = Sim::new(0);
         let store = tiered_with(
             &sim,
@@ -1176,12 +1181,33 @@ mod tests {
             assert!(store2.tiers_conserved());
         });
         sim.run_to_quiescence();
+        store
+    }
+
+    #[test]
+    fn spill_event_log_of_a_fixed_scenario_is_pinned() {
+        let store = fixed_scenario();
         let log: Vec<String> = store
             .spill_events()
             .iter()
             .map(|e| format!("{} {e}", e.at.as_nanos()))
             .collect();
         assert_eq!(log, PINNED_LOG, "{log:#?}");
+    }
+
+    #[test]
+    fn spilled_bytes_sums_the_logged_spills() {
+        let store = fixed_scenario();
+        let logged: u64 = store
+            .spill_events()
+            .iter()
+            .filter(|e| e.from == Tier::Hbm)
+            .map(|e| e.bytes)
+            .sum();
+        let stats = store.tier_stats();
+        assert_eq!(stats.spills, 9);
+        assert_eq!(stats.spilled_bytes, logged);
+        assert_eq!(logged, 900);
     }
 
     /// Produced by the commit before the residency sets (the `Vec`
