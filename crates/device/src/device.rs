@@ -108,8 +108,9 @@ pub struct DeviceStats {
     /// Total busy time (collective wire time + compute), excluding time
     /// spent waiting for inputs or for gang partners.
     pub busy: SimDuration,
-    /// Busy time per program label.
-    pub busy_by_program: BTreeMap<String, SimDuration>,
+    /// Busy time per program label, keyed by the label the program's
+    /// kernels share. It keeps one entry per program that ever ran here.
+    pub busy_by_program: BTreeMap<Arc<str>, SimDuration>,
 }
 
 /// Handle for enqueueing work onto a spawned device.
@@ -208,11 +209,10 @@ impl DeviceHandle {
                     let mut st = stats_task.lock();
                     st.kernels += 1;
                     st.busy += busy;
-                    // Only a program's first kernel here allocates its key.
                     match st.busy_by_program.get_mut(&*job.program) {
                         Some(total) => *total += busy,
                         None => {
-                            st.busy_by_program.insert(job.program.to_string(), busy);
+                            st.busy_by_program.insert(Arc::clone(&job.program), busy);
                         }
                     }
                 }
