@@ -12,14 +12,18 @@
 //! allocation of about 2 KiB.
 //!
 //! *Drop before output.* A finished task's future is dropped before its
-//! output is handed to the `JoinHandle`, so whoever awaits the handle
-//! sees every destructor of the task's state already run.
+//! output is handed to the `JoinHandle` and the handle's waker is woken,
+//! so whoever awaits the handle sees every destructor of the task's
+//! state already run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::future::{poll_fn, Future};
 use std::hint::black_box;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::{ready, Context, Poll, Wake, Waker};
 
 use pathways_sim::{Executor, ExecutorKind, Sim};
 
@@ -108,6 +112,47 @@ impl Drop for SetOnDrop {
     }
 }
 
+/// Yields once, then returns 11, holding its guard until it is dropped
+/// (an `async` block would drop its locals when it returns).
+struct Guarded {
+    _guard: SetOnDrop,
+    yielded: bool,
+}
+
+impl Future for Guarded {
+    type Output = u32;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
+        if self.yielded {
+            return Poll::Ready(11);
+        }
+        self.yielded = true;
+        cx.waker().wake_by_ref();
+        Poll::Pending
+    }
+}
+
+/// Wakes `inner`, first noting in `stale` whether `dropped` was still
+/// unset: a wake that arrives before the task's state is dropped.
+struct CheckingWaker {
+    inner: Waker,
+    dropped: Arc<AtomicBool>,
+    stale: Arc<AtomicBool>,
+}
+
+impl Wake for CheckingWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        if !self.dropped.load(Ordering::SeqCst) {
+            self.stale.store(true, Ordering::SeqCst);
+        }
+        self.inner.wake_by_ref();
+    }
+}
+
 #[test]
 fn a_finished_task_is_dropped_before_its_output_arrives() {
     for kind in [
@@ -116,18 +161,29 @@ fn a_finished_task_is_dropped_before_its_output_arrives() {
     ] {
         let mut ex = Executor::new(kind, 7);
         let dropped = Arc::new(AtomicBool::new(false));
-        let guard = SetOnDrop(Arc::clone(&dropped));
-        let h = ex.handle();
-        let task = ex.spawn("guarded", async move {
-            let _guard = guard;
-            h.yield_now().await;
-            11u32
-        });
-        let waiter = ex.spawn("waiter", async move {
-            let out = task.await;
-            (out, dropped.load(Ordering::SeqCst))
+        let guarded = Guarded {
+            _guard: SetOnDrop(Arc::clone(&dropped)),
+            yielded: false,
+        };
+        let mut task = ex.spawn("guarded", guarded);
+        let stale = Arc::new(AtomicBool::new(false));
+        let waiter = ex.spawn("waiter", {
+            let stale = Arc::clone(&stale);
+            poll_fn(move |cx| {
+                let waker = Waker::from(Arc::new(CheckingWaker {
+                    inner: cx.waker().clone(),
+                    dropped: Arc::clone(&dropped),
+                    stale: Arc::clone(&stale),
+                }));
+                let out = ready!(Pin::new(&mut task).poll(&mut Context::from_waker(&waker)));
+                Poll::Ready((out, dropped.load(Ordering::SeqCst)))
+            })
         });
         assert!(ex.run().is_quiescent(), "{kind:?}");
         assert_eq!(waiter.try_take(), Some((11, true)), "{kind:?}");
+        assert!(
+            !stale.load(Ordering::SeqCst),
+            "{kind:?}: woken before the drop"
+        );
     }
 }
