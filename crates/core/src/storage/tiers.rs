@@ -1134,9 +1134,7 @@ mod tests {
         assert!(store.tiers_conserved());
     }
 
-    /// Spills, demotions, an LRU bump, a kill and a restore: the whole
-    /// log, instants included, as the scan-based store produced it.
-    /// Spills, demotions, a checkpoint restore and more spills on two
+    /// Spills, demotions, an LRU bump, a kill and a restore on two
     /// devices of one host, run to quiescence.
     fn fixed_scenario() -> ObjectStore {
         let mut sim = Sim::new(0);
@@ -1184,6 +1182,8 @@ mod tests {
         store
     }
 
+    /// The fixed scenario's whole log, instants included, as the
+    /// scan-based store produced it.
     #[test]
     fn spill_event_log_of_a_fixed_scenario_is_pinned() {
         let store = fixed_scenario();

@@ -209,6 +209,7 @@ impl DeviceHandle {
                     let mut st = stats_task.lock();
                     st.kernels += 1;
                     st.busy += busy;
+                    // Only a program's first kernel here clones its label.
                     match st.busy_by_program.get_mut(&*job.program) {
                         Some(total) => *total += busy,
                         None => {
