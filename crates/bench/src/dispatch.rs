@@ -20,9 +20,9 @@
 //! contention profile ([`pathways_sim::contention_profile`]): which of
 //! the controller's shared structures actually block under threads.
 
-// This module measures wall time, like `scale.rs` (both are listed in
-// pathlint's WALL_CLOCK_EXEMPT and clippy.toml's exemption comment).
-#![allow(clippy::disallowed_types)]
+// This module measures wall time, like `scale.rs`: both are exempt from
+// clippy.toml's `Instant` ban.
+#![expect(clippy::disallowed_types)]
 
 use std::time::Instant;
 

@@ -19,9 +19,9 @@
 //! Wall-clock numbers are measured with [`std::time::Instant`] and are
 //! machine-dependent; the virtual-time numbers are deterministic.
 
-// This module is the designated wall-time measurement site: pathlint's
-// wall-clock rule and clippy.toml both exempt it (and only it).
-#![allow(clippy::disallowed_types)]
+// This module is a designated wall-time measurement site, exempt from
+// clippy.toml's `Instant` ban (like `dispatch.rs`, and only those two).
+#![expect(clippy::disallowed_types)]
 
 use std::sync::Arc;
 use std::time::Instant;

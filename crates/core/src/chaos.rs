@@ -204,6 +204,7 @@ struct ProgramShape {
 /// generator draws gang sizes of at least 2); the invariants themselves
 /// are *reported*, not asserted, so tests can produce useful
 /// diagnostics.
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 pub fn run_chaos(spec: &ChaosSpec) -> ChaosReport {
     assert!(spec.islands >= 1, "chaos needs at least one island");
     assert!(

@@ -345,6 +345,7 @@ impl Client {
     ///
     /// Panics if the program declares external inputs (bind them with
     /// [`Client::submit_with`]).
+    #[expect(clippy::panic, reason = "documented under `# Panics`")]
     pub async fn submit(&self, prepared: &PreparedProgram) -> Run {
         self.submit_with(prepared, &[])
             .await
@@ -549,6 +550,7 @@ impl Client {
 
     /// Declares each sink's object in the store and mints its
     /// [`ObjectRef`] (shared by the normal and fail-fast paths).
+    #[expect(clippy::expect_used, reason = "build() validated sinks are kernels")]
     fn mint_output_refs(&self, prepared: &PreparedProgram, run: RunId) -> Vec<(CompId, ObjectRef)> {
         let info = &prepared.info;
         info.program

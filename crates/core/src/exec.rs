@@ -130,6 +130,7 @@ impl ExecutorShared {
 
 /// Spawns the executor task for `host`.
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::panic, reason = "a stray message kind is a control-plane bug")]
 pub fn spawn_executor(
     handle: &SimHandle,
     host: HostId,

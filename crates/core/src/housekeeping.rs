@@ -129,6 +129,7 @@ impl<F: Fn(&mut ShardCtx<'_>, Tuple) + Send + Sync> Operator for OnTuple<F> {
 /// and the payload to `apply` and sends the tuple it returns to one
 /// `collect` shard on `controller` (edge 1), which hands each reply to
 /// `gather`.
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 fn fan_out<P: 'static, R: 'static>(
     name: &str,
     nodes: [&str; 2],

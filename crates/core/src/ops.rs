@@ -227,6 +227,7 @@ impl PreparedProgram {
 ///
 /// Panics if any computation's slice spans islands (collectives require
 /// one island; the resource manager never produces such slices).
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 pub fn prepare(core: &Arc<CoreCtx>, client_host: HostId, program: &Program) -> PreparedProgram {
     let topo = Arc::clone(core.fabric.topology());
     let n_comps = program.computations().len();
@@ -473,6 +474,7 @@ pub(crate) struct ShardOperator {
 }
 
 impl Operator for ShardOperator {
+    #[expect(clippy::panic, reason = "routes come from the same lowering")]
     fn on_start(&mut self, ctx: &mut ShardCtx<'_>) {
         let (run, comp, shard) = (ctx.run(), self.comp, self.shard);
         let info = &self.info;
@@ -555,6 +557,7 @@ impl Operator for ShardOperator {
         });
     }
 
+    #[expect(clippy::expect_used, reason = "routes come from the same lowering")]
     fn on_tuple(
         &mut self,
         _ctx: &mut ShardCtx<'_>,

@@ -637,6 +637,7 @@ impl RmState {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "the ledger covers every device")]
     fn charge(&mut self, devs: &[DeviceId]) {
         for d in devs {
             *self
@@ -646,6 +647,7 @@ impl RmState {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "the ledger covers every device")]
     fn uncharge(&mut self, devs: &[DeviceId]) {
         for d in devs {
             let c = self

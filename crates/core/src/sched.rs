@@ -247,6 +247,7 @@ impl SchedulerState {
 
     /// Grants the next program: asks the policy to choose among the
     /// backlogged clients' queue heads, then pops that client's head.
+    #[expect(clippy::panic, reason = "a stray message kind is a control-plane bug")]
     fn pop(&mut self) -> Option<SubmitMsg> {
         let heads: Vec<QueuedProgram<'_>> = self
             .queues
@@ -345,6 +346,7 @@ impl SchedulerHandle {
 /// `inbox_router`; grants leave on `grant_router` (where the executors
 /// are registered). Both share the same physical NIC through the fabric.
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::panic, reason = "a stray message kind is a control-plane bug")]
 pub fn spawn_scheduler(
     handle: &SimHandle,
     inbox_router: Router<CtrlMsg>,

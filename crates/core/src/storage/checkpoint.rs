@@ -269,15 +269,6 @@ impl ObjectStore {
         }
     }
 
-    /// True if `id` currently has at least one durable checkpoint epoch.
-    pub fn has_checkpoint(&self, id: ObjectId) -> bool {
-        self.inner
-            .lock()
-            .objects
-            .get(&id)
-            .is_some_and(|e| !e.checkpoints.is_empty())
-    }
-
     /// Number of durable epochs in `id`'s checkpoint chain (after GC).
     pub fn checkpoint_epochs(&self, id: ObjectId) -> usize {
         self.inner

@@ -399,6 +399,7 @@ impl StoreInner {
 
     /// Unthreads shard `no` of `id` from the residency set and byte
     /// ledger of the tier it occupies (the shard is leaving the store).
+    #[expect(clippy::expect_used, reason = "a spill to disk always sets the extent")]
     pub(crate) fn untier_shard(&mut self, id: ObjectId, no: u32, shard: &StoredShard) {
         if let Some(place) = shard.place() {
             self.resident.remove(place, (shard.last_access, id, no));

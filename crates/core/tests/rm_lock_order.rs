@@ -23,6 +23,10 @@ const DEVICES: u32 = 16;
 const DEADLINE: Duration = Duration::from_secs(20);
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the race under test needs two OS threads"
+)]
 fn allocate_and_heal_on_two_threads_never_deadlock() {
     // Two islands of one host with eight devices each.
     let rm = Arc::new(ResourceManager::new(Arc::new(

@@ -167,6 +167,7 @@ impl CollectiveRendezvous {
     /// it abort — pending waiters wake with [`GangAborted`] now, future
     /// arrivals at poisoned tags fail immediately, and future arrivals
     /// whose member list contains a dead device fail up front.
+    #[expect(clippy::expect_used, reason = "tags exist before any arrival")]
     pub fn mark_dead(&self, device: DeviceId) {
         let doomed_waiters = {
             let mut st = self.state.lock();
@@ -200,16 +201,12 @@ impl CollectiveRendezvous {
         }
     }
 
-    /// True if `device` has been marked dead on this rendezvous.
-    pub fn is_dead(&self, device: DeviceId) -> bool {
-        self.state.lock().dead.contains(&device)
-    }
-
     /// Declares run `owner` failed: its pending gangs abort now, and
     /// its future arrivals fail immediately. This is what prevents a
     /// partially-enqueued gang — some members' grants lost to a dead
     /// host or severed link — from blocking its arrived members forever.
     /// `owner` 0 (unknown) is ignored.
+    #[expect(clippy::expect_used, reason = "tags exist before any arrival")]
     pub fn mark_owner_failed(&self, owner: u64) {
         if owner == 0 {
             return;
@@ -257,6 +254,7 @@ impl CollectiveRendezvous {
     ///
     /// Panics if participants disagree on `participants` or `duration`
     /// for the same tag (a malformed program, not a scheduling hazard).
+    #[expect(clippy::expect_used, reason = "tags exist before any arrival")]
     pub async fn arrive(
         &self,
         tag: GangTag,

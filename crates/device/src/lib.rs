@@ -27,6 +27,7 @@
 //! assert_eq!(probe.try_take().unwrap().finished.as_nanos(), 1_000_000);
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

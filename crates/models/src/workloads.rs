@@ -45,6 +45,7 @@ impl TrainSetup {
 /// The computation's collective models the intra-step parameter/gradient
 /// exchange; following GShard (§5.3 footnote), its size is proportional
 /// to the per-device parameter shard, not to the batch.
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 pub fn spmd_program(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -> Program {
     let cores = slice.len() as u32;
     let compute = setup
@@ -71,6 +72,7 @@ pub fn spmd_program(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -
 /// # Panics
 ///
 /// Panics if `stages` is empty or `microbatches` is zero.
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 pub fn gpipe_program(
     client: &Client,
     stages: &[VirtualSlice],
@@ -147,6 +149,7 @@ pub fn gpipe_program(
 /// Builds a two-island data-parallel step (§5.3): each island computes
 /// gradients over half the batch, exchanges them over the DCN, and
 /// applies.
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 pub fn two_island_data_parallel_program(
     client: &Client,
     islands: &[VirtualSlice; 2],
@@ -229,6 +232,7 @@ pub struct StepChain {
 /// the previous step's weights as an external input and emits the
 /// updated weights as its output object, so successive steps chain
 /// through the object store instead of through the client.
+#[expect(clippy::expect_used, reason = "binds objects made just before")]
 pub fn spmd_chained(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -> StepChain {
     let cores = slice.len() as u32;
     let compute = setup
@@ -271,6 +275,7 @@ pub fn spmd_chained(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -
 /// [`two_island_data_parallel_program`]: each island's grad computation
 /// consumes that island's previous weights (external input), gradients
 /// cross the DCN, and the two applies emit the next weights.
+#[expect(clippy::expect_used, reason = "binds objects made just before")]
 pub fn two_island_chained(
     client: &Client,
     islands: &[VirtualSlice; 2],
@@ -372,6 +377,7 @@ pub async fn measure_tokens_per_sec(
 ///
 /// `init` and `step` must be preparations of [`StepChain::init`] and
 /// [`StepChain::step`].
+#[expect(clippy::expect_used, reason = "binds objects made just before")]
 pub async fn measure_tokens_per_sec_chained(
     client: &Client,
     init: &PreparedProgram,

@@ -135,17 +135,6 @@ pub fn torus_collective(
     }
 }
 
-/// Completion time of a DCN all-reduce across `n` hosts (e.g. gradient
-/// reduction between islands, §5.3): a ring over the hosts' NICs.
-pub fn dcn_allreduce(
-    n: u32,
-    bytes: u64,
-    bandwidth: Bandwidth,
-    message_latency: SimDuration,
-) -> SimDuration {
-    ring_allreduce(n, bytes, bandwidth, message_latency)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

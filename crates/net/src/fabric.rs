@@ -256,12 +256,6 @@ impl Fabric {
             self.inner.params.ici_hop_latency,
         )
     }
-
-    /// DCN round-trip estimate used by control planes for batching
-    /// decisions.
-    pub fn dcn_rtt(&self) -> SimDuration {
-        self.inner.params.dcn_latency * 2
-    }
 }
 
 fn sub_mesh_shape(n: u32) -> (u32, u32) {

@@ -28,6 +28,7 @@
 //! sim.run_to_quiescence();
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

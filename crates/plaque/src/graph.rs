@@ -43,7 +43,6 @@ impl fmt::Display for EdgeId {
 pub type OperatorFactory = Arc<dyn Fn(u32) -> Box<dyn Operator> + Send + Sync>;
 
 pub(crate) struct NodeInfo {
-    pub name: String,
     pub placement: Vec<HostId>,
     pub factory: OperatorFactory,
     pub in_edges: Vec<EdgeId>,
@@ -155,13 +154,11 @@ impl GraphBuilder {
         placement: Vec<HostId>,
         factory: impl Fn(u32) -> Box<dyn Operator> + Send + Sync + 'static,
     ) -> NodeId {
-        let name = name.into();
         if placement.is_empty() && self.error.is_none() {
-            self.error = Some(GraphError::EmptyPlacement { node: name.clone() });
+            self.error = Some(GraphError::EmptyPlacement { node: name.into() });
         }
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeInfo {
-            name,
             placement,
             factory: Arc::new(factory),
             in_edges: Vec::new(),
@@ -288,20 +285,10 @@ impl Graph {
         &self.inner.nodes[node.index()].placement
     }
 
-    /// Name of `node`.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.inner.nodes[node.index()].name
-    }
-
     /// Endpoints of `edge`.
     pub fn edge_endpoints(&self, edge: EdgeId) -> (NodeId, NodeId) {
         let e = &self.inner.edges[edge.index()];
         (e.src, e.dst)
-    }
-
-    /// Shard mapping of `edge`.
-    pub fn edge_mapping(&self, edge: EdgeId) -> EdgeMapping {
-        self.inner.edges[edge.index()].mapping
     }
 
     /// Destination shards a given source shard may address on `edge`.

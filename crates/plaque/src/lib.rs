@@ -42,6 +42,7 @@
 //! # Ok::<(), pathways_plaque::GraphError>(())
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

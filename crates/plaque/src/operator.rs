@@ -120,6 +120,7 @@ impl ShardCore {
 
     /// Validates and accounts one send; returns the destination node
     /// and the host its `dst_shard` is placed on.
+    #[expect(clippy::panic, reason = "trackers are built before the run")]
     pub fn record_send(&mut self, edge: EdgeId, dst_shard: u32) -> (NodeId, HostId) {
         assert!(!self.halted, "shard sent a tuple after halting");
         let i = self
@@ -149,6 +150,7 @@ impl ShardCore {
     /// to `msgs`: one per destination shard this shard *may address*
     /// under the edge mapping, with its exact count. Sparse mappings keep
     /// this O(1) per shard rather than O(destination shards).
+    #[expect(clippy::panic, reason = "trackers are built before the run")]
     pub fn punctuate(&mut self, edge: EdgeId, msgs: &mut Vec<(HostId, PlaqueMsg, u64)>) {
         let i = self
             .out_index(edge)
@@ -285,11 +287,6 @@ impl ShardCtx<'_> {
     pub fn halt(&mut self) {
         self.core.lock().halt(self.egress);
         self.shared.finalize_shard(self.core);
-    }
-
-    /// True once [`ShardCtx::halt`] (or [`Emitter::halt`]) has run.
-    pub fn is_halted(&self) -> bool {
-        self.core.lock().halted
     }
 
     /// Returns a cloneable emitter for asynchronous, low-latency sends

@@ -235,6 +235,7 @@ impl RuntimeShared {
 
     /// Marks a shard complete in its run's tracking and reclaims its
     /// slot (idempotent).
+    #[expect(clippy::expect_used, reason = "trackers are built before the run")]
     pub(crate) fn finalize_shard(&self, core: &Arc<Lock<ShardCore>>) {
         let (run, node, shard, host) = {
             let mut core = core.lock();
@@ -298,6 +299,7 @@ impl RunHandle {
     }
 
     /// Resolves when every shard of the program has halted.
+    #[expect(clippy::expect_used, reason = "a dropped runtime aborts by design")]
     pub async fn await_done(self) {
         self.done.await.expect("plaque runtime dropped mid-run");
     }
@@ -415,6 +417,7 @@ impl PlaqueRuntime {
         Self::check_inputs_complete(shared, &mut slot, egress);
     }
 
+    #[expect(clippy::expect_used, clippy::panic, reason = "built before the run")]
     fn deliver(
         shared: &RuntimeShared,
         slot: &mut Slot,
@@ -537,6 +540,7 @@ impl PlaqueRuntime {
     /// # Panics
     ///
     /// Panics if the shard was not installed on `host`.
+    #[expect(clippy::panic, reason = "trackers are built before the run")]
     pub fn start_local(&self, host: HostId, run: RunId, node: NodeId, shard: u32) {
         let map = {
             let workers = self.workers.lock();

@@ -64,6 +64,7 @@ impl Tuple {
     /// # Panics
     ///
     /// Panics with a descriptive message if the payload is not a `T`.
+    #[expect(clippy::panic, reason = "a checked downcast panics by contract")]
     pub fn expect<T: 'static>(&self) -> &T {
         self.payload
             .downcast_ref::<T>()

@@ -407,6 +407,7 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if the simulation deadlocks.
+    #[expect(clippy::panic, reason = "a deadlocked simulation must abort")]
     pub fn run_to_quiescence(&mut self) -> SimTime {
         match self.run() {
             RunOutcome::Quiescent { time } => time,

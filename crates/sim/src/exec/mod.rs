@@ -144,6 +144,7 @@ pub enum ExecutorKind {
 impl ExecutorKind {
     /// Reads `PATHWAYS_EXECUTOR`: `deterministic` (the default) or
     /// `threaded` (one worker per core, capped at 8).
+    #[expect(clippy::panic, reason = "a bad PATHWAYS_EXECUTOR aborts up front")]
     pub fn from_env() -> Self {
         match std::env::var("PATHWAYS_EXECUTOR").as_deref() {
             Ok("deterministic" | "") | Err(_) => ExecutorKind::Deterministic,
@@ -314,6 +315,7 @@ impl SimHandle {
         }
     }
 
+    #[expect(clippy::expect_used, reason = "a handle outliving its sim is a bug")]
     fn upgrade(&self) -> Arc<dyn ExecutorBackend> {
         self.shared
             .backend
@@ -634,6 +636,7 @@ impl<T> JoinHandle<T> {
 impl<T> Future for JoinHandle<T> {
     type Output = T;
 
+    #[expect(clippy::panic, reason = "a JoinHandle polled twice is a broken sim")]
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
         let mut st = self.state.lock();
         if let Some(v) = st.result.take() {

@@ -14,7 +14,7 @@
 //! are re-raised from `run`.
 
 // Real time and raw std sync are this module's job; the bans hold elsewhere.
-#![allow(clippy::disallowed_types, clippy::disallowed_methods)]
+#![expect(clippy::disallowed_types)]
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -341,6 +341,7 @@ impl fmt::Debug for ThreadedExecutor {
 impl ThreadedExecutor {
     /// Creates a pool with `workers` threads (`0` = one per available
     /// core, capped at 8) plus one timer thread; `seed` seeds the RNG.
+    #[expect(clippy::expect_used, reason = "no worker thread: out of resources")]
     pub fn new(workers: usize, seed: u64) -> Self {
         let workers = match workers {
             0 => std::thread::available_parallelism().map_or(4, |n| n.get().min(8)),
@@ -441,6 +442,7 @@ impl ThreadedExecutor {
     /// # Panics
     ///
     /// Panics if the run deadlocks (and re-raises task panics).
+    #[expect(clippy::panic, reason = "a deadlocked simulation must abort")]
     pub fn run_to_quiescence(&mut self) -> SimTime {
         match self.run() {
             RunOutcome::Quiescent { time } => time,
@@ -535,6 +537,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "lets the task reach its sleep")]
     fn threaded_abort_prevents_completion() {
         let ex = ThreadedExecutor::new(2, 0);
         let (h, flag) = (ex.handle(), Arc::new(AtomicBool::new(false)));

@@ -18,11 +18,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// `HashMap` keyed by trusted fixed-width ids, hashed with [`FxHasher`].
 // The deterministic aliases are the one legitimate naming of the std
 // containers (clippy.toml bans them everywhere else).
-#[allow(clippy::disallowed_types)]
+#[expect(clippy::disallowed_types)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// `HashSet` of trusted fixed-width ids, hashed with [`FxHasher`].
-#[allow(clippy::disallowed_types)]
+#[expect(clippy::disallowed_types)]
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

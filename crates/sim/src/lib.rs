@@ -32,6 +32,7 @@
 //! assert_eq!(host.try_take().unwrap(), Some("kernel done"));
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

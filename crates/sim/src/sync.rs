@@ -266,132 +266,6 @@ impl Drop for Permit {
 }
 
 // ---------------------------------------------------------------------------
-// Notify
-// ---------------------------------------------------------------------------
-
-/// Wakes one or all waiting tasks; a minimal condition-variable analogue.
-#[derive(Clone, Default)]
-pub struct Notify {
-    inner: Arc<Mutex<NotifyInner>>,
-}
-
-#[derive(Default)]
-struct NotifyInner {
-    // Pending notifications that arrived while nobody was waiting.
-    stored: usize,
-    waiters: VecDeque<Arc<Mutex<NotifyWait>>>,
-}
-
-struct NotifyWait {
-    notified: bool,
-    waker: Option<Waker>,
-}
-
-impl fmt::Debug for Notify {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
-        f.debug_struct("Notify")
-            .field("stored", &inner.stored)
-            .field("waiters", &inner.waiters.len())
-            .finish()
-    }
-}
-
-impl Notify {
-    /// Creates a notifier with no stored notifications.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Wakes the oldest waiter, or stores the notification if none.
-    pub fn notify_one(&self) {
-        let waker = {
-            let mut inner = self.inner.lock();
-            if let Some(w) = inner.waiters.pop_front() {
-                let mut st = w.lock();
-                st.notified = true;
-                st.waker.take()
-            } else {
-                inner.stored += 1;
-                None
-            }
-        };
-        if let Some(w) = waker {
-            w.wake();
-        }
-    }
-
-    /// Wakes every currently-registered waiter (does not store).
-    pub fn notify_waiters(&self) {
-        let wakers: Vec<_> = {
-            let mut inner = self.inner.lock();
-            inner
-                .waiters
-                .drain(..)
-                .filter_map(|w| {
-                    let mut st = w.lock();
-                    st.notified = true;
-                    st.waker.take()
-                })
-                .collect()
-        };
-        for w in wakers {
-            w.wake();
-        }
-    }
-
-    /// Returns a future that resolves on the next notification.
-    pub fn notified(&self) -> Notified {
-        Notified {
-            notify: self.clone(),
-            state: None,
-        }
-    }
-}
-
-/// Future returned by [`Notify::notified`].
-pub struct Notified {
-    notify: Notify,
-    state: Option<Arc<Mutex<NotifyWait>>>,
-}
-
-impl fmt::Debug for Notified {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Notified").finish_non_exhaustive()
-    }
-}
-
-impl Future for Notified {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.state.is_none() {
-            let inner_rc = Arc::clone(&self.notify.inner);
-            let mut inner = inner_rc.lock();
-            if inner.stored > 0 {
-                inner.stored -= 1;
-                return Poll::Ready(());
-            }
-            let st = Arc::new(Mutex::new(NotifyWait {
-                notified: false,
-                waker: Some(cx.waker().clone()),
-            }));
-            inner.waiters.push_back(Arc::clone(&st));
-            self.state = Some(st);
-            return Poll::Pending;
-        }
-        let st_rc = Arc::clone(self.state.as_ref().expect("state set above"));
-        let mut st = st_rc.lock();
-        if st.notified {
-            Poll::Ready(())
-        } else {
-            st.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Event
 // ---------------------------------------------------------------------------
 
@@ -644,43 +518,6 @@ mod tests {
         });
         sim.run_to_quiescence();
         assert_eq!(t.try_take(), Some(true));
-    }
-
-    #[test]
-    fn notify_stores_early_notifications() {
-        let mut sim = Sim::new(0);
-        let n = Notify::new();
-        n.notify_one();
-        let n2 = n.clone();
-        let t = sim.spawn("w", async move {
-            n2.notified().await;
-            true
-        });
-        sim.run_to_quiescence();
-        assert_eq!(t.try_take(), Some(true));
-    }
-
-    #[test]
-    fn notify_waiters_wakes_all_registered() {
-        let mut sim = Sim::new(0);
-        let n = Notify::new();
-        let count = Arc::new(AtomicU32::new(0));
-        for i in 0..3 {
-            let n = n.clone();
-            let count = Arc::clone(&count);
-            sim.spawn(format!("w{i}"), async move {
-                n.notified().await;
-                count.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        let n2 = n.clone();
-        let h = sim.handle();
-        sim.spawn("notifier", async move {
-            h.sleep(SimDuration::from_micros(1)).await;
-            n2.notify_waiters();
-        });
-        sim.run_to_quiescence();
-        assert_eq!(count.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -72,6 +72,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`.
     #[inline]
+    #[expect(clippy::expect_used, reason = "underflow panics, as `Instant`'s does")]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
@@ -216,6 +217,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
+    #[expect(clippy::expect_used, reason = "underflow panics, as `Instant`'s does")]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
@@ -251,6 +253,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     #[inline]
+    #[expect(clippy::expect_used, reason = "underflow panics, as `Instant`'s does")]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0

@@ -165,11 +165,6 @@ impl TraceLog {
         }
         out
     }
-
-    /// Merges another log into this one.
-    pub fn extend_from(&mut self, other: TraceLog) {
-        self.spans.extend(other.spans);
-    }
 }
 
 #[cfg(test)]

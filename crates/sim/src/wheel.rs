@@ -224,6 +224,7 @@ impl<T> TimerWheel<T> {
     /// cascading down one level per pass. This is what makes sparse
     /// far-apart timers (a simulated device sleeping ~100µs at ns
     /// resolution) as cheap to fire as dense near ones.
+    #[expect(clippy::expect_used, reason = "occupied bit over empty slot")]
     pub fn pop_batch_into(&mut self, limit: SimTime, out: &mut Vec<T>) -> Option<SimTime> {
         let limit = limit.as_nanos();
         // Fast path: the earliest timer is already in a level-0 slot.

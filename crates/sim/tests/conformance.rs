@@ -19,7 +19,7 @@ use std::time::Duration;
 
 use pathways_sim::channel::{channel, RecvError};
 use pathways_sim::exec::threaded::STALL_BOUND;
-use pathways_sim::sync::{first_set, Event, Notify};
+use pathways_sim::sync::{first_set, Event};
 use pathways_sim::{
     join_each, Backend, Executor, ExecutorKind, JoinHandle, Lock, RunOutcome, SimDuration, SimTime,
     ThreadedExecutor, TraceLog,
@@ -246,12 +246,12 @@ fn shutdown_drops_pending_tasks() {
     for kind in BOTH {
         let mut ex = Executor::new(kind, 7);
         let dropped = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(Notify::new());
+        let gate = Event::new();
         let flag = DropFlag(Arc::clone(&dropped));
-        let gate2 = Arc::clone(&gate);
+        let gate2 = gate.clone();
         ex.spawn("parked-forever", async move {
             let _flag = flag;
-            gate2.notified().await;
+            gate2.wait().await;
         });
         let outcome = ex.run();
         assert!(outcome.is_deadlock(), "{kind:?}: {outcome:?}");
@@ -275,16 +275,16 @@ fn abort_drops_task_state() {
         let mut ex = Executor::new(kind, 7);
         let dropped = Arc::new(AtomicBool::new(false));
         let ran = Arc::new(AtomicBool::new(false));
-        let gate = Arc::new(Notify::new());
+        let gate = Event::new();
         let flag = DropFlag(Arc::clone(&dropped));
-        let (gate2, ran2) = (Arc::clone(&gate), Arc::clone(&ran));
+        let (gate2, ran2) = (gate.clone(), Arc::clone(&ran));
         let victim = ex.spawn("victim", async move {
             let _flag = flag;
-            gate2.notified().await;
+            gate2.wait().await;
             ran2.store(true, Ordering::SeqCst);
         });
         victim.abort();
-        gate.notify_one();
+        gate.set();
         let outcome = ex.run();
         assert!(outcome.is_quiescent(), "{kind:?}: {outcome:?}");
         assert!(
@@ -310,23 +310,19 @@ fn abort_from_inside_the_running_task() {
         let resumed = Arc::new(AtomicBool::new(false));
         let own_handle: Arc<Lock<Option<JoinHandle<()>>>> = Arc::new(Lock::new(None));
         // Holds the task back until its handle has been stored.
-        let gate = Arc::new(Notify::new());
+        let gate = Event::new();
         let flag = DropFlag(Arc::clone(&dropped));
-        let (own2, gate2, resumed2) = (
-            Arc::clone(&own_handle),
-            Arc::clone(&gate),
-            Arc::clone(&resumed),
-        );
+        let (own2, gate2, resumed2) = (Arc::clone(&own_handle), gate.clone(), Arc::clone(&resumed));
         let h = ex.handle();
         let task = ex.spawn("self-abort", async move {
             let _flag = flag;
-            gate2.notified().await;
+            gate2.wait().await;
             own2.lock().as_ref().expect("handle stored").abort();
             h.sleep(SimDuration::from_millis(1)).await;
             resumed2.store(true, Ordering::SeqCst);
         });
         *own_handle.lock() = Some(task);
-        gate.notify_one();
+        gate.set();
         let outcome = ex.run();
         assert!(outcome.is_quiescent(), "{kind:?}: {outcome:?}");
         assert!(
@@ -549,6 +545,10 @@ fn spans_are_recorded_only_when_asked() {
 /// workers instead of joining them. Threaded only: on the deterministic
 /// backend the second `lock()` would panic as re-entrant.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "drops the executor off the test thread"
+)]
 fn threaded_deadlock_inside_polls_is_reported_not_hung() {
     let mut ex = ThreadedExecutor::new(2, 7);
     let (a, b) = (Arc::new(Lock::new(())), Arc::new(Lock::new(())));

@@ -51,9 +51,9 @@ impl<K: Deserialize, V: Deserialize> Deserialize for std::collections::BTreeMap<
 // Marker impls must cover the std container the real serde covers;
 // the workspace-wide HashMap ban (clippy.toml) targets usage, not
 // trait coverage.
-#[allow(clippy::disallowed_types)]
+#[expect(clippy::disallowed_types)]
 impl<K: Serialize, V: Serialize> Serialize for std::collections::HashMap<K, V> {}
-#[allow(clippy::disallowed_types)]
+#[expect(clippy::disallowed_types)]
 impl<K: Deserialize, V: Deserialize> Deserialize for std::collections::HashMap<K, V> {}
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {}
 impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {}
