@@ -23,7 +23,6 @@ mod fig6;
 mod fig7;
 mod fig8;
 mod fig9;
-mod fig_dispatch;
 mod fig_heal;
 mod fig_scale;
 mod fig_tier;
@@ -57,7 +56,6 @@ pub const FIGURES: &[Figure] = &[
     fig14::FIGURE,
     fig_heal::FIGURE,
     fig_scale::FIGURE,
-    fig_dispatch::FIGURE,
     fig_tier::FIGURE,
     ablation_sched::FIGURE,
     ablation_store::FIGURE,

@@ -57,7 +57,7 @@ fn run() -> BenchReport {
     println!("{}", t.render());
     println!("expected shape (paper): JAX and Pathways columns identical per row —");
     println!("realistic computations fully mask the single-controller overhead.");
-    println!("(absolute rows calibrated per-model via MFU; see EXPERIMENTS.md)");
+    println!("(rows calibrated per-model via MFU; baseline perf/baselines/BENCH_table1.json)");
     report.claim(
         "JAX == PW on T5",
         worst_gap < 0.05,

@@ -2,17 +2,14 @@
 //!
 //! `bench all` emits machine-readable reports ([`crate::perf`]); this
 //! module diffs them against checked-in baselines
-//! (`perf/baselines/BENCH_<figure>.json`) with per-metric tolerances.
+//! (`perf/baselines/BENCH_<figure>.json`) within one tolerance.
 //! `bench gate` ([`run`]) wires it into CI and offers `--bless` to
 //! regenerate the baselines after an intentional change.
 //!
-//! Tolerances are per-metric *classes*, not per-file: metrics derived
-//! from virtual time are bit-deterministic on the deterministic backend
-//! and gate tightly, while wall-clock metrics (the `fig_scale` and
-//! `fig_dispatch` families) vary with the host and only gate against
-//! order-of-magnitude collapses. Machine-shape metrics (core counts,
-//! lock-contention counters) and the code-size trend are recorded for
-//! the trajectory but not gated at all.
+//! Every gated metric is derived from virtual time, so it replays
+//! bit-identically on the deterministic backend and gates tightly.
+//! The code-size trend is recorded for the trajectory but not gated.
+//! Host time is not measured here: that is pwbench's (`benchmark/`).
 
 use std::fmt;
 use std::path::Path;
@@ -26,7 +23,7 @@ use crate::perf::{out_dir, repo_root};
 /// A parsed `BENCH_<figure>.json` report.
 #[derive(Debug, Clone)]
 pub struct GateReport {
-    /// The figure name (`"fig5"`, `"fig_dispatch"`, ...).
+    /// The figure name (`"fig5"`, `"fig_scale"`, ...).
     pub figure: String,
     /// `(name, value)` metrics in file order; `None` for JSON `null`
     /// (a non-finite float at serialization time).
@@ -61,60 +58,23 @@ pub fn parse_report(text: &str) -> Result<GateReport, String> {
 /// How a metric is gated against its baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rule {
-    /// Recorded for the trajectory, never gated (machine-shape
-    /// dependent: core counts, contention counters).
+    /// Recorded for the trajectory, never gated (the code-size trend).
     Skip,
-    /// Higher is better; fail when `fresh < baseline * min_ratio`.
-    /// Used for wall-clock throughputs, with generous headroom for
-    /// host-speed variance.
-    HigherBetter {
-        /// Smallest acceptable `fresh / baseline`.
-        min_ratio: f64,
-    },
-    /// Lower is better; fail when `fresh > baseline * max_ratio`.
-    LowerBetter {
-        /// Largest acceptable `fresh / baseline`.
-        max_ratio: f64,
-    },
-    /// Two-sided relative tolerance; used for virtual-time metrics,
-    /// which are deterministic and should barely move.
+    /// Two-sided relative tolerance: virtual-time metrics are
+    /// deterministic and should barely move.
     Within {
         /// Allowed `|fresh - baseline| / |baseline|`.
         rel: f64,
     },
 }
 
-/// The gate class for a metric name.
-///
-/// The classes lean on the metric naming conventions the bench
-/// binaries already use: wall-clock metric names say so
-/// (`*_per_sec` on `fig_dispatch`, `sim_wall_ratio_*`,
-/// `wall_us_per_kernel_*`, `heal_wall_us_*` on `fig_scale`); every
-/// other metric is derived from virtual time and replays
-/// bit-identically on the deterministic backend.
-pub fn rule_for(figure: &str, metric: &str) -> Rule {
-    // Machine shape or a code-size trend, not performance.
-    if figure == "codesize" || metric == "host_cores" || metric.contains("contended_") {
-        return Rule::Skip;
+/// The gate class for a metric of `figure`.
+pub fn rule_for(figure: &str) -> Rule {
+    if figure == "codesize" {
+        Rule::Skip
+    } else {
+        Rule::Within { rel: 0.02 }
     }
-    // fig_dispatch throughputs are wall-clock on *both* backends.
-    if figure == "fig_dispatch" {
-        return Rule::HigherBetter { min_ratio: 0.125 };
-    }
-    // fig_scale's wide-gang row is report-only until the rendezvous
-    // rewrite gives it a claim (it is ~8x between the two widths today).
-    if metric.starts_with("wall_us_per_kernel_w") {
-        return Rule::Skip;
-    }
-    // fig_scale's wall-clock families.
-    if metric.starts_with("sim_wall_ratio_") {
-        return Rule::HigherBetter { min_ratio: 0.125 };
-    }
-    if metric.starts_with("wall_us_per_kernel_") || metric.starts_with("heal_wall_us_") {
-        return Rule::LowerBetter { max_ratio: 8.0 };
-    }
-    // Everything else is virtual-time: deterministic, tight.
-    Rule::Within { rel: 0.02 }
 }
 
 // ---------------------------------------------------------------------
@@ -191,8 +151,6 @@ impl fmt::Display for Finding {
 fn check(rule: Rule, fresh: f64, baseline: f64) -> bool {
     match rule {
         Rule::Skip => true,
-        Rule::HigherBetter { min_ratio } => fresh >= baseline * min_ratio,
-        Rule::LowerBetter { max_ratio } => fresh <= baseline * max_ratio,
         Rule::Within { rel } => {
             let scale = baseline.abs().max(1e-12);
             (fresh - baseline).abs() <= rel * scale
@@ -204,23 +162,24 @@ fn check(rule: Rule, fresh: f64, baseline: f64) -> bool {
 /// per metric (union of both metric sets).
 pub fn compare(fresh: &GateReport, baseline: &GateReport) -> Vec<Finding> {
     let mut findings = Vec::new();
+    let rule = rule_for(&fresh.figure);
     for (name, base_value) in &baseline.metrics {
         let finding = match fresh.metrics.iter().find(|(n, _)| n == name) {
-            // Ungated metrics may come and go with the machine (which
-            // locks contend) or the tree (which crates exist).
-            None if rule_for(&fresh.figure, name) == Rule::Skip => Verdict::Ok,
+            // Ungated metrics may come and go with the tree (which
+            // crates exist).
+            None if rule == Rule::Skip => Verdict::Ok,
             None => Verdict::Missing,
             Some((_, fresh_value)) => match (fresh_value, base_value) {
                 // Both null (non-finite at write time): equal enough.
                 (None, None) => Verdict::Ok,
                 (Some(f), Some(b)) => {
-                    if check(rule_for(&fresh.figure, name), *f, *b) {
+                    if check(rule, *f, *b) {
                         Verdict::Ok
                     } else {
                         Verdict::Regressed {
                             fresh: *f,
                             baseline: *b,
-                            rule: rule_for(&fresh.figure, name),
+                            rule,
                         }
                     }
                 }
@@ -228,12 +187,12 @@ pub fn compare(fresh: &GateReport, baseline: &GateReport) -> Vec<Finding> {
                 (None, Some(b)) => Verdict::Regressed {
                     fresh: f64::NAN,
                     baseline: *b,
-                    rule: rule_for(&fresh.figure, name),
+                    rule,
                 },
                 (Some(f), None) => Verdict::Regressed {
                     fresh: *f,
                     baseline: f64::NAN,
-                    rule: rule_for(&fresh.figure, name),
+                    rule,
                 },
             },
         };
@@ -368,38 +327,13 @@ mod tests {
         assert!(compare(&bad, &base).iter().any(|f| f.verdict.fails()));
     }
 
-    #[test]
-    fn wall_clock_metrics_gate_loosely() {
-        let base = report("fig_dispatch", &[("threaded_w2_kernels_per_sec", 8000.0)]);
-        // 2x slower on a slower host: fine.
-        let slower = report("fig_dispatch", &[("threaded_w2_kernels_per_sec", 4000.0)]);
-        // 10x collapse: the kind of regression the gate exists for.
-        let collapsed = report("fig_dispatch", &[("threaded_w2_kernels_per_sec", 800.0)]);
-        assert!(compare(&slower, &base).iter().all(|f| !f.verdict.fails()));
-        assert!(compare(&collapsed, &base).iter().any(|f| f.verdict.fails()));
-    }
-
-    #[test]
-    fn machine_shape_metrics_are_skipped() {
-        assert_eq!(rule_for("fig_dispatch", "host_cores"), Rule::Skip);
-        assert_eq!(
-            rule_for("fig_dispatch", "threaded_w2_contended_core.store"),
-            Rule::Skip
-        );
-        let base = report("fig_dispatch", &[("host_cores", 16.0)]);
-        let fresh = report("fig_dispatch", &[("host_cores", 1.0)]);
-        assert!(compare(&fresh, &base).iter().all(|f| !f.verdict.fails()));
-    }
-
-    /// Which locks contend depends on the host: a skipped metric that
+    /// Which crates exist depends on the tree: a skipped metric that
     /// is absent from the fresh report is not lost coverage.
     #[test]
     fn skipped_metric_missing_from_fresh_passes() {
-        let base = report(
-            "fig_dispatch",
-            &[("threaded_w2_contended_core.store", 21.0)],
-        );
-        let fresh = report("fig_dispatch", &[]);
+        assert_eq!(rule_for("codesize"), Rule::Skip);
+        let base = report("codesize", &[("src_lines_crates/lint", 1762.0)]);
+        let fresh = report("codesize", &[]);
         assert!(compare(&fresh, &base).iter().all(|f| !f.verdict.fails()));
     }
 

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod chain;
-pub mod dispatch;
 pub mod figures;
 pub mod gate;
 pub mod heal;

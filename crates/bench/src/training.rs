@@ -197,7 +197,9 @@ pub fn two_island_scaling(cores_per_island: u32, setup: &TrainSetup, steps: u32)
 }
 
 /// The Table 1 rows with their per-model calibrated MFUs (the paper's
-/// testbed efficiency differs per model; see EXPERIMENTS.md).
+/// testbed efficiency differs per model; `bench table1` prints the
+/// paper-vs-measured columns, `perf/baselines/BENCH_table1.json` keeps
+/// the measured ones).
 pub fn table1_rows() -> Vec<(TransformerConfig, u32, f64)> {
     // MFUs include the calibrated SPMD communication fraction (the
     // effective step time is compute x (1 + spmd_comm_fraction)).

@@ -8,7 +8,7 @@ use pathways_core::{
     SchedPolicy, SliceRequest, SubmitError,
 };
 use pathways_net::{ClientId, ClusterSpec, HostId, IslandId, NetworkParams};
-use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
+use pathways_sim::{contention_profile, FaultPlan, Sim, SimDuration, SimTime};
 
 fn default_rt(sim: &Sim, spec: ClusterSpec) -> PathwaysRuntime {
     PathwaysRuntime::new(
@@ -70,6 +70,60 @@ fn chained_program_executes_in_dependency_order() {
     let end = job.try_take().unwrap();
     // At least 3 x 500us of dependent compute must have elapsed.
     assert!(end.as_nanos() >= 1_500_000, "finished too fast: {end}");
+}
+
+/// pwbench's per-layer op counts (`lock.<name>` acquires) and
+/// `sim.lock_contended` read the named-lock profile, so a controller
+/// run must show up in it under the names they look for.
+#[test]
+fn contention_profile_names_hot_locks() {
+    // The profile is process-wide and only grows: compare before/after.
+    let acquires = |name: &str| {
+        contention_profile()
+            .into_iter()
+            .find(|p| p.name == name)
+            .map_or(0, |p| p.acquires)
+    };
+    let before = acquires("core.store");
+    let mut sim = Sim::new(0);
+    let rt = default_rt(&sim, ClusterSpec::config_b(1));
+    let client = rt.client(HostId(0));
+    let slice = client.virtual_slice(SliceRequest::devices(4)).unwrap();
+    let mut b = client.trace("profiled");
+    let c0 = b.computation(
+        FnSpec::compute_only("a", SimDuration::from_micros(10)),
+        &slice,
+    );
+    let c1 = b.computation(
+        FnSpec::compute_only("b", SimDuration::from_micros(10)),
+        &slice,
+    );
+    b.edge(c0, c1, 8);
+    let prepared = client.prepare(&b.build().unwrap());
+    let job = sim.spawn("client", async move { client.run(&prepared).await });
+    sim.run_to_quiescence();
+    assert!(job.is_finished());
+    let profile = contention_profile();
+    for name in [
+        "core.bindings",
+        "core.input_slots",
+        "core.rm.slices",
+        "core.sched.state",
+        "core.store",
+        "device.rendezvous",
+        "net.fabric.faults",
+        "plaque.runs",
+        "plaque.shard_map",
+    ] {
+        assert!(
+            profile.iter().any(|p| p.name == name),
+            "{name} missing from the profile: {profile:?}"
+        );
+    }
+    assert!(
+        acquires("core.store") > before,
+        "core.store acquisitions not counted: {profile:?}"
+    );
 }
 
 #[test]
@@ -340,9 +394,17 @@ fn abandoned_run_discards_outputs_without_leaks() {
     }
 }
 
+/// Device 0's busy nanoseconds for programs `a` and `b`, summed from
+/// its kernel spans (one per kernel, over the kernel's busy time).
+fn device0_busy_ns(sim: &Sim, a: &str, b: &str) -> (f64, f64) {
+    let busy = sim.take_trace().busy_by_label("d0000");
+    (busy[a].as_nanos() as f64, busy[b].as_nanos() as f64)
+}
+
 #[test]
 fn proportional_share_divides_device_time() {
     let mut sim = Sim::new(0);
+    sim.handle().record_trace(true);
     let weights: BTreeMap<ClientId, u32> = [
         (ClientId(0), 1),
         (ClientId(1), 2),
@@ -362,10 +424,6 @@ fn proportional_share_divides_device_time() {
         NetworkParams::tpu_cluster(),
         cfg,
     );
-    let device0 = {
-        let core = rt.core();
-        core.devices[&pathways_net::DeviceId(0)].clone()
-    };
     for c in 0..4u32 {
         let client = rt.client_labeled(HostId(0), ["A", "B", "C", "D"][c as usize]);
         let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
@@ -395,9 +453,7 @@ fn proportional_share_divides_device_time() {
     // Measure inside a fixed window while every client still has
     // backlog; totals would equalize if all streams ran to completion.
     sim.run_until_time(pathways_sim::SimTime::ZERO + SimDuration::from_millis(50));
-    let stats = device0.stats();
-    let a = stats.busy_by_program["A"].as_nanos() as f64;
-    let d = stats.busy_by_program["D"].as_nanos() as f64;
+    let (a, d) = device0_busy_ns(&sim, "A", "D");
     // Weight-8 client D should get several times more device time than
     // weight-1 client A under contention.
     assert!(
@@ -411,6 +467,7 @@ fn weighted_fair_divides_device_time() {
     // The same contended 1:2:4:8 scenario as the stride test, driven by
     // the new gang-aware WFQ engine end to end through the runtime.
     let mut sim = Sim::new(0);
+    sim.handle().record_trace(true);
     let weights: BTreeMap<ClientId, u32> = [
         (ClientId(0), 1),
         (ClientId(1), 2),
@@ -434,10 +491,6 @@ fn weighted_fair_divides_device_time() {
         cfg,
     );
     assert_eq!(rt.scheduler(IslandId(0)).policy_name(), "wfq");
-    let device0 = {
-        let core = rt.core();
-        core.devices[&pathways_net::DeviceId(0)].clone()
-    };
     for c in 0..4u32 {
         let client = rt.client_labeled(HostId(0), ["A", "B", "C", "D"][c as usize]);
         let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
@@ -465,9 +518,7 @@ fn weighted_fair_divides_device_time() {
         });
     }
     sim.run_until_time(pathways_sim::SimTime::ZERO + SimDuration::from_millis(50));
-    let stats = device0.stats();
-    let a = stats.busy_by_program["A"].as_nanos() as f64;
-    let d = stats.busy_by_program["D"].as_nanos() as f64;
+    let (a, d) = device0_busy_ns(&sim, "A", "D");
     assert!(
         d / a > 3.0,
         "expected weighted-fair shares, got A={a}ns D={d}ns"

@@ -14,7 +14,6 @@
 //! which the multi-tenancy experiments (Figures 8, 9, 11) read back.
 
 use pathways_sim::Lock;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -108,9 +107,6 @@ pub struct DeviceStats {
     /// Total busy time (collective wire time + compute), excluding time
     /// spent waiting for inputs or for gang partners.
     pub busy: SimDuration,
-    /// Busy time per program label, keyed by the label the program's
-    /// kernels share. It keeps one entry per program that ever ran here.
-    pub busy_by_program: BTreeMap<Arc<str>, SimDuration>,
 }
 
 /// Handle for enqueueing work onto a spawned device.
@@ -209,13 +205,6 @@ impl DeviceHandle {
                     let mut st = stats_task.lock();
                     st.kernels += 1;
                     st.busy += busy;
-                    // Only a program's first kernel here clones its label.
-                    match st.busy_by_program.get_mut(&*job.program) {
-                        Some(total) => *total += busy,
-                        None => {
-                            st.busy_by_program.insert(Arc::clone(&job.program), busy);
-                        }
-                    }
                 }
                 handle.trace_span(Arc::clone(&track), job.program, finished - busy, finished);
                 if let Some(done) = job.done {
@@ -470,6 +459,7 @@ mod tests {
     #[test]
     fn stats_account_busy_time_per_program() {
         let mut sim = Sim::new(0);
+        sim.handle().record_trace(true);
         let devs = spawn_devices(&sim, 1);
         let d = devs[0].clone();
         drop(d.enqueue_simple(Kernel::compute("k", SimDuration::from_micros(10)), "alpha"));
@@ -480,8 +470,10 @@ mod tests {
         let st = d.stats();
         assert_eq!(st.kernels, 3);
         assert_eq!(st.busy, SimDuration::from_micros(60));
-        assert_eq!(st.busy_by_program["alpha"], SimDuration::from_micros(40));
-        assert_eq!(st.busy_by_program["beta"], SimDuration::from_micros(20));
+        // Per program, busy time is the sum of that program's kernel spans.
+        let by_program = sim.take_trace().busy_by_label("d0000");
+        assert_eq!(by_program["alpha"], SimDuration::from_micros(40));
+        assert_eq!(by_program["beta"], SimDuration::from_micros(20));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! paper's testbed), so these are calibrated to public TPUv3 figures:
 //! ~61 TFLOP/s bf16 per core, 16 GiB HBM per core. The achieved-FLOPs
 //! fraction (MFU) is set to land Table 1's T5-3B/11B rows in the right
-//! range; EXPERIMENTS.md records paper-vs-measured for every row.
+//! range; `bench table1` prints paper-vs-measured for every row, and
+//! `perf/baselines/BENCH_table1.json` records the measured side.
 
 use serde::{Deserialize, Serialize};
 

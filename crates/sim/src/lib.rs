@@ -53,6 +53,6 @@ pub use exec::{
 };
 pub use fault::{FaultPlan, FaultSignal, FaultStamp};
 pub use hash::{FxHashMap, FxHashSet};
-pub use lock::{contention_profile, reset_contention_profile, Lock, LockGuard, LockProfile};
+pub use lock::{contention_profile, Lock, LockGuard, LockProfile};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceLog, TraceSpan};

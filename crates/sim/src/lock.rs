@@ -15,7 +15,7 @@
 //!   register themselves in a process-wide table; every acquisition
 //!   and every contended acquisition (the fast-path `try_lock` lost)
 //!   is counted. [`contention_profile`] snapshots the table — this is
-//!   what `fig_dispatch`'s lock-contention profile reports.
+//!   what pwbench's `lock.*` counts and `sim.lock_contended` read.
 //!
 //! Counting is skipped entirely for anonymous locks, so fine-grained
 //! per-object state pays only the owner-tracking store.
@@ -61,7 +61,7 @@ fn registry() -> &'static Mutex<Vec<Arc<LockStats>>> {
 pub struct LockProfile {
     /// The name given to [`Lock::named`].
     pub name: String,
-    /// Total acquisitions since the last [`reset_contention_profile`].
+    /// Total acquisitions since the process started.
     pub acquires: u64,
     /// Acquisitions that lost the uncontended fast path and blocked.
     pub contended: u64,
@@ -87,18 +87,6 @@ pub fn contention_profile() -> Vec<LockProfile> {
         .collect();
     out.sort_by(|a, b| b.contended.cmp(&a.contended).then(a.name.cmp(&b.name)));
     out
-}
-
-/// Zeroes every named lock's counters (the locks stay registered).
-///
-/// Call it while no task is running: an acquisition in flight on another
-/// thread may overwrite the zero with its own count (each lock's count
-/// is a plain load + store made under that lock).
-pub fn reset_contention_profile() {
-    for s in registry().lock().iter() {
-        s.acquires.store(0, Ordering::Relaxed);
-        s.contended.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A mutex with re-entrancy detection and optional contention counting.
@@ -131,8 +119,8 @@ impl<T> Lock<T> {
     /// Creates a named lock registered in the contention profile.
     ///
     /// Use for the runtime's shared hot structures (store, scheduler
-    /// state, fabric) so `fig_dispatch` can report where the threaded
-    /// backend contends.
+    /// state, fabric) so [`contention_profile`] can count their
+    /// acquisitions and report where the threaded backend contends.
     pub fn named(name: &'static str, value: T) -> Self {
         let stats = Arc::new(LockStats {
             name,
