@@ -3,12 +3,13 @@
 //!
 //! A figure states its parameters once. Its `full` run prints the
 //! paper-style tables; its `report` pass returns the headline metrics
-//! and a verdict per claim for `bench all`, the perf gate and the
-//! registry-driven claims test. Both are one function — the report
-//! pass prints the tables as it measures — unless the full-size run
-//! takes ~2 s or more (`fig5`, `fig6`, `fig8`, `fig10`, `table2`, and
-//! the largest sweep points of `fig_scale` and `ablation_sched`), in
-//! which case `report` silently measures a reduced configuration.
+//! and a verdict per claim for `bench all` and for the registry-driven
+//! claims test, which also checks the metrics against the figure's
+//! baseline. Both are one function — the report pass prints the tables
+//! as it measures — unless the full-size run takes ~2 s or more
+//! (`fig5`, `fig6`, `fig8`, `fig10`, `table2`, and the largest sweep
+//! points of `fig_scale` and `ablation_sched`), in which case `report`
+//! silently measures a reduced configuration.
 
 use crate::perf::BenchReport;
 
@@ -100,7 +101,7 @@ mod tests {
             .map(|f| format!("BENCH_{}.json", f.name))
             .collect();
         expected.sort();
-        assert_eq!(on_disk, expected, "re-bless with `bench gate --bless`");
+        assert_eq!(on_disk, expected, "run `bench all`");
     }
 
     /// The README's command table is `bench list`'s output.

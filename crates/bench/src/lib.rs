@@ -5,13 +5,15 @@
 //! the registry — one entry per artefact — and the `bench` binary is
 //! its only front end (`bench list` prints the command table); the
 //! other modules hold the measurement functions the entries share.
-//! Host-time benchmarking lives in `benchmark/` (`pwbench`), not here.
+//! Each figure's report ([`perf`]) is an exact golden: tier-1 checks it
+//! byte for byte against `perf/baselines/`, and `bench all` rewrites
+//! those files. Host-time benchmarking lives in `benchmark/`
+//! (`pwbench`), not here.
 
 #![warn(missing_docs)]
 
 pub mod chain;
 pub mod figures;
-pub mod gate;
 pub mod heal;
 pub mod json;
 pub mod micro;

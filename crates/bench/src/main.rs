@@ -4,18 +4,18 @@
 //! bench list                 the figures, as the README's command table
 //! bench <figure> [ARGS...]   print one figure's tables at full size
 //! bench all                  every figure's report pass: PASS/FAIL per
-//!                            claim, one BENCH_<figure>.json each;
+//!                            claim, each report written over its
+//!                            perf/baselines/BENCH_<figure>.json;
 //!                            exits non-zero on any FAIL
-//! bench gate [--bless]       diff the fresh reports against
-//!                            perf/baselines/ (or re-bless them)
 //! ```
 //!
-//! Reports are written to `BENCH_OUT_DIR` (default: the repo root).
+//! `bench all` is how a move is blessed: run it, then review
+//! `git diff perf/baselines/`. Tier-1 (`tests/paper_claims.rs`) checks
+//! every report against those files byte for byte.
 
 use std::process::ExitCode;
 
 use pathways_bench::figures::{command_table, FIGURES};
-use pathways_bench::gate;
 
 /// Runs every figure's report pass; true if every claim held.
 fn all() -> bool {
@@ -27,7 +27,7 @@ fn all() -> bool {
             let verdict = if claim.ok { "PASS" } else { "FAIL" };
             println!("{verdict} {} {}: {}", figure.name, claim.name, claim.detail);
         }
-        // Report numbers even when the output directory is read-only.
+        // Report numbers even when the checkout is read-only.
         match report.write(figure.name) {
             Ok(path) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("warning: could not write BENCH_{}.json: {e}", figure.name),
@@ -44,7 +44,6 @@ fn main() -> ExitCode {
             true
         }
         Some("all") => all(),
-        Some("gate") => gate::run(args[1..].iter().any(|a| a == "--bless")),
         Some(name) => match FIGURES.iter().find(|f| f.name == name) {
             Some(figure) => {
                 (figure.full)(&args[1..]);
@@ -56,7 +55,7 @@ fn main() -> ExitCode {
             }
         },
         None => {
-            eprintln!("usage: bench list | all | gate [--bless] | <figure> [ARGS...]");
+            eprintln!("usage: bench list | all | <figure> [ARGS...]");
             false
         }
     };

@@ -1,17 +1,18 @@
-//! Machine-readable benchmark reports.
+//! Machine-readable benchmark reports, checked against their baselines.
 //!
-//! Every figure/table harness can serialize its headline numbers to a
-//! `BENCH_<figure>.json` file at the repository root — one JSON object
-//! per figure with the metric names and values, the cluster shape the
-//! numbers were measured on, and the git revision that produced them.
-//! A perf trajectory across commits is then a matter of collecting the
-//! files (CI uploads them as artifacts; see `.github/workflows/ci.yml`).
+//! Every figure/table harness serializes its headline numbers to
+//! `perf/baselines/BENCH_<figure>.json` — one JSON object per figure
+//! with the metric names and values and the cluster shape the numbers
+//! were measured on. Every figure measures virtual time, which depends
+//! only on the code, so a report is a golden: tier-1 checks each one
+//! byte for byte ([`BenchReport::check_baseline`]), `bench all`
+//! rewrites them all, and the perf trajectory across commits is
+//! `git log -p perf/baselines/`.
 //!
 //! Serialization goes through [`crate::json`]; non-finite floats
 //! serialize as `null` (JSON has no NaN/Infinity).
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 use crate::json::Json;
 
@@ -100,7 +101,6 @@ impl BenchReport {
         let c = self.cluster;
         Json::Obj(vec![
             ("figure".into(), Json::Str(figure.into())),
-            ("git_rev".into(), Json::Str(git_rev())),
             (
                 "cluster".into(),
                 Json::Obj(vec![
@@ -123,14 +123,59 @@ impl BenchReport {
         .write()
     }
 
-    /// Writes the report to `BENCH_<figure>.json` in the output
-    /// directory (`BENCH_OUT_DIR` if set, else the repository root) and
-    /// returns the path.
+    /// Writes the report over `figure`'s baseline and returns the path.
     pub fn write(&self, figure: &str) -> std::io::Result<PathBuf> {
-        let path = out_dir().join(format!("BENCH_{figure}.json"));
+        let path = baseline_path(figure);
         std::fs::write(&path, self.to_json(figure))?;
         Ok(path.canonicalize().unwrap_or(path))
     }
+
+    /// Checks the report against `figure`'s checked-in baseline, byte
+    /// for byte: the values are virtual time, an exact function of the
+    /// code, so any difference is a move to declare. The error names
+    /// the figure and the first line that differs, which for a metric
+    /// is the metric's line. The code-size trend (`codesize`) is
+    /// recorded but not checked.
+    pub fn check_baseline(&self, figure: &str) -> Result<(), String> {
+        if figure == "codesize" {
+            return Ok(());
+        }
+        let path = baseline_path(figure);
+        let baseline = std::fs::read_to_string(&path)
+            .map_err(|e| format!("{figure}: {}: {e}", path.display()))?;
+        first_difference(figure, &self.to_json(figure), &baseline)
+    }
+}
+
+/// `perf/baselines/BENCH_<figure>.json` under the repository root.
+fn baseline_path(figure: &str) -> PathBuf {
+    repo_root().join(format!("perf/baselines/BENCH_{figure}.json"))
+}
+
+/// `Ok` if `fresh == baseline`, else an error quoting the first line
+/// that differs on each side. Trailing commas are ignored when looking
+/// for it, because appending or dropping the last metric moves one.
+fn first_difference(figure: &str, fresh: &str, baseline: &str) -> Result<(), String> {
+    if fresh == baseline {
+        return Ok(());
+    }
+    fn lines(text: &str) -> Vec<&str> {
+        text.lines()
+            .map(|l| l.trim().trim_end_matches(','))
+            .collect()
+    }
+    let (fresh, baseline) = (lines(fresh), lines(baseline));
+    let n = (0..fresh.len().max(baseline.len()))
+        .find(|&i| fresh.get(i) != baseline.get(i))
+        .unwrap_or(0);
+    let quote = |lines: &[&str]| lines.get(n).copied().unwrap_or("end of file").to_string();
+    Err(format!(
+        "{figure}: BENCH_{figure}.json line {}: baseline `{}`, fresh `{}`; \
+         if the move is intended, run `bench all` and review `git diff perf/baselines/`",
+        n + 1,
+        quote(&baseline),
+        quote(&fresh),
+    ))
 }
 
 /// The repository root: the nearest directory at or above the current
@@ -152,34 +197,6 @@ fn workspace_root_above(dir: &Path) -> Option<PathBuf> {
         .map(Path::to_path_buf)
 }
 
-/// The directory `BENCH_*.json` files land in: `$BENCH_OUT_DIR` when
-/// set, else the repository root.
-pub fn out_dir() -> PathBuf {
-    std::env::var_os("BENCH_OUT_DIR").map_or_else(repo_root, PathBuf::from)
-}
-
-/// Short git revision of the working tree, `"unknown"` when git is
-/// unavailable (e.g. running from an exported tarball). A non-empty
-/// `GIT_REV` environment variable overrides the probe — CI and release
-/// tooling use it to stamp reports with the commit under test rather
-/// than whatever HEAD the checkout happens to be on.
-pub fn git_rev() -> String {
-    if let Ok(rev) = std::env::var("GIT_REV") {
-        let rev = rev.trim().to_string();
-        if !rev.is_empty() {
-            return rev;
-        }
-    }
-    let out = Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(repo_root())
-        .output();
-    match out {
-        Ok(o) if o.status.success() => String::from_utf8_lossy(&o.stdout).trim().to_string(),
-        _ => "unknown".to_string(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,8 +213,86 @@ mod tests {
         // NaN is not JSON: it must degrade to null.
         assert!(json.contains("\"ratio\": null"));
         assert!(!json.contains("NaN"));
-        // The git_rev field is present whatever its value.
-        assert!(json.contains("\"git_rev\": \""));
+    }
+
+    /// A baseline of two metrics, and a fresh report of `metrics`.
+    fn baseline_and(metrics: &[(&str, f64)]) -> (String, String) {
+        let report = |metrics: &[(&str, f64)]| {
+            let mut r = BenchReport::new(ClusterShape::new(1, 2, 4));
+            for (name, value) in metrics {
+                r = r.metric(*name, *value);
+            }
+            r.to_json("figX")
+        };
+        (report(&[("a", 100.0), ("b", 2.0)]), report(metrics))
+    }
+
+    /// `(case, fresh metrics, the lines the error must quote)`; no
+    /// quoted lines means the report must match.
+    type Case<'a> = (&'a str, &'a [(&'a str, f64)], &'a [&'a str]);
+
+    /// Runs `check_baseline`'s comparison over `cases`.
+    fn assert_cases(cases: &[Case]) {
+        for (case, metrics, quoted) in cases {
+            let (baseline, fresh) = baseline_and(metrics);
+            let verdict = first_difference("figX", &fresh, &baseline);
+            if quoted.is_empty() {
+                assert_eq!(verdict, Ok(()), "{case}");
+                continue;
+            }
+            let err = verdict.expect_err(case);
+            assert!(err.starts_with("figX: "), "{case}: {err}");
+            for q in quoted.iter() {
+                assert!(err.contains(q), "{case}: {err} does not quote {q}");
+            }
+        }
+    }
+
+    /// Exact: an identical report passes, and any changed value fails
+    /// naming the metric's line on either side.
+    #[test]
+    fn a_changed_value_fails_and_names_its_line() {
+        assert_cases(&[
+            ("identical", &[("a", 100.0), ("b", 2.0)], &[]),
+            (
+                "a 1 % move",
+                &[("a", 101.0), ("b", 2.0)],
+                &["`\"a\": 100`", "`\"a\": 101`"],
+            ),
+            (
+                "a null where a number was",
+                &[("a", 100.0), ("b", f64::NAN)],
+                &["`\"b\": 2`", "`\"b\": null`"],
+            ),
+        ]);
+    }
+
+    /// A metric missing from the fresh report fails, and so does one
+    /// new in it: either way the error names the odd line.
+    #[test]
+    fn a_missing_or_new_metric_fails_and_names_its_line() {
+        assert_cases(&[
+            (
+                "a metric missing from the fresh report",
+                &[("a", 100.0)],
+                &["baseline `\"b\": 2`"],
+            ),
+            (
+                "a metric new in the fresh report",
+                &[("a", 100.0), ("b", 2.0), ("c", 3.0)],
+                &["fresh `\"c\": 3`"],
+            ),
+        ]);
+    }
+
+    /// Line counts are recorded, not checked: whatever the report,
+    /// `codesize` passes.
+    #[test]
+    fn codesize_is_recorded_not_checked() {
+        assert_eq!(
+            BenchReport::new(ClusterShape::new(0, 0, 0)).check_baseline("codesize"),
+            Ok(())
+        );
     }
 
     #[test]

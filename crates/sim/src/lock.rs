@@ -14,12 +14,16 @@
 //! * **Contention profiling.** Locks created with [`Lock::named`]
 //!   register themselves in a process-wide table; every acquisition
 //!   and every contended acquisition (the fast-path `try_lock` lost)
-//!   is counted. [`contention_profile`] snapshots the table — this is
-//!   what pwbench's `lock.*` counts and `sim.lock_contended` read.
+//!   is counted. A dropped lock's counts fold into a per-name total
+//!   and its entry leaves the table, so the table grows with the live
+//!   named locks, not with every one ever made. [`contention_profile`]
+//!   snapshots the table — this is what pwbench's `lock.*` counts and
+//!   `sim.lock_contended` read.
 //!
 //! Counting is skipped entirely for anonymous locks, so fine-grained
 //! per-object state pays only the owner-tracking store.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::mem::ManuallyDrop;
 use std::ops::{Deref, DerefMut};
@@ -50,10 +54,57 @@ pub struct LockStats {
     contended: AtomicU64,
 }
 
-/// Process-wide registry of named-lock stats.
-fn registry() -> &'static Mutex<Vec<Arc<LockStats>>> {
-    static REGISTRY: std::sync::OnceLock<Mutex<Vec<Arc<LockStats>>>> = std::sync::OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+/// Process-wide registry of named-lock stats: the live locks' counters,
+/// and per name the final counts of locks already dropped.
+#[derive(Default)]
+struct Registry {
+    live: Vec<Arc<LockStats>>,
+    retired: BTreeMap<&'static str, (u64, u64)>,
+}
+
+fn registry() -> &'static Mutex<Registry> {
+    static REGISTRY: std::sync::OnceLock<Mutex<Registry>> = std::sync::OnceLock::new();
+    REGISTRY.get_or_init(Mutex::default)
+}
+
+/// A named lock's handle on its registry entry. Dropping it (with the
+/// lock) folds the final counts into the name's retired total and
+/// removes the entry, so the registry holds one entry per *live* named
+/// lock plus one total per name.
+struct StatsHandle(Arc<LockStats>);
+
+impl StatsHandle {
+    fn register(name: &'static str) -> Self {
+        let stats = Arc::new(LockStats {
+            name,
+            acquires: AtomicU64::new(0),
+            contended: AtomicU64::new(0),
+        });
+        registry().lock().live.push(Arc::clone(&stats));
+        StatsHandle(stats)
+    }
+}
+
+impl Deref for StatsHandle {
+    type Target = LockStats;
+    fn deref(&self) -> &LockStats {
+        &self.0
+    }
+}
+
+impl Drop for StatsHandle {
+    fn drop(&mut self) {
+        // The lock is being dropped, so nobody holds it and the counts
+        // are final. Folding and removing under one registry lock means
+        // a concurrent profile counts them exactly once.
+        let mut reg = registry().lock();
+        let total = reg.retired.entry(self.0.name).or_insert((0, 0));
+        total.0 += self.0.acquires.load(Ordering::Relaxed);
+        total.1 += self.0.contended.load(Ordering::Relaxed);
+        if let Some(i) = reg.live.iter().position(|s| Arc::ptr_eq(s, &self.0)) {
+            reg.live.swap_remove(i);
+        }
+    }
 }
 
 /// One row of [`contention_profile`].
@@ -67,16 +118,18 @@ pub struct LockProfile {
     pub contended: u64,
 }
 
-/// Snapshot of every named lock's counters, aggregated by name and
-/// sorted by contended count (most contended first).
+/// Snapshot of every named lock's counters, dropped locks included,
+/// aggregated by name and sorted by contended count (most contended
+/// first). Counts are process-wide and never decrease.
 pub fn contention_profile() -> Vec<LockProfile> {
-    let mut by_name: std::collections::BTreeMap<&'static str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for s in registry().lock().iter() {
+    let reg = registry().lock();
+    let mut by_name = reg.retired.clone();
+    for s in &reg.live {
         let e = by_name.entry(s.name).or_insert((0, 0));
         e.0 += s.acquires.load(Ordering::Relaxed);
         e.1 += s.contended.load(Ordering::Relaxed);
     }
+    drop(reg);
     let mut out: Vec<LockProfile> = by_name
         .into_iter()
         .map(|(name, (acquires, contended))| LockProfile {
@@ -98,7 +151,7 @@ pub fn contention_profile() -> Vec<LockProfile> {
 /// blocking mutex.
 #[derive(Default)]
 pub struct Lock<T: ?Sized> {
-    stats: Option<Arc<LockStats>>,
+    stats: Option<StatsHandle>,
     /// Thread token of the current owner (0 when unlocked). Written
     /// only by the owner, read by would-be acquirers for re-entrancy
     /// diagnosis.
@@ -122,14 +175,8 @@ impl<T> Lock<T> {
     /// state, fabric) so [`contention_profile`] can count their
     /// acquisitions and report where the threaded backend contends.
     pub fn named(name: &'static str, value: T) -> Self {
-        let stats = Arc::new(LockStats {
-            name,
-            acquires: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
-        });
-        registry().lock().push(Arc::clone(&stats));
         Lock {
-            stats: Some(stats),
+            stats: Some(StatsHandle::register(name)),
             owner: AtomicU64::new(0),
             inner: Mutex::new(value),
         }
@@ -286,6 +333,23 @@ mod tests {
             .find(|p| p.name == "count-test")
             .unwrap();
         assert_eq!(after.acquires - before, 2);
+    }
+
+    /// A dropped named lock leaves the registry but not the profile.
+    #[test]
+    fn dropped_named_locks_retire_their_counts() {
+        for _ in 0..100 {
+            let l = Lock::named("retire-test", ());
+            drop(l.lock());
+        }
+        assert!(registry()
+            .lock()
+            .live
+            .iter()
+            .all(|s| s.name != "retire-test"));
+        let profile = contention_profile();
+        let row = profile.iter().find(|p| p.name == "retire-test").unwrap();
+        assert_eq!(row.acquires, 100);
     }
 
     #[test]

@@ -72,7 +72,8 @@ fn gang_scheduling_prevents_the_deadlock_it_claims_to() {
 }
 
 /// §5 and this reproduction's own figures: every claim the figure
-/// registry states — the same verdicts `bench all` prints — holds.
+/// registry states — the same verdicts `bench all` prints — holds, and
+/// every figure's numbers equal its checked-in baseline exactly.
 #[test]
 fn every_registry_claim_holds() {
     let mut failed = Vec::new();
@@ -86,8 +87,11 @@ fn every_registry_claim_holds() {
         for claim in report.claims().iter().filter(|c| !c.ok) {
             failed.push(format!("{} {}: {}", figure.name, claim.name, claim.detail));
         }
+        if let Err(moved) = report.check_baseline(figure.name) {
+            failed.push(moved);
+        }
     }
-    assert!(failed.is_empty(), "claims failed:\n{}", failed.join("\n"));
+    assert!(failed.is_empty(), "failed:\n{}", failed.join("\n"));
 }
 
 /// The entire distributed system is deterministic: two identical runs
