@@ -1,5 +1,5 @@
 //! Figure 9 (and Figure 11): traces of gang-scheduled concurrent
-//! programs with proportional-share ratios 1:1:1:1 and 1:2:4:8, plus
+//! programs with weighted-fair ratios 1:1:1:1 and 1:2:4:8, plus
 //! utilization vs client count.
 
 use pathways_sim::SimDuration;
@@ -7,12 +7,11 @@ use pathways_sim::SimDuration;
 use super::Figure;
 use crate::perf::{BenchReport, ClusterShape};
 use crate::table::Table;
-use crate::tenancy::{tenancy_trace, tenancy_trace_with_policy, TenancyPolicy, TenancyTrace};
+use crate::tenancy::{tenancy_trace, TenancyTrace};
 
 pub(super) const FIGURE: Figure = Figure {
     name: "fig9",
-    about: "Figures 9 and 11: proportional-share gang-scheduling traces, stride vs WFQ, \
-            utilization vs client count",
+    about: "Figures 9 and 11: weighted-fair gang-scheduling traces, utilization vs client count",
     full: |_| drop(run()),
     report: run,
 };
@@ -32,7 +31,7 @@ fn run() -> BenchReport {
     for (weights, tag) in [([1u32, 1, 1, 1], "equal"), ([1, 2, 4, 8], "weighted")] {
         let t = tenancy_trace(1, 8, &weights, compute, window);
         println!(
-            "proportional share {}:{}:{}:{}  (device-0 utilization {:.0}%)",
+            "weighted-fair share {}:{}:{}:{}  (device-0 utilization {:.0}%)",
             weights[0],
             weights[1],
             weights[2],
@@ -51,32 +50,13 @@ fn run() -> BenchReport {
             .metric(format!("{tag}_share_ratio_d_over_a"), d_over_a)
             .metric(format!("{tag}_utilization"), t.utilization);
         if tag == "weighted" {
-            report = report.claim(
+            report = report.metric("wfq_share_pct_d", share(&t, "D")).claim(
                 "proportional share",
                 d_over_a > 3.0 && t.utilization > 0.9,
                 format!("D/A = {d_over_a:.1}, util {:.0}%", t.utilization * 100.0),
             );
         }
     }
-
-    println!("Policy-engine extension: stride vs gang-aware WFQ at 1:2:4:8\n");
-    let mut t = Table::new(&["policy", "A", "B", "C", "D", "device-0 utilization"]);
-    for (name, policy) in [
-        ("stride", TenancyPolicy::Stride),
-        ("wfq", TenancyPolicy::WeightedFair),
-    ] {
-        let tr = tenancy_trace_with_policy(policy, 1, 8, &[1, 2, 4, 8], compute, window);
-        let mut row = vec![name.to_string()];
-        for label in ["A", "B", "C", "D"] {
-            row.push(format!("{:.0}%", share(&tr, label)));
-        }
-        row.push(format!("{:.0}%", tr.utilization * 100.0));
-        t.row(row);
-        report = report.metric(format!("{name}_share_pct_d"), share(&tr, "D"));
-    }
-    println!("{}", t.render());
-    println!("both engines realize the weighted shares; WFQ additionally bounds each");
-    println!("tenant's burst to one quantum and charges whole-gang device time.\n");
 
     println!("Figure 11: utilization vs number of clients (0.33 ms programs)\n");
     let mut t = Table::new(&["clients", "device-0 utilization"]);

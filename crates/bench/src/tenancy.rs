@@ -1,5 +1,5 @@
 //! Figure 9 / Figure 11 harness: gang-scheduled interleaving traces of
-//! concurrent client programs under proportional-share scheduling.
+//! concurrent client programs under weighted-fair scheduling.
 
 use std::collections::BTreeMap;
 
@@ -18,53 +18,10 @@ pub struct TenancyTrace {
     pub utilization: f64,
 }
 
-/// Which weighted policy engine a tenancy trace drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenancyPolicy {
-    /// Stride scheduling ([`SchedPolicy::ProportionalShare`]).
-    Stride,
-    /// Gang-aware weighted-fair queueing ([`SchedPolicy::WeightedFair`]).
-    WeightedFair,
-}
-
-impl TenancyPolicy {
-    fn to_sched_policy(self, weights: BTreeMap<ClientId, u32>) -> SchedPolicy {
-        match self {
-            TenancyPolicy::Stride => SchedPolicy::ProportionalShare(weights),
-            TenancyPolicy::WeightedFair => SchedPolicy::WeightedFair {
-                weights,
-                // Roughly one short program of gang time per turn, so
-                // the interleaving stays millisecond-scale like stride.
-                quantum: SimDuration::from_micros(500),
-            },
-        }
-    }
-}
-
-/// Runs `weights.len()` clients with the given proportional-share
-/// weights submitting `compute`-sized programs for `window`, and
-/// returns the device-0 trace and accounting. Stride policy; see
-/// [`tenancy_trace_with_policy`] to choose the engine.
+/// Runs `weights.len()` clients with the given weighted-fair weights
+/// submitting `compute`-sized programs for `window`, and returns the
+/// device-0 trace and accounting.
 pub fn tenancy_trace(
-    hosts: u32,
-    devices_per_host: u32,
-    weights: &[u32],
-    compute: SimDuration,
-    window: SimDuration,
-) -> TenancyTrace {
-    tenancy_trace_with_policy(
-        TenancyPolicy::Stride,
-        hosts,
-        devices_per_host,
-        weights,
-        compute,
-        window,
-    )
-}
-
-/// [`tenancy_trace`] with an explicit policy engine.
-pub fn tenancy_trace_with_policy(
-    policy: TenancyPolicy,
     hosts: u32,
     devices_per_host: u32,
     weights: &[u32],
@@ -79,7 +36,12 @@ pub fn tenancy_trace_with_policy(
         .map(|(i, w)| (ClientId(i as u32), *w))
         .collect();
     let cfg = PathwaysConfig {
-        policy: policy.to_sched_policy(weight_map),
+        policy: SchedPolicy::WeightedFair {
+            weights: weight_map,
+            // Roughly one short program of gang time per turn, so the
+            // interleaving stays millisecond-scale.
+            quantum: SimDuration::from_micros(500),
+        },
         sched_horizon: SimDuration::from_micros(600),
         ..PathwaysConfig::default()
     };
@@ -150,23 +112,6 @@ mod tests {
     #[test]
     fn weighted_shares_follow_ratios() {
         let t = tenancy_trace(
-            1,
-            8,
-            &[1, 2, 4, 8],
-            SimDuration::from_micros(330),
-            SimDuration::from_millis(60),
-        );
-        let a = t.busy_by_label["A"].as_secs_f64();
-        let d = t.busy_by_label["D"].as_secs_f64();
-        assert!(d / a > 3.0, "D/A ratio {:.2} too small", d / a);
-    }
-
-    #[test]
-    fn weighted_fair_shares_follow_ratios() {
-        // The same 1:2:4:8 scenario as stride, under the WFQ engine:
-        // device time still follows the weights.
-        let t = tenancy_trace_with_policy(
-            TenancyPolicy::WeightedFair,
             1,
             8,
             &[1, 2, 4, 8],

@@ -8,7 +8,7 @@ use pathways_models::{
     Calibration, TrainSetup, TransformerConfig,
 };
 use pathways_net::{ClusterSpec, HostId, IslandId, NetworkParams};
-use pathways_sim::{Sim, SimDuration};
+use pathways_sim::Sim;
 
 /// Tokens/second of Pathways training `setup` as SPMD over `cores`
 /// cores (4 per host, configuration A style).
@@ -237,7 +237,6 @@ pub fn table1_point(model: TransformerConfig, cores: u32, mfu: f64, steps: u32) 
 pub fn quick_setup() -> TrainSetup {
     let mut s = TrainSetup::new(TransformerConfig::decoder_3b(), 256 * 1024);
     s.calib.mfu = 0.30;
-    s.calib.kernel_overhead = SimDuration::from_micros(25);
     s
 }
 

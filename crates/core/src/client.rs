@@ -30,7 +30,7 @@ use crate::objref::{InputBinding, ObjectRef};
 use crate::ops::{prepare, PreparedProgram};
 use crate::program::{CompId, Program};
 use crate::resource::{ResourceError, ResourceManager, SliceRequest, VirtualSlice};
-use crate::sched::{ctrl_msg_bytes, CtrlMsg, SubmitMsg};
+use crate::sched::SubmitMsg;
 use crate::storage::{FailureReason, ObjectId};
 
 /// Errors from submitting a prepared program.
@@ -513,14 +513,14 @@ impl Client {
                     (c.compute + coll) * c.participants as u64
                 })
                 .sum();
-            let msg = CtrlMsg::Submit(SubmitMsg {
+            let msg = SubmitMsg {
                 client: self.id,
                 label: self.label.clone(),
                 run,
                 est_cost: island_cost,
                 comps: comps.clone(),
-            });
-            let bytes = ctrl_msg_bytes(&msg);
+            };
+            let bytes = msg.wire_bytes();
             self.core
                 .sched_router
                 .send(self.host, sched_host, msg, bytes);

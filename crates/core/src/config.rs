@@ -28,8 +28,8 @@ pub enum DispatchMode {
 pub struct PathwaysConfig {
     /// Host-side dispatch strategy.
     pub dispatch: DispatchMode,
-    /// Island-scheduler policy: FIFO, stride or weighted-fair. Each
-    /// island scheduler builds its own policy-engine instance from this
+    /// Island-scheduler policy: FIFO or weighted-fair. Each island
+    /// scheduler builds its own policy-engine instance from this
     /// value (see [`crate::sched::policy`]), so accounting state is
     /// never shared across islands.
     pub policy: SchedPolicy,

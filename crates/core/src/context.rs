@@ -17,7 +17,7 @@ use crate::exec::ExecutorShared;
 use crate::fault::FailureState;
 use crate::objref::InputBinding;
 use crate::program::CompId;
-use crate::sched::CtrlMsg;
+use crate::sched::{GrantMsg, SubmitMsg};
 use crate::storage::ObjectStore;
 
 /// Key of one consumer input: `(run, consumer comp, consumer shard,
@@ -83,9 +83,9 @@ pub struct CoreCtx {
     /// The coordination substrate.
     pub plaque: PlaqueRuntime,
     /// Client → scheduler control channel.
-    pub sched_router: Router<CtrlMsg>,
+    pub sched_router: Router<SubmitMsg>,
     /// Scheduler → executor control channel.
-    pub exec_router: Router<CtrlMsg>,
+    pub exec_router: Router<Vec<GrantMsg>>,
     /// All device handles.
     pub devices: Arc<FxHashMap<DeviceId, DeviceHandle>>,
     /// Per-host executor hand-off: a kernel shard's `on_start` registers

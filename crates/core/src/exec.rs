@@ -33,7 +33,7 @@ use pathways_sim::{IdleToken, SimHandle};
 use crate::config::DispatchMode;
 use crate::fault::FailureState;
 use crate::program::CompId;
-use crate::sched::CtrlMsg;
+use crate::sched::GrantMsg;
 use crate::storage::{ObjectId, ObjectStore};
 
 /// Key identifying one computation shard of one run.
@@ -130,11 +130,11 @@ impl ExecutorShared {
 
 /// Spawns the executor task for `host`.
 #[allow(clippy::too_many_arguments)]
-#[expect(clippy::panic, reason = "a stray message kind is a control-plane bug")]
+#[expect(clippy::panic, reason = "grants name only devices the runtime built")]
 pub fn spawn_executor(
     handle: &SimHandle,
     host: HostId,
-    router: &Router<CtrlMsg>,
+    router: &Router<Vec<GrantMsg>>,
     shared: ExecutorShared,
     fabric: Fabric,
     store: ObjectStore,
@@ -151,12 +151,9 @@ pub fn spawn_executor(
             token_task.set_idle();
             let Some(env) = inbox.recv().await else { break };
             token_task.set_busy();
-            let CtrlMsg::Grants(grants) = env.msg else {
-                panic!("executor received a non-grant control message");
-            };
             // Strict FIFO processing preserves the scheduler's global
             // order on every local device queue.
-            for grant in grants {
+            for grant in env.msg {
                 // Grants of a failed run are skipped wholesale: the
                 // fault injector already force-started the run's shards
                 // and swept their registrations, so touching them here

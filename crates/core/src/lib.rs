@@ -17,8 +17,8 @@
 //!   awaiting intermediate runs,
 //! * per-island **centralized gang schedulers** that consistently order
 //!   all computations sharing an island (§4.4), with a policy engine
-//!   ([`sched::policy`]) shipping FIFO, stride proportional share, and
-//!   gang-aware weighted-fair queueing,
+//!   ([`sched::policy`]) shipping FIFO and gang-aware weighted-fair
+//!   queueing,
 //! * per-host **executors** implementing parallel asynchronous dispatch
 //!   with a sequential fallback (§4.5),
 //! * a **sharded object store** with logical-buffer refcounting,
@@ -136,7 +136,7 @@ pub use resource::{
     HealEvent, ResourceError, ResourceManager, SliceId, SliceRequest, VirtualSlice,
 };
 pub use runtime::PathwaysRuntime;
-pub use sched::policy::{FifoPolicy, QueuedProgram, SchedPolicyImpl, StridePolicy, WfqPolicy};
+pub use sched::policy::{PolicyEngine, QueuedProgram, WfqPolicy};
 pub use sched::{SchedPolicy, SchedulerHandle};
 pub use storage::{
     FailureReason, ObjectError, ObjectId, ObjectStore, RecoveryStats, SegmentStats, SpillEvent,

@@ -81,8 +81,8 @@ impl PathwaysRuntime {
             Some(tc) => ObjectStore::with_tiers(handle.clone(), Arc::clone(&topo), tc.clone()),
             None => ObjectStore::new(),
         };
-        let sched_router: Router<crate::sched::CtrlMsg> = Router::new(fabric.clone());
-        let exec_router: Router<crate::sched::CtrlMsg> = Router::new(fabric.clone());
+        let sched_router = Router::new(fabric.clone());
+        let exec_router = Router::new(fabric.clone());
         let plaque = PlaqueRuntime::new(fabric.clone());
         let failures = FailureState::new();
 

@@ -9,11 +9,15 @@
 //! in `pathways-device`'s tests.
 //!
 //! The *decision* of which client's program to grant next is delegated
-//! to a [`SchedPolicyImpl`] (see [`policy`]): FIFO (the paper's current
+//! to a [`PolicyEngine`] (see [`policy`]): FIFO (the paper's current
 //! implementation: "our current implementation simply enqueues work in
-//! FIFO order"), stride-based proportional share (the policy behind
-//! Figure 9's 1:2:4:8 interleaving), or gang-aware weighted-fair
-//! queueing. The [`SchedPolicy`] enum names which one to build.
+//! FIFO order") or gang-aware weighted-fair queueing (the
+//! proportional-share policy behind Figure 9's 1:2:4:8 interleaving).
+//! The [`SchedPolicy`] enum names which one to build.
+//!
+//! The control plane is two typed routers: clients send a [`SubmitMsg`]
+//! to the scheduler, and the scheduler sends each host one batch of
+//! [`GrantMsg`]s per program.
 
 pub mod policy;
 
@@ -30,26 +34,24 @@ use pathways_sim::{IdleToken, SimDuration, SimHandle, SimTime};
 
 use crate::fault::FailureState;
 use crate::program::CompId;
-use policy::{FifoPolicy, QueuedProgram, SchedPolicyImpl, StridePolicy, WfqPolicy};
+use policy::{PolicyEngine, QueuedProgram, WfqPolicy};
 
-/// Scheduling policy of an island scheduler: which
-/// [`policy::SchedPolicyImpl`] to build.
+/// Scheduling policy of an island scheduler: which [`PolicyEngine`] to
+/// build.
 ///
-/// Each island scheduler builds its *own* policy instance via
-/// [`SchedPolicy::build`], so per-island accounting state (stride
-/// passes, deficit counters) is never shared across islands.
+/// Each island scheduler builds its *own* engine via
+/// [`SchedPolicy::build`], so per-island accounting state (deficit
+/// counters) is never shared across islands.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// Grant programs in arrival order ([`policy::FifoPolicy`]).
+    /// Grant programs in arrival order ([`PolicyEngine::Fifo`]).
     #[default]
     Fifo,
-    /// Stride scheduling: each client receives device time proportional
-    /// to its weight when the island is contended
-    /// ([`policy::StridePolicy`]).
-    ProportionalShare(BTreeMap<ClientId, u32>),
     /// Gang-aware weighted-fair queueing with per-client deficit
-    /// counters ([`policy::WfqPolicy`]): fairness in device-seconds
-    /// even when tenants submit gangs of very different sizes.
+    /// counters ([`WfqPolicy`]): each client receives device time
+    /// proportional to its weight when the island is contended, in
+    /// device-seconds even when tenants submit gangs of very different
+    /// sizes.
     WeightedFair {
         /// Per-client weights (absent clients default to 1).
         weights: BTreeMap<ClientId, u32>,
@@ -60,7 +62,7 @@ pub enum SchedPolicy {
 
 impl SchedPolicy {
     /// Weighted-fair queueing with the default quantum
-    /// ([`policy::WfqPolicy::DEFAULT_QUANTUM`]).
+    /// ([`WfqPolicy::DEFAULT_QUANTUM`]).
     pub fn weighted_fair(weights: BTreeMap<ClientId, u32>) -> Self {
         SchedPolicy::WeightedFair {
             weights,
@@ -69,12 +71,11 @@ impl SchedPolicy {
     }
 
     /// Instantiates the policy engine for one island scheduler.
-    pub fn build(&self) -> Box<dyn SchedPolicyImpl> {
+    pub fn build(&self) -> PolicyEngine {
         match self {
-            SchedPolicy::Fifo => Box::new(FifoPolicy),
-            SchedPolicy::ProportionalShare(w) => Box::new(StridePolicy::new(w.clone())),
+            SchedPolicy::Fifo => PolicyEngine::Fifo,
             SchedPolicy::WeightedFair { weights, quantum } => {
-                Box::new(WfqPolicy::new(weights.clone(), *quantum))
+                PolicyEngine::WeightedFair(WfqPolicy::new(weights.clone(), *quantum))
             }
         }
     }
@@ -118,13 +119,23 @@ pub struct SubmitMsg {
     /// The plaque run executing this program.
     pub run: RunId,
     /// Estimated total device time, summed over shards (used both for
-    /// proportional-share accounting and for grant pacing).
+    /// weighted-fair accounting and for grant pacing).
     pub est_cost: SimDuration,
     /// Computations in topological order.
     pub comps: Vec<CompSubmit>,
 }
 
-/// One computation grant, delivered to a host executor.
+impl SubmitMsg {
+    /// Simulated wire size of this submission.
+    pub(crate) fn wire_bytes(&self) -> u64 {
+        64 + 48 * self.comps.len() as u64
+    }
+}
+
+/// One computation grant, delivered to a host executor inside a batch:
+/// one message carries every computation of a program that has shards
+/// on the destination host — the single-message subgraph dispatch of
+/// §4.5.
 #[derive(Debug, Clone)]
 pub struct GrantMsg {
     /// Owning client (for object ownership labels).
@@ -158,29 +169,12 @@ pub struct GrantMsg {
     pub local_shards: Vec<(u32, DeviceId)>,
 }
 
-/// Control-plane messages (client → scheduler → executors).
-#[derive(Debug)]
-pub enum CtrlMsg {
-    /// Program submission (client → scheduler).
-    Submit(SubmitMsg),
-    /// Batched grants for one program on one host (scheduler → executor).
-    /// One message carries every computation of the program that has
-    /// shards on the destination host — the single-message subgraph
-    /// dispatch of §4.5.
-    Grants(Vec<GrantMsg>),
-}
-
-/// Wire-size model for control messages.
-pub fn ctrl_msg_bytes(msg: &CtrlMsg) -> u64 {
-    match msg {
-        CtrlMsg::Submit(s) => 64 + 48 * s.comps.len() as u64,
-        CtrlMsg::Grants(g) => {
-            32 + g
-                .iter()
-                .map(|m| 48 + 12 * m.local_shards.len() as u64)
-                .sum::<u64>()
-        }
-    }
+/// Simulated wire size of one host's grant batch.
+fn grant_batch_bytes(batch: &[GrantMsg]) -> u64 {
+    32 + batch
+        .iter()
+        .map(|m| 48 + 12 * m.local_shards.len() as u64)
+        .sum::<u64>()
 }
 
 /// Shared state of one island scheduler (inspectable by tests).
@@ -190,7 +184,7 @@ pub fn ctrl_msg_bytes(msg: &CtrlMsg) -> u64 {
 /// territory — plus the policy engine instance making that choice.
 pub struct SchedulerState {
     queues: BTreeMap<ClientId, VecDeque<SubmitMsg>>,
-    policy: Box<dyn SchedPolicyImpl>,
+    policy: PolicyEngine,
     next_tag: u64,
     granted_programs: u64,
     /// When each run's submission reached this scheduler (virtual time).
@@ -218,7 +212,7 @@ impl fmt::Debug for SchedulerState {
 }
 
 impl SchedulerState {
-    fn new(island: IslandId, policy: Box<dyn SchedPolicyImpl>) -> Self {
+    fn new(island: IslandId, policy: PolicyEngine) -> Self {
         SchedulerState {
             queues: BTreeMap::new(),
             policy,
@@ -247,7 +241,8 @@ impl SchedulerState {
 
     /// Grants the next program: asks the policy to choose among the
     /// backlogged clients' queue heads, then pops that client's head.
-    #[expect(clippy::panic, reason = "a stray message kind is a control-plane bug")]
+    /// The policy answers with a position in the heads it was shown, so
+    /// it can only pick a client with a pending program.
     fn pop(&mut self) -> Option<SubmitMsg> {
         let heads: Vec<QueuedProgram<'_>> = self
             .queues
@@ -260,22 +255,14 @@ impl SchedulerState {
                 })
             })
             .collect();
-        if heads.is_empty() {
-            return None;
-        }
-        let picked = self.policy.pick_next(&heads)?;
-        let q = self
-            .queues
-            .get_mut(&picked)
-            .unwrap_or_else(|| panic!("policy picked unknown client {picked:?}"));
-        let msg = q
-            .pop_front()
-            .unwrap_or_else(|| panic!("policy picked client {picked:?} with empty queue"));
+        let picked = heads.get(self.policy.pick(&heads)?)?.client;
+        let q = self.queues.get_mut(&picked)?;
+        let msg = q.pop_front()?;
         let now_empty = q.is_empty();
         if now_empty {
             // Empty queues are dropped so the policy only ever sees
-            // backlogged clients; per-client policy state (passes,
-            // deficits) lives in the policy itself.
+            // backlogged clients; per-client policy state (deficits)
+            // lives in the policy itself.
             self.queues.remove(&picked);
         }
         self.policy.on_grant(&msg, now_empty);
@@ -346,11 +333,10 @@ impl SchedulerHandle {
 /// `inbox_router`; grants leave on `grant_router` (where the executors
 /// are registered). Both share the same physical NIC through the fabric.
 #[allow(clippy::too_many_arguments)]
-#[expect(clippy::panic, reason = "a stray message kind is a control-plane bug")]
 pub fn spawn_scheduler(
     handle: &SimHandle,
-    inbox_router: Router<CtrlMsg>,
-    grant_router: Router<CtrlMsg>,
+    inbox_router: Router<SubmitMsg>,
+    grant_router: Router<Vec<GrantMsg>>,
     island: IslandId,
     host: HostId,
     island_devices: u32,
@@ -381,12 +367,7 @@ pub fn spawn_scheduler(
             token_task.set_idle();
             let Some(env) = inbox.recv().await else { break };
             token_task.set_busy();
-            match env.msg {
-                CtrlMsg::Submit(submit) => {
-                    state_task.lock().push(submit, h.now());
-                }
-                CtrlMsg::Grants(_) => panic!("scheduler received a grant"),
-            }
+            state_task.lock().push(env.msg, h.now());
             // Drain everything grantable right now. Messages that arrive
             // while we sleep for decision_cost queue behind us (FIFO
             // inbox), preserving determinism.
@@ -406,10 +387,7 @@ pub fn spawn_scheduler(
                     )
                     .await;
                     while let Ok(env) = inbox.try_recv() {
-                        match env.msg {
-                            CtrlMsg::Submit(s) => state_task.lock().push(s, h.now()),
-                            CtrlMsg::Grants(_) => panic!("scheduler received a grant"),
-                        }
+                        state_task.lock().push(env.msg, h.now());
                     }
                 }
                 let next = state_task.lock().pop();
@@ -425,12 +403,9 @@ pub fn spawn_scheduler(
                     h.sleep(decision_cost).await;
                 }
                 // Also drain any submissions that arrived during the
-                // decision sleep so proportional share sees them.
+                // decision sleep so the policy sees them.
                 while let Ok(env) = inbox.try_recv() {
-                    match env.msg {
-                        CtrlMsg::Submit(s) => state_task.lock().push(s, h.now()),
-                        CtrlMsg::Grants(_) => panic!("scheduler received a grant"),
-                    }
+                    state_task.lock().push(env.msg, h.now());
                 }
                 // Island occupancy estimate: device-time divided by the
                 // island's device count.
@@ -468,15 +443,14 @@ pub fn spawn_scheduler(
                 }
                 for (dst, grants) in per_host {
                     if batch_grants {
-                        let msg = CtrlMsg::Grants(grants);
-                        let bytes = ctrl_msg_bytes(&msg);
-                        grant_router.send(host, dst, msg, bytes);
+                        let bytes = grant_batch_bytes(&grants);
+                        grant_router.send(host, dst, grants, bytes);
                     } else {
                         // Ablation: one message per computation.
                         for g in grants {
-                            let msg = CtrlMsg::Grants(vec![g]);
-                            let bytes = ctrl_msg_bytes(&msg);
-                            grant_router.send(host, dst, msg, bytes);
+                            let batch = vec![g];
+                            let bytes = grant_batch_bytes(&batch);
+                            grant_router.send(host, dst, batch, bytes);
                         }
                     }
                 }
@@ -526,47 +500,6 @@ mod tests {
     }
 
     #[test]
-    fn proportional_share_matches_weights() {
-        // Clients 0 and 1 with weights 1 and 3, equal-cost programs:
-        // out of every 4 grants, client 1 should get 3.
-        let weights: BTreeMap<ClientId, u32> =
-            [(ClientId(0), 1), (ClientId(1), 3)].into_iter().collect();
-        let mut st = state_with(&SchedPolicy::ProportionalShare(weights));
-        for i in 0..40 {
-            st.push(submit(0, i, 10), SimTime::ZERO);
-            st.push(submit(1, 100 + i, 10), SimTime::ZERO);
-        }
-        let mut counts = [0u32; 2];
-        for _ in 0..40 {
-            let m = st.pop().unwrap();
-            counts[m.client.0 as usize] += 1;
-        }
-        assert_eq!(counts[0] + counts[1], 40);
-        let ratio = counts[1] as f64 / counts[0] as f64;
-        assert!((2.5..=3.5).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn proportional_share_accounts_for_cost() {
-        // Client 0 submits programs 3x as expensive; with equal weights
-        // it should be granted ~1/3 as many programs.
-        let weights: BTreeMap<ClientId, u32> =
-            [(ClientId(0), 1), (ClientId(1), 1)].into_iter().collect();
-        let mut st = state_with(&SchedPolicy::ProportionalShare(weights));
-        for i in 0..60 {
-            st.push(submit(0, i, 30), SimTime::ZERO);
-            st.push(submit(1, 100 + i, 10), SimTime::ZERO);
-        }
-        let mut counts = [0u32; 2];
-        for _ in 0..60 {
-            let m = st.pop().unwrap();
-            counts[m.client.0 as usize] += 1;
-        }
-        let ratio = counts[1] as f64 / counts[0] as f64;
-        assert!((2.0..=4.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
     fn weighted_fair_shares_grants_by_weight() {
         let weights: BTreeMap<ClientId, u32> =
             [(ClientId(0), 1), (ClientId(1), 3)].into_iter().collect();
@@ -601,22 +534,30 @@ mod tests {
 
     #[test]
     fn idle_client_does_not_starve_later() {
-        // Stride scheduling: a client that was idle does not get an
-        // unbounded backlog advantage because pass only advances when
-        // granted; but it does get the next grant when it arrives with
-        // the lowest pass.
+        // WFQ with a quantum of ten programs: client 0, served alone,
+        // banks credit it forfeits when its queue drains. When idle
+        // client 1 arrives next to a fresh backlog of client 0's, it is
+        // granted within one round, not after client 0's banked credit.
         let weights: BTreeMap<ClientId, u32> =
             [(ClientId(0), 1), (ClientId(1), 1)].into_iter().collect();
-        let mut st = state_with(&SchedPolicy::ProportionalShare(weights));
+        let mut st = state_with(&SchedPolicy::WeightedFair {
+            weights,
+            quantum: SimDuration::from_micros(100),
+        });
         for i in 0..5 {
             st.push(submit(0, i, 10), SimTime::ZERO);
         }
         for _ in 0..5 {
-            st.pop();
+            assert_eq!(st.pop().unwrap().client, ClientId(0));
+        }
+        for i in 5..10 {
+            st.push(submit(0, i, 10), SimTime::ZERO);
         }
         st.push(submit(1, 100, 10), SimTime::ZERO);
-        st.push(submit(0, 6, 10), SimTime::ZERO);
-        // Client 1 has pass 0 < client 0's accumulated pass.
-        assert_eq!(st.pop().unwrap().client, ClientId(1));
+        let round: Vec<ClientId> = (0..2).map(|_| st.pop().unwrap().client).collect();
+        assert!(
+            round.contains(&ClientId(1)),
+            "client 1 waited past one round: {round:?}"
+        );
     }
 }

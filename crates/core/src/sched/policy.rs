@@ -2,9 +2,10 @@
 //!
 //! The per-island gang scheduler (§4.4) consistently orders all
 //! computations sharing an island; *which* order is a policy decision,
-//! made behind [`SchedPolicyImpl`]. A new multi-tenancy policy (§6.2
-//! sketches deadline, backfill, …) is one [`SchedPolicy`](super::SchedPolicy)
-//! arm plus its `SchedPolicyImpl`; the scheduler loop does not change.
+//! made by one [`PolicyEngine`] per island. The engine is a closed type:
+//! a new multi-tenancy policy (§6.2 sketches deadline, backfill, …) is
+//! one [`SchedPolicy`](super::SchedPolicy) arm plus one `PolicyEngine`
+//! arm, and the scheduler loop does not change.
 //!
 //! A policy never touches the queues themselves: the scheduler owns one
 //! FIFO backlog per client (preserving per-client program order, which
@@ -13,17 +14,17 @@
 //! and grants through hooks and keep whatever accounting state they
 //! need.
 //!
-//! Three policies ship:
+//! Two policies ship:
 //!
-//! * [`FifoPolicy`] — global arrival order (the paper's own
+//! * [`PolicyEngine::Fifo`] — global arrival order (the paper's own
 //!   implementation: "our current implementation simply enqueues work
 //!   in FIFO order");
-//! * [`StridePolicy`] — stride scheduling, the proportional-share
-//!   policy behind Figure 9's 1:2:4:8 interleaving;
-//! * [`WfqPolicy`] — gang-aware weighted-fair queueing with per-client
-//!   deficit counters: it charges each grant the program's *whole-gang*
-//!   device time, so fairness holds in device-seconds even when tenants
-//!   submit gangs of very different sizes.
+//! * [`PolicyEngine::WeightedFair`] ([`WfqPolicy`]) — gang-aware
+//!   weighted-fair queueing with per-client deficit counters, the
+//!   proportional-share policy behind Figure 9's 1:2:4:8 interleaving:
+//!   it charges each grant the program's *whole-gang* device time, so
+//!   fairness holds in device-seconds even when tenants submit gangs of
+//!   very different sizes.
 
 use std::collections::BTreeMap;
 
@@ -47,98 +48,68 @@ pub struct QueuedProgram<'a> {
     pub backlog: usize,
 }
 
-/// An island-scheduling policy: chooses, under contention, whose
-/// program the centralized scheduler grants next.
+/// An island's policy engine: chooses, under contention, whose program
+/// the centralized scheduler grants next. Built per island by
+/// [`SchedPolicy::build`](super::SchedPolicy::build).
 ///
-/// Implementations are per-island and single-threaded; the scheduler
-/// calls the three hooks in a strict arrival → pick → grant order, so
-/// internal accounting needs no synchronization.
-pub trait SchedPolicyImpl: Send {
-    /// Human-readable policy name (used in `Debug` output and traces).
-    fn name(&self) -> &'static str;
+/// The scheduler calls the three hooks in a strict arrival → pick →
+/// grant order, so internal accounting needs no synchronization.
+#[derive(Debug)]
+pub enum PolicyEngine {
+    /// Grants programs in global arrival order. Arrival order is
+    /// approximated by [`RunId`](pathways_plaque::RunId), which is
+    /// allocated monotonically at submission time.
+    Fifo,
+    /// Gang-aware weighted-fair queueing.
+    WeightedFair(WfqPolicy),
+}
+
+impl PolicyEngine {
+    /// Human-readable policy name (used in `Debug` output and tests).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            PolicyEngine::Fifo => "fifo",
+            PolicyEngine::WeightedFair(_) => "wfq",
+        }
+    }
 
     /// Arrival hook: `msg` was appended to its client's queue. Called
     /// before the next [`pick_next`](Self::pick_next).
-    fn on_arrival(&mut self, msg: &SubmitMsg) {
-        let _ = msg;
+    pub fn on_arrival(&mut self, msg: &SubmitMsg) {
+        if let PolicyEngine::WeightedFair(wfq) = self {
+            wfq.on_arrival(msg);
+        }
     }
 
-    /// Picks the client whose head program is granted next.
-    ///
-    /// `queues` holds every client with pending work (ascending client
-    /// id, never empty). Returning a client not present in `queues` is
-    /// a policy bug and makes the scheduler panic; returning `None`
-    /// leaves the backlog untouched (no shipped policy does).
-    fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId>;
+    /// Picks the client whose head program is granted next: always one
+    /// of `queues`, and `None` only when `queues` is empty.
+    pub fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId> {
+        let i = self.pick(queues)?;
+        queues.get(i).map(|q| q.client)
+    }
+
+    /// [`pick_next`](Self::pick_next) as a position in `queues`, so the
+    /// scheduler pops a queue it showed rather than looking up a client.
+    pub(super) fn pick(&mut self, queues: &[QueuedProgram<'_>]) -> Option<usize> {
+        match self {
+            PolicyEngine::Fifo => queues
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, q)| q.head.run)
+                .map(|(i, _)| i),
+            PolicyEngine::WeightedFair(wfq) => wfq.pick(queues),
+        }
+    }
 
     /// Accounting hook: `msg` (the head chosen by the last
     /// [`pick_next`](Self::pick_next)) was granted. `queue_now_empty`
-    /// is true when this grant drained the client's backlog — policies
-    /// that bank credit (e.g. deficit counters) should forfeit it here
-    /// so an idle tenant cannot burst later.
-    fn on_grant(&mut self, msg: &SubmitMsg, queue_now_empty: bool) {
-        let _ = (msg, queue_now_empty);
-    }
-}
-
-/// Grants programs in global arrival order.
-///
-/// Arrival order is approximated by [`RunId`](pathways_plaque::RunId),
-/// which is allocated monotonically at submission time.
-#[derive(Debug, Default)]
-pub struct FifoPolicy;
-
-impl SchedPolicyImpl for FifoPolicy {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId> {
-        queues.iter().min_by_key(|q| q.head.run).map(|q| q.client)
-    }
-}
-
-/// Stride scheduling: each client receives device time proportional to
-/// its weight when the island is contended.
-///
-/// Every client carries a virtual time ("pass"); the lowest pass is
-/// served and advanced by `cost / weight`. A client absent from the
-/// weight map defaults to weight 1. Pass values persist across idle
-/// periods, but because a sleeping client's pass does not advance, it
-/// holds the minimum when it returns and is served promptly without
-/// accumulating an unbounded backlog advantage.
-#[derive(Debug)]
-pub struct StridePolicy {
-    weights: BTreeMap<ClientId, u32>,
-    pass: BTreeMap<ClientId, u64>,
-}
-
-impl StridePolicy {
-    /// A stride scheduler with the given per-client weights.
-    pub fn new(weights: BTreeMap<ClientId, u32>) -> Self {
-        StridePolicy {
-            weights,
-            pass: BTreeMap::new(),
+    /// is true when this grant drained the client's backlog; WFQ
+    /// forfeits the client's banked credit then, so an idle tenant
+    /// cannot burst later.
+    pub fn on_grant(&mut self, msg: &SubmitMsg, queue_now_empty: bool) {
+        if let PolicyEngine::WeightedFair(wfq) = self {
+            wfq.on_grant(msg, queue_now_empty);
         }
-    }
-}
-
-impl SchedPolicyImpl for StridePolicy {
-    fn name(&self) -> &'static str {
-        "stride"
-    }
-
-    fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId> {
-        queues
-            .iter()
-            .min_by_key(|q| (self.pass.get(&q.client).copied().unwrap_or(0), q.client))
-            .map(|q| q.client)
-    }
-
-    fn on_grant(&mut self, msg: &SubmitMsg, _queue_now_empty: bool) {
-        let weight = self.weights.get(&msg.client).copied().unwrap_or(1).max(1) as u64;
-        let cost = msg.est_cost.as_nanos().max(1);
-        *self.pass.entry(msg.client).or_insert(0) += cost / weight;
     }
 }
 
@@ -150,8 +121,6 @@ impl SchedPolicyImpl for StridePolicy {
 /// granted once the accumulated deficit covers the program's
 /// **whole-gang** estimated device time (`est_cost`, summed over every
 /// shard). The grant then debits that cost.
-///
-/// Two properties the stride policy cannot provide:
 ///
 /// * **Gang awareness.** Charging full gang cost makes fairness hold in
 ///   device-seconds: a tenant submitting 8-device gangs pays 8× per
@@ -204,12 +173,6 @@ impl WfqPolicy {
         let per_round = (self.quantum.as_nanos() * self.weight(client)).max(1);
         cost.saturating_sub(have).div_ceil(per_round)
     }
-}
-
-impl SchedPolicyImpl for WfqPolicy {
-    fn name(&self) -> &'static str {
-        "wfq"
-    }
 
     fn on_arrival(&mut self, msg: &SubmitMsg) {
         if !self.order.contains(&msg.client) {
@@ -217,7 +180,7 @@ impl SchedPolicyImpl for WfqPolicy {
         }
     }
 
-    fn pick_next(&mut self, queues: &[QueuedProgram<'_>]) -> Option<ClientId> {
+    fn pick(&mut self, queues: &[QueuedProgram<'_>]) -> Option<usize> {
         // Fast-forward the round-robin: credit every backlogged client
         // the minimum number of whole rounds after which at least one
         // of them can afford its head program, then serve the first
@@ -238,16 +201,16 @@ impl SchedPolicyImpl for WfqPolicy {
         let n = self.order.len();
         for step in 0..n {
             let client = self.order[(self.cursor + step) % n];
-            if let Some(q) = queues.iter().find(|q| q.client == client) {
-                if affordable(client, q.head.est_cost.as_nanos().max(1)) {
+            if let Some(i) = queues.iter().position(|q| q.client == client) {
+                if affordable(client, queues[i].head.est_cost.as_nanos().max(1)) {
                     self.cursor = (self.cursor + step + 1) % n;
-                    return Some(client);
+                    return Some(i);
                 }
             }
         }
         // Reached only if a caller skipped on_arrival (empty `order`):
         // fall back to the first backlogged client rather than panic.
-        queues.first().map(|q| q.client)
+        Some(0)
     }
 
     fn on_grant(&mut self, msg: &SubmitMsg, queue_now_empty: bool) {
@@ -278,10 +241,14 @@ mod tests {
         }
     }
 
+    fn wfq(weights: BTreeMap<ClientId, u32>, quantum: SimDuration) -> PolicyEngine {
+        PolicyEngine::WeightedFair(WfqPolicy::new(weights, quantum))
+    }
+
     /// Drives a policy the way the scheduler does, with every client's
     /// queue kept saturated with equal programs, and counts grants.
     fn saturated_grant_counts(
-        policy: &mut dyn SchedPolicyImpl,
+        policy: &mut PolicyEngine,
         costs_us: &[u64],
         grants: usize,
     ) -> Vec<u64> {
@@ -327,25 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn stride_honors_1_2_4_8_weights_within_ten_percent() {
-        // Satellite acceptance: 1:2:4:8 within ±10% over 1000 grants.
-        let mut policy = StridePolicy::new(weights_1248());
-        let counts = saturated_grant_counts(&mut policy, &[10, 10, 10, 10], 1000);
-        let total: u64 = counts.iter().sum();
-        assert_eq!(total, 1000);
-        for (i, want_share) in [1.0, 2.0, 4.0, 8.0].iter().enumerate() {
-            let expected = 1000.0 * want_share / 15.0;
-            let got = counts[i] as f64;
-            assert!(
-                (got - expected).abs() <= expected * 0.10,
-                "client {i}: got {got} grants, expected {expected:.0} ±10% (all: {counts:?})"
-            );
-        }
-    }
-
-    #[test]
     fn wfq_honors_1_2_4_8_weights_within_ten_percent() {
-        let mut policy = WfqPolicy::new(weights_1248(), SimDuration::from_micros(10));
+        // 1:2:4:8 within ±10% over 1000 grants.
+        let mut policy = wfq(weights_1248(), SimDuration::from_micros(10));
         let counts = saturated_grant_counts(&mut policy, &[10, 10, 10, 10], 1000);
         let total: u64 = counts.iter().sum();
         assert_eq!(total, 1000);
@@ -366,7 +317,7 @@ mod tests {
         // gets ~1/4 as many *grants*.
         let weights: BTreeMap<ClientId, u32> =
             [(ClientId(0), 1), (ClientId(1), 1)].into_iter().collect();
-        let mut policy = WfqPolicy::new(weights, SimDuration::from_micros(10));
+        let mut policy = wfq(weights, SimDuration::from_micros(10));
         let counts = saturated_grant_counts(&mut policy, &[40, 10], 1000);
         let ratio = counts[1] as f64 / counts[0] as f64;
         assert!(
@@ -397,14 +348,14 @@ mod tests {
             head: &m,
             backlog: 1,
         }];
-        assert_eq!(policy.pick_next(&q), Some(ClientId(0)));
+        assert_eq!(policy.pick(&q), Some(0));
         policy.on_grant(&m, true);
         assert_eq!(policy.deficit.get(&ClientId(0)).copied().unwrap_or(0), 0);
     }
 
     #[test]
     fn fifo_picks_global_arrival_order() {
-        let mut policy = FifoPolicy;
+        let mut policy = PolicyEngine::Fifo;
         let a = submit(1, 10, 5);
         let b = submit(0, 11, 5);
         let queues = [
@@ -420,21 +371,21 @@ mod tests {
             },
         ];
         assert_eq!(policy.pick_next(&queues), Some(ClientId(1)));
+        assert_eq!(policy.pick_next(&[]), None);
     }
 
     #[test]
     fn facade_builds_the_matching_impl() {
         assert_eq!(SchedPolicy::Fifo.build().name(), "fifo");
-        assert_eq!(
-            SchedPolicy::ProportionalShare(BTreeMap::new())
-                .build()
-                .name(),
-            "stride"
-        );
-        let wfq = SchedPolicy::weighted_fair(BTreeMap::new());
-        assert_eq!(wfq.build().name(), "wfq");
-        assert_eq!(wfq, wfq.clone());
-        assert_ne!(wfq, SchedPolicy::Fifo);
+        let weights: BTreeMap<ClientId, u32> = [(ClientId(2), 3)].into_iter().collect();
+        let facade = SchedPolicy::weighted_fair(weights.clone());
+        let PolicyEngine::WeightedFair(engine) = facade.build() else {
+            panic!("weighted_fair built a non-WFQ engine");
+        };
+        assert_eq!(engine.weights, weights);
+        assert_eq!(engine.quantum, WfqPolicy::DEFAULT_QUANTUM);
+        assert_eq!(facade, facade.clone());
+        assert_ne!(facade, SchedPolicy::Fifo);
     }
 
     #[test]
@@ -491,7 +442,7 @@ mod tests {
         // weighted sharing still holds.
         let weights: BTreeMap<ClientId, u32> =
             [(ClientId(0), 1), (ClientId(1), 3)].into_iter().collect();
-        let mut policy = WfqPolicy::new(weights, SimDuration::ZERO);
+        let mut policy = wfq(weights, SimDuration::ZERO);
         let counts = saturated_grant_counts(&mut policy, &[10, 10], 400);
         let ratio = counts[1] as f64 / counts[0] as f64;
         assert!(
@@ -504,7 +455,7 @@ mod tests {
     fn wfq_pick_without_arrival_falls_back_gracefully() {
         // A caller that skips on_arrival (empty round-robin order) must
         // get the documented first-backlogged fallback, not a panic.
-        let mut policy = WfqPolicy::new(BTreeMap::new(), SimDuration::from_micros(10));
+        let mut policy = wfq(BTreeMap::new(), SimDuration::from_micros(10));
         let m = submit(3, 1, 10);
         let q = [QueuedProgram {
             client: ClientId(3),

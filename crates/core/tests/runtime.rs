@@ -402,70 +402,10 @@ fn device0_busy_ns(sim: &Sim, a: &str, b: &str) -> (f64, f64) {
 }
 
 #[test]
-fn proportional_share_divides_device_time() {
-    let mut sim = Sim::new(0);
-    sim.handle().record_trace(true);
-    let weights: BTreeMap<ClientId, u32> = [
-        (ClientId(0), 1),
-        (ClientId(1), 2),
-        (ClientId(2), 4),
-        (ClientId(3), 8),
-    ]
-    .into_iter()
-    .collect();
-    let cfg = PathwaysConfig {
-        policy: SchedPolicy::ProportionalShare(weights),
-        sched_horizon: SimDuration::from_micros(500),
-        ..PathwaysConfig::default()
-    };
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::config_b(1),
-        NetworkParams::tpu_cluster(),
-        cfg,
-    );
-    for c in 0..4u32 {
-        let client = rt.client_labeled(HostId(0), ["A", "B", "C", "D"][c as usize]);
-        let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
-        let mut b = client.trace(format!("p{c}"));
-        b.computation(
-            FnSpec::compute_only("step", SimDuration::from_micros(330)).with_allreduce(4),
-            &slice,
-        );
-        let program = b.build().unwrap();
-        let prepared = client.prepare(&program);
-        sim.spawn(format!("client{c}"), async move {
-            // An effectively unbounded stream with a few programs
-            // outstanding, so the scheduler is always contended and the
-            // proportional shares are observable within the measurement
-            // window.
-            let mut outstanding = Vec::new();
-            for _ in 0..12 {
-                outstanding.push(Box::pin(client.run(&prepared)));
-            }
-            loop {
-                let done = outstanding.remove(0);
-                done.await;
-                outstanding.push(Box::pin(client.run(&prepared)));
-            }
-        });
-    }
-    // Measure inside a fixed window while every client still has
-    // backlog; totals would equalize if all streams ran to completion.
-    sim.run_until_time(pathways_sim::SimTime::ZERO + SimDuration::from_millis(50));
-    let (a, d) = device0_busy_ns(&sim, "A", "D");
-    // Weight-8 client D should get several times more device time than
-    // weight-1 client A under contention.
-    assert!(
-        d / a > 2.0,
-        "expected proportional shares, got A={a}ns D={d}ns"
-    );
-}
-
-#[test]
 fn weighted_fair_divides_device_time() {
-    // The same contended 1:2:4:8 scenario as the stride test, driven by
-    // the new gang-aware WFQ engine end to end through the runtime.
+    // Four clients at weights 1:2:4:8 contend for one island; the
+    // gang-aware WFQ engine, driven end to end through the runtime,
+    // divides device time by weight.
     let mut sim = Sim::new(0);
     sim.handle().record_trace(true);
     let weights: BTreeMap<ClientId, u32> = [

@@ -1,8 +1,6 @@
 //! Multi-tenancy: four clients time-share one island of TPUs under
-//! weighted gang scheduling (the Figure 9 scenario), with the
-//! interleaving rendered as an ASCII trace — once under stride
-//! proportional share and once under the gang-aware weighted-fair
-//! queueing engine, to show the pluggable policy layer.
+//! gang-aware weighted-fair queueing with weights 1:2:4:8 (the Figure 9
+//! scenario), with the interleaving rendered as an ASCII trace.
 //!
 //! Run with: `cargo run --release --example multi_tenant`
 
@@ -14,18 +12,15 @@ use pathways::net::{ClientId, ClusterSpec, HostId, NetworkParams};
 use pathways::sim::sync::Semaphore;
 use pathways::sim::{Sim, SimDuration, SimTime};
 
-fn weights_1248() -> std::collections::BTreeMap<ClientId, u32> {
-    [
+fn main() {
+    let weights = [
         (ClientId(0), 1),
         (ClientId(1), 2),
         (ClientId(2), 4),
         (ClientId(3), 8),
     ]
     .into_iter()
-    .collect()
-}
-
-fn run_policy(title: &str, policy: SchedPolicy) {
+    .collect();
     let mut sim = Sim::new(7);
     sim.handle().record_trace(true);
     let rt = PathwaysRuntime::new(
@@ -33,7 +28,10 @@ fn run_policy(title: &str, policy: SchedPolicy) {
         ClusterSpec::config_b(1),
         NetworkParams::tpu_cluster(),
         PathwaysConfig {
-            policy,
+            policy: SchedPolicy::WeightedFair {
+                weights,
+                quantum: SimDuration::from_micros(500),
+            },
             sched_horizon: SimDuration::from_micros(600),
             ..PathwaysConfig::default()
         },
@@ -71,7 +69,7 @@ fn run_policy(title: &str, policy: SchedPolicy) {
     sim.run_until_time(SimTime::ZERO + window);
     let trace = sim.take_trace();
 
-    println!("{title}: weights 1:2:4:8 — device 0 timeline (one letter per client):");
+    println!("WFQ at weights 1:2:4:8 — device 0 timeline (one letter per client):");
     let start = SimTime::ZERO + SimDuration::from_millis(10);
     println!("{}", trace.render_ascii(start, SimTime::ZERO + window, 100));
     let util = trace.utilization("d0000", start, SimTime::ZERO + window);
@@ -84,19 +82,4 @@ fn run_policy(title: &str, policy: SchedPolicy) {
             completed[i].load(Ordering::Relaxed)
         );
     }
-    println!();
-}
-
-fn main() {
-    run_policy(
-        "stride proportional share",
-        SchedPolicy::ProportionalShare(weights_1248()),
-    );
-    run_policy(
-        "gang-aware weighted-fair queueing",
-        SchedPolicy::WeightedFair {
-            weights: weights_1248(),
-            quantum: SimDuration::from_micros(500),
-        },
-    );
 }

@@ -84,7 +84,7 @@ proptest! {
     /// inconsistent-enqueue deadlock of §2.
     #[test]
     fn gang_grant_order_identical_across_island_devices(
-        policy_sel in 0u8..3,
+        weighted_fair in any::<bool>(),
         n_clients in 2u32..5,
         cost_us in 50u64..500,
         seed in any::<u64>(),
@@ -92,13 +92,13 @@ proptest! {
         let weights: BTreeMap<ClientId, u32> = (0..n_clients)
             .map(|c| (ClientId(c), 1 << c.min(3)))
             .collect();
-        let policy = match policy_sel {
-            0 => SchedPolicy::Fifo,
-            1 => SchedPolicy::ProportionalShare(weights),
-            _ => SchedPolicy::WeightedFair {
+        let policy = if weighted_fair {
+            SchedPolicy::WeightedFair {
                 weights,
                 quantum: SimDuration::from_micros(500),
-            },
+            }
+        } else {
+            SchedPolicy::Fifo
         };
         let mut sim = Sim::new(seed);
         sim.handle().record_trace(true);
