@@ -125,6 +125,29 @@ mod tests {
     }
 
     #[test]
+    fn weighted_fair_shares_follow_ratios() {
+        // Every tenant's share of device 0 rises with its weight, and
+        // D's is within 5 points of its ideal 8/15.
+        let t = tenancy_trace(
+            1,
+            8,
+            &[1, 2, 4, 8],
+            SimDuration::from_micros(330),
+            SimDuration::from_millis(60),
+        );
+        let busy: Vec<f64> = ["A", "B", "C", "D"]
+            .iter()
+            .map(|l| t.busy_by_label[*l].as_secs_f64())
+            .collect();
+        assert!(busy.windows(2).all(|w| w[0] < w[1]), "shares {busy:?}");
+        let d_share = busy[3] / busy.iter().sum::<f64>();
+        assert!(
+            (d_share - 8.0 / 15.0).abs() < 0.05,
+            "D's share {d_share:.3} (shares {busy:?})"
+        );
+    }
+
+    #[test]
     fn trace_renders_interleaving() {
         let t = tenancy_trace(
             1,

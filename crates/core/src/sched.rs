@@ -521,6 +521,55 @@ mod tests {
     }
 
     #[test]
+    fn proportional_share_matches_weights() {
+        // Clients 0 and 1 with weights 1 and 3, equal-cost programs:
+        // out of every 4 grants, client 1 should get 3. The quantum is
+        // half a program's cost, so client 0 needs two rounds of credit
+        // per grant.
+        let weights: BTreeMap<ClientId, u32> =
+            [(ClientId(0), 1), (ClientId(1), 3)].into_iter().collect();
+        let mut st = state_with(&SchedPolicy::WeightedFair {
+            weights,
+            quantum: SimDuration::from_micros(5),
+        });
+        for i in 0..40 {
+            st.push(submit(0, i, 10), SimTime::ZERO);
+            st.push(submit(1, 100 + i, 10), SimTime::ZERO);
+        }
+        let mut counts = [0u32; 2];
+        for _ in 0..40 {
+            let m = st.pop().unwrap();
+            counts[m.client.0 as usize] += 1;
+        }
+        assert_eq!(counts[0] + counts[1], 40);
+        let ratio = counts[1] as f64 / counts[0] as f64;
+        assert!((2.5..=3.5).contains(&ratio), "ratio {ratio} ({counts:?})");
+    }
+
+    #[test]
+    fn proportional_share_accounts_for_cost() {
+        // Client 0 submits programs 3x as expensive; with equal weights
+        // it should be granted ~1/3 as many programs.
+        let weights: BTreeMap<ClientId, u32> =
+            [(ClientId(0), 1), (ClientId(1), 1)].into_iter().collect();
+        let mut st = state_with(&SchedPolicy::WeightedFair {
+            weights,
+            quantum: SimDuration::from_micros(10),
+        });
+        for i in 0..60 {
+            st.push(submit(0, i, 30), SimTime::ZERO);
+            st.push(submit(1, 100 + i, 10), SimTime::ZERO);
+        }
+        let mut counts = [0u32; 2];
+        for _ in 0..60 {
+            let m = st.pop().unwrap();
+            counts[m.client.0 as usize] += 1;
+        }
+        let ratio = counts[1] as f64 / counts[0] as f64;
+        assert!((2.0..=4.0).contains(&ratio), "ratio {ratio} ({counts:?})");
+    }
+
+    #[test]
     fn tags_are_unique_and_island_partitioned() {
         let mut a = SchedulerState::new(IslandId(0), SchedPolicy::Fifo.build());
         let mut b = SchedulerState::new(IslandId(1), SchedPolicy::Fifo.build());

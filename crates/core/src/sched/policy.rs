@@ -311,6 +311,29 @@ mod tests {
     }
 
     #[test]
+    fn stride_honors_1_2_4_8_weights_within_ten_percent() {
+        // Stride scheduling's invariant, on the engine that replaced
+        // it: a grant advances its client by est_cost / weight (its
+        // stride). With costs 1:2:4:8 under weights 1:2:4:8 every
+        // stride is equal, so grants split evenly and device time
+        // follows 1:2:4:8 within ±10% over 1000 grants.
+        let costs_us = [10u64, 20, 40, 80];
+        let mut policy = wfq(weights_1248(), SimDuration::from_micros(10));
+        let counts = saturated_grant_counts(&mut policy, &costs_us, 1000);
+        assert_eq!(counts.iter().sum::<u64>(), 1000);
+        let time: Vec<u64> = counts.iter().zip(costs_us).map(|(n, c)| n * c).collect();
+        let total: u64 = time.iter().sum();
+        for (i, want_share) in [1.0, 2.0, 4.0, 8.0].iter().enumerate() {
+            let expected = total as f64 * want_share / 15.0;
+            let got = time[i] as f64;
+            assert!(
+                (got - expected).abs() <= expected * 0.10,
+                "client {i}: got {got}us, expected {expected:.0}us ±10% (grants: {counts:?})"
+            );
+        }
+    }
+
+    #[test]
     fn wfq_is_gang_aware_charging_whole_gang_cost() {
         // Equal weights, but client 0 submits 4×-cost gangs (e.g. 4×
         // the devices per program). Fairness in device-seconds means it

@@ -394,18 +394,11 @@ fn abandoned_run_discards_outputs_without_leaks() {
     }
 }
 
-/// Device 0's busy nanoseconds for programs `a` and `b`, summed from
-/// its kernel spans (one per kernel, over the kernel's busy time).
-fn device0_busy_ns(sim: &Sim, a: &str, b: &str) -> (f64, f64) {
-    let busy = sim.take_trace().busy_by_label("d0000");
-    (busy[a].as_nanos() as f64, busy[b].as_nanos() as f64)
-}
-
-#[test]
-fn weighted_fair_divides_device_time() {
-    // Four clients at weights 1:2:4:8 contend for one island; the
-    // gang-aware WFQ engine, driven end to end through the runtime,
-    // divides device time by weight.
+/// Device 0's busy nanoseconds for clients A, B, C and D at weights
+/// 1:2:4:8, contending for one island under the gang-aware WFQ engine
+/// for 50 ms, summed from its kernel spans (one per kernel, over the
+/// kernel's busy time).
+fn contended_1248_device0_busy_ns() -> [f64; 4] {
     let mut sim = Sim::new(0);
     sim.handle().record_trace(true);
     let weights: BTreeMap<ClientId, u32> = [
@@ -431,8 +424,9 @@ fn weighted_fair_divides_device_time() {
         cfg,
     );
     assert_eq!(rt.scheduler(IslandId(0)).policy_name(), "wfq");
-    for c in 0..4u32 {
-        let client = rt.client_labeled(HostId(0), ["A", "B", "C", "D"][c as usize]);
+    let labels = ["A", "B", "C", "D"];
+    for (c, label) in labels.into_iter().enumerate() {
+        let client = rt.client_labeled(HostId(0), label);
         let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
         let mut b = client.trace(format!("p{c}"));
         b.computation(
@@ -457,8 +451,31 @@ fn weighted_fair_divides_device_time() {
             }
         });
     }
+    // Measure inside a fixed window while every client still has
+    // backlog; totals would equalize if all streams ran to completion.
     sim.run_until_time(pathways_sim::SimTime::ZERO + SimDuration::from_millis(50));
-    let (a, d) = device0_busy_ns(&sim, "A", "D");
+    let busy = sim.take_trace().busy_by_label("d0000");
+    labels.map(|l| busy[l].as_nanos() as f64)
+}
+
+#[test]
+fn proportional_share_divides_device_time() {
+    // Every client's device time rises with its weight, and D's share
+    // is within 5 points of its ideal 8/15.
+    let busy = contended_1248_device0_busy_ns();
+    assert!(busy.windows(2).all(|w| w[0] < w[1]), "shares {busy:?}");
+    let d_share = busy[3] / busy.iter().sum::<f64>();
+    assert!(
+        (d_share - 8.0 / 15.0).abs() < 0.05,
+        "D's share {d_share:.3} (busy ns {busy:?})"
+    );
+}
+
+#[test]
+fn weighted_fair_divides_device_time() {
+    // Weight-8 client D gets several times the device time of weight-1
+    // client A under contention.
+    let [a, _, _, d] = contended_1248_device0_busy_ns();
     assert!(
         d / a > 3.0,
         "expected weighted-fair shares, got A={a}ns D={d}ns"
