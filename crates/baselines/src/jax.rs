@@ -8,16 +8,12 @@
 //! device side is the collective plus the computation. Whichever is
 //! slower bounds throughput.
 
-use pathways_sim::hash::FxHashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use pathways_device::{
-    CollectiveOp, CollectiveRendezvous, DeviceConfig, DeviceHandle, GangTag, Kernel,
-};
-use pathways_net::{ClusterSpec, CollectiveKind, DeviceId, Fabric, NetworkParams, Topology};
+use pathways_device::{CollectiveOp, DeviceConfig, DeviceHandle, Fleet, GangTag, Kernel};
+use pathways_net::{ClusterSpec, CollectiveKind, DeviceId, NetworkParams};
 use pathways_sim::channel::OneshotReceiver;
-use pathways_sim::{join_all, Sim, SimDuration, SimHandle};
+use pathways_sim::{join_all, Sim, SimDuration};
 
 use crate::workload::{StepWorkload, SubmissionMode, Throughput};
 
@@ -27,32 +23,26 @@ pub struct JaxConfig {
     /// Python-side cost per user call (dispatch through the JAX tracing
     /// cache and runtime bindings).
     pub python_overhead: SimDuration,
-    /// HBM per device.
-    pub hbm_per_device: u64,
 }
 
 impl Default for JaxConfig {
     fn default() -> Self {
         JaxConfig {
             python_overhead: SimDuration::from_micros(80),
-            hbm_per_device: 16 << 30,
         }
     }
 }
 
 /// The multi-controller runtime.
 pub struct JaxRuntime {
-    handle: SimHandle,
-    topo: Arc<Topology>,
-    fabric: Fabric,
-    devices: FxHashMap<DeviceId, DeviceHandle>,
+    fleet: Fleet,
     cfg: JaxConfig,
 }
 
 impl fmt::Debug for JaxRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("JaxRuntime")
-            .field("devices", &self.devices.len())
+            .field("devices", &self.fleet.devices.len())
             .finish()
     }
 }
@@ -60,44 +50,20 @@ impl fmt::Debug for JaxRuntime {
 impl JaxRuntime {
     /// Builds the baseline over a fresh cluster.
     pub fn new(sim: &Sim, spec: ClusterSpec, net: NetworkParams, cfg: JaxConfig) -> Self {
-        let handle = sim.handle();
-        let topo = Arc::new(spec.build());
         assert_eq!(
-            topo.num_islands(),
+            spec.islands.len(),
             1,
             "multi-controller JAX cannot span islands (its collectives are ICI-only, §3)"
         );
-        let fabric = Fabric::new(handle.clone(), Arc::clone(&topo), net);
-        let rz = CollectiveRendezvous::new(handle.clone());
-        let devices = topo
-            .devices()
-            .map(|d| {
-                (
-                    d,
-                    DeviceHandle::spawn(
-                        &handle,
-                        d,
-                        rz.clone(),
-                        DeviceConfig {
-                            hbm_capacity: cfg.hbm_per_device,
-                        },
-                    ),
-                )
-            })
-            .collect();
-        JaxRuntime {
-            handle,
-            topo,
-            fabric,
-            devices,
-            cfg,
-        }
+        let fleet = Fleet::spawn(&sim.handle(), spec, net, DeviceConfig::default());
+        JaxRuntime { fleet, cfg }
     }
 
     /// Wire time of one all-reduce over every device.
     pub fn allreduce_time(&self, bytes: u64) -> SimDuration {
-        let all: Vec<DeviceId> = self.topo.devices().collect();
-        self.fabric
+        let all: Vec<DeviceId> = self.fleet.topo.devices().collect();
+        self.fleet
+            .fabric
             .ici_collective_time(CollectiveKind::AllReduce, &all, bytes)
     }
 
@@ -112,13 +78,15 @@ impl JaxRuntime {
         workload: StepWorkload,
         total_computations: u64,
     ) -> pathways_sim::JoinHandle<Throughput> {
-        let participants = self.topo.num_devices();
+        let Fleet {
+            handle,
+            topo,
+            fabric,
+            devices,
+        } = &self.fleet;
+        let participants = topo.num_devices();
         let coll = self.allreduce_time(workload.allreduce_bytes);
         let cfg = self.cfg;
-        let fabric = self.fabric.clone();
-        let topo = Arc::clone(&self.topo);
-        let devices = self.devices.clone();
-        let handle = self.handle.clone();
 
         // Per mode, determine calls and the kernel each call enqueues.
         let (calls, kernels_per_call, kernel): (u64, u64, Kernel) = match mode {
@@ -191,7 +159,7 @@ impl JaxRuntime {
             }));
         }
 
-        let handle2 = self.handle.clone();
+        let handle2 = handle.clone();
         let executed = calls * kernels_per_call;
         sim.spawn("jax-measure", async move {
             let start = handle2.now();

@@ -11,45 +11,33 @@
 //! * collectives run over the DCN (no dedicated interconnect), as a
 //!   ring all-reduce.
 
-use pathways_sim::hash::FxHashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use pathways_device::{
-    CollectiveOp, CollectiveRendezvous, DeviceConfig, DeviceHandle, GangTag, Kernel,
-};
+use pathways_device::{CollectiveOp, DeviceConfig, Fleet, GangTag, Kernel};
 use pathways_net::collective::ring_allreduce;
-use pathways_net::{
-    ClusterSpec, CollectiveKind, DeviceId, Envelope, Fabric, HostId, NetworkParams, Router,
-    Topology,
-};
-use pathways_sim::{Sim, SimDuration, SimHandle};
+use pathways_net::{ClusterSpec, CollectiveKind, Envelope, HostId, NetworkParams, Router};
+use pathways_sim::{Sim, SimDuration};
 
 use crate::workload::{StepWorkload, SubmissionMode, Throughput};
+
+/// Driver-side cost to issue one remote call.
+const DRIVER_CALL_OVERHEAD: SimDuration = SimDuration::from_micros(30);
+/// Actor-side per-task overhead (deserialize, Python dispatch).
+const TASK_OVERHEAD: SimDuration = SimDuration::from_micros(300);
+/// PyTorch per-op overhead inside a fused loop.
+const TORCH_OP_OVERHEAD: SimDuration = SimDuration::from_micros(15);
 
 /// Tunables of the Ray-like baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RayConfig {
-    /// Driver-side cost to issue one remote call.
-    pub driver_call_overhead: SimDuration,
-    /// Actor-side per-task overhead (deserialize, Python dispatch).
-    pub task_overhead: SimDuration,
-    /// PyTorch per-op overhead inside a fused loop.
-    pub torch_op_overhead: SimDuration,
     /// Result bytes copied GPU→DRAM per computation.
     pub result_bytes: u64,
-    /// GPU memory per device.
-    pub hbm_per_device: u64,
 }
 
 impl Default for RayConfig {
     fn default() -> Self {
         RayConfig {
-            driver_call_overhead: SimDuration::from_micros(30),
-            task_overhead: SimDuration::from_micros(300),
-            torch_op_overhead: SimDuration::from_micros(15),
             result_bytes: 4 << 10,
-            hbm_per_device: 16 << 30,
         }
     }
 }
@@ -73,17 +61,14 @@ const DRIVER_ADDR: HostId = HostId(u32::MAX - 2);
 
 /// The Ray-like runtime: one actor + one GPU per host.
 pub struct RayRuntime {
-    handle: SimHandle,
-    topo: Arc<Topology>,
-    fabric: Fabric,
-    devices: FxHashMap<DeviceId, DeviceHandle>,
+    fleet: Fleet,
     cfg: RayConfig,
 }
 
 impl fmt::Debug for RayRuntime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RayRuntime")
-            .field("gpus", &self.devices.len())
+            .field("gpus", &self.fleet.devices.len())
             .finish()
     }
 }
@@ -91,39 +76,16 @@ impl fmt::Debug for RayRuntime {
 impl RayRuntime {
     /// Builds a Ray-like cluster of `hosts` one-GPU machines.
     pub fn new(sim: &Sim, hosts: u32, net: NetworkParams, cfg: RayConfig) -> Self {
-        let handle = sim.handle();
-        let topo = Arc::new(ClusterSpec::single_island(hosts, 1).build());
-        let fabric = Fabric::new(handle.clone(), Arc::clone(&topo), net);
-        let rz = CollectiveRendezvous::new(handle.clone());
-        let devices = topo
-            .devices()
-            .map(|d| {
-                (
-                    d,
-                    DeviceHandle::spawn(
-                        &handle,
-                        d,
-                        rz.clone(),
-                        DeviceConfig {
-                            hbm_capacity: cfg.hbm_per_device,
-                        },
-                    ),
-                )
-            })
-            .collect();
-        RayRuntime {
-            handle,
-            topo,
-            fabric,
-            devices,
-            cfg,
-        }
+        let spec = ClusterSpec::single_island(hosts, 1);
+        let fleet = Fleet::spawn(&sim.handle(), spec, net, DeviceConfig::default());
+        RayRuntime { fleet, cfg }
     }
 
     /// DCN ring all-reduce time across all GPUs.
     pub fn allreduce_time(&self, bytes: u64) -> SimDuration {
-        let p = self.fabric.params();
-        ring_allreduce(self.topo.num_hosts(), bytes, p.dcn_bandwidth, p.dcn_latency)
+        let p = self.fleet.fabric.params();
+        let hosts = self.fleet.topo.num_hosts();
+        ring_allreduce(hosts, bytes, p.dcn_bandwidth, p.dcn_latency)
     }
 
     /// Runs the benchmark; the driver lives on host 0.
@@ -134,12 +96,16 @@ impl RayRuntime {
         workload: StepWorkload,
         total_computations: u64,
     ) -> pathways_sim::JoinHandle<Throughput> {
-        let participants = self.topo.num_devices();
+        let Fleet {
+            handle,
+            topo,
+            fabric,
+            devices,
+        } = &self.fleet;
+        let participants = topo.num_devices();
         let coll = self.allreduce_time(workload.allreduce_bytes);
         let cfg = self.cfg;
-        let topo = Arc::clone(&self.topo);
-        let handle = self.handle.clone();
-        let router: Router<ActorMsg> = Router::new(self.fabric.clone());
+        let router: Router<ActorMsg> = Router::new(fabric.clone());
         let driver_host = HostId(0);
 
         let chain = workload.chain_len as u64;
@@ -156,9 +122,9 @@ impl RayRuntime {
             actor_hosts.push(host);
             let mut inbox = router.register(host);
             let router2 = router.clone();
-            let fabric = self.fabric.clone();
+            let fabric = fabric.clone();
             let first_dev = topo.devices_of_host(host).next().expect("host has devices");
-            let gpu = self.devices[&first_dev].clone();
+            let gpu = devices[&first_dev].clone();
             let h = handle.clone();
             let token = pathways_sim::IdleToken::new();
             let token2 = token.clone();
@@ -176,14 +142,14 @@ impl RayRuntime {
                             fused,
                         } => {
                             // Actor-side task entry.
-                            h.sleep(cfg.task_overhead).await;
+                            h.sleep(TASK_OVERHEAD).await;
                             for s in 0..steps {
                                 let per_op = if fused {
-                                    cfg.torch_op_overhead
+                                    TORCH_OP_OVERHEAD
                                 } else {
                                     // Non-fused: each step is a separate
                                     // actor-level operation.
-                                    cfg.task_overhead
+                                    TASK_OVERHEAD
                                 };
                                 let extra = if s == 0 { SimDuration::ZERO } else { per_op };
                                 let k = Kernel::compute("allreduce+add", workload.compute + extra)
@@ -225,7 +191,7 @@ impl RayRuntime {
             let start = h.now();
             for call in 0..calls {
                 for a in &actor_hosts {
-                    h.sleep(cfg.driver_call_overhead).await;
+                    h.sleep(DRIVER_CALL_OVERHEAD).await;
                     router2.send(
                         driver_host,
                         *a,
@@ -297,8 +263,7 @@ mod tests {
         // One computation costs at least an actor task overhead plus a
         // DCN all-reduce plus the GPU→DRAM copy.
         let thr = measure(2, SubmissionMode::OpByOp, 64);
-        let cfg = RayConfig::default();
-        let floor = cfg.task_overhead.as_secs_f64();
+        let floor = TASK_OVERHEAD.as_secs_f64();
         assert!(
             thr < 1.0 / floor,
             "throughput {thr}/s impossibly exceeds the task-overhead bound"

@@ -10,46 +10,36 @@
 //! * **no device object store**: results are transferred back to the
 //!   client after every client call, paying DCN bandwidth.
 
-use pathways_sim::hash::FxHashMap;
 use std::fmt;
-use std::sync::Arc;
 
-use pathways_device::{
-    CollectiveOp, CollectiveRendezvous, DeviceConfig, DeviceHandle, GangTag, Kernel,
-};
+use pathways_device::{CollectiveOp, DeviceConfig, DeviceHandle, Fleet, GangTag, Kernel};
 use pathways_net::{
-    ClusterSpec, CollectiveKind, DeviceId, Envelope, Fabric, HostId, NetworkParams, Router,
-    Topology,
+    ClusterSpec, CollectiveKind, DeviceId, Envelope, HostId, NetworkParams, Router,
 };
-use pathways_sim::{IdleToken, Sim, SimDuration, SimHandle};
+use pathways_sim::{IdleToken, Sim, SimDuration};
 
 use crate::workload::{StepWorkload, SubmissionMode, Throughput};
+
+/// Client-side session-run overhead per call.
+const SESSION_OVERHEAD: SimDuration = SimDuration::from_micros(50);
+/// Worker-side graph-executor overhead per step: TF1 walks the dataflow
+/// graph interpretively, dispatching send/recv and compute ops node by
+/// node (§2's "host side work at the destination ... triggered only
+/// after the transfer is completed"). Because every step ends at the
+/// centralized barrier, this cost is never overlapped.
+const WORKER_STEP_OVERHEAD: SimDuration = SimDuration::from_micros(100);
 
 /// Tunables of the TF1-like baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tf1Config {
-    /// Client-side session-run overhead per call.
-    pub session_overhead: SimDuration,
-    /// Worker-side graph-executor overhead per step: TF1 walks the
-    /// dataflow graph interpretively, dispatching send/recv and compute
-    /// ops node by node (§2's "host side work at the destination ...
-    /// triggered only after the transfer is completed"). Because every
-    /// step ends at the centralized barrier, this cost is never
-    /// overlapped.
-    pub worker_step_overhead: SimDuration,
     /// Bytes of result data copied back to the client per call.
     pub result_bytes: u64,
-    /// HBM per device.
-    pub hbm_per_device: u64,
 }
 
 impl Default for Tf1Config {
     fn default() -> Self {
         Tf1Config {
-            session_overhead: SimDuration::from_micros(50),
-            worker_step_overhead: SimDuration::from_micros(100),
             result_bytes: 4 << 10,
-            hbm_per_device: 16 << 30,
         }
     }
 }
@@ -67,10 +57,7 @@ enum WorkerMsg {
 
 /// The single-controller runtime.
 pub struct Tf1Runtime {
-    handle: SimHandle,
-    topo: Arc<Topology>,
-    fabric: Fabric,
-    devices: FxHashMap<DeviceId, DeviceHandle>,
+    fleet: Fleet,
     cfg: Tf1Config,
 }
 
@@ -81,7 +68,7 @@ const COORD_ADDR: HostId = HostId(u32::MAX - 1);
 impl fmt::Debug for Tf1Runtime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Tf1Runtime")
-            .field("devices", &self.devices.len())
+            .field("devices", &self.fleet.devices.len())
             .finish()
     }
 }
@@ -89,33 +76,8 @@ impl fmt::Debug for Tf1Runtime {
 impl Tf1Runtime {
     /// Builds the baseline over a fresh cluster.
     pub fn new(sim: &Sim, spec: ClusterSpec, net: NetworkParams, cfg: Tf1Config) -> Self {
-        let handle = sim.handle();
-        let topo = Arc::new(spec.build());
-        let fabric = Fabric::new(handle.clone(), Arc::clone(&topo), net);
-        let rz = CollectiveRendezvous::new(handle.clone());
-        let devices = topo
-            .devices()
-            .map(|d| {
-                (
-                    d,
-                    DeviceHandle::spawn(
-                        &handle,
-                        d,
-                        rz.clone(),
-                        DeviceConfig {
-                            hbm_capacity: cfg.hbm_per_device,
-                        },
-                    ),
-                )
-            })
-            .collect();
-        Tf1Runtime {
-            handle,
-            topo,
-            fabric,
-            devices,
-            cfg,
-        }
+        let fleet = Fleet::spawn(&sim.handle(), spec, net, DeviceConfig::default());
+        Tf1Runtime { fleet, cfg }
     }
 
     /// Runs the benchmark; the coordinator lives on host 0.
@@ -126,17 +88,18 @@ impl Tf1Runtime {
         workload: StepWorkload,
         total_computations: u64,
     ) -> pathways_sim::JoinHandle<Throughput> {
-        let participants = self.topo.num_devices();
-        let all: Vec<DeviceId> = self.topo.devices().collect();
-        let coll = self.fabric.ici_collective_time(
-            CollectiveKind::AllReduce,
-            &all,
-            workload.allreduce_bytes,
-        );
+        let Fleet {
+            handle,
+            topo,
+            fabric,
+            devices,
+        } = &self.fleet;
+        let participants = topo.num_devices();
+        let all: Vec<DeviceId> = topo.devices().collect();
+        let coll =
+            fabric.ici_collective_time(CollectiveKind::AllReduce, &all, workload.allreduce_bytes);
         let cfg = self.cfg;
-        let topo = Arc::clone(&self.topo);
-        let handle = self.handle.clone();
-        let router: Router<WorkerMsg> = Router::new(self.fabric.clone());
+        let router: Router<WorkerMsg> = Router::new(fabric.clone());
         let coordinator_host = topo
             .hosts_of_island(pathways_net::IslandId(0))
             .next()
@@ -175,10 +138,10 @@ impl Tf1Runtime {
             worker_hosts.push(host);
             let mut inbox = router.register(host);
             let router2 = router.clone();
-            let fabric = self.fabric.clone();
+            let fabric = fabric.clone();
             let local: Vec<DeviceHandle> = topo
                 .devices_of_host(host)
-                .map(|d| self.devices[&d].clone())
+                .map(|d| devices[&d].clone())
                 .collect();
             let token = IdleToken::new();
             let token2 = token.clone();
@@ -195,7 +158,7 @@ impl Tf1Runtime {
                         match msg {
                             WorkerMsg::Run { tag } => {
                                 // Interpretive graph-executor dispatch.
-                                h.sleep(cfg.worker_step_overhead).await;
+                                h.sleep(WORKER_STEP_OVERHEAD).await;
                                 let k = kernel.clone().with_collective(CollectiveOp {
                                     kind: CollectiveKind::AllReduce,
                                     tag: GangTag(tag),
@@ -233,7 +196,7 @@ impl Tf1Runtime {
             let start = h.now();
             for _call in 0..calls {
                 // Client session.run() entry.
-                h.sleep(cfg.session_overhead).await;
+                h.sleep(SESSION_OVERHEAD).await;
                 for step in 0..steps_per_call {
                     let tag = _call * steps_per_call + step;
                     // Control messages to every worker over DCN,

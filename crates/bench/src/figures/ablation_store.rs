@@ -30,7 +30,6 @@ fn tf1_with_result_bytes(hosts: u32, bytes: u64, total: u64) -> f64 {
         NetworkParams::tpu_cluster(),
         Tf1Config {
             result_bytes: bytes,
-            ..Tf1Config::default()
         },
     );
     let m = rt.spawn_benchmark(
@@ -51,7 +50,6 @@ fn ray_with_result_bytes(hosts: u32, bytes: u64, total: u64) -> f64 {
         NetworkParams::tpu_cluster(),
         RayConfig {
             result_bytes: bytes,
-            ..RayConfig::default()
         },
     );
     let m = rt.spawn_benchmark(

@@ -23,6 +23,7 @@ use std::sync::Arc;
 
 use pathways_net::{ClientId, HostId};
 use pathways_plaque::RunId;
+use pathways_sim::SimDuration;
 
 use crate::context::CoreCtx;
 use crate::fault::RunFootprint;
@@ -32,6 +33,12 @@ use crate::program::{CompId, Program};
 use crate::resource::{ResourceError, ResourceManager, SliceRequest, VirtualSlice};
 use crate::sched::SubmitMsg;
 use crate::storage::{FailureReason, ObjectId};
+
+/// Client-side cost per program submission (Python call, tracing-cache
+/// lookup, serialization).
+const SUBMIT_OVERHEAD: SimDuration = SimDuration::from_micros(20);
+/// Additional client-side cost per computation node submitted.
+const SUBMIT_PER_COMP: SimDuration = SimDuration::from_micros(2);
 
 /// Errors from submitting a prepared program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -414,11 +421,10 @@ impl Client {
 
         // Client-side work: Python call, tracing-cache lookup,
         // serialization of the submission.
-        let cfg = &self.core.cfg;
         let n_comps = comps.len() as u64;
         self.core
             .handle
-            .sleep(cfg.client_overhead + cfg.client_per_comp * n_comps)
+            .sleep(SUBMIT_OVERHEAD + SUBMIT_PER_COMP * n_comps)
             .await;
 
         // Fail fast if the run cannot execute: a bound input whose
@@ -504,12 +510,10 @@ impl Client {
             let sched_host = self.core.sched_hosts[island];
             // Occupancy estimate for *this island's* computations only —
             // other islands' work runs in parallel on their own devices.
-            let island_cost: pathways_sim::SimDuration = comps
+            let island_cost: SimDuration = comps
                 .iter()
                 .map(|c| {
-                    let coll = c
-                        .collective
-                        .map_or(pathways_sim::SimDuration::ZERO, |(_, _, d)| d);
+                    let coll = c.collective.map_or(SimDuration::ZERO, |(_, _, d)| d);
                     (c.compute + coll) * c.participants as u64
                 })
                 .sum();

@@ -1,8 +1,10 @@
-//! Runtime configuration: dispatch mode, scheduler policy, client and
-//! scheduler costs, HBM size, grant batching, and the optional storage
-//! tiers. A configuration that nothing but a test would select is not
-//! offered.
+//! Runtime configuration: dispatch mode, scheduler policy, scheduler
+//! costs, HBM size, grant batching, and the optional storage tiers. A
+//! configuration that nothing but a test would select is not offered;
+//! a cost that only ever takes one value is a constant where it is
+//! read.
 
+use pathways_device::DeviceConfig;
 use pathways_sim::SimDuration;
 
 use crate::sched::SchedPolicy;
@@ -33,16 +35,11 @@ pub struct PathwaysConfig {
     /// value (see [`crate::sched::policy`]), so accounting state is
     /// never shared across islands.
     pub policy: SchedPolicy,
-    /// Client-side cost per program submission (Python call, tracing
-    /// cache lookup, serialization).
-    pub client_overhead: SimDuration,
-    /// Additional client-side cost per computation node submitted.
-    pub client_per_comp: SimDuration,
     /// Scheduler policy work per program.
     pub sched_decision: SimDuration,
     /// How far ahead of estimated device availability the scheduler
-    /// grants work. Smaller values make scheduling policies (e.g.
-    /// proportional share) bite sooner; larger values deepen pipelining.
+    /// grants work. Smaller values make the weighted-fair policy bite
+    /// sooner; larger values deepen pipelining.
     pub sched_horizon: SimDuration,
     /// HBM capacity per device (TPUv3: 16 GiB).
     pub hbm_per_device: u64,
@@ -63,11 +60,9 @@ impl Default for PathwaysConfig {
         PathwaysConfig {
             dispatch: DispatchMode::Parallel,
             policy: SchedPolicy::Fifo,
-            client_overhead: SimDuration::from_micros(20),
-            client_per_comp: SimDuration::from_micros(2),
             sched_decision: SimDuration::from_micros(4),
             sched_horizon: SimDuration::from_millis(3),
-            hbm_per_device: 16 << 30,
+            hbm_per_device: DeviceConfig::default().hbm_capacity,
             batch_grants: true,
             tiers: None,
         }

@@ -3,11 +3,11 @@
 //!
 //! The executor consumes grant batches from its island's scheduler in
 //! strict FIFO order and performs, for each granted computation shard:
-//! output-buffer reservation (HBM back-pressure applies here), input
-//! staging allocation, input-future wiring, and the PCIe enqueue. Because
-//! grants arrive on a FIFO channel from a single scheduler, every
-//! device's queue sees concurrent programs' collectives in the same
-//! relative order — the deadlock-freedom invariant.
+//! output-buffer reservation (HBM back-pressure applies here),
+//! input-future wiring, and the PCIe enqueue. Because grants arrive on a
+//! FIFO channel from a single scheduler, every device's queue sees
+//! concurrent programs' collectives in the same relative order — the
+//! deadlock-freedom invariant.
 //!
 //! The executor starts a granted shard's dataflow operator itself:
 //! `PlaqueRuntime::start_local` runs the operator's `on_start`, which
@@ -21,9 +21,7 @@ use pathways_sim::Lock;
 use std::fmt;
 use std::sync::Arc;
 
-use pathways_device::{
-    CollectiveOp, DeviceHandle, EnqueuedKernel, HbmLease, Kernel, KernelCompletion,
-};
+use pathways_device::{CollectiveOp, DeviceHandle, EnqueuedKernel, Kernel, KernelCompletion};
 use pathways_net::{DeviceId, Fabric, HostId, Router};
 use pathways_plaque::RunId;
 use pathways_sim::channel::{self, OneshotReceiver, OneshotSender};
@@ -47,8 +45,9 @@ pub struct CompRegistration {
     /// Sequential-dispatch gate: set once all predecessor future handles
     /// arrived. Parallel dispatch ignores it.
     pub prereq: Event,
-    /// Fired by the executor once the kernel is enqueued.
-    pub on_enqueued: OneshotSender<EnqueueInfo>,
+    /// Fired by the executor once the kernel is enqueued, with the
+    /// receiver that resolves when the kernel finishes on the device.
+    pub on_enqueued: OneshotSender<OneshotReceiver<KernelCompletion>>,
 }
 
 impl fmt::Debug for CompRegistration {
@@ -56,20 +55,6 @@ impl fmt::Debug for CompRegistration {
         f.debug_struct("CompRegistration")
             .field("inputs", &self.input_events.len())
             .finish_non_exhaustive()
-    }
-}
-
-/// Delivered to the operator when its kernel has been enqueued.
-pub struct EnqueueInfo {
-    /// Resolves when the kernel finishes on the device.
-    pub completion: OneshotReceiver<KernelCompletion>,
-    /// Transient input-staging reservation, dropped after completion.
-    pub input_lease: Option<HbmLease>,
-}
-
-impl fmt::Debug for EnqueueInfo {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EnqueueInfo").finish_non_exhaustive()
     }
 }
 
@@ -202,17 +187,10 @@ pub fn spawn_executor(
                     if mode == DispatchMode::Sequential {
                         reg.prereq.wait().await;
                     }
-                    // Host-side resource allocation: output buffer in the
-                    // object store (HBM back-pressure applies) plus
-                    // transient input staging. On a tiered store, HBM
-                    // pressure first spills LRU ready shards to host
-                    // DRAM so the staging allocation need not stall.
-                    let input_lease = if grant.input_bytes > 0 {
-                        store.ensure_room(&device, grant.input_bytes).await;
-                        Some(device.hbm().allocate(grant.input_bytes).await)
-                    } else {
-                        None
-                    };
+                    // Host-side resource allocation: the output buffer in
+                    // the object store (HBM back-pressure applies; on a
+                    // tiered store, HBM pressure first spills LRU ready
+                    // shards to host DRAM).
                     store
                         .put_shard(object, *shard, &device, grant.output_bytes)
                         .await;
@@ -256,10 +234,7 @@ pub fn spawn_executor(
                         // "unknown owner" sentinel; RunId(0) is real).
                         owner: grant.run.0 + 1,
                     });
-                    let _ = reg.on_enqueued.send(EnqueueInfo {
-                        completion: done_rx,
-                        input_lease,
-                    });
+                    let _ = reg.on_enqueued.send(done_rx);
                 }
             }
         }

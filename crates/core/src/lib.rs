@@ -123,7 +123,7 @@ mod storage;
 pub use client::{Client, Run, RunResult, SubmitError};
 pub use config::{DispatchMode, PathwaysConfig};
 pub use context::{CoreCtx, InputKey, InputSlot};
-pub use exec::{CompRegistration, EnqueueInfo, ExecutorShared};
+pub use exec::{CompRegistration, ExecutorShared};
 pub use fault::{FailureState, FaultInjector, FaultSpec, RunFootprint};
 pub use housekeeping::{ErrorLog, HealLog};
 pub use objref::ObjectRef;

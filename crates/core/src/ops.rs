@@ -30,10 +30,12 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
 
+use pathways_device::KernelCompletion;
 use pathways_net::{DeviceId, HostId, IslandId};
 use pathways_plaque::{
     EdgeId as PEdge, Emitter, Graph, GraphBuilder, Operator, Payload, RunId, ShardCtx, Tuple,
 };
+use pathways_sim::channel::OneshotReceiver;
 use pathways_sim::sync::{event_or_cancel, Event};
 use pathways_sim::{join_each, SimDuration, TaskName};
 
@@ -382,7 +384,6 @@ pub fn prepare(core: &Arc<CoreCtx>, client_host: HostId, program: &Program) -> P
             collective,
             compute: spec.compute,
             output_bytes: spec.output_bytes_per_shard,
-            input_bytes: spec.input_bytes_per_shard,
             by_host: by_host.into_iter().collect(),
             gang_devices: if collective.is_some() {
                 devs.as_slice().into()
@@ -595,8 +596,9 @@ impl Operator for ShardOperator {
 
 /// Where a shard's output comes from.
 enum Source {
-    /// A kernel: the executor reports its enqueue here.
-    Kernel(pathways_sim::channel::OneshotReceiver<crate::exec::EnqueueInfo>),
+    /// A kernel: the executor hands over the kernel's completion here
+    /// once it has enqueued it.
+    Kernel(OneshotReceiver<OneshotReceiver<KernelCompletion>>),
     /// An external input: the bound object it replays.
     Replay(Arc<InputBinding>),
 }
@@ -652,15 +654,10 @@ async fn drive_shard(
                     emitter.send(info.back_edges[e], s, Tuple::shared(&ADDR, SIGNAL_BYTES));
                 }
             }
+            // A dropped completion sender is the device's abort signal
+            // (it died with this kernel queued, or its gang aborted).
             let completed = match enq {
-                Some(enq) => {
-                    // A dropped completion sender is the device's abort
-                    // signal (it died with this kernel queued, or its
-                    // gang aborted).
-                    let done = enq.completion.await.is_ok();
-                    drop(enq.input_lease);
-                    done
-                }
+                Some(completion) => completion.await.is_ok(),
                 None => false,
             };
             // No readiness gate: this shard's kernel just completed (or

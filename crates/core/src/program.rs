@@ -61,8 +61,6 @@ pub struct FnSpec {
     pub collective_time_override: Option<SimDuration>,
     /// Bytes each shard's output occupies in HBM.
     pub output_bytes_per_shard: u64,
-    /// Bytes of transient input staging each shard needs.
-    pub input_bytes_per_shard: u64,
 }
 
 impl FnSpec {
@@ -74,7 +72,6 @@ impl FnSpec {
             collective: None,
             collective_time_override: None,
             output_bytes_per_shard: 0,
-            input_bytes_per_shard: 0,
         }
     }
 
@@ -96,13 +93,6 @@ impl FnSpec {
     #[must_use]
     pub fn with_output_bytes(mut self, bytes: u64) -> Self {
         self.output_bytes_per_shard = bytes;
-        self
-    }
-
-    /// Sets input staging bytes per shard (builder style).
-    #[must_use]
-    pub fn with_input_bytes(mut self, bytes: u64) -> Self {
-        self.input_bytes_per_shard = bytes;
         self
     }
 }
@@ -659,9 +649,12 @@ mod tests {
         let s = FnSpec::compute_only("f", SimDuration::from_millis(1))
             .with_allreduce(4)
             .with_output_bytes(128)
-            .with_input_bytes(64);
+            .with_collective_time(SimDuration::from_micros(7));
         assert_eq!(s.collective, Some((CollectiveKind::AllReduce, 4)));
         assert_eq!(s.output_bytes_per_shard, 128);
-        assert_eq!(s.input_bytes_per_shard, 64);
+        assert_eq!(
+            s.collective_time_override,
+            Some(SimDuration::from_micros(7))
+        );
     }
 }

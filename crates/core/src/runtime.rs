@@ -5,10 +5,8 @@ use pathways_sim::Lock;
 use std::fmt;
 use std::sync::Arc;
 
-use pathways_device::{CollectiveRendezvous, DeviceConfig, DeviceHandle};
-use pathways_net::{
-    ClientId, ClusterSpec, DeviceId, Fabric, HostId, NetworkParams, Router, Topology,
-};
+use pathways_device::{DeviceConfig, Fleet};
+use pathways_net::{ClientId, ClusterSpec, HostId, NetworkParams, Router, Topology};
 use pathways_plaque::PlaqueRuntime;
 use pathways_sim::{ExecutorRef, FaultPlan};
 
@@ -53,28 +51,19 @@ impl PathwaysRuntime {
         net: NetworkParams,
         cfg: PathwaysConfig,
     ) -> Self {
-        let handle = exec.executor_handle();
-        let topo = Arc::new(spec.build());
-        let fabric = Fabric::new(handle.clone(), Arc::clone(&topo), net);
-
-        // Devices, with one collective rendezvous per island.
-        let mut devices: FxHashMap<DeviceId, DeviceHandle> = FxHashMap::default();
-        for island in topo.islands() {
-            let rz = CollectiveRendezvous::new(handle.clone());
-            for d in topo.devices_of_island(island) {
-                devices.insert(
-                    d,
-                    DeviceHandle::spawn(
-                        &handle,
-                        d,
-                        rz.clone(),
-                        DeviceConfig {
-                            hbm_capacity: cfg.hbm_per_device,
-                        },
-                    ),
-                );
-            }
-        }
+        let Fleet {
+            handle,
+            topo,
+            fabric,
+            devices,
+        } = Fleet::spawn(
+            &exec.executor_handle(),
+            spec,
+            net,
+            DeviceConfig {
+                hbm_capacity: cfg.hbm_per_device,
+            },
+        );
         let devices = Arc::new(devices);
 
         let store = match &cfg.tiers {

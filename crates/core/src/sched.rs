@@ -99,8 +99,6 @@ pub struct CompSubmit {
     pub compute: SimDuration,
     /// Per-shard output bytes (HBM reservation).
     pub output_bytes: u64,
-    /// Per-shard input staging bytes.
-    pub input_bytes: u64,
     /// Shards grouped by host: `(host, [(shard, device)])`.
     pub by_host: Vec<(HostId, Vec<(u32, DeviceId)>)>,
     /// Gang membership in shard order if the computation has a
@@ -163,8 +161,6 @@ pub struct GrantMsg {
     pub compute: SimDuration,
     /// Per-shard output bytes.
     pub output_bytes: u64,
-    /// Per-shard input staging bytes.
-    pub input_bytes: u64,
     /// The receiving host's local shards: `(shard, device)`.
     pub local_shards: Vec<(u32, DeviceId)>,
 }
@@ -435,7 +431,6 @@ pub fn spawn_scheduler(
                                 gang_devices: Arc::clone(&comp.gang_devices),
                                 compute: comp.compute,
                                 output_bytes: comp.output_bytes,
-                                input_bytes: comp.input_bytes,
                                 local_shards: shards.clone(),
                             });
                         }

@@ -26,7 +26,9 @@ use pathways_net::FxHashSet;
 use pathways_sim::{SimDuration, SimTime};
 
 use super::index::{ObjectId, ObjectStore};
-use super::tiers::{xfer_time, DiskBackend, ExtentRef, Tier};
+use super::tiers::{
+    transfer_time, xfer_time, DiskBackend, ExtentRef, Tier, DISK_LATENCY, DRAM_DISK_BW,
+};
 
 /// One durable checkpoint epoch: the dirty shards it persisted, and the
 /// disk extent holding their bytes.
@@ -159,7 +161,7 @@ impl ObjectStore {
                 return;
             };
             let t0 = h.now();
-            h.sleep(env.cfg.transfer_time(Tier::Disk, dirty)).await;
+            h.sleep(transfer_time(Tier::Disk, dirty)).await;
             if store.commit_checkpoint(id).is_some() {
                 env.trace(format_args!("ckpt {id}"), t0);
             }
@@ -309,7 +311,6 @@ impl ObjectStore {
         if entry.error.is_some() || entry.checkpoints.is_empty() {
             return None;
         }
-        let ts = inner.tier.as_ref()?;
         let bytes: u64 = entry
             .checkpoints
             .restore_set()
@@ -317,9 +318,8 @@ impl ObjectStore {
             .map(|(_, b)| *b)
             .sum();
         let epochs = entry.checkpoints.reachable_epochs().len() as u64;
-        let latency =
-            SimDuration::from_nanos(ts.env.cfg.disk_latency.as_nanos().saturating_mul(epochs));
-        Some((bytes, latency + xfer_time(bytes, ts.env.cfg.dram_disk_bw)))
+        let latency = SimDuration::from_nanos(DISK_LATENCY.as_nanos().saturating_mul(epochs));
+        Some((bytes, latency + xfer_time(bytes, DRAM_DISK_BW)))
     }
 }
 

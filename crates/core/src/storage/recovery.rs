@@ -55,7 +55,7 @@ use crate::program::{CompId, Program};
 use super::index::{
     FailureReason, ObjectEntry, ObjectId, ObjectStore, Place, StoreInner, StoredShard,
 };
-use super::tiers::{Tier, TierConfig};
+use super::tiers::{transfer_time, Tier, TierConfig};
 
 /// How to reproduce one object: the producing program plus the exact
 /// input bindings of the original submission. The bindings hold
@@ -364,8 +364,7 @@ impl RecoveryManager {
             if out.ready().await.is_ok() {
                 // Stage the fresh output into DRAM under the original id
                 // (one HBM->DRAM copy).
-                h.sleep(self.cfg.transfer_time(Tier::Dram, out.total_bytes()))
-                    .await;
+                h.sleep(transfer_time(Tier::Dram, out.total_bytes())).await;
                 let topo = Arc::clone(self.core.fabric.topology());
                 let shards: Vec<(u32, u64, DeviceId, HostId)> = out
                     .devices()

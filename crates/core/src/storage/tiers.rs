@@ -13,8 +13,9 @@
 //! and is stamped onto the `tiers` trace track, so tiered runs replay
 //! bit-identically.
 //!
-//! Each tier keeps its own byte ledger, and
-//! [`TierConfig::transfer_time`] prices moving bytes in or out of it:
+//! Each tier keeps its own byte ledger, and `transfer_time` prices
+//! moving bytes in or out of it (PCIe for DRAM, a fixed latency plus a
+//! bandwidth term for disk):
 //!
 //! * [`HbmBackend`] — a pure ledger; residency itself is owned by the
 //!   per-device [`HbmPool`](pathways_device::HbmPool) leases, the
@@ -36,9 +37,9 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-use pathways_net::{FxHashMap, HostId, Topology};
+use pathways_net::{FxHashMap, HostId, NetworkParams, Topology};
 use pathways_sim::{SimDuration, SimHandle, SimTime};
 
 use super::index::{ObjectId, ObjectStore};
@@ -76,12 +77,6 @@ impl fmt::Display for Tier {
 pub struct TierConfig {
     /// Host-DRAM spill capacity per host.
     pub dram_per_host: u64,
-    /// HBM↔DRAM staging bandwidth (PCIe class), bytes per second.
-    pub hbm_dram_bw: u64,
-    /// DRAM↔disk bandwidth, bytes per second.
-    pub dram_disk_bw: u64,
-    /// Fixed per-operation disk access latency (seek + request).
-    pub disk_latency: SimDuration,
     /// Capacity of one append-only disk segment: writes append into the
     /// active segment, a full segment seals, and a sealed segment whose
     /// extents have all died is reclaimed.
@@ -104,9 +99,6 @@ impl Default for TierConfig {
     fn default() -> Self {
         TierConfig {
             dram_per_host: 64 << 30,
-            hbm_dram_bw: 16_000_000_000,
-            dram_disk_bw: 2_000_000_000,
-            disk_latency: SimDuration::from_micros(200),
             disk_segment_bytes: 64 << 20,
             checkpoint_interval: Some(SimDuration::from_micros(500)),
             checkpoint_keep: 2,
@@ -115,16 +107,23 @@ impl Default for TierConfig {
     }
 }
 
-impl TierConfig {
-    /// Virtual time to move `bytes` into `tier` from the tier above it,
-    /// or back out of it for a read: free for HBM, the staging leg for
-    /// DRAM, one disk latency plus the bandwidth term for disk.
-    pub fn transfer_time(&self, tier: Tier, bytes: u64) -> SimDuration {
-        match tier {
-            Tier::Hbm => SimDuration::ZERO,
-            Tier::Dram => xfer_time(bytes, self.hbm_dram_bw),
-            Tier::Disk => self.disk_latency + xfer_time(bytes, self.dram_disk_bw),
-        }
+/// HBM↔DRAM staging bandwidth, bytes per second: the host's PCIe link,
+/// [`NetworkParams::pcie_bandwidth`] of the cluster calibration.
+static HBM_DRAM_BW: LazyLock<u64> =
+    LazyLock::new(|| NetworkParams::tpu_cluster().pcie_bandwidth.bytes_per_sec() as u64);
+/// DRAM↔disk bandwidth, bytes per second.
+pub(crate) const DRAM_DISK_BW: u64 = 2_000_000_000;
+/// Fixed per-operation disk access latency (seek + request).
+pub(crate) const DISK_LATENCY: SimDuration = SimDuration::from_micros(200);
+
+/// Virtual time to move `bytes` into `tier` from the tier above it, or
+/// back out of it for a read: free for HBM, the PCIe staging leg for
+/// DRAM, one disk latency plus the bandwidth term for disk.
+pub(crate) fn transfer_time(tier: Tier, bytes: u64) -> SimDuration {
+    match tier {
+        Tier::Hbm => SimDuration::ZERO,
+        Tier::Dram => xfer_time(bytes, *HBM_DRAM_BW),
+        Tier::Disk => DISK_LATENCY + xfer_time(bytes, DRAM_DISK_BW),
     }
 }
 
@@ -588,7 +587,7 @@ impl ObjectStore {
 
     /// Frees HBM on `device` until `bytes` fit (or nothing ready is
     /// left to spill), by moving least-recently-used ready shards to the
-    /// device's own host's DRAM at the configured staging bandwidth —
+    /// device's own host's DRAM at the PCIe staging bandwidth —
     /// cascading to disk when the DRAM budget overflows. No-op on
     /// untiered stores; callers then rely on classic HBM back-pressure.
     pub async fn ensure_room(&self, device: &DeviceHandle, bytes: u64) {
@@ -604,13 +603,11 @@ impl ObjectStore {
             let victim = self.inner.lock().hbm_victim(d);
             let Some((vid, vshard, vbytes)) = victim else {
                 // Nothing spillable (all HBM residents are unready or
-                // transient staging): fall back to back-pressure.
+                // not the store's): fall back to back-pressure.
                 return;
             };
             let t0 = env.handle.now();
-            env.handle
-                .sleep(env.cfg.transfer_time(Tier::Dram, vbytes))
-                .await;
+            env.handle.sleep(transfer_time(Tier::Dram, vbytes)).await;
             // Revalidate after the staging copy: the shard may have been
             // freed, failed, or spilled by a concurrent caller.
             let spilled = {
@@ -675,9 +672,7 @@ impl ObjectStore {
                 return;
             };
             let t0 = env.handle.now();
-            env.handle
-                .sleep(env.cfg.transfer_time(Tier::Disk, vbytes))
-                .await;
+            env.handle.sleep(transfer_time(Tier::Disk, vbytes)).await;
             let committed = {
                 let mut inner = self.inner.lock();
                 let inner = &mut *inner;
@@ -716,15 +711,16 @@ impl ObjectStore {
 
     /// Resolves shard `shard` of `id` for a consuming transfer: bumps
     /// the LRU clock and returns the device the read stages through plus
-    /// the staging penalty for non-HBM tiers
-    /// ([`TierConfig::transfer_time`]). `None` on untiered stores (the
-    /// seed data path is then byte-identical) and for absent shards.
+    /// the staging penalty for non-HBM tiers (`transfer_time`). `None`
+    /// on untiered stores (the seed data path is then byte-identical)
+    /// and for absent shards.
     pub fn read_shard(
         &self,
         id: ObjectId,
         shard: u32,
     ) -> Option<(DeviceId, pathways_sim::SimDuration)> {
-        let cfg = &self.tier_env()?.cfg;
+        // An untiered store answers without taking the lock.
+        self.tier_env()?;
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
         let ts = inner.tier.as_mut()?;
@@ -738,7 +734,7 @@ impl ObjectStore {
             inner.resident.insert(place, new);
         }
         sh.last_access = ts.clock;
-        Some((sh.device, cfg.transfer_time(sh.tier, sh.bytes)))
+        Some((sh.device, transfer_time(sh.tier, sh.bytes)))
     }
 
     // -----------------------------------------------------------------
@@ -1233,22 +1229,23 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = TierConfig::default();
-        assert!(c.dram_per_host > 0 && c.hbm_dram_bw > c.dram_disk_bw);
+        assert!(c.dram_per_host > 0 && *HBM_DRAM_BW > DRAM_DISK_BW);
         assert!(c.max_recovery_attempts >= 1);
         assert!(c.disk_segment_bytes > 0 && c.checkpoint_keep >= 1);
     }
 
     #[test]
     fn transfer_times_scale_with_bytes() {
-        let c = TierConfig::default();
-        assert_eq!(xfer_time(0, c.hbm_dram_bw), SimDuration::ZERO);
+        assert_eq!(xfer_time(0, *HBM_DRAM_BW), SimDuration::ZERO);
+        // The DRAM leg is the PCIe link: 16 GB/s.
+        assert_eq!(*HBM_DRAM_BW, 16_000_000_000);
         assert_eq!(
-            c.transfer_time(Tier::Dram, c.hbm_dram_bw),
+            transfer_time(Tier::Dram, *HBM_DRAM_BW),
             SimDuration::from_nanos(1_000_000_000)
         );
-        assert_eq!(c.transfer_time(Tier::Hbm, 1 << 30), SimDuration::ZERO);
+        assert_eq!(transfer_time(Tier::Hbm, 1 << 30), SimDuration::ZERO);
         // Disk ops always pay the fixed latency.
-        assert_eq!(c.transfer_time(Tier::Disk, 0), c.disk_latency);
+        assert_eq!(transfer_time(Tier::Disk, 0), DISK_LATENCY);
         // No overflow at warehouse sizes.
         let big = xfer_time(u64::MAX, 1);
         assert!(big > SimDuration::ZERO);

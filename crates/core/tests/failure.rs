@@ -258,3 +258,59 @@ fn submission_verdicts_name_the_first_dead_component() {
     // submission alone.
     assert_eq!(submit_verdict(0, 8, &[Link(HostId(1), HostId(0))]), None);
 }
+
+/// A consumer shard aborts before its enqueue while its producer is
+/// mid-handshake. The producer runs on the scheduler's host, so its
+/// grant lands at once and its kernel (36–536 µs) is running when the
+/// consumer's device, on another host, dies at 50 µs with the consumer's
+/// grant still crossing the DCN. The fault injector starts the consumer
+/// shard itself and sweeps its registration, so the shard's driver takes
+/// the abort path, which still sends its input-buffer address (ADDR)
+/// upstream. The run resolves with the consumer's error, no PLAQUE run is
+/// left live, and the wind-down ends at a pinned instant: once its kernel
+/// completes, the producer moves its 64 KiB to that address. Withholding
+/// the ADDR tuple skips that move and ends the run 1 655 ns sooner.
+#[test]
+fn consumer_abort_before_enqueue_resolves_mid_handshake() {
+    let mut sim = Sim::new(0);
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::single_island(3, 1),
+        NetworkParams::tpu_cluster(),
+        PathwaysConfig::default(),
+    );
+    let client = rt.client(HostId(0));
+    let slice = |n| client.virtual_slice(SliceRequest::devices(n)).unwrap();
+    let (on_host0, _, on_host2) = (slice(1), slice(1), slice(1));
+    let mut b = client.trace("handshake");
+    let p = b.computation(
+        FnSpec::compute_only("p", SimDuration::from_micros(500)).with_output_bytes(1 << 16),
+        &on_host0,
+    );
+    let c = b.computation(
+        FnSpec::compute_only("c", SimDuration::from_micros(100)).with_output_bytes(1 << 12),
+        &on_host2,
+    );
+    b.edge(p, c, 1 << 16);
+    let prepared = client.prepare(&b.build().unwrap());
+    let devices = &prepared.info().devices;
+    assert_eq!(devices[p.index()], [DeviceId(0)]);
+    assert_eq!(devices[c.index()], [DeviceId(2)]);
+    let at = |us| SimTime::ZERO + SimDuration::from_micros(us);
+    rt.install_fault_plan(FaultPlan::new().at(at(50), FaultSpec::Device(DeviceId(2))));
+    let h = sim.handle();
+    let task = sim.spawn("client", async move {
+        let run = client.submit(&prepared).await;
+        let out = run.object_ref(c).unwrap();
+        let ready = out.ready().await.map_err(|e| e.reason());
+        run.finish().await;
+        (ready, h.now().as_nanos())
+    });
+    assert!(sim.run().is_quiescent());
+    let (ready, finished) = task.try_take().expect("the client finished");
+    assert_eq!(ready, Err(FailureReason::Device(DeviceId(2))));
+    assert_eq!(finished, 50_000, "the client sees the failure at the kill");
+    assert_eq!(rt.core().plaque.live_runs(), 0);
+    assert!(rt.core().store.is_empty());
+    assert_eq!(sim.now().as_nanos(), 571_660, "the wind-down's last event");
+}

@@ -12,12 +12,15 @@
 //!
 //! The device records a trace span per kernel and per-program busy time,
 //! which the multi-tenancy experiments (Figures 8, 9, 11) read back.
+//!
+//! [`Fleet::spawn`] builds a whole cluster's devices, one collective
+//! rendezvous per island, for the Pathways runtime and every baseline.
 
 use pathways_sim::Lock;
 use std::fmt;
 use std::sync::Arc;
 
-use pathways_net::DeviceId;
+use pathways_net::{ClusterSpec, DeviceId, Fabric, FxHashMap, NetworkParams, Topology};
 use pathways_sim::channel::{self, OneshotReceiver, OneshotSender, Sender};
 use pathways_sim::{FaultSignal, SimDuration, SimHandle, SimTime};
 
@@ -298,6 +301,57 @@ impl DeviceHandle {
     /// Snapshot of the device's statistics.
     pub fn stats(&self) -> DeviceStats {
         self.stats.lock().clone()
+    }
+}
+
+/// A built cluster: the topology, the interconnect fabric over it, and
+/// every device, spawned and keyed by id.
+pub struct Fleet {
+    /// The simulation the devices run on.
+    pub handle: SimHandle,
+    /// The cluster's topology.
+    pub topo: Arc<Topology>,
+    /// The interconnect fabric over `topo`.
+    pub fabric: Fabric,
+    /// Every device of `topo`.
+    pub devices: FxHashMap<DeviceId, DeviceHandle>,
+}
+
+impl fmt::Debug for Fleet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fleet")
+            .field("islands", &self.topo.num_islands())
+            .field("devices", &self.devices.len())
+            .finish()
+    }
+}
+
+impl Fleet {
+    /// Builds `spec`'s topology and fabric on `handle` and spawns every
+    /// device in id order, each with `config`. The devices of one island
+    /// share one collective rendezvous; islands never share one, since
+    /// collectives do not cross the DCN (§3).
+    pub fn spawn(
+        handle: &SimHandle,
+        spec: ClusterSpec,
+        net: NetworkParams,
+        config: DeviceConfig,
+    ) -> Self {
+        let topo = Arc::new(spec.build());
+        let fabric = Fabric::new(handle.clone(), Arc::clone(&topo), net);
+        let mut devices = FxHashMap::default();
+        for island in topo.islands() {
+            let rz = CollectiveRendezvous::new(handle.clone());
+            for d in topo.devices_of_island(island) {
+                devices.insert(d, DeviceHandle::spawn(handle, d, rz.clone(), config));
+            }
+        }
+        Fleet {
+            handle: handle.clone(),
+            topo,
+            fabric,
+            devices,
+        }
     }
 }
 
@@ -589,5 +643,74 @@ mod tests {
         let (gang_result, after) = probe.try_take().unwrap();
         assert!(gang_result.is_err(), "gang must abort");
         assert_eq!(after.unwrap().finished.as_nanos(), 5_000);
+    }
+
+    #[test]
+    fn every_device_gets_the_requested_hbm() {
+        let sim = Sim::new(0);
+        let config = DeviceConfig {
+            hbm_capacity: 3 << 20,
+        };
+        let fleet = Fleet::spawn(
+            &sim.handle(),
+            ClusterSpec::islands_of(2, 2, 4),
+            NetworkParams::tpu_cluster(),
+            config,
+        );
+        assert_eq!(fleet.devices.len(), 16);
+        for d in fleet.topo.devices() {
+            let dev = &fleet.devices[&d];
+            assert_eq!(dev.id(), d);
+            assert_eq!(dev.hbm().capacity(), 3 << 20);
+        }
+    }
+
+    /// The same gang tag, two participants wide, arrives on both islands
+    /// interleaved: island 0's devices at 0 and 2 ms, island 1's at 1 and
+    /// 3 ms. Each island's gang releases when its own second member
+    /// arrives; one rendezvous shared by the cluster would instead pair
+    /// the first two arrivals across islands, at 1 ms.
+    #[test]
+    fn islands_release_their_gangs_on_their_own() {
+        let mut sim = Sim::new(0);
+        let fleet = Fleet::spawn(
+            &sim.handle(),
+            ClusterSpec::islands_of(2, 1, 2),
+            NetworkParams::tpu_cluster(),
+            DeviceConfig::default(),
+        );
+        let coll = SimDuration::from_micros(10);
+        // (device, arrival in ms); devices 0 and 1 form island 0.
+        let arrivals = [(0, 0), (2, 1), (1, 2), (3, 3)];
+        let mut done = Vec::new();
+        for (d, ms) in arrivals {
+            let dev = &fleet.devices[&DeviceId(d)];
+            let head = Kernel::compute("wait", SimDuration::from_millis(ms));
+            drop(dev.enqueue_simple(head, "p"));
+            let k = Kernel::compute("step", SimDuration::ZERO).with_collective(CollectiveOp {
+                kind: CollectiveKind::AllReduce,
+                tag: GangTag(0),
+                participants: 2,
+                duration: coll,
+                devices: [].into(),
+            });
+            done.push((d, dev.enqueue_simple(k, "p")));
+        }
+        let probe = sim.spawn("probe", async move {
+            let mut finished = Vec::new();
+            for (d, rx) in done {
+                finished.push((d, rx.await.expect("collective completes").finished));
+            }
+            finished
+        });
+        drop(fleet);
+        sim.run_to_quiescence();
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms) + coll;
+        let mut finished = probe.try_take().expect("probe finished");
+        finished.sort_unstable();
+        assert_eq!(
+            finished,
+            vec![(0, at(2)), (1, at(2)), (2, at(3)), (3, at(3))]
+        );
     }
 }

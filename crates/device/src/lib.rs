@@ -37,7 +37,7 @@ mod hbm;
 mod kernel;
 
 pub use device::{
-    DeviceConfig, DeviceDead, DeviceHandle, DeviceStats, EnqueuedKernel, KernelCompletion,
+    DeviceConfig, DeviceDead, DeviceHandle, DeviceStats, EnqueuedKernel, Fleet, KernelCompletion,
 };
 pub use gang::{CollectiveRendezvous, GangAborted};
 pub use hbm::{HbmLease, HbmPool};
