@@ -12,12 +12,14 @@
 //! the object store order the kernels.
 
 use pathways_core::{
-    Client, CompId, FaultSpec, FnSpec, InputSpec, ObjectRef, PathwaysConfig, PathwaysRuntime,
-    PreparedProgram, Run, SliceRequest,
+    Client, CompId, FaultSpec, FnSpec, InputSpec, ObjectRef, PathwaysConfig, PreparedProgram, Run,
+    SliceRequest,
 };
-use pathways_net::{ClusterSpec, HostId, IslandId, NetworkParams};
+use pathways_net::{ClusterSpec, HostId, IslandId};
 use pathways_sim::trace::TraceLog;
-use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
+use pathways_sim::{FaultPlan, SimDuration, SimTime};
+
+use crate::runtime;
 
 /// How the client drives a chain of dependent programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,26 +40,29 @@ struct Stage {
     sink: CompId,
 }
 
+/// Devices each stage gangs (2 hosts x 4 TPUs per island).
+const STAGE_DEVICES: u32 = 4;
+
 fn build_stage(
     client: &Client,
+    name: &str,
     island: IslandId,
-    devices: u32,
     stage_compute: SimDuration,
     payload: u64,
     head: bool,
-    name: &str,
 ) -> Stage {
     let slice = client
-        .virtual_slice(SliceRequest::devices(devices).in_island(island))
+        .virtual_slice(SliceRequest::devices(STAGE_DEVICES).in_island(island))
         .expect("island has capacity for one stage slice");
+    let shard_bytes = payload / u64::from(STAGE_DEVICES);
     let mut b = client.trace(name);
-    let input = (!head).then(|| b.input(InputSpec::new("prev", devices)));
+    let input = (!head).then(|| b.input(InputSpec::new("prev", STAGE_DEVICES)));
     let sink = b.computation(
-        FnSpec::compute_only("stage", stage_compute).with_output_bytes(payload / devices as u64),
+        FnSpec::compute_only("stage", stage_compute).with_output_bytes(shard_bytes),
         &slice,
     );
     if let Some(x) = input {
-        b.reshard_edge(x, sink, payload / devices as u64);
+        b.reshard_edge(x, sink, shard_bytes);
     }
     Stage {
         prepared: client.prepare(&b.build().expect("stage program is valid")),
@@ -76,7 +81,7 @@ pub fn chained_throughput(
     dispatch: ChainDispatch,
     chains: u64,
 ) -> f64 {
-    let (elapsed, _trace) = run_chain(
+    let (elapsed, _) = chained_trace(
         0,
         islands,
         chain_len,
@@ -90,10 +95,11 @@ pub fn chained_throughput(
 }
 
 /// Runs the fig14 chained workload under `seed` and an optional fault
-/// plan, returning the full event trace. Two calls with equal arguments
-/// produce bit-identical traces — the determinism-regression surface
-/// for the fault-injection subsystem (faulted runs resolve through
-/// typed errors instead of wedging, and the wind-down is replayable).
+/// plan, returning its elapsed virtual time and full event trace. Two
+/// calls with equal arguments produce bit-identical traces — the
+/// determinism-regression surface for the fault-injection subsystem
+/// (faulted runs resolve through typed errors instead of wedging, and
+/// the wind-down is replayable).
 #[allow(clippy::too_many_arguments)]
 pub fn chained_trace(
     seed: u64,
@@ -104,41 +110,12 @@ pub fn chained_trace(
     dispatch: ChainDispatch,
     chains: u64,
     faults: &[(SimTime, FaultSpec)],
-) -> TraceLog {
-    run_chain(
-        seed,
-        islands,
-        chain_len,
-        stage_compute,
-        payload,
-        dispatch,
-        chains,
-        faults,
-    )
-    .1
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_chain(
-    seed: u64,
-    islands: u32,
-    chain_len: u32,
-    stage_compute: SimDuration,
-    payload: u64,
-    dispatch: ChainDispatch,
-    chains: u64,
-    faults: &[(SimTime, FaultSpec)],
 ) -> (SimDuration, TraceLog) {
     assert!(islands >= 1 && chain_len >= 1);
-    let mut sim = Sim::new(seed);
-    sim.handle().record_trace(true);
     // 2 hosts x 4 TPUs per island; each stage gangs 4 devices.
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::islands_of(islands, 2, 4),
-        NetworkParams::tpu_cluster(),
-        PathwaysConfig::default(),
-    );
+    let spec = ClusterSpec::islands_of(islands, 2, 4);
+    let (mut sim, rt) = runtime(seed, spec, PathwaysConfig::default());
+    sim.handle().record_trace(true);
     let mut plan: FaultPlan<FaultSpec> = FaultPlan::new();
     for (at, spec) in faults {
         plan.push(*at, *spec);
@@ -148,26 +125,11 @@ fn run_chain(
     // One head program (island 0) plus one body program per island;
     // stage k of every chain reuses the body prepared for island
     // k % islands — re-running a lowered program is the cheap path.
-    let head = build_stage(
-        &client,
-        IslandId(0),
-        4,
-        stage_compute,
-        payload,
-        true,
-        "head",
-    );
+    let head = build_stage(&client, "head", IslandId(0), stage_compute, payload, true);
     let bodies: Vec<Stage> = (0..islands)
         .map(|i| {
-            build_stage(
-                &client,
-                IslandId(i),
-                4,
-                stage_compute,
-                payload,
-                false,
-                format!("body-i{i}").as_str(),
-            )
+            let name = format!("body-i{i}");
+            build_stage(&client, &name, IslandId(i), stage_compute, payload, false)
         })
         .collect();
 
@@ -175,67 +137,35 @@ fn run_chain(
     let job = sim.spawn("client", async move {
         let start = h.now();
         for _ in 0..chains {
-            match dispatch {
-                ChainDispatch::Sequential => {
+            let mut runs: Vec<Run> = Vec::with_capacity(chain_len as usize);
+            let mut prev: Option<ObjectRef> = None;
+            for k in 0..chain_len {
+                let stage = match k {
+                    0 => &head,
+                    _ => &bodies[(k % islands) as usize],
+                };
+                let bindings: Vec<_> = stage.input.zip(prev.clone()).into_iter().collect();
+                let run = client
+                    .submit_with(&stage.prepared, &bindings)
+                    .await
+                    .expect("binding matches");
+                drop(bindings);
+                prev = match dispatch {
                     // Old-style: every stage waits for its producer's
                     // results before it is even submitted.
-                    let mut prev: Option<ObjectRef> = None;
-                    for k in 0..chain_len {
-                        let result = match (&prev, k) {
-                            (None, _) => client.run(&head.prepared).await,
-                            (Some(p), _) => {
-                                let body = &bodies[(k % islands) as usize];
-                                client
-                                    .submit_with(
-                                        &body.prepared,
-                                        &[(body.input.unwrap(), p.clone())],
-                                    )
-                                    .await
-                                    .expect("binding matches")
-                                    .finish()
-                                    .await
-                            }
-                        };
-                        let sink = if k == 0 {
-                            head.sink
-                        } else {
-                            bodies[(k % islands) as usize].sink
-                        };
-                        prev = result.object_ref(sink);
-                    }
-                }
-                ChainDispatch::Parallel => {
+                    ChainDispatch::Sequential => run.finish().await.object_ref(stage.sink),
                     // Futures-style: the whole chain is dispatched
                     // before the first kernel finishes.
-                    let mut runs: Vec<Run> = Vec::with_capacity(chain_len as usize);
-                    let mut prev: Option<ObjectRef> = None;
-                    for k in 0..chain_len {
-                        let run = match &prev {
-                            None => client.submit(&head.prepared).await,
-                            Some(p) => {
-                                let body = &bodies[(k % islands) as usize];
-                                client
-                                    .submit_with(
-                                        &body.prepared,
-                                        &[(body.input.unwrap(), p.clone())],
-                                    )
-                                    .await
-                                    .expect("binding matches")
-                            }
-                        };
-                        let sink = if k == 0 {
-                            head.sink
-                        } else {
-                            bodies[(k % islands) as usize].sink
-                        };
-                        prev = run.object_ref(sink);
+                    ChainDispatch::Parallel => {
+                        let out = run.object_ref(stage.sink);
                         runs.push(run);
+                        out
                     }
-                    drop(prev);
-                    for run in runs {
-                        run.finish().await;
-                    }
-                }
+                };
+            }
+            drop(prev);
+            for run in runs {
+                run.finish().await;
             }
         }
         h.now().duration_since(start)

@@ -6,11 +6,12 @@
 //! same devices (the PW-C shape), so a host receives many grants per
 //! program: batching collapses them into one NIC message.
 
-use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
-use pathways_net::{ClusterSpec, HostId, NetworkParams};
-use pathways_sim::{Sim, SimDuration};
+use pathways_baselines::{StepWorkload, SubmissionMode};
+use pathways_core::PathwaysConfig;
+use pathways_sim::SimDuration;
 
 use super::Figure;
+use crate::micro::pathways_throughput;
 use crate::perf::{BenchReport, ClusterShape};
 use crate::table::Table;
 
@@ -25,46 +26,20 @@ pub(super) const FIGURE: Figure = Figure {
 /// `(hosts, chain length)` per row.
 const SWEEP: [(u32, u32); 3] = [(4, 32), (8, 64), (16, 128)];
 
-fn chained_throughput(hosts: u32, chain: u32, batch_grants: bool, programs: u64) -> f64 {
-    let mut sim = Sim::new(0);
-    let cfg = PathwaysConfig {
+/// Computations/second of 4 serial runs of a `chain`-kernel PW-C program
+/// over all `hosts` x 4 devices.
+fn chained_throughput(hosts: u32, chain: u32, batch_grants: bool) -> f64 {
+    let workload = StepWorkload {
+        compute: SimDuration::from_micros(10),
+        allreduce_bytes: 4,
+        chain_len: chain,
+    };
+    let config = PathwaysConfig {
         batch_grants,
         ..PathwaysConfig::default()
     };
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::single_island(hosts, 4),
-        NetworkParams::tpu_cluster(),
-        cfg,
-    );
-    let client = rt.client(HostId(hosts - 1));
-    let slice = client
-        .virtual_slice(SliceRequest::devices(hosts * 4))
-        .unwrap();
-    let mut b = client.trace("chain");
-    let mut prev = None;
-    for i in 0..chain {
-        let c = b.computation(
-            FnSpec::compute_only(format!("s{i}"), SimDuration::from_micros(10)).with_allreduce(4),
-            &slice,
-        );
-        if let Some(p) = prev {
-            b.edge(p, c, 8);
-        }
-        prev = Some(c);
-    }
-    let program = b.build().unwrap();
-    let prepared = client.prepare(&program);
-    let h = sim.handle();
-    let job = sim.spawn("client", async move {
-        let start = h.now();
-        for _ in 0..programs {
-            client.run(&prepared).await;
-        }
-        h.now().duration_since(start)
-    });
-    sim.run_to_quiescence();
-    (chain as u64 * programs) as f64 / job.try_take().unwrap().as_secs_f64()
+    let total = 4 * u64::from(chain);
+    pathways_throughput(hosts, 4, SubmissionMode::Chained, workload, total, config).per_sec()
 }
 
 fn run(sweep: &[(u32, u32)]) -> BenchReport {
@@ -80,8 +55,8 @@ fn run(sweep: &[(u32, u32)]) -> BenchReport {
         "speedup",
     ]);
     for &(hosts, chain) in sweep {
-        let batched = chained_throughput(hosts, chain, true, 4);
-        let unbatched = chained_throughput(hosts, chain, false, 4);
+        let batched = chained_throughput(hosts, chain, true);
+        let unbatched = chained_throughput(hosts, chain, false);
         t.row(vec![
             hosts.to_string(),
             chain.to_string(),

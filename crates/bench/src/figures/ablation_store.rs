@@ -4,14 +4,11 @@
 //! the per-computation result size to show the store's benefit is
 //! architectural, not a constant factor.
 
-use pathways_baselines::{
-    RayConfig, RayRuntime, StepWorkload, SubmissionMode, Tf1Config, Tf1Runtime,
-};
-use pathways_net::{ClusterSpec, NetworkParams};
-use pathways_sim::Sim;
+use pathways_baselines::{RayConfig, StepWorkload, SubmissionMode, Tf1Config};
+use pathways_core::PathwaysConfig;
 
 use super::Figure;
-use crate::micro::pathways_throughput;
+use crate::micro::{pathways_throughput, ray_throughput, tf1_throughput};
 use crate::perf::{BenchReport, ClusterShape};
 use crate::table::Table;
 
@@ -22,60 +19,14 @@ pub(super) const FIGURE: Figure = Figure {
     report: run,
 };
 
-fn tf1_with_result_bytes(hosts: u32, bytes: u64, total: u64) -> f64 {
-    let mut sim = Sim::new(0);
-    let rt = Tf1Runtime::new(
-        &sim,
-        ClusterSpec::single_island(hosts, 4),
-        NetworkParams::tpu_cluster(),
-        Tf1Config {
-            result_bytes: bytes,
-        },
-    );
-    let m = rt.spawn_benchmark(
-        &mut sim,
-        SubmissionMode::OpByOp,
-        StepWorkload::trivial(),
-        total,
-    );
-    sim.run_to_quiescence();
-    m.try_take().unwrap().per_sec()
-}
-
-fn ray_with_result_bytes(hosts: u32, bytes: u64, total: u64) -> f64 {
-    let mut sim = Sim::new(0);
-    let rt = RayRuntime::new(
-        &sim,
-        hosts,
-        NetworkParams::tpu_cluster(),
-        RayConfig {
-            result_bytes: bytes,
-        },
-    );
-    let m = rt.spawn_benchmark(
-        &mut sim,
-        SubmissionMode::OpByOp,
-        StepWorkload::trivial(),
-        total,
-    );
-    sim.run_to_quiescence();
-    m.try_take().unwrap().per_sec()
-}
-
 fn run() -> BenchReport {
     println!("Ablation: device object store — handle return vs data copy-back\n");
     let hosts = 4;
     let total = 128;
     // Pathways returns handles; its throughput is independent of result
     // size because outputs stay in HBM.
-    let pw = pathways_throughput(
-        hosts,
-        4,
-        SubmissionMode::OpByOp,
-        StepWorkload::trivial(),
-        total,
-    )
-    .per_sec();
+    let (w, op) = (StepWorkload::trivial(), SubmissionMode::OpByOp);
+    let pw = pathways_throughput(hosts, 4, op, w, total, PathwaysConfig::default()).per_sec();
     let mut report = BenchReport::new(ClusterShape::new(1, hosts, 4)).metric("pw_per_sec", pw);
     let mut t = Table::new(&[
         "result bytes",
@@ -86,8 +37,26 @@ fn run() -> BenchReport {
     let sizes = [0u64, 4 << 10, 256 << 10, 4 << 20];
     let mut copies = Vec::new();
     for bytes in sizes {
-        let tf1 = tf1_with_result_bytes(hosts, bytes, total);
-        let ray = ray_with_result_bytes(hosts, bytes, total);
+        let tf1 = tf1_throughput(
+            hosts,
+            4,
+            op,
+            w,
+            total,
+            Tf1Config {
+                result_bytes: bytes,
+            },
+        );
+        let ray = ray_throughput(
+            hosts,
+            op,
+            w,
+            total,
+            RayConfig {
+                result_bytes: bytes,
+            },
+        );
+        let (tf1, ray) = (tf1.per_sec(), ray.per_sec());
         t.row(vec![
             bytes.to_string(),
             format!("{pw:.0}"),

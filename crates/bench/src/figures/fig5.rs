@@ -5,7 +5,9 @@
 //! Workload: a single scalar AllReduce followed by a scalar addition,
 //! chained; configuration (A): 4 TPUs per host.
 
-use pathways_baselines::{StepWorkload, SubmissionMode};
+use pathways_baselines::SubmissionMode::{Chained, Fused, OpByOp};
+use pathways_baselines::{RayConfig, StepWorkload, Tf1Config, Throughput};
+use pathways_core::PathwaysConfig;
 
 use super::Figure;
 use crate::micro::{jax_throughput, pathways_throughput, ray_throughput, tf1_throughput};
@@ -40,19 +42,41 @@ fn full(args: &[String]) {
         let chains = if hosts >= 128 { 2 } else { 4 };
         let total_chain = w.chain_len as u64 * chains;
         let total_op = if hosts >= 128 { 64 } else { 256 };
-        let f = |v: f64| format!("{v:.0}");
+        let f = |v: Throughput| format!("{:.0}", v.per_sec());
+        let jax = |mode, total| f(jax_throughput(hosts, 4, mode, w, total));
+        let pw = |mode, total| {
+            f(pathways_throughput(
+                hosts,
+                4,
+                mode,
+                w,
+                total,
+                PathwaysConfig::default(),
+            ))
+        };
+        let tf = |mode, total| {
+            f(tf1_throughput(
+                hosts,
+                4,
+                mode,
+                w,
+                total,
+                Tf1Config::default(),
+            ))
+        };
+        let ray = |mode, total| f(ray_throughput(hosts, mode, w, total, RayConfig::default()));
         t.row(vec![
             hosts.to_string(),
-            f(jax_throughput(hosts, 4, SubmissionMode::OpByOp, w, total_op).per_sec()),
-            f(jax_throughput(hosts, 4, SubmissionMode::Fused, w, total_chain).per_sec()),
-            f(pathways_throughput(hosts, 4, SubmissionMode::OpByOp, w, total_op).per_sec()),
-            f(pathways_throughput(hosts, 4, SubmissionMode::Chained, w, total_chain).per_sec()),
-            f(pathways_throughput(hosts, 4, SubmissionMode::Fused, w, total_chain).per_sec()),
-            f(tf1_throughput(hosts, 4, SubmissionMode::OpByOp, w, total_op).per_sec()),
-            f(tf1_throughput(hosts, 4, SubmissionMode::Chained, w, total_chain).per_sec()),
-            f(ray_throughput(hosts, SubmissionMode::OpByOp, w, total_op.min(128)).per_sec()),
-            f(ray_throughput(hosts, SubmissionMode::Chained, w, total_chain).per_sec()),
-            f(ray_throughput(hosts, SubmissionMode::Fused, w, total_chain).per_sec()),
+            jax(OpByOp, total_op),
+            jax(Fused, total_chain),
+            pw(OpByOp, total_op),
+            pw(Chained, total_chain),
+            pw(Fused, total_chain),
+            tf(OpByOp, total_op),
+            tf(Chained, total_chain),
+            ray(OpByOp, total_op.min(128)),
+            ray(Chained, total_chain),
+            ray(Fused, total_chain),
         ]);
     }
     println!("{}", t.render());
@@ -64,13 +88,14 @@ fn full(args: &[String]) {
 /// The figure's relations on one 2-host x 8-TPU island.
 fn report() -> BenchReport {
     let w = StepWorkload::trivial();
-    let jax_o = jax_throughput(2, 8, SubmissionMode::OpByOp, w, 128).per_sec();
-    let jax_f = jax_throughput(2, 8, SubmissionMode::Fused, w, 256).per_sec();
-    let pw_o = pathways_throughput(2, 8, SubmissionMode::OpByOp, w, 128).per_sec();
-    let pw_c = pathways_throughput(2, 8, SubmissionMode::Chained, w, 256).per_sec();
-    let pw_f = pathways_throughput(2, 8, SubmissionMode::Fused, w, 256).per_sec();
-    let tf_o = tf1_throughput(2, 8, SubmissionMode::OpByOp, w, 128).per_sec();
-    let ray_o = ray_throughput(2, SubmissionMode::OpByOp, w, 64).per_sec();
+    let pw = |mode, total| {
+        pathways_throughput(2, 8, mode, w, total, PathwaysConfig::default()).per_sec()
+    };
+    let jax_o = jax_throughput(2, 8, OpByOp, w, 128).per_sec();
+    let jax_f = jax_throughput(2, 8, Fused, w, 256).per_sec();
+    let (pw_o, pw_c, pw_f) = (pw(OpByOp, 128), pw(Chained, 256), pw(Fused, 256));
+    let tf_o = tf1_throughput(2, 8, OpByOp, w, 128, Tf1Config::default()).per_sec();
+    let ray_o = ray_throughput(2, OpByOp, w, 64, RayConfig::default()).per_sec();
     BenchReport::new(ClusterShape::new(1, 2, 8))
         .metric("jax_opbyop_per_sec", jax_o)
         .metric("jax_fused_per_sec", jax_f)

@@ -12,9 +12,12 @@
 //! halves: island 0 dips by roughly one step and recovers; the other
 //! islands are unaffected.
 
-use pathways_core::{FaultSpec, FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
-use pathways_net::{ClusterSpec, IslandId, NetworkParams};
-use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
+use pathways_core::{FaultSpec, FnSpec, PathwaysConfig, SliceRequest};
+use pathways_models::gang_program;
+use pathways_net::{ClusterSpec, IslandId};
+use pathways_sim::{FaultPlan, SimDuration, SimTime};
+
+use crate::runtime;
 
 /// Per-island throughput around the kill.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,11 +63,9 @@ impl HealOutcome {
 /// fault).
 pub fn healing_throughput(islands: u32, compute: SimDuration, window: SimDuration) -> HealOutcome {
     assert!(islands >= 1);
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::islands_of(islands, 2, 4),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig::default(),
     );
     let mid = SimTime::ZERO + window / 2;
@@ -84,14 +85,11 @@ pub fn healing_throughput(islands: u32, compute: SimDuration, window: SimDuratio
         let slice = client
             .virtual_slice(SliceRequest::devices(4).in_island(IslandId(i)))
             .expect("island fits one 4-device slice");
-        let mut b = client.trace(format!("step-i{i}"));
-        let k = b.computation(
-            FnSpec::compute_only("train_step", compute)
-                .with_allreduce(4)
-                .with_output_bytes(1 << 12),
-            &slice,
-        );
-        let prepared = client.prepare(&b.build().expect("valid step program"));
+        let step = FnSpec::compute_only("train_step", compute)
+            .with_allreduce(4)
+            .with_output_bytes(1 << 12);
+        let (prepared, k) =
+            gang_program(&client, format!("step-i{i}"), step, &slice).expect("valid step program");
         if i == 0 {
             let victim = slice.physical_devices()[1];
             rt.install_fault_plan(FaultPlan::new().at(mid, FaultSpec::Device(victim)));

@@ -20,8 +20,19 @@ pub mod micro;
 pub mod perf;
 pub mod pipeline;
 pub mod scale;
-pub mod stream;
 pub mod table;
 pub mod tenancy;
 pub mod tier;
 pub mod training;
+
+use pathways_core::{PathwaysConfig, PathwaysRuntime};
+use pathways_net::{ClusterSpec, NetworkParams};
+use pathways_sim::Sim;
+
+/// Every harness's starting point: a fresh simulation seeded with `seed`
+/// and a Pathways runtime on `spec` over the TPU-cluster network.
+pub fn runtime(seed: u64, spec: ClusterSpec, config: PathwaysConfig) -> (Sim, PathwaysRuntime) {
+    let sim = Sim::new(seed);
+    let rt = PathwaysRuntime::new(&sim, spec, NetworkParams::tpu_cluster(), config);
+    (sim, rt)
+}

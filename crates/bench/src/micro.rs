@@ -2,95 +2,71 @@
 //! scalar-AllReduce computation under the OpByOp / Chained / Fused
 //! submission modes, on Pathways and the three baselines.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use pathways_baselines::{
     JaxConfig, JaxRuntime, RayConfig, RayRuntime, StepWorkload, SubmissionMode, Tf1Config,
     Tf1Runtime, Throughput,
 };
-use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
+use pathways_core::{FnSpec, PathwaysConfig, SliceRequest};
+use pathways_models::{chain_program, gang_program, run_serial, spawn_windowed};
 use pathways_net::{ClusterSpec, CollectiveKind, HostId, NetworkParams};
 use pathways_sim::{Sim, SimDuration, SimTime};
 
-/// Measures Pathways throughput for the micro-benchmark.
+use crate::runtime;
+
+/// Measures Pathways throughput for the micro-benchmark under `config`.
 ///
-/// `total` computations are executed; in Chained/Fused modes they are
-/// grouped into programs of `workload.chain_len`.
+/// `total` computations are executed serially; in Chained/Fused modes
+/// they are grouped into programs of `workload.chain_len`.
 pub fn pathways_throughput(
     hosts: u32,
     devices_per_host: u32,
     mode: SubmissionMode,
     workload: StepWorkload,
     total: u64,
+    config: PathwaysConfig,
 ) -> Throughput {
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::single_island(hosts, devices_per_host),
-        NetworkParams::tpu_cluster(),
-        PathwaysConfig::default(),
+        config,
     );
     // The client process lives on the island's last host (the scheduler
     // is on the first).
     let client = rt.client(HostId(hosts - 1));
-    let n_devices = hosts * devices_per_host;
     let slice = client
-        .virtual_slice(SliceRequest::devices(n_devices))
+        .virtual_slice(SliceRequest::devices(hosts * devices_per_host))
         .unwrap();
-    let coll = {
-        let devs = slice.physical_devices();
-        rt.core().fabric.ici_collective_time(
-            CollectiveKind::AllReduce,
-            &devs,
-            workload.allreduce_bytes,
-        )
+    let step = |name: &str, compute| {
+        FnSpec::compute_only(name, compute).with_allreduce(workload.allreduce_bytes)
     };
-    let chain = workload.chain_len as u64;
-    let (runs, comps_per_run, program) = match mode {
-        SubmissionMode::OpByOp => {
-            let mut b = client.trace("micro-o");
-            b.computation(
-                FnSpec::compute_only("step", workload.compute)
-                    .with_allreduce(workload.allreduce_bytes),
-                &slice,
-            );
-            (total, 1, b.build().unwrap())
-        }
+    let chain = u64::from(workload.chain_len);
+    let (name, kernels, runs, comps_per_run) = match mode {
+        SubmissionMode::OpByOp => ("micro-o", vec![step("step", workload.compute)], total, 1),
         SubmissionMode::Chained => {
-            let mut b = client.trace("micro-c");
-            let mut prev = None;
-            for i in 0..workload.chain_len {
-                let c = b.computation(
-                    FnSpec::compute_only(format!("step{i}"), workload.compute)
-                        .with_allreduce(workload.allreduce_bytes),
-                    &slice,
-                );
-                if let Some(p) = prev {
-                    b.edge(p, c, 8);
-                }
-                prev = Some(c);
-            }
-            (total / chain, chain, b.build().unwrap())
+            let steps =
+                (0..workload.chain_len).map(|i| step(&format!("step{i}"), workload.compute));
+            ("micro-c", steps.collect(), total / chain, chain)
         }
         SubmissionMode::Fused => {
-            let mut b = client.trace("micro-f");
             // One XLA kernel executing the whole chain on-device: the
             // first collective is explicit (gang semantics), the rest
             // fold into compute time.
-            let fused = (workload.compute + coll) * (chain - 1) + workload.compute;
-            b.computation(
-                FnSpec::compute_only("fused", fused).with_allreduce(workload.allreduce_bytes),
-                &slice,
+            let coll = rt.core().fabric.ici_collective_time(
+                CollectiveKind::AllReduce,
+                &slice.physical_devices(),
+                workload.allreduce_bytes,
             );
-            (total / chain, chain, b.build().unwrap())
+            let fused = (workload.compute + coll) * (chain - 1) + workload.compute;
+            ("micro-f", vec![step("fused", fused)], total / chain, chain)
         }
     };
-    let prepared = client.prepare(&program);
-    let h = sim.handle();
+    let kernels = kernels.into_iter().map(|k| (k, &slice));
+    let (prepared, _) = chain_program(&client, name, 8, kernels).unwrap();
     let job = sim.spawn("client", async move {
-        let start = h.now();
-        for _ in 0..runs {
-            client.run(&prepared).await;
-        }
-        h.now().duration_since(start)
+        run_serial(&client, &prepared, 0, runs).await
     });
     sim.run_to_quiescence();
     Throughput {
@@ -119,40 +95,39 @@ pub fn jax_throughput(
     m.try_take().unwrap()
 }
 
-/// Measures TF1 single-controller throughput for the micro-benchmark.
+/// Measures TF1 single-controller throughput for the micro-benchmark
+/// under `config`.
 pub fn tf1_throughput(
     hosts: u32,
     devices_per_host: u32,
     mode: SubmissionMode,
     workload: StepWorkload,
     total: u64,
+    config: Tf1Config,
 ) -> Throughput {
     let mut sim = Sim::new(0);
     let rt = Tf1Runtime::new(
         &sim,
         ClusterSpec::single_island(hosts, devices_per_host),
         NetworkParams::tpu_cluster(),
-        Tf1Config::default(),
+        config,
     );
     let m = rt.spawn_benchmark(&mut sim, mode, workload, total);
     sim.run_to_quiescence();
     m.try_take().unwrap()
 }
 
-/// Measures Ray throughput (one GPU per host) for the micro-benchmark.
+/// Measures Ray throughput (one GPU per host) for the micro-benchmark
+/// under `config`.
 pub fn ray_throughput(
     hosts: u32,
     mode: SubmissionMode,
     workload: StepWorkload,
     total: u64,
+    config: RayConfig,
 ) -> Throughput {
     let mut sim = Sim::new(0);
-    let rt = RayRuntime::new(
-        &sim,
-        hosts,
-        NetworkParams::tpu_cluster(),
-        RayConfig::default(),
-    );
+    let rt = RayRuntime::new(&sim, hosts, NetworkParams::tpu_cluster(), config);
     let m = rt.spawn_benchmark(&mut sim, mode, workload, total);
     sim.run_to_quiescence();
     m.try_take().unwrap()
@@ -168,13 +143,21 @@ pub fn fig6_point(
 ) -> (f64, f64) {
     let w = StepWorkload::sized(compute);
     let jax = jax_throughput(hosts, devices_per_host, SubmissionMode::OpByOp, w, programs);
-    let pw = pathways_throughput(hosts, devices_per_host, SubmissionMode::OpByOp, w, programs);
+    let pw = pathways_throughput(
+        hosts,
+        devices_per_host,
+        SubmissionMode::OpByOp,
+        w,
+        programs,
+        PathwaysConfig::default(),
+    );
     (jax.per_sec(), pw.per_sec())
 }
 
 /// Figure 8 point: aggregate Pathways throughput with `clients`
-/// concurrent clients submitting `compute`-sized single-computation
-/// programs, measured over `window`.
+/// concurrent clients, each keeping `outstanding` runs of a
+/// `compute`-sized single-computation program in flight, measured over
+/// `window`.
 pub fn pathways_multiclient_throughput(
     hosts: u32,
     devices_per_host: u32,
@@ -183,37 +166,23 @@ pub fn pathways_multiclient_throughput(
     window: SimDuration,
     outstanding: u32,
 ) -> f64 {
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::single_island(hosts, devices_per_host),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig::default(),
     );
-    let n_devices = hosts * devices_per_host;
-    let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let completed = Arc::new(AtomicU64::new(0));
     for c in 0..clients {
         let client = rt.client(HostId(c % hosts));
         let slice = client
-            .virtual_slice(SliceRequest::devices(n_devices))
+            .virtual_slice(SliceRequest::devices(hosts * devices_per_host))
             .unwrap();
-        let mut b = client.trace(format!("t{c}"));
-        b.computation(
-            FnSpec::compute_only("step", compute).with_allreduce(4),
-            &slice,
-        );
-        let program = b.build().unwrap();
-        let prepared = std::sync::Arc::new(client.prepare(&program));
-        crate::stream::spawn_program_stream(
-            &mut sim,
-            client,
-            prepared,
-            outstanding,
-            std::sync::Arc::clone(&counter),
-        );
+        let step = FnSpec::compute_only("step", compute).with_allreduce(4);
+        let (prepared, _) = gang_program(&client, format!("t{c}"), step, &slice).unwrap();
+        spawn_windowed(client, prepared, outstanding, Arc::clone(&completed));
     }
     sim.run_until_time(SimTime::ZERO + window);
-    counter.load(std::sync::atomic::Ordering::Relaxed) as f64 / window.as_secs_f64()
+    completed.load(Ordering::Relaxed) as f64 / window.as_secs_f64()
 }
 
 #[cfg(test)]
@@ -226,7 +195,15 @@ mod tests {
         // single-controller overhead is masked.
         let w = StepWorkload::trivial();
         let jax = jax_throughput(2, 8, SubmissionMode::Fused, w, 512).per_sec();
-        let pw = pathways_throughput(2, 8, SubmissionMode::Fused, w, 512).per_sec();
+        let pw = pathways_throughput(
+            2,
+            8,
+            SubmissionMode::Fused,
+            w,
+            512,
+            PathwaysConfig::default(),
+        )
+        .per_sec();
         let ratio = pw / jax;
         assert!(
             ratio > 0.85,
@@ -240,15 +217,39 @@ mod tests {
         // controller for unbatched tiny computations.
         let w = StepWorkload::trivial();
         let jax = jax_throughput(2, 8, SubmissionMode::OpByOp, w, 128).per_sec();
-        let pw = pathways_throughput(2, 8, SubmissionMode::OpByOp, w, 128).per_sec();
+        let pw = pathways_throughput(
+            2,
+            8,
+            SubmissionMode::OpByOp,
+            w,
+            128,
+            PathwaysConfig::default(),
+        )
+        .per_sec();
         assert!(jax > pw, "jax {jax:.0}/s vs pw {pw:.0}/s");
     }
 
     #[test]
     fn pathways_chained_beats_its_op_by_op() {
         let w = StepWorkload::trivial();
-        let o = pathways_throughput(2, 8, SubmissionMode::OpByOp, w, 128).per_sec();
-        let c = pathways_throughput(2, 8, SubmissionMode::Chained, w, 256).per_sec();
+        let o = pathways_throughput(
+            2,
+            8,
+            SubmissionMode::OpByOp,
+            w,
+            128,
+            PathwaysConfig::default(),
+        )
+        .per_sec();
+        let c = pathways_throughput(
+            2,
+            8,
+            SubmissionMode::Chained,
+            w,
+            256,
+            PathwaysConfig::default(),
+        )
+        .per_sec();
         assert!(c > o, "chained {c:.0}/s vs op-by-op {o:.0}/s");
     }
 

@@ -2,60 +2,48 @@
 //! multi-stage pipeline, each stage on 4 TPU cores of a different host,
 //! transferring data to the next stage over ICI.
 
-use pathways_core::{DispatchMode, FnSpec, PathwaysConfig, PathwaysRuntime, SliceRequest};
-use pathways_net::{ClusterSpec, HostId, NetworkParams};
-use pathways_sim::{Sim, SimDuration};
+use pathways_core::{DispatchMode, FnSpec, PathwaysConfig, SliceRequest};
+use pathways_models::{chain_program, run_serial};
+use pathways_net::{ClusterSpec, HostId};
+use pathways_sim::SimDuration;
 
-/// Computations/second of a `stages`-stage pipeline under the given
-/// dispatch mode.
+use crate::runtime;
+
+/// Computations/second of `programs` serial runs of a `stages`-stage
+/// pipeline under the given dispatch mode.
 pub fn pipeline_throughput(
     stages: u32,
     mode: DispatchMode,
     stage_compute: SimDuration,
     programs: u64,
 ) -> f64 {
-    let mut sim = Sim::new(0);
-    let cfg = PathwaysConfig {
+    let config = PathwaysConfig {
         dispatch: mode,
         ..PathwaysConfig::default()
     };
     // One host per stage, 4 TPUs each (the paper's setup).
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::single_island(stages, 4),
-        NetworkParams::tpu_cluster(),
-        cfg,
-    );
+    let (mut sim, rt) = runtime(0, ClusterSpec::single_island(stages, 4), config);
     let client = rt.client(HostId(stages - 1));
-    let mut b = client.trace("pipeline");
-    let mut prev = None;
-    for s in 0..stages {
-        // Contiguous 4-device slices land on successive hosts.
-        let slice = client
-            .virtual_slice(SliceRequest::devices(4).contiguous())
-            .unwrap();
-        let comp = b.computation(
-            FnSpec::compute_only(format!("stage{s}"), stage_compute).with_output_bytes(1 << 10),
-            &slice,
-        );
-        if let Some(p) = prev {
-            b.edge(p, comp, 1 << 10);
-        }
-        prev = Some(comp);
-    }
-    let program = b.build().unwrap();
-    let prepared = client.prepare(&program);
-    let h = sim.handle();
+    // Contiguous 4-device slices land on successive hosts.
+    let slices: Vec<_> = (0..stages)
+        .map(|_| {
+            client
+                .virtual_slice(SliceRequest::devices(4).contiguous())
+                .unwrap()
+        })
+        .collect();
+    let stage =
+        |s| FnSpec::compute_only(format!("stage{s}"), stage_compute).with_output_bytes(1 << 10);
+    let kernels = slices
+        .iter()
+        .enumerate()
+        .map(|(s, slice)| (stage(s), slice));
+    let (prepared, _) = chain_program(&client, "pipeline", 1 << 10, kernels).unwrap();
     let job = sim.spawn("client", async move {
-        let start = h.now();
-        for _ in 0..programs {
-            client.run(&prepared).await;
-        }
-        h.now().duration_since(start)
+        run_serial(&client, &prepared, 0, programs).await
     });
     sim.run_to_quiescence();
-    let elapsed = job.try_take().unwrap();
-    (stages as u64 * programs) as f64 / elapsed.as_secs_f64()
+    (stages as u64 * programs) as f64 / job.try_take().unwrap().as_secs_f64()
 }
 
 #[cfg(test)]

@@ -20,9 +20,12 @@
 
 use std::sync::Arc;
 
-use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, ResourceManager, SliceRequest};
-use pathways_net::{ClusterSpec, IslandId, NetworkParams};
-use pathways_sim::{Sim, SimDuration, SimTime};
+use pathways_core::{FnSpec, PathwaysConfig, ResourceManager, SliceRequest};
+use pathways_models::gang_program;
+use pathways_net::{ClusterSpec, IslandId};
+use pathways_sim::{SimDuration, SimTime};
+
+use crate::runtime;
 
 /// Hosts per island in the sweep (fixed across points).
 pub const HOSTS_PER_ISLAND: u32 = 5;
@@ -47,13 +50,8 @@ pub struct ScaleStats {
 pub fn scale_point(islands: u32, compute: SimDuration, window: SimDuration) -> ScaleStats {
     const GANG: u32 = 4;
     assert!(islands >= 1);
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::islands_of(islands, HOSTS_PER_ISLAND, DEVICES_PER_HOST),
-        NetworkParams::tpu_cluster(),
-        PathwaysConfig::default(),
-    );
+    let spec = ClusterSpec::islands_of(islands, HOSTS_PER_ISLAND, DEVICES_PER_HOST);
+    let (mut sim, rt) = runtime(0, spec, PathwaysConfig::default());
     let end = SimTime::ZERO + window;
 
     let mut jobs = Vec::new();
@@ -67,12 +65,9 @@ pub fn scale_point(islands: u32, compute: SimDuration, window: SimDuration) -> S
         let slice = client
             .virtual_slice(SliceRequest::devices(GANG).in_island(IslandId(i)))
             .expect("island fits one gang slice");
-        let mut b = client.trace(format!("step-i{i}"));
-        b.computation(
-            FnSpec::compute_only("train_step", compute).with_allreduce(u64::from(GANG)),
-            &slice,
-        );
-        let prepared = client.prepare(&b.build().expect("valid step program"));
+        let step = FnSpec::compute_only("train_step", compute).with_allreduce(u64::from(GANG));
+        let (prepared, _) =
+            gang_program(&client, format!("step-i{i}"), step, &slice).expect("valid step program");
         let h = client.handle().clone();
         jobs.push(sim.spawn(format!("stepper-{i}"), async move {
             let mut steps = 0u64;

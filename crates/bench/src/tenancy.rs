@@ -2,10 +2,14 @@
 //! concurrent client programs under weighted-fair scheduling.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use pathways_core::{FnSpec, PathwaysConfig, PathwaysRuntime, SchedPolicy, SliceRequest};
-use pathways_net::{ClientId, ClusterSpec, HostId, NetworkParams};
-use pathways_sim::{Sim, SimDuration, SimTime, TraceLog};
+use pathways_core::{FnSpec, PathwaysConfig, SchedPolicy, SliceRequest};
+use pathways_models::{gang_program, spawn_windowed};
+use pathways_net::{ClientId, ClusterSpec, HostId};
+use pathways_sim::{SimDuration, SimTime, TraceLog};
+
+use crate::runtime;
 
 /// Result of a multi-tenancy trace run.
 #[derive(Debug)]
@@ -18,9 +22,9 @@ pub struct TenancyTrace {
     pub utilization: f64,
 }
 
-/// Runs `weights.len()` clients with the given weighted-fair weights
-/// submitting `compute`-sized programs for `window`, and returns the
-/// device-0 trace and accounting.
+/// Runs `weights.len()` clients with the given weighted-fair weights,
+/// each keeping 12 runs of a `compute`-sized program outstanding for
+/// `window`, and returns the device-0 trace and accounting.
 pub fn tenancy_trace(
     hosts: u32,
     devices_per_host: u32,
@@ -28,8 +32,6 @@ pub fn tenancy_trace(
     compute: SimDuration,
     window: SimDuration,
 ) -> TenancyTrace {
-    let mut sim = Sim::new(0);
-    sim.handle().record_trace(true);
     let weight_map: BTreeMap<ClientId, u32> = weights
         .iter()
         .enumerate()
@@ -45,28 +47,19 @@ pub fn tenancy_trace(
         sched_horizon: SimDuration::from_micros(600),
         ..PathwaysConfig::default()
     };
-    let rt = PathwaysRuntime::new(
-        &sim,
-        ClusterSpec::single_island(hosts, devices_per_host),
-        NetworkParams::tpu_cluster(),
-        cfg,
-    );
+    let spec = ClusterSpec::single_island(hosts, devices_per_host);
+    let (mut sim, rt) = runtime(0, spec, cfg);
+    sim.handle().record_trace(true);
     let n_devices = hosts * devices_per_host;
     let labels = ["A", "B", "C", "D", "E", "F", "G", "H"];
-    for (i, _w) in weights.iter().enumerate() {
+    for i in 0..weights.len() {
         let client = rt.client_labeled(HostId(i as u32 % hosts), labels[i % labels.len()]);
         let slice = client
             .virtual_slice(SliceRequest::devices(n_devices))
             .unwrap();
-        let mut b = client.trace(format!("w{i}"));
-        b.computation(
-            FnSpec::compute_only("step", compute).with_allreduce(4),
-            &slice,
-        );
-        let program = b.build().unwrap();
-        let prepared = std::sync::Arc::new(client.prepare(&program));
-        let counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        crate::stream::spawn_program_stream(&mut sim, client, prepared, 12, counter);
+        let step = FnSpec::compute_only("step", compute).with_allreduce(4);
+        let (prepared, _) = gang_program(&client, format!("w{i}"), step, &slice).unwrap();
+        spawn_windowed(client, prepared, 12, Arc::default());
     }
     sim.run_until_time(SimTime::ZERO + window);
     let trace = sim.take_trace();

@@ -43,10 +43,14 @@
 //! consumers.
 
 use pathways_core::{
-    FaultSpec, FnSpec, InputSpec, PathwaysConfig, PathwaysRuntime, SliceRequest, TierConfig,
+    Client, FaultSpec, FnSpec, InputSpec, ObjectRef, PathwaysConfig, SliceRequest, TierConfig,
+    VirtualSlice,
 };
-use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
-use pathways_sim::{FaultPlan, Sim, SimDuration, SimTime};
+use pathways_models::gang_program;
+use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId};
+use pathways_sim::{FaultPlan, SimDuration, SimTime};
+
+use crate::runtime;
 
 /// One point of the throughput-vs-HBM-budget sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -132,11 +136,9 @@ pub const SHARD_BYTES: u64 = 32 << 20;
 /// HBM per device and returns the measured point. Deterministic for
 /// equal arguments.
 pub fn spill_throughput(hbm_bytes: u64, steps: u32) -> SpillPoint {
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::islands_of(1, 2, 4),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig {
             hbm_per_device: hbm_bytes,
             tiers: Some(TierConfig {
@@ -156,13 +158,10 @@ pub fn spill_throughput(hbm_bytes: u64, steps: u32) -> SpillPoint {
         let slice = client
             .virtual_slice(SliceRequest::devices(4))
             .expect("island fits a 4-device slice");
-        let mut b = client.trace("step");
-        let k = b.computation(
-            FnSpec::compute_only("train_step", SimDuration::from_micros(500))
-                .with_output_bytes(SHARD_BYTES),
-            &slice,
-        );
-        let prepared = client.prepare(&b.build().expect("valid step program"));
+        let step = FnSpec::compute_only("train_step", SimDuration::from_micros(500))
+            .with_output_bytes(SHARD_BYTES);
+        let (prepared, k) =
+            gang_program(&client, "step", step, &slice).expect("valid step program");
         let mut retained = Vec::new();
         for _ in 0..steps {
             let run = client.submit(&prepared).await;
@@ -189,6 +188,37 @@ pub fn spill_throughput(hbm_bytes: u64, steps: u32) -> SpillPoint {
     }
 }
 
+/// Runs program `name`: one `spec` kernel on `slice` reading each
+/// labelled input over a 64 KiB reshard edge. Returns its output once
+/// ready.
+async fn run_consumer(
+    client: &Client,
+    name: &str,
+    spec: FnSpec,
+    slice: &VirtualSlice,
+    inputs: Vec<(&str, ObjectRef)>,
+) -> ObjectRef {
+    let mut b = client.trace(name);
+    let mut bindings = Vec::new();
+    for (label, obj) in inputs {
+        bindings.push((b.input(InputSpec::new(label, obj.shards())), obj));
+    }
+    let k = b.computation(spec, slice);
+    for &(x, _) in &bindings {
+        b.reshard_edge(x, k, 1 << 16);
+    }
+    let program = b.build().expect("valid consumer");
+    let run = client
+        .submit_with(&client.prepare(&program), &bindings)
+        .await
+        .expect("bindings are valid");
+    drop(bindings);
+    let out = run.object_ref(k).expect("sink exists");
+    run.finish().await;
+    assert_eq!(out.ready().await, Ok(()), "{name} must complete");
+    out
+}
+
 /// Shared families-2-and-3 harness: a producer with `compute` per-shard
 /// cost and `shard_bytes` outputs on island 0 finishes, a scripted
 /// fault kills one device holding its output at 300ms, and a consumer
@@ -201,11 +231,9 @@ fn recovery_case(
     shard_bytes: u64,
 ) -> (SimDuration, bool) {
     const KILL_US: u64 = 300_000;
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::islands_of(2, 2, 4),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig {
             tiers: Some(TierConfig {
                 checkpoint_interval,
@@ -226,14 +254,10 @@ fn recovery_case(
         let slice = client
             .virtual_slice(SliceRequest::devices(4).in_island(IslandId(0)))
             .expect("island 0 fits the producer");
-        let mut b = client.trace("producer");
-        let k = b.computation(
-            FnSpec::compute_only("expensive", compute).with_output_bytes(shard_bytes),
-            &slice,
-        );
-        let run = client
-            .submit(&client.prepare(&b.build().expect("valid producer")))
-            .await;
+        let producer = FnSpec::compute_only("expensive", compute).with_output_bytes(shard_bytes);
+        let (prepared, k) =
+            gang_program(&client, "producer", producer, &slice).expect("valid producer");
+        let run = client.submit(&prepared).await;
         let out = run.object_ref(k).expect("sink exists");
         run.finish().await;
         assert_eq!(out.ready().await, Ok(()), "producer must succeed");
@@ -244,23 +268,8 @@ fn recovery_case(
         let cslice = client
             .virtual_slice(SliceRequest::devices(4).in_island(IslandId(0)))
             .expect("island 0 still has 4 live devices");
-        let mut b = client.trace("consumer");
-        let x = b.input(InputSpec::new("x", out.shards()));
-        let c = b.computation(
-            FnSpec::compute_only("consume", SimDuration::from_micros(100)),
-            &cslice,
-        );
-        b.reshard_edge(x, c, 1 << 16);
-        let crun = client
-            .submit_with(
-                &client.prepare(&b.build().expect("valid consumer")),
-                &[(x, out)],
-            )
-            .await
-            .expect("binding is valid");
-        let cout = crun.object_ref(c).expect("sink exists");
-        crun.finish().await;
-        assert_eq!(cout.ready().await, Ok(()), "consumer must recover");
+        let consume = FnSpec::compute_only("consume", SimDuration::from_micros(100));
+        let _cout = run_consumer(&client, "consumer", consume, &cslice, vec![("x", out)]).await;
         h.now() - t0
     });
     sim.run_to_quiescence();
@@ -320,11 +329,9 @@ pub fn recovery_frontier(compute: SimDuration, shard_bytes: u64) -> FrontierPoin
 pub fn checkpoint_gc(keep: u32, epochs: u32) -> GcPoint {
     assert!(epochs >= 1, "need at least the base epoch");
     const GC_SHARD_BYTES: u64 = 1 << 20;
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::islands_of(1, 2, 4),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig {
             tiers: Some(TierConfig {
                 // Epochs are driven explicitly below; the periodic
@@ -343,15 +350,10 @@ pub fn checkpoint_gc(keep: u32, epochs: u32) -> GcPoint {
         let slice = client
             .virtual_slice(SliceRequest::devices(4))
             .expect("island fits a 4-device slice");
-        let mut b = client.trace("state");
-        let k = b.computation(
-            FnSpec::compute_only("init", SimDuration::from_micros(500))
-                .with_output_bytes(GC_SHARD_BYTES),
-            &slice,
-        );
-        let run = client
-            .submit(&client.prepare(&b.build().expect("valid program")))
-            .await;
+        let init = FnSpec::compute_only("init", SimDuration::from_micros(500))
+            .with_output_bytes(GC_SHARD_BYTES);
+        let (prepared, k) = gang_program(&client, "state", init, &slice).expect("valid program");
+        let run = client.submit(&prepared).await;
         let out = run.object_ref(k).expect("sink exists");
         run.finish().await;
         assert_eq!(out.ready().await, Ok(()), "producer must succeed");
@@ -399,12 +401,9 @@ pub fn checkpoint_gc(keep: u32, epochs: u32) -> GcPoint {
 pub fn chain_recovery() -> ChainPoint {
     const KILL_US: u64 = 300_000;
     const CHAIN_SHARD_BYTES: u64 = 4 << 20;
-    let mut sim = Sim::new(0);
-    sim.handle().record_trace(true);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::islands_of(2, 2, 4),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig {
             tiers: Some(TierConfig {
                 checkpoint_interval: None,
@@ -413,6 +412,7 @@ pub fn chain_recovery() -> ChainPoint {
             ..PathwaysConfig::default()
         },
     );
+    sim.handle().record_trace(true);
     rt.install_fault_plan(FaultPlan::new().at(
         SimTime::ZERO + SimDuration::from_micros(KILL_US),
         FaultSpec::Device(DeviceId(1)),
@@ -425,43 +425,22 @@ pub fn chain_recovery() -> ChainPoint {
         let slice = client
             .virtual_slice(SliceRequest::devices(4).in_island(IslandId(0)))
             .expect("island 0 fits the chain");
-        let mut b = client.trace("upstream");
-        let ka = b.computation(
-            FnSpec::compute_only("shared_upstream", SimDuration::from_millis(1))
-                .with_output_bytes(CHAIN_SHARD_BYTES),
-            &slice,
-        );
-        let arun = client
-            .submit(&client.prepare(&b.build().expect("valid upstream")))
-            .await;
+        let upstream = FnSpec::compute_only("shared_upstream", SimDuration::from_millis(1))
+            .with_output_bytes(CHAIN_SHARD_BYTES);
+        let (prepared, ka) =
+            gang_program(&client, "upstream", upstream, &slice).expect("valid upstream");
+        let arun = client.submit(&prepared).await;
         let out_a = arun.object_ref(ka).expect("sink exists");
         arun.finish().await;
         assert_eq!(out_a.ready().await, Ok(()), "upstream must succeed");
 
-        let mut downstream = Vec::new();
-        for name in ["left", "right"] {
-            let mut b = client.trace(name);
-            let x = b.input(InputSpec::new("a", out_a.shards()));
-            let k = b.computation(
-                FnSpec::compute_only(name, SimDuration::from_micros(500))
-                    .with_output_bytes(CHAIN_SHARD_BYTES),
-                &slice,
-            );
-            b.reshard_edge(x, k, 1 << 16);
-            let run = client
-                .submit_with(
-                    &client.prepare(&b.build().expect("valid downstream")),
-                    &[(x, out_a.clone())],
-                )
-                .await
-                .expect("binding is valid");
-            let out = run.object_ref(k).expect("sink exists");
-            run.finish().await;
-            assert_eq!(out.ready().await, Ok(()), "downstream must succeed");
-            downstream.push(out);
-        }
-        let out_c = downstream.pop().expect("two downstream objects");
-        let out_b = downstream.pop().expect("two downstream objects");
+        let downstream = |name| {
+            FnSpec::compute_only(name, SimDuration::from_micros(500))
+                .with_output_bytes(CHAIN_SHARD_BYTES)
+        };
+        let a = || vec![("a", out_a.clone())];
+        let out_b = run_consumer(&client, "left", downstream("left"), &slice, a()).await;
+        let out_c = run_consumer(&client, "right", downstream("right"), &slice, a()).await;
 
         h.sleep_until(SimTime::ZERO + SimDuration::from_micros(KILL_US + 100))
             .await;
@@ -473,25 +452,9 @@ pub fn chain_recovery() -> ChainPoint {
         let dslice = client
             .virtual_slice(SliceRequest::devices(4).in_island(IslandId(1)))
             .expect("island 1 is untouched by the kill");
-        let mut b = client.trace("consumer");
-        let xb = b.input(InputSpec::new("b", out_b.shards()));
-        let xc = b.input(InputSpec::new("c", out_c.shards()));
-        let d = b.computation(
-            FnSpec::compute_only("consume", SimDuration::from_micros(100)),
-            &dslice,
-        );
-        b.reshard_edge(xb, d, 1 << 16);
-        b.reshard_edge(xc, d, 1 << 16);
-        let drun = client
-            .submit_with(
-                &client.prepare(&b.build().expect("valid consumer")),
-                &[(xb, out_b), (xc, out_c)],
-            )
-            .await
-            .expect("bindings are valid");
-        let dout = drun.object_ref(d).expect("sink exists");
-        drun.finish().await;
-        assert_eq!(dout.ready().await, Ok(()), "chain must recover");
+        let consume = FnSpec::compute_only("consume", SimDuration::from_micros(100));
+        let inputs = vec![("b", out_b), ("c", out_c)];
+        let _dout = run_consumer(&client, "consumer", consume, &dslice, inputs).await;
         (h.now() - t0, out_a.id())
     });
     sim.run_to_quiescence();

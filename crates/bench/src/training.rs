@@ -1,50 +1,55 @@
 //! §5.3 harnesses: real-model training throughput (Tables 1 and 2,
 //! Figures 10 and 12).
 
-use pathways_baselines::{JaxConfig, JaxRuntime, StepWorkload, SubmissionMode};
-use pathways_core::{PathwaysConfig, PathwaysRuntime, SliceRequest, VirtualSlice};
+use pathways_baselines::{StepWorkload, SubmissionMode};
+use pathways_core::{Client, PathwaysConfig, Program, SliceRequest, VirtualSlice};
 use pathways_models::{
-    gpipe_program, measure_tokens_per_sec, spmd_program, two_island_data_parallel_program,
-    Calibration, TrainSetup, TransformerConfig,
+    gpipe_program, run_serial, spmd_program, two_island_data_parallel_program, Calibration,
+    TrainSetup, TransformerConfig,
 };
-use pathways_net::{ClusterSpec, HostId, IslandId, NetworkParams};
+use pathways_net::{ClusterSpec, HostId, IslandId};
 use pathways_sim::Sim;
+
+use crate::micro::jax_throughput;
+use crate::runtime;
+
+/// Tokens/second of `steps` serial training steps of `program` (after
+/// one untimed warm-up step), `setup.global_batch_tokens` per step.
+fn tokens_per_sec(
+    sim: &mut Sim,
+    client: Client,
+    program: &Program,
+    setup: &TrainSetup,
+    steps: u32,
+) -> f64 {
+    let prepared = client.prepare(program);
+    let job = sim.spawn("train", async move {
+        run_serial(&client, &prepared, 1, u64::from(steps)).await
+    });
+    sim.run_to_quiescence();
+    let elapsed = job.try_take().unwrap();
+    (setup.global_batch_tokens * u64::from(steps)) as f64 / elapsed.as_secs_f64()
+}
 
 /// Tokens/second of Pathways training `setup` as SPMD over `cores`
 /// cores (4 per host, configuration A style).
 pub fn pathways_spmd_tokens_per_sec(cores: u32, setup: &TrainSetup, steps: u32) -> f64 {
     let hosts = cores.div_ceil(4);
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::single_island(hosts, 4),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig::default(),
     );
     let client = rt.client(HostId(hosts - 1));
     let slice = client.virtual_slice(SliceRequest::devices(cores)).unwrap();
     let program = spmd_program(&client, &slice, setup);
-    let prepared = client.prepare(&program);
-    let tokens = setup.global_batch_tokens;
-    let job = sim.spawn("train", async move {
-        measure_tokens_per_sec(&client, &prepared, tokens, steps).await
-    });
-    sim.run_to_quiescence();
-    job.try_take().unwrap()
+    tokens_per_sec(&mut sim, client, &program, setup, steps)
 }
 
 /// Tokens/second of the JAX multi-controller training the same step: the
 /// step kernel's compute time and gradient-exchange collective come from
 /// the identical cost model, so any difference is pure system overhead.
 pub fn jax_spmd_tokens_per_sec(cores: u32, setup: &TrainSetup, steps: u32) -> f64 {
-    let hosts = cores.div_ceil(4);
-    let mut sim = Sim::new(0);
-    let rt = JaxRuntime::new(
-        &sim,
-        ClusterSpec::single_island(hosts, 4),
-        NetworkParams::tpu_cluster(),
-        JaxConfig::default(),
-    );
     let compute = setup
         .calib
         .step_compute_time(&setup.model, setup.global_batch_tokens, cores);
@@ -57,9 +62,13 @@ pub fn jax_spmd_tokens_per_sec(cores: u32, setup: &TrainSetup, steps: u32) -> f6
         allreduce_bytes: 4,
         chain_len: 1,
     };
-    let m = rt.spawn_benchmark(&mut sim, SubmissionMode::OpByOp, w, steps as u64);
-    sim.run_to_quiescence();
-    let t = m.try_take().unwrap();
+    let t = jax_throughput(
+        cores.div_ceil(4),
+        4,
+        SubmissionMode::OpByOp,
+        w,
+        steps as u64,
+    );
     setup.global_batch_tokens as f64 * steps as f64 / t.elapsed.as_secs_f64()
 }
 
@@ -73,11 +82,9 @@ pub fn pathways_pipeline_tokens_per_sec(
     steps: u32,
 ) -> f64 {
     let hosts = cores.div_ceil(8);
-    let mut sim = Sim::new(0);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::single_island(hosts, 8),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig::default(),
     );
     let client = rt.client(HostId(hosts - 1));
@@ -90,13 +97,7 @@ pub fn pathways_pipeline_tokens_per_sec(
         })
         .collect();
     let program = gpipe_program(&client, &stages, microbatches, setup);
-    let prepared = client.prepare(&program);
-    let tokens = setup.global_batch_tokens;
-    let job = sim.spawn("train", async move {
-        measure_tokens_per_sec(&client, &prepared, tokens, steps).await
-    });
-    sim.run_to_quiescence();
-    job.try_take().unwrap()
+    tokens_per_sec(&mut sim, client, &program, setup, steps)
 }
 
 /// Figure 10: the same 16-stage pipeline on four islands connected by
@@ -110,14 +111,12 @@ pub fn pathways_pipeline_islands_tokens_per_sec(
     setup: &TrainSetup,
     steps: u32,
 ) -> (f64, String) {
-    let mut sim = Sim::new(0);
-    sim.handle().record_trace(true);
-    let rt = PathwaysRuntime::new(
-        &sim,
+    let (mut sim, rt) = runtime(
+        0,
         ClusterSpec::islands_of(islands, hosts_per_island, 8),
-        NetworkParams::tpu_cluster(),
         PathwaysConfig::default(),
     );
+    sim.handle().record_trace(true);
     let client = rt.client(HostId(0));
     let stages_per_island = s_count / islands;
     let per_stage = hosts_per_island * 8 / stages_per_island;
@@ -136,13 +135,7 @@ pub fn pathways_pipeline_islands_tokens_per_sec(
         }
     }
     let program = gpipe_program(&client, &stages, microbatches, setup);
-    let prepared = client.prepare(&program);
-    let tokens = setup.global_batch_tokens;
-    let job = sim.spawn("train", async move {
-        measure_tokens_per_sec(&client, &prepared, tokens, steps).await
-    });
-    sim.run_to_quiescence();
-    let tps = job.try_take().unwrap();
+    let tps = tokens_per_sec(&mut sim, client, &program, setup, steps);
     let trace = sim.take_trace();
     let spans = trace.spans();
     let (start, end) = spans.iter().fold(
@@ -168,11 +161,9 @@ pub fn two_island_scaling(cores_per_island: u32, setup: &TrainSetup, steps: u32)
     let hosts = cores_per_island / 4;
     // Two islands over DCN.
     let two = {
-        let mut sim = Sim::new(0);
-        let rt = PathwaysRuntime::new(
-            &sim,
+        let (mut sim, rt) = runtime(
+            0,
             ClusterSpec::islands_of(2, hosts, 4),
-            NetworkParams::tpu_cluster(),
             PathwaysConfig::default(),
         );
         let client = rt.client(HostId(0));
@@ -183,13 +174,7 @@ pub fn two_island_scaling(cores_per_island: u32, setup: &TrainSetup, steps: u32)
             .virtual_slice(SliceRequest::devices(cores_per_island).in_island(IslandId(1)))
             .unwrap();
         let program = two_island_data_parallel_program(&client, &[s0, s1], setup);
-        let prepared = client.prepare(&program);
-        let tokens = setup.global_batch_tokens;
-        let job = sim.spawn("train", async move {
-            measure_tokens_per_sec(&client, &prepared, tokens, steps).await
-        });
-        sim.run_to_quiescence();
-        job.try_take().unwrap()
+        tokens_per_sec(&mut sim, client, &program, setup, steps)
     };
     // One island with twice the devices (the ICI-only reference).
     let single = pathways_spmd_tokens_per_sec(2 * cores_per_island, setup, steps);
@@ -224,25 +209,25 @@ pub fn table2_setup(batch_sequences: u64) -> TrainSetup {
     setup
 }
 
-/// A reduced-size smoke version of a Table 1 row used by tests.
-pub fn table1_point(model: TransformerConfig, cores: u32, mfu: f64, steps: u32) -> (f64, f64) {
-    let mut setup = TrainSetup::new(model, 1 << 20);
-    setup.calib.mfu = mfu;
-    let jax = jax_spmd_tokens_per_sec(cores, &setup, steps);
-    let pw = pathways_spmd_tokens_per_sec(cores, &setup, steps);
-    (jax, pw)
-}
-
-/// Shorthand used by tests and the quick benches.
-pub fn quick_setup() -> TrainSetup {
-    let mut s = TrainSetup::new(TransformerConfig::decoder_3b(), 256 * 1024);
-    s.calib.mfu = 0.30;
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A reduced-size smoke version of a Table 1 row.
+    fn table1_point(model: TransformerConfig, cores: u32, mfu: f64, steps: u32) -> (f64, f64) {
+        let mut setup = TrainSetup::new(model, 1 << 20);
+        setup.calib.mfu = mfu;
+        let jax = jax_spmd_tokens_per_sec(cores, &setup, steps);
+        let pw = pathways_spmd_tokens_per_sec(cores, &setup, steps);
+        (jax, pw)
+    }
+
+    /// A quick 3B setup at 30 % MFU.
+    fn quick_setup() -> TrainSetup {
+        let mut s = TrainSetup::new(TransformerConfig::decoder_3b(), 256 * 1024);
+        s.calib.mfu = 0.30;
+        s
+    }
 
     #[test]
     fn jax_and_pathways_match_on_real_models() {

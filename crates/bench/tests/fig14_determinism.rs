@@ -33,6 +33,7 @@ fn fig14_chained_workload_is_bit_identical_under_faults() {
             2,
             &fault_plan(),
         )
+        .1
     };
     let a = run();
     let b = run();
@@ -58,6 +59,7 @@ fn fig14_sequential_dispatch_also_replays_identically() {
             1,
             &fault_plan(),
         )
+        .1
     };
     assert_eq!(run(), run());
 }
@@ -73,7 +75,8 @@ fn fault_free_and_faulted_traces_differ() {
         ChainDispatch::Parallel,
         2,
         &fault_plan(),
-    );
+    )
+    .1;
     let clean = chained_trace(
         42,
         2,
@@ -83,7 +86,8 @@ fn fault_free_and_faulted_traces_differ() {
         ChainDispatch::Parallel,
         2,
         &[],
-    );
+    )
+    .1;
     assert_ne!(
         faulted, clean,
         "the injected fault must be observable in the trace"

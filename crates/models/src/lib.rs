@@ -43,6 +43,7 @@ mod workloads;
 pub use calibration::Calibration;
 pub use transformer::{Arch, TransformerConfig};
 pub use workloads::{
-    gpipe_program, measure_tokens_per_sec, measure_tokens_per_sec_chained, sink_ids, spmd_chained,
-    spmd_program, two_island_chained, two_island_data_parallel_program, StepChain, TrainSetup,
+    chain_program, gang_program, gpipe_program, measure_tokens_per_sec_chained, run_serial,
+    spawn_windowed, spmd_chained, spmd_program, two_island_chained,
+    two_island_data_parallel_program, StepChain, TrainSetup,
 };

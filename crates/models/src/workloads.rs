@@ -1,4 +1,5 @@
-//! Builders that lower training workloads onto Pathways programs.
+//! Builders that lower workloads onto Pathways programs, and the
+//! disciplines that drive them.
 //!
 //! Three program shapes cover every §5.3 experiment:
 //!
@@ -6,13 +7,26 @@
 //!   slice (Tables 1 and 2's "Model-parallel (SPMD)" rows);
 //! * [`gpipe_program`] — a GPipe schedule with `S` stages and `M`
 //!   micro-batches, stage `s` on its own slice (Table 2's pipelining
-//!   rows, Figures 7 and 10);
+//!   rows, Figure 10);
 //! * [`two_island_data_parallel_program`] — gradient exchange between
 //!   islands over the DCN (§5.3's 64B/136B runs, Figure 12).
+//!
+//! Two more cover the §5.1–§5.2 micro-benchmarks: [`gang_program`], one
+//! gang kernel, and [`chain_program`], a linear chain of them.
+//!
+//! A client submits programs in one of three disciplines:
+//! [`run_serial`] awaits each run before the next, [`spawn_windowed`]
+//! keeps `k` runs outstanding, and [`measure_tokens_per_sec_chained`]
+//! chains steps through `ObjectRef` futures without awaiting any.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use pathways_core::{
-    Client, CompId, FnSpec, InputSpec, ObjectRef, PreparedProgram, Program, Run, VirtualSlice,
+    Client, CompId, FnSpec, InputSpec, ObjectRef, PreparedProgram, Program, ProgramError, Run,
+    VirtualSlice,
 };
+use pathways_sim::sync::Semaphore;
 use pathways_sim::SimDuration;
 
 use crate::calibration::Calibration;
@@ -41,28 +55,25 @@ impl TrainSetup {
 }
 
 /// Builds a single-computation SPMD training-step program on `slice`.
-///
-/// The computation's collective models the intra-step parameter/gradient
-/// exchange; following GShard (§5.3 footnote), its size is proportional
-/// to the per-device parameter shard, not to the batch.
 #[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 pub fn spmd_program(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -> Program {
-    let cores = slice.len() as u32;
-    let compute = setup
-        .calib
-        .step_compute_time(&setup.model, setup.global_batch_tokens, cores);
-    let comm_bytes = setup.model.param_bytes_bf16() / cores as u64;
-    // Non-overlapped SPMD collective time (see Calibration docs).
-    let comm_time = compute.mul_f64(setup.calib.spmd_comm_fraction);
+    let (step, _) = step_kernel(setup, setup.global_batch_tokens, slice.len() as u32, "step");
     let mut b = client.trace(format!("spmd-{}", setup.model.name));
-    b.computation(
-        FnSpec::compute_only(format!("{}-step", setup.model.name), compute)
-            .with_allreduce(comm_bytes)
-            .with_collective_time(comm_time)
-            .with_output_bytes(64),
-        slice,
-    );
+    b.computation(step.with_output_bytes(64), slice);
     b.build().expect("single-computation program is valid")
+}
+
+/// A training step of `tokens` over `cores` devices, named
+/// `{model}-{what}`, and its compute time. Its collective is the
+/// intra-step parameter/gradient exchange: following GShard (§5.3
+/// footnote) it is sized to the per-device parameter shard, not to the
+/// batch, and takes the calibrated non-overlapped fraction of compute.
+fn step_kernel(setup: &TrainSetup, tokens: u64, cores: u32, what: &str) -> (FnSpec, SimDuration) {
+    let compute = setup.calib.step_compute_time(&setup.model, tokens, cores);
+    let spec = FnSpec::compute_only(format!("{}-{what}", setup.model.name), compute)
+        .with_allreduce(setup.model.param_bytes_bf16() / cores as u64)
+        .with_collective_time(compute.mul_f64(setup.calib.spmd_comm_fraction));
+    (spec, compute)
 }
 
 /// Builds a GPipe training-step program: `stages.len()` pipeline stages,
@@ -162,12 +173,7 @@ pub fn two_island_data_parallel_program(
         "islands must be symmetric"
     );
     // Each island processes half the global batch.
-    let half_tokens = setup.global_batch_tokens / 2;
-    let compute = setup
-        .calib
-        .step_compute_time(&setup.model, half_tokens, cores);
-    let comm_time = compute.mul_f64(setup.calib.spmd_comm_fraction);
-    let intra_bytes = setup.model.param_bytes_bf16() / cores as u64;
+    let (grad, compute) = step_kernel(setup, setup.global_batch_tokens / 2, cores, "grad");
     // Cross-island exchange: the fast ICI within-island reduction
     // happened in the grad computation; each island then ships its
     // reduced gradients to the other over DCN.
@@ -178,15 +184,7 @@ pub fn two_island_data_parallel_program(
     let mut grads = Vec::new();
     let mut applies = Vec::new();
     for island in islands {
-        grads.push(
-            b.computation(
-                FnSpec::compute_only(format!("{}-grad", setup.model.name), compute)
-                    .with_allreduce(intra_bytes)
-                    .with_collective_time(comm_time)
-                    .with_output_bytes(exchange_per_shard),
-                island,
-            ),
-        );
+        grads.push(b.computation(grad.clone().with_output_bytes(exchange_per_shard), island));
     }
     let apply_t = SimDuration::from_nanos(compute.as_nanos() / 20);
     for island in islands {
@@ -204,9 +202,38 @@ pub fn two_island_data_parallel_program(
     b.build().expect("data-parallel program is a DAG")
 }
 
-/// Sink computation ids of a program (convenience for result checks).
-pub fn sink_ids(program: &Program) -> Vec<CompId> {
-    program.sinks()
+/// A linear chain of gang kernels named `name`: kernel `i` runs its
+/// [`FnSpec`] over every device of its slice and feeds kernel `i + 1`
+/// over an `edge_bytes` edge — §5.1's -C mode and Figure 7's pipeline.
+/// Returns the prepared program and its last kernel (the sink).
+pub fn chain_program<'a>(
+    client: &Client,
+    name: impl Into<String>,
+    edge_bytes: u64,
+    kernels: impl IntoIterator<Item = (FnSpec, &'a VirtualSlice)>,
+) -> Result<(PreparedProgram, CompId), ProgramError> {
+    let mut b = client.trace(name);
+    let mut last = None;
+    for (spec, slice) in kernels {
+        let k = b.computation(spec, slice);
+        if let Some(prev) = last {
+            b.edge(prev, k, edge_bytes);
+        }
+        last = Some(k);
+    }
+    let sink = last.ok_or(ProgramError::Empty)?;
+    Ok((client.prepare(&b.build()?), sink))
+}
+
+/// One gang kernel named `name`: `spec` over every device of `slice`
+/// (a chain of one). Returns the prepared program and the kernel.
+pub fn gang_program(
+    client: &Client,
+    name: impl Into<String>,
+    spec: FnSpec,
+    slice: &VirtualSlice,
+) -> Result<(PreparedProgram, CompId), ProgramError> {
+    chain_program(client, name, 0, [(spec, slice)])
 }
 
 /// A training loop expressed as chained programs: an `init` program
@@ -235,11 +262,7 @@ pub struct StepChain {
 #[expect(clippy::expect_used, reason = "binds objects made just before")]
 pub fn spmd_chained(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -> StepChain {
     let cores = slice.len() as u32;
-    let compute = setup
-        .calib
-        .step_compute_time(&setup.model, setup.global_batch_tokens, cores);
-    let comm_bytes = setup.model.param_bytes_bf16() / cores as u64;
-    let comm_time = compute.mul_f64(setup.calib.spmd_comm_fraction);
+    let (kernel, _) = step_kernel(setup, setup.global_batch_tokens, cores, "step");
     let weight_shard = setup.model.param_bytes_bf16() / cores as u64;
 
     let mut b = client.trace(format!("spmd-init-{}", setup.model.name));
@@ -252,13 +275,7 @@ pub fn spmd_chained(client: &Client, slice: &VirtualSlice, setup: &TrainSetup) -
 
     let mut b = client.trace(format!("spmd-chained-{}", setup.model.name));
     let w_in = b.input(InputSpec::new("weights", cores));
-    let step_k = b.computation(
-        FnSpec::compute_only(format!("{}-step", setup.model.name), compute)
-            .with_allreduce(comm_bytes)
-            .with_collective_time(comm_time)
-            .with_output_bytes(weight_shard),
-        slice,
-    );
+    let step_k = b.computation(kernel.with_output_bytes(weight_shard), slice);
     // Weights stay device-resident: the handoff is shard-local.
     b.edge(w_in, step_k, 0);
     let step = b.build().expect("chained step is valid");
@@ -287,12 +304,7 @@ pub fn two_island_chained(
         islands[1].len(),
         "islands must be symmetric"
     );
-    let half_tokens = setup.global_batch_tokens / 2;
-    let compute = setup
-        .calib
-        .step_compute_time(&setup.model, half_tokens, cores);
-    let comm_time = compute.mul_f64(setup.calib.spmd_comm_fraction);
-    let intra_bytes = setup.model.param_bytes_bf16() / cores as u64;
+    let (grad, compute) = step_kernel(setup, setup.global_batch_tokens / 2, cores, "grad");
     let exchange_total = setup.calib.grad_exchange_bytes(&setup.model);
     let exchange_per_shard = exchange_total / islands[0].len() as u64;
     let weight_shard = setup.model.param_bytes_bf16() / (2 * cores as u64);
@@ -316,15 +328,9 @@ pub fn two_island_chained(
         .collect();
     let mut grads = Vec::new();
     for (i, island) in islands.iter().enumerate() {
-        let grad = b.computation(
-            FnSpec::compute_only(format!("{}-grad", setup.model.name), compute)
-                .with_allreduce(intra_bytes)
-                .with_collective_time(comm_time)
-                .with_output_bytes(exchange_per_shard),
-            island,
-        );
-        b.edge(step_inputs[i], grad, 0);
-        grads.push(grad);
+        let k = b.computation(grad.clone().with_output_bytes(exchange_per_shard), island);
+        b.edge(step_inputs[i], k, 0);
+        grads.push(k);
     }
     let apply_t = SimDuration::from_nanos(compute.as_nanos() / 20);
     let step_outputs: Vec<CompId> = islands
@@ -350,23 +356,57 @@ pub fn two_island_chained(
     }
 }
 
-/// Runs `steps` training steps (plus one warm-up) of a prepared program
-/// and returns tokens/second of steady-state virtual time.
-pub async fn measure_tokens_per_sec(
+/// The serial discipline: runs `prepared` `warmup` times untimed, then
+/// `runs` times, each run awaited before the next is submitted, and
+/// returns the virtual time the timed runs took. §5.1's -O, -C and -F
+/// modes and §5.3's training steps are all this loop over different
+/// programs.
+pub async fn run_serial(
     client: &Client,
-    prepared: &pathways_core::PreparedProgram,
-    tokens_per_step: u64,
-    steps: u32,
-) -> f64 {
-    // Warm-up step (compilation, buffer pools).
-    client.run(prepared).await;
-    let handle = client.handle().clone();
-    let start = handle.now();
-    for _ in 0..steps {
+    prepared: &PreparedProgram,
+    warmup: u32,
+    runs: u64,
+) -> SimDuration {
+    for _ in 0..warmup {
         client.run(prepared).await;
     }
-    let elapsed = handle.now().duration_since(start);
-    (tokens_per_step * steps as u64) as f64 / elapsed.as_secs_f64()
+    let start = client.handle().now();
+    for _ in 0..runs {
+        client.run(prepared).await;
+    }
+    client.handle().now().duration_since(start)
+}
+
+/// The windowed discipline: spawns a client stream that keeps
+/// `outstanding` runs of `prepared` in flight for as long as the
+/// simulation runs, counting each finished run in `completed`. The
+/// stream's submissions are serialized (one single-threaded client
+/// process) while completions are awaited in tasks of their own; stop
+/// it by ending the simulation (`Sim::run_until_time`). §5.2's
+/// concurrent clients (Figures 8, 9 and 11) are this loop.
+pub fn spawn_windowed(
+    client: Client,
+    prepared: PreparedProgram,
+    outstanding: u32,
+    completed: Arc<AtomicU64>,
+) {
+    let window = Semaphore::new(u64::from(outstanding));
+    let h = client.handle().clone();
+    let label = client.label().to_string();
+    h.clone().spawn(format!("stream-{label}"), async move {
+        let mut seq = 0u64;
+        loop {
+            let permit = window.acquire(1).await;
+            let pending = client.submit(&prepared).await;
+            let completed = Arc::clone(&completed);
+            h.spawn(format!("run-{label}-{seq}"), async move {
+                let _window_slot = permit;
+                pending.finish().await;
+                completed.fetch_add(1, Ordering::Relaxed);
+            });
+            seq += 1;
+        }
+    });
 }
 
 /// Runs `steps` chained training steps (after an awaited init/warm-up)
@@ -506,16 +546,65 @@ mod tests {
             let setup = small_setup();
             let p = gpipe_program(&client, &stages, m, &setup);
             let prepared = client.prepare(&p);
-            let tokens = setup.global_batch_tokens;
-            let job = sim.spawn("c", async move {
-                measure_tokens_per_sec(&client, &prepared, tokens, 2).await
-            });
+            let job = sim.spawn(
+                "c",
+                async move { run_serial(&client, &prepared, 1, 2).await },
+            );
             sim.run_to_quiescence();
-            job.try_take().unwrap()
+            (setup.global_batch_tokens * 2) as f64 / job.try_take().unwrap().as_secs_f64()
         };
         let m2 = measure(2);
         let m8 = measure(8);
         assert!(m8 > m2, "M=8 ({m8} tok/s) should beat M=2 ({m2} tok/s)");
+    }
+
+    #[test]
+    fn windowed_stream_keeps_devices_busy() {
+        let mut sim = Sim::new(0);
+        let rt = PathwaysRuntime::new(
+            &sim,
+            ClusterSpec::config_b(1),
+            NetworkParams::tpu_cluster(),
+            PathwaysConfig::default(),
+        );
+        let client = rt.client(HostId(0));
+        let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
+        let spec = FnSpec::compute_only("step", SimDuration::from_micros(100)).with_allreduce(4);
+        let (prepared, _) = gang_program(&client, "s", spec, &slice).unwrap();
+        let counter = Arc::new(AtomicU64::new(0));
+        spawn_windowed(client, prepared, 8, Arc::clone(&counter));
+        sim.run_until_time(pathways_sim::SimTime::ZERO + SimDuration::from_millis(20));
+        // ~20ms / ~100us per program, minus ramp-up: well over 100.
+        let done = counter.load(Ordering::Relaxed);
+        assert!(done > 100, "only {done} programs completed");
+    }
+
+    #[test]
+    fn chain_program_links_its_kernels_in_order() {
+        let mut sim = Sim::new(0);
+        let rt = PathwaysRuntime::new(
+            &sim,
+            ClusterSpec::config_b(1),
+            NetworkParams::tpu_cluster(),
+            PathwaysConfig::default(),
+        );
+        let client = rt.client(HostId(0));
+        let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
+        let step = |i| FnSpec::compute_only(format!("s{i}"), SimDuration::from_micros(10));
+        let (prepared, sink) =
+            chain_program(&client, "c", 8, (0..3).map(|i| (step(i), &slice))).unwrap();
+        assert_eq!(sink, CompId(2));
+        assert!(matches!(
+            chain_program(&client, "empty", 8, []),
+            Err(ProgramError::Empty)
+        ));
+        let job = sim.spawn(
+            "c",
+            async move { run_serial(&client, &prepared, 0, 2).await },
+        );
+        sim.run_to_quiescence();
+        // Two serial runs of three dependent 10us kernels.
+        assert!(job.try_take().unwrap() >= SimDuration::from_micros(60));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use pathways_net::{ClusterSpec, Fabric, HostId, NetworkParams};
 use pathways_plaque::{
-    EdgeId, GraphBuilder, NullOperator, Operator, PlaqueRuntime, ShardCtx, Tuple,
+    EdgeId, GraphBuilder, NodeId, NullOperator, Operator, PlaqueRuntime, RunHandle, ShardCtx, Tuple,
 };
 use pathways_sim::{Sim, SimDuration};
 
@@ -443,4 +443,70 @@ fn completion_hook_runs_once_after_the_run_is_forgotten() {
     sim.run_to_quiescence();
     assert_eq!(*calls.lock(), vec![(id, false)]);
     assert_eq!(rt.live_runs(), 0);
+}
+
+/// Counts its shard's `on_start` calls, then halts once its inputs
+/// finish.
+struct CountStarts {
+    starts: Arc<Lock<u32>>,
+}
+
+impl Operator for CountStarts {
+    fn on_start(&mut self, _ctx: &mut ShardCtx<'_>) {
+        *self.starts.lock() += 1;
+    }
+}
+
+/// `src` on host 0 feeding a [`CountStarts`] `dst` on host 1, launched
+/// unstarted. `dst` waits for `src`'s punctuation, so it stays live
+/// after it starts.
+fn counted_pair(rt: &PlaqueRuntime) -> (RunHandle, NodeId, Arc<Lock<u32>>) {
+    let starts = Arc::new(Lock::new(0));
+    let mut g = GraphBuilder::new("counted");
+    let src = g.node("src", vec![HostId(0)], |_| Box::new(NullOperator));
+    let dst = g.node("dst", vec![HostId(1)], {
+        let starts = Arc::clone(&starts);
+        move |_| {
+            Box::new(CountStarts {
+                starts: Arc::clone(&starts),
+            })
+        }
+    });
+    g.edge(src, dst);
+    let run = rt.launch_unstarted(&g.build().unwrap(), |_| {});
+    (run, dst, starts)
+}
+
+/// The fault path's force-start and a grant's Start can race to one
+/// shard under real threads: a grant's Start that reaches a
+/// force-started shard is dropped, and the run still completes.
+#[test]
+fn grant_start_after_force_start_is_dropped() {
+    let mut sim = Sim::new(0);
+    let rt = make_runtime(&sim, 2);
+    let (run, dst, starts) = counted_pair(&rt);
+    let rt_task = rt.clone();
+    sim.spawn("starter", async move {
+        let id = run.id();
+        rt_task.force_start_run(id);
+        rt_task.start_local(HostId(1), id, dst, 0);
+        run.await_done().await;
+    });
+    sim.run_to_quiescence();
+    assert_eq!(*starts.lock(), 1);
+    assert_eq!(rt.live_runs(), 0);
+}
+
+/// Two real Starts of one shard are still a bug.
+#[test]
+#[should_panic(expected = "shard started twice")]
+fn second_start_of_a_shard_panics() {
+    let mut sim = Sim::new(0);
+    let rt = make_runtime(&sim, 2);
+    let (run, dst, _starts) = counted_pair(&rt);
+    sim.spawn("starter", async move {
+        rt.start_local(HostId(1), run.id(), dst, 0);
+        rt.start_local(HostId(1), run.id(), dst, 0);
+    });
+    sim.run_to_quiescence();
 }

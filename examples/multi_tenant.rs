@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pathways::core::{FnSpec, PathwaysConfig, PathwaysRuntime, SchedPolicy, SliceRequest};
+use pathways::models::{gang_program, spawn_windowed};
 use pathways::net::{ClientId, ClusterSpec, HostId, NetworkParams};
-use pathways::sim::sync::Semaphore;
 use pathways::sim::{Sim, SimDuration, SimTime};
 
 fn main() {
@@ -41,28 +41,10 @@ fn main() {
     for (i, label) in ["A", "B", "C", "D"].iter().enumerate() {
         let client = rt.client_labeled(HostId(0), *label);
         let slice = client.virtual_slice(SliceRequest::devices(8)).unwrap();
-        let mut b = client.trace(format!("tenant-{label}"));
-        b.computation(
-            FnSpec::compute_only("step", SimDuration::from_micros(330)).with_allreduce(4),
-            &slice,
-        );
-        let program = b.build().unwrap();
-        let prepared = Arc::new(client.prepare(&program));
-        let window = Semaphore::new(12);
-        let h = sim.handle();
-        let counter = Arc::clone(&completed[i]);
-        sim.spawn(format!("stream-{label}"), async move {
-            loop {
-                let permit = window.acquire(1).await;
-                let pending = client.submit(&prepared).await;
-                let counter = Arc::clone(&counter);
-                h.spawn("run", async move {
-                    let _p = permit;
-                    pending.finish().await;
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
+        let step = FnSpec::compute_only("step", SimDuration::from_micros(330)).with_allreduce(4);
+        let (prepared, _) = gang_program(&client, format!("tenant-{label}"), step, &slice).unwrap();
+        // Each tenant keeps 12 programs outstanding.
+        spawn_windowed(client, prepared, 12, Arc::clone(&completed[i]));
     }
 
     let window = SimDuration::from_millis(40);

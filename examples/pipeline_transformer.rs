@@ -6,8 +6,8 @@
 
 use pathways::core::{PathwaysConfig, PathwaysRuntime, SliceRequest};
 use pathways::models::{
-    gpipe_program, measure_tokens_per_sec, measure_tokens_per_sec_chained, spmd_chained,
-    spmd_program, TrainSetup, TransformerConfig,
+    gpipe_program, measure_tokens_per_sec_chained, run_serial, spmd_chained, spmd_program,
+    TrainSetup, TransformerConfig,
 };
 use pathways::net::{ClusterSpec, HostId, NetworkParams};
 use pathways::sim::Sim;
@@ -36,12 +36,12 @@ fn main() {
         let slice = client.virtual_slice(SliceRequest::devices(32)).unwrap();
         let program = spmd_program(&client, &slice, &setup);
         let prepared = client.prepare(&program);
-        let tokens = setup.global_batch_tokens;
+        // One untimed warm-up step, then 3 timed ones.
         let job = sim.spawn("train", async move {
-            measure_tokens_per_sec(&client, &prepared, tokens, 3).await
+            run_serial(&client, &prepared, 1, 3).await
         });
         sim.run_to_quiescence();
-        job.try_take().unwrap()
+        (setup.global_batch_tokens * 3) as f64 / job.try_take().unwrap().as_secs_f64()
     };
     println!("SPMD, 32 cores:            {spmd_tps:>10.0} tokens/s");
 
@@ -95,12 +95,12 @@ fn main() {
             program.computations().len(),
             prepared.graph_size()
         );
-        let tokens = setup.global_batch_tokens;
+        // One untimed warm-up step, then 3 timed ones.
         let job = sim.spawn("train", async move {
-            measure_tokens_per_sec(&client, &prepared, tokens, 3).await
+            run_serial(&client, &prepared, 1, 3).await
         });
         sim.run_to_quiescence();
-        job.try_take().unwrap()
+        (setup.global_batch_tokens * 3) as f64 / job.try_take().unwrap().as_secs_f64()
     };
     println!("GPipe S=4 M=16, 32 cores:  {pipe_tps:>10.0} tokens/s");
     println!(
