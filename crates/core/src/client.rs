@@ -377,11 +377,11 @@ impl Client {
         bindings: &[(CompId, ObjectRef)],
     ) -> Result<Run, SubmitError> {
         // Elasticity: if any slice this program was lowered against has
-        // been remapped since (device healing after a fault, rebalance,
-        // an explicit remap), the preparation's device snapshot is
-        // stale. Re-lower against the current virtual→physical mapping
-        // — this is the client half of the paper's "remap without the
-        // client's cooperation": the next submit lands on the healed
+        // been remapped since (device healing after a fault, or an
+        // explicit remap), the preparation's device snapshot is stale.
+        // Re-lower against the current virtual→physical mapping — this
+        // is the client half of the paper's "remap without the client's
+        // cooperation": the next submit lands on the healed
         // devices with no client-code changes. The re-lowered form is
         // cached on the stale preparation, so the cost is paid once per
         // remap, not once per submit.

@@ -1,5 +1,5 @@
-//! Runtime configuration: dispatch mode, scheduler policy, scheduler
-//! costs, HBM size, grant batching, and the optional storage tiers. A
+//! Runtime configuration: dispatch mode, scheduler policy, grant
+//! horizon, HBM size, grant batching, and the optional storage tiers. A
 //! configuration that nothing but a test would select is not offered;
 //! a cost that only ever takes one value is a constant where it is
 //! read.
@@ -35,8 +35,6 @@ pub struct PathwaysConfig {
     /// value (see [`crate::sched::policy`]), so accounting state is
     /// never shared across islands.
     pub policy: SchedPolicy,
-    /// Scheduler policy work per program.
-    pub sched_decision: SimDuration,
     /// How far ahead of estimated device availability the scheduler
     /// grants work. Smaller values make the weighted-fair policy bite
     /// sooner; larger values deepen pipelining.
@@ -60,7 +58,6 @@ impl Default for PathwaysConfig {
         PathwaysConfig {
             dispatch: DispatchMode::Parallel,
             policy: SchedPolicy::Fifo,
-            sched_decision: SimDuration::from_micros(4),
             sched_horizon: SimDuration::from_millis(3),
             hbm_per_device: DeviceConfig::default().hbm_capacity,
             batch_grants: true,

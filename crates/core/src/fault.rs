@@ -89,7 +89,7 @@ impl fmt::Display for FaultSpec {
 /// What one in-flight run touches — enough to decide whether a fault
 /// dooms it, and to wind it down if so. Registered by
 /// [`Client::submit_with`](crate::Client::submit_with) and dropped when
-/// the run completes, unless the run failed.
+/// the run completes.
 #[derive(Debug, Clone)]
 pub struct RunFootprint {
     /// Submitting client.
@@ -211,18 +211,13 @@ impl FailureState {
         self.inner.lock().runs.insert(run, footprint);
     }
 
-    /// Forgets a completed run's footprint, unless the run failed: a
-    /// finished run can no longer be doomed, and its footprint holds the
-    /// run's failure event and every waker still registered on it.
-    /// Called by PLAQUE once the run's last shard halts.
+    /// Forgets a completed run's footprint, failed or not: a finished
+    /// run can no longer be doomed, and its footprint holds the run's
+    /// failure event and every waker still registered on it. A failed
+    /// run keeps its reason, which executors read for its grants still
+    /// in flight. Called by PLAQUE once the run's last shard halts.
     pub(crate) fn complete_run(&self, run: RunId) {
-        let footprint = {
-            let mut inner = self.inner.lock();
-            if inner.failed_runs.contains_key(&run) {
-                return;
-            }
-            inner.runs.remove(&run)
-        };
+        let footprint = self.inner.lock().runs.remove(&run);
         // The event's wakers drop outside the lock.
         drop(footprint);
     }
@@ -239,8 +234,8 @@ impl FailureState {
         self.inner.lock().failed_runs.len()
     }
 
-    /// Number of runs whose footprint is registered: the in-flight ones
-    /// and the failed ones (tests/metrics).
+    /// Number of runs whose footprint is registered: the ones still in
+    /// flight, failed or not (tests/metrics).
     pub fn registered_run_count(&self) -> usize {
         self.inner.lock().runs.len()
     }
@@ -303,9 +298,9 @@ impl FaultInjector {
         state: FailureState,
     ) -> Arc<Self> {
         Arc::new_cyclic(|injector| FaultInjector {
-            recovery: core.cfg.tiers.clone().map(|cfg| {
+            recovery: core.cfg.tiers.is_some().then(|| {
                 let core = Arc::clone(&core);
-                Arc::new(RecoveryManager::new(core, cfg, injector.clone()))
+                Arc::new(RecoveryManager::new(core, injector.clone()))
             }),
             core,
             rm,

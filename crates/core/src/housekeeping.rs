@@ -6,13 +6,9 @@
 //! distributing configuration information, monitoring programs, cleaning
 //! them up, delivering errors on failures, and so on."*
 //!
-//! This module implements four of those as PLAQUE programs:
+//! This module implements the two the fault path needs, as PLAQUE
+//! programs:
 //!
-//! * [`distribute_config`] — broadcast a key/value configuration update
-//!   to every host; each host's config store is updated and
-//!   acknowledgements gathered back;
-//! * [`collect_health`] — fan-out a probe, gather per-host health
-//!   (device count, kernels executed, HBM usage) at the controller;
 //! * [`deliver_errors`] — fan a failure notification out to every
 //!   *live* host so its client agents learn which runs died and why
 //!   (the "delivering errors on failures" clause). The
@@ -22,12 +18,10 @@
 //!   every live host after elastic healing, so client agents know their
 //!   lowered programs are stale and must re-lower before resubmitting.
 //!
-//! All four are one program shape, built by one private builder: a
-//! controller shard broadcasts a payload to one shard per host, each
-//! host's shard applies it there and replies, and a controller shard
-//! gathers the replies. Only the payload, its wire bytes (config 64,
-//! probe 0, notice batch `32 + 24 × notices`), the per-host step and
-//! the reply (an acknowledgement, or a 48-byte health report) differ.
+//! Both are one program shape, built by one private builder: a
+//! controller shard broadcasts a notice batch (`32 + 24 × notices`
+//! bytes) to one shard per host, each host's shard records it there and
+//! acknowledges, and a controller shard counts the acknowledgements.
 //!
 //! Error and heal notices land in a [`NoticeLog`] per kind. Each
 //! delivery builds its notices once, into one batch that the log keeps
@@ -36,74 +30,23 @@
 //! indices. The log so grows with the deliveries, not with hosts ×
 //! deliveries.
 
-use pathways_sim::hash::FxHashMap;
 use pathways_sim::Lock;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use pathways_net::{DeviceId, HostId};
+use pathways_net::HostId;
 use pathways_plaque::{EdgeId, GraphBuilder, Operator, RunId, ShardCtx, Tuple};
 
 use crate::context::CoreCtx;
 use crate::fault::FailureState;
 use crate::resource::SliceId;
 
-/// A per-host key/value configuration store, updated via housekeeping
-/// broadcasts.
-#[derive(Clone, Default)]
-pub struct ConfigStore {
-    inner: Arc<Lock<FxHashMap<(HostId, String), String>>>,
-}
-
-impl std::fmt::Debug for ConfigStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConfigStore")
-            .field("entries", &self.inner.lock().len())
-            .finish()
-    }
-}
-
-impl ConfigStore {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reads `key` as seen by `host`.
-    pub fn get(&self, host: HostId, key: &str) -> Option<String> {
-        self.inner.lock().get(&(host, key.to_string())).cloned()
-    }
-
-    fn set(&self, host: HostId, key: String, value: String) {
-        self.inner.lock().insert((host, key), value);
-    }
-}
-
-/// One host's health report.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HostHealth {
-    /// Reporting host.
-    pub host: HostId,
-    /// Devices attached to the host.
-    pub devices: u32,
-    /// Kernels executed across those devices.
-    pub kernels_executed: u64,
-    /// Bytes of HBM currently in use across those devices.
-    pub hbm_used: u64,
-}
-
-#[derive(Debug, Clone)]
-struct ConfigMsg {
-    key: String,
-    value: String,
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Ack;
 
-/// The controller shard of a housekeeping program: broadcasts its
-/// payload once, then halts.
+/// The controller shard of a delivery program: broadcasts its batch
+/// once, then halts.
 struct Broadcast(Tuple);
 
 impl Operator for Broadcast {
@@ -113,141 +56,15 @@ impl Operator for Broadcast {
     }
 }
 
-/// A per-host or gathering shard of a housekeeping program: runs its
+/// A per-host or collecting shard of a delivery program: runs its
 /// closure on every tuple that arrives.
 struct OnTuple<F>(Arc<F>);
 
-impl<F: Fn(&mut ShardCtx<'_>, Tuple) + Send + Sync> Operator for OnTuple<F> {
-    fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _edge: EdgeId, _src: u32, tuple: Tuple) {
-        (self.0)(ctx, tuple);
+impl<F: Fn(&mut ShardCtx<'_>) + Send + Sync> Operator for OnTuple<F> {
+    fn on_tuple(&mut self, ctx: &mut ShardCtx<'_>, _edge: EdgeId, _src: u32, _tuple: Tuple) {
+        (self.0)(ctx);
     }
 }
-
-/// Builds the one shape every housekeeping program has, named `name`:
-/// a `nodes[0]` shard on `controller` broadcasts `payload` to one
-/// `nodes[1]` shard per host in `hosts` (edge 0); each passes its host
-/// and the payload to `apply` and sends the tuple it returns to one
-/// `collect` shard on `controller` (edge 1), which hands each reply to
-/// `gather`.
-#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
-fn fan_out<P: 'static, R: 'static>(
-    name: &str,
-    nodes: [&str; 2],
-    controller: HostId,
-    hosts: Vec<HostId>,
-    payload: Tuple,
-    apply: impl Fn(HostId, &P) -> Tuple + Send + Sync + 'static,
-    gather: impl Fn(&R) + Send + Sync + 'static,
-) -> pathways_plaque::Graph {
-    let reply_edge = EdgeId(1);
-    let apply = Arc::new(move |ctx: &mut ShardCtx<'_>, tuple: Tuple| {
-        let reply = apply(ctx.host(), tuple.expect::<P>());
-        ctx.send(reply_edge, 0, reply);
-    });
-    let gather = Arc::new(move |_: &mut ShardCtx<'_>, tuple: Tuple| gather(tuple.expect::<R>()));
-    let mut g = GraphBuilder::new(name);
-    let src = g.node(nodes[0], vec![controller], move |_| {
-        Box::new(Broadcast(payload.clone()))
-    });
-    let appliers = g.node(nodes[1], hosts, move |_| {
-        Box::new(OnTuple(Arc::clone(&apply)))
-    });
-    let collector = g.node("collect", vec![controller], move |_| {
-        Box::new(OnTuple(Arc::clone(&gather)))
-    });
-    assert_eq!(g.edge(src, appliers), EdgeId(0));
-    assert_eq!(g.edge(appliers, collector), reply_edge);
-    g.build().expect("housekeeping graph is valid")
-}
-
-/// A `gather` for [`fan_out`] that counts acknowledgements into `acks`.
-fn count_acks(acks: &Arc<Lock<u32>>) -> impl Fn(&Ack) + Send + Sync + 'static {
-    let acks = Arc::clone(acks);
-    move |_| *acks.lock() += 1
-}
-
-/// Broadcasts `key = value` to every host's [`ConfigStore`] via a
-/// PLAQUE program launched from `controller`; resolves once every host
-/// acknowledged. Returns the number of acknowledgements.
-pub async fn distribute_config(
-    core: &Arc<CoreCtx>,
-    store: &ConfigStore,
-    controller: HostId,
-    key: impl Into<String>,
-    value: impl Into<String>,
-) -> u32 {
-    let hosts: Vec<HostId> = core.fabric.topology().hosts().collect();
-    let acks = Arc::new(Lock::new(0u32));
-    let msg = ConfigMsg {
-        key: key.into(),
-        value: value.into(),
-    };
-    let store = store.clone();
-    let graph = fan_out(
-        "config-distribution",
-        ["broadcast", "apply"],
-        controller,
-        hosts,
-        Tuple::new(msg, 64),
-        move |host, msg: &ConfigMsg| {
-            store.set(host, msg.key.clone(), msg.value.clone());
-            Tuple::control(Ack)
-        },
-        count_acks(&acks),
-    );
-    core.plaque.launch(&graph, controller).await_done().await;
-    let n = *acks.lock();
-    n
-}
-
-/// `host`'s health: its devices, the kernels they executed and the HBM
-/// they use.
-fn host_health(core: &CoreCtx, host: HostId) -> HostHealth {
-    let devices: Vec<DeviceId> = core.fabric.topology().devices_of_host(host).collect();
-    let mut kernels = 0u64;
-    let mut hbm_used = 0u64;
-    for d in &devices {
-        let dev = &core.devices[d];
-        kernels += dev.stats().kernels;
-        hbm_used += dev.hbm().used();
-    }
-    HostHealth {
-        host,
-        devices: devices.len() as u32,
-        kernels_executed: kernels,
-        hbm_used,
-    }
-}
-
-/// Gathers a health report from every host via a PLAQUE program.
-pub async fn collect_health(
-    core: &Arc<CoreCtx>,
-    controller: HostId,
-) -> BTreeMap<HostId, HostHealth> {
-    let hosts: Vec<HostId> = core.fabric.topology().hosts().collect();
-    let reports = Arc::new(Lock::new(BTreeMap::new()));
-    let graph = {
-        let (core, reports) = (Arc::clone(core), Arc::clone(&reports));
-        fan_out(
-            "health-monitor",
-            ["probe", "report"],
-            controller,
-            hosts,
-            Tuple::control(Ack),
-            move |host, _: &Ack| Tuple::new(host_health(&core, host), 48),
-            move |h: &HostHealth| {
-                reports.lock().insert(h.host, h.clone());
-            },
-        )
-    };
-    core.plaque.launch(&graph, controller).await_done().await;
-    let out = reports.lock().clone();
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Notice delivery (failures and slice remaps → every live host)
-// ---------------------------------------------------------------------------
 
 /// Per-host record of notices delivered by housekeeping: each a key (a
 /// failed run, a remapped slice) with a human-readable detail, in
@@ -356,9 +173,12 @@ impl<K: Copy + PartialEq> NoticeLog<K> {
 
 /// Builds the `name` delivery program from the lowest live host to every
 /// host still reachable from it (alive, with an unsevered link to it):
-/// `batch` joins `log`'s batch list, the controller broadcasts it
-/// (`32 + 24 × notices` bytes), every host records its index and
-/// acknowledges; `None` if no host is left alive.
+/// `batch` joins `log`'s batch list, and a `broadcast` shard on the
+/// controller sends it (`32 + 24 × notices` bytes) to one `apply` shard
+/// per host (edge 0), which records its index and acknowledges to one
+/// `collect` shard on the controller (edge 1), which counts the
+/// acknowledgements. `None` if no host is left alive.
+#[expect(clippy::expect_used, reason = "static shape, validated by build()")]
 fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     core: &Arc<CoreCtx>,
     failures: &FailureState,
@@ -375,19 +195,30 @@ fn prepare_delivery<K: Copy + PartialEq + Send + Sync + 'static>(
     let acks = Arc::new(Lock::new(0u32));
     let index = log.append(Arc::clone(&batch));
     let bytes = 32 + 24 * batch.len() as u64;
+    let payload = Tuple::new(batch, bytes);
+    let reply_edge = EdgeId(1);
     let log = log.clone();
-    let graph = fan_out(
-        name,
-        ["broadcast", "apply"],
-        controller,
-        hosts,
-        Tuple::new(batch, bytes),
-        move |host, _: &Batch<K>| {
-            log.record(host, index);
-            Tuple::control(Ack)
-        },
-        count_acks(&acks),
-    );
+    let apply = Arc::new(move |ctx: &mut ShardCtx<'_>| {
+        log.record(ctx.host(), index);
+        ctx.send(reply_edge, 0, Tuple::control(Ack));
+    });
+    let count = {
+        let acks = Arc::clone(&acks);
+        Arc::new(move |_: &mut ShardCtx<'_>| *acks.lock() += 1)
+    };
+    let mut g = GraphBuilder::new(name);
+    let src = g.node("broadcast", vec![controller], move |_| {
+        Box::new(Broadcast(payload.clone()))
+    });
+    let appliers = g.node("apply", hosts, move |_| {
+        Box::new(OnTuple(Arc::clone(&apply)))
+    });
+    let collector = g.node("collect", vec![controller], move |_| {
+        Box::new(OnTuple(Arc::clone(&count)))
+    });
+    assert_eq!(g.edge(src, appliers), EdgeId(0));
+    assert_eq!(g.edge(appliers, collector), reply_edge);
+    let graph = g.build().expect("delivery graph is valid");
     Some((graph, controller, acks))
 }
 
@@ -453,53 +284,6 @@ mod tests {
             NetworkParams::tpu_cluster(),
             PathwaysConfig::default(),
         )
-    }
-
-    #[test]
-    fn config_reaches_every_host() {
-        let mut sim = Sim::new(0);
-        let rt = runtime(&sim, 4);
-        let store = ConfigStore::new();
-        let core = Arc::clone(rt.core());
-        let store2 = store.clone();
-        let job = sim.spawn("hk", async move {
-            distribute_config(&core, &store2, HostId(0), "sched/policy", "fifo").await
-        });
-        sim.run_to_quiescence();
-        assert_eq!(job.try_take(), Some(4));
-        for h in 0..4 {
-            assert_eq!(
-                store.get(HostId(h), "sched/policy").as_deref(),
-                Some("fifo")
-            );
-        }
-    }
-
-    #[test]
-    fn health_reflects_executed_work() {
-        let mut sim = Sim::new(0);
-        let rt = runtime(&sim, 2);
-        // Run a program so device stats are non-zero.
-        let client = rt.client(HostId(0));
-        let slice = client.virtual_slice(SliceRequest::devices(16)).unwrap();
-        let mut b = client.trace("work");
-        b.computation(
-            FnSpec::compute_only("f", SimDuration::from_micros(10)).with_allreduce(4),
-            &slice,
-        );
-        let program = b.build().unwrap();
-        let prepared = client.prepare(&program);
-        let core = Arc::clone(rt.core());
-        let job = sim.spawn("flow", async move {
-            client.run(&prepared).await;
-            collect_health(&core, HostId(0)).await
-        });
-        sim.run_to_quiescence();
-        let health = job.try_take().unwrap();
-        assert_eq!(health.len(), 2);
-        let total_kernels: u64 = health.values().map(|h| h.kernels_executed).sum();
-        assert_eq!(total_kernels, 16);
-        assert!(health.values().all(|h| h.devices == 8));
     }
 
     #[test]
@@ -647,9 +431,10 @@ mod tests {
         }
     }
 
-    /// Each program's virtual duration (ns) and acknowledgement count on
-    /// four idle hosts, launched back to back from host 0: what the
-    /// graph shape, the tuple bytes and the send order cost on the wire.
+    /// Error delivery's virtual duration (ns) and acknowledgement count
+    /// for two notices on four idle hosts, launched from host 0: what
+    /// the graph shape, the tuple bytes and the send order cost on the
+    /// wire.
     #[test]
     fn housekeeping_programs_resolve_at_pinned_instants() {
         let mut sim = Sim::new(0);
@@ -658,37 +443,26 @@ mod tests {
         let failures = rt.faults().state().clone();
         let h = sim.handle();
         let job = sim.spawn("hk", async move {
-            let store = ConfigStore::new();
             let log = ErrorLog::new();
             let notices = [
                 (RunId(3), "device dev1 failed".to_string()),
                 (RunId(5), "host host2 failed".to_string()),
             ];
             let t0 = h.now();
-            let config = distribute_config(&core, &store, HostId(0), "sched/policy", "fifo").await;
-            let t1 = h.now();
-            let health = collect_health(&core, HostId(0)).await.len() as u32;
-            let t2 = h.now();
             let errors = deliver_errors(&core, &failures, &log, &notices).await;
-            let t3 = h.now();
-            [
-                ((t1 - t0).as_nanos(), config),
-                ((t2 - t1).as_nanos(), health),
-                ((t3 - t2).as_nanos(), errors),
-            ]
+            ((h.now() - t0).as_nanos(), errors)
         });
         sim.run_to_quiescence();
         let got = job.try_take().unwrap();
-        assert_eq!(got, PINNED_RESOLUTIONS, "{got:?}");
+        assert_eq!(got, PINNED_ERROR_DELIVERY, "{got:?}");
     }
 
-    /// `(virtual ns, acks)` of `distribute_config`, `collect_health` and
-    /// `deliver_errors` (two notices), in that order.
-    const PINNED_RESOLUTIONS: [(u64, u32); 3] = [(88_046, 4), (88_035, 4), (88_049, 4)];
+    /// `(virtual ns, acks)` of `deliver_errors` with two notices.
+    const PINNED_ERROR_DELIVERY: (u64, u32) = (88_049, 4);
 
     #[test]
     fn housekeeping_runs_alongside_training() {
-        // Config distribution and training programs share the substrate
+        // Error delivery and training programs share the substrate
         // without interfering.
         let mut sim = Sim::new(0);
         let rt = runtime(&sim, 2);
@@ -701,25 +475,33 @@ mod tests {
         );
         let program = b.build().unwrap();
         let prepared = client.prepare(&program);
-        sim.spawn("train", async move {
+        let train = sim.spawn("train", async move {
             for _ in 0..10 {
                 client.run(&prepared).await;
             }
         });
-        let store = ConfigStore::new();
+        let log = ErrorLog::new();
         let core = Arc::clone(rt.core());
-        let store2 = store.clone();
+        let failures = rt.faults().state().clone();
+        let log2 = log.clone();
         let h = sim.handle();
         let hk = sim.spawn("hk", async move {
             let mut acks = 0;
             for i in 0..5 {
                 h.sleep(SimDuration::from_micros(150)).await;
-                acks += distribute_config(&core, &store2, HostId(0), "epoch", format!("{i}")).await;
+                let notice = [(RunId(100 + i), format!("epoch {i}"))];
+                acks += deliver_errors(&core, &failures, &log2, &notice).await;
             }
             acks
         });
         assert!(sim.run().is_quiescent());
+        assert!(train.is_finished(), "training completes alongside");
         assert_eq!(hk.try_take(), Some(10));
-        assert_eq!(store.get(HostId(1), "epoch").as_deref(), Some("4"));
+        let want: Vec<(RunId, String)> = (0..5)
+            .map(|i| (RunId(100 + i), format!("epoch {i}")))
+            .collect();
+        for host in 0..2 {
+            assert_eq!(log.notices(HostId(host)), want, "host {host}");
+        }
     }
 }

@@ -5,10 +5,9 @@
 //!
 //! * a **resource manager** handing out virtual device slices with a 1:1
 //!   virtual→physical mapping (§4.1), exact per-device use-count
-//!   accounting across remap/attach/detach churn, elastic healing
+//!   accounting across remaps and detaches, and elastic healing
 //!   ([`ResourceManager::heal`]: dead hardware → slices remapped onto
-//!   spare capacity → programs re-lower on their next submit) and a
-//!   churn defragmenter ([`ResourceManager::rebalance`]),
+//!   spare capacity → programs re-lower on their next submit),
 //! * a **client library** that traces programs into a compact sharded IR
 //!   and lowers it to a PLAQUE dataflow (§3, §4.2, §4.3), with
 //!   non-blocking submission returning typed [`ObjectRef`] data futures

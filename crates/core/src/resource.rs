@@ -1,11 +1,11 @@
 //! The centralized resource manager (§4.1).
 //!
 //! Owns every device across all islands, hands out *virtual slices*
-//! whose virtual devices map 1:1 onto physical devices, and supports
-//! dynamic attach/detach of backend resources. The virtual→physical
-//! layer of indirection is what lets the single controller remap a
-//! client's computation without the client's cooperation: a slice can be
-//! remapped and programs simply re-lower.
+//! whose virtual devices map 1:1 onto physical devices, and detaches
+//! the devices that die. The virtual→physical layer of indirection is
+//! what lets the single controller remap a client's computation without
+//! the client's cooperation: a slice can be remapped and programs simply
+//! re-lower.
 //!
 //! ## Accounting invariant
 //!
@@ -14,10 +14,11 @@
 //! multiplicity). Every mapping change moves counts atomically:
 //! [`ResourceManager::allocate`] charges, [`ResourceManager::release`]
 //! uncharges, and [`ResourceManager::remap`] / [`ResourceManager::heal`]
-//! / [`ResourceManager::rebalance`] uncharge the old devices and charge
-//! the new ones. Counts live in a ledger that spans *all* devices of the
-//! topology, attached or not, so a detach/attach cycle can never reset
-//! the load a detached device still carries from live slices. Underflow
+//! uncharge the old devices and charge the new ones. Counts live in a
+//! ledger that spans *all* devices of the topology, attached or not, so
+//! a detach never drops the load a detached device still carries from
+//! live slices (an unhealable slice keeps charging its dead device until
+//! it is released). Underflow
 //! is a hard `assert!` in every build profile: drift aborts, and is
 //! never silently saturated away.
 //!
@@ -27,10 +28,7 @@
 //! devices it remaps every live slice touching them onto spare attached
 //! capacity, honoring the slice's original island and contiguity
 //! constraints (contiguity is validated against real torus adjacency,
-//! not id order). [`ResourceManager::rebalance`] is the churn
-//! defragmenter: after attach/detach cycles it re-places slices whose
-//! mapping is strictly worse than a fresh placement, compacting load
-//! back onto the least-loaded attached devices.
+//! not id order).
 
 use pathways_sim::Lock;
 use std::collections::{BTreeMap, BTreeSet};
@@ -198,8 +196,8 @@ impl VirtualSlice {
     }
 
     /// The mapping generation: starts at 0 and is bumped by every
-    /// [`ResourceManager::remap`] / [`ResourceManager::heal`] /
-    /// [`ResourceManager::rebalance`] that moves this slice. A program
+    /// [`ResourceManager::remap`] / [`ResourceManager::heal`] that moves
+    /// this slice. A program
     /// lowered against generation `g` is stale once the slice's
     /// generation differs — [`Client::submit_with`](crate::Client)
     /// re-lowers automatically.
@@ -218,16 +216,6 @@ struct Allocation {
     owner: ClientId,
     request: SliceRequest,
     state: Arc<Lock<MappingState>>,
-}
-
-/// Outcome of one [`ResourceManager::try_replace`] transaction.
-enum Replace {
-    /// The slice was moved onto this new mapping.
-    Moved(Vec<DeviceId>),
-    /// The candidate placement was declined; the old mapping stands.
-    Kept,
-    /// No placement was possible; the old mapping stands.
-    Failed(ResourceError),
 }
 
 /// What healing did to one slice that touched dead hardware.
@@ -320,37 +308,12 @@ impl ResourceManager {
         &self.topo
     }
 
-    /// Total attached devices.
-    pub fn attached_devices(&self) -> u32 {
-        let st = self.state.lock();
-        st.attached.values().map(|m| m.len() as u32).sum()
-    }
-
-    /// True if `device` is currently attached (a placement candidate).
-    pub fn is_attached(&self, device: DeviceId) -> bool {
-        self.state.lock().is_attached(device)
-    }
-
-    /// Detaches a device (maintenance or death); existing slices keep
-    /// their mapping (and the device keeps the use-count they charge)
-    /// until they are remapped or released — see
-    /// [`ResourceManager::heal`] / [`ResourceManager::rebalance`] for
-    /// moving them off.
+    /// Detaches a device for good: it is no longer a placement
+    /// candidate. Existing slices keep their mapping (and the device
+    /// keeps the use-count they charge) until they are remapped or
+    /// released — see [`ResourceManager::heal`] for moving them off.
     pub fn detach_device(&self, device: DeviceId) {
         self.state.lock().detach_device(device);
-    }
-
-    /// Re-attaches a device. The device re-enters placement with the
-    /// use-count it still carries from live slices (counts are never
-    /// reset by detach/attach cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `device` is not part of the topology.
-    pub fn attach_device(&self, device: DeviceId) {
-        let island = self.topo.island_of_device(device);
-        let mut st = self.state.lock();
-        st.attached.entry(island).or_default().insert(device);
     }
 
     /// Allocates a virtual slice for `client`.
@@ -466,11 +429,7 @@ impl ResourceManager {
             let a = &st.slices[&id];
             let (owner, request, state) = (a.owner, a.request, Arc::clone(&a.state));
             let from = state.lock().devices.clone();
-            let to = match st.try_replace(&state, &request, excluded_islands, |_, _, _| true) {
-                Replace::Moved(to) => Ok(to),
-                Replace::Failed(e) => Err(e),
-                Replace::Kept => unreachable!("heal accepts every successful placement"),
-            };
+            let to = st.try_replace(&state, &request, excluded_islands);
             events.push(HealEvent {
                 slice: id,
                 owner,
@@ -479,36 +438,6 @@ impl ResourceManager {
             });
         }
         events
-    }
-
-    /// Churn defragmenter: re-places each live slice (in id order) and
-    /// adopts the fresh placement when it is strictly less loaded than
-    /// the current one, or when the current mapping uses detached
-    /// devices and an equally-loaded attached placement exists. Returns
-    /// the number of slices moved.
-    ///
-    /// Call at a safe point (between runs): moved slices bump their
-    /// generation, so affected programs re-lower on their next submit.
-    pub fn rebalance(&self) -> usize {
-        let mut st = self.state.lock();
-        let ids: Vec<SliceId> = st.slices.keys().copied().collect();
-        let mut moved = 0;
-        for id in ids {
-            let a = &st.slices[&id];
-            let (request, state) = (a.request, Arc::clone(&a.state));
-            let outcome = st.try_replace(&state, &request, &[], |st, from, to| {
-                if same_devices(to, from) {
-                    return false;
-                }
-                let (cur, new) = (st.load(from), st.load(to));
-                let off_detached = from.iter().any(|d| !st.is_attached(*d));
-                new < cur || (off_detached && new <= cur)
-            });
-            if matches!(outcome, Replace::Moved(_)) {
-                moved += 1;
-            }
-        }
-        moved
     }
 
     /// Current use-count of a device (how many live slices map to it,
@@ -552,22 +481,7 @@ fn set_mapping(state: &Lock<MappingState>, new: Vec<DeviceId>) {
     st.generation += 1;
 }
 
-fn same_devices(a: &[DeviceId], b: &[DeviceId]) -> bool {
-    let mut a: Vec<DeviceId> = a.to_vec();
-    let mut b: Vec<DeviceId> = b.to_vec();
-    a.sort();
-    b.sort();
-    a == b
-}
-
 impl RmState {
-    fn is_attached(&self, device: DeviceId) -> bool {
-        let island = self.topo.island_of_device(device);
-        self.attached
-            .get(&island)
-            .is_some_and(|m| m.contains(&device))
-    }
-
     fn total_load(&self) -> u64 {
         self.use_counts.values().map(|c| u64::from(*c)).sum()
     }
@@ -596,43 +510,34 @@ impl RmState {
     /// Installs `new` as a tracked slice's mapping: charges the new
     /// devices (the caller has already uncharged the old mapping) and
     /// bumps the generation so lowered programs go stale. The single
-    /// place where a mapping change and the ledger meet — `remap`,
-    /// `heal` and `rebalance` all move slices through here.
+    /// place where a mapping change and the ledger meet — `remap` and
+    /// `heal` both move slices through here.
     fn adopt_mapping(&mut self, state: &Lock<MappingState>, new: Vec<DeviceId>) {
         self.charge(&new);
         set_mapping(state, new);
     }
 
-    /// One ledger-safe re-placement transaction, shared by `heal` and
-    /// `rebalance`: uncharges the slice (so its own load does not skew
-    /// placement), places `request` against the remaining load, and
-    /// either adopts the new mapping (when `accept` approves it) or
-    /// recharges the old one. The uncharge/recharge pairing lives only
-    /// here — the ledger is exact on every exit path.
-    ///
-    /// `accept` sees the state *with this slice's own charge removed*,
-    /// the old mapping, and the candidate.
+    /// `heal`'s ledger-safe re-placement of one slice: uncharges it (so
+    /// its own load does not skew placement), places `request` against
+    /// the remaining load, and either adopts the new mapping or, when no
+    /// placement exists, recharges the old one. The uncharge/recharge
+    /// pairing lives only here — the ledger is exact on both exit paths.
     fn try_replace(
         &mut self,
         state: &Lock<MappingState>,
         request: &SliceRequest,
         excluded_islands: &[IslandId],
-        accept: impl FnOnce(&Self, &[DeviceId], &[DeviceId]) -> bool,
-    ) -> Replace {
+    ) -> Result<Vec<DeviceId>, ResourceError> {
         let from = state.lock().devices.clone();
         self.uncharge(&from);
         match self.place(request, excluded_islands) {
-            Ok(to) if accept(self, &from, &to) => {
+            Ok(to) => {
                 self.adopt_mapping(state, to.clone());
-                Replace::Moved(to)
-            }
-            Ok(_) => {
-                self.charge(&from);
-                Replace::Kept
+                Ok(to)
             }
             Err(e) => {
                 self.charge(&from);
-                Replace::Failed(e)
+                Err(e)
             }
         }
     }
@@ -952,8 +857,6 @@ mod tests {
         let s = rm.allocate(c, SliceRequest::devices(8)).unwrap();
         rm.detach_device(DeviceId(0));
         assert_eq!(rm.device_load(DeviceId(0)), 1, "count survives detach");
-        rm.attach_device(DeviceId(0));
-        assert_eq!(rm.device_load(DeviceId(0)), 1, "count survives re-attach");
         rm.release(&s);
         assert_eq!(rm.device_load(DeviceId(0)), 0, "no underflow, no drift");
         assert_eq!(rm.total_load(), 0);
@@ -965,13 +868,16 @@ mod tests {
         for d in 0..4 {
             rm.detach_device(DeviceId(d));
         }
-        assert_eq!(rm.attached_devices(), 4);
         let c = ClientId(0);
         let s = rm.allocate(c, SliceRequest::devices(4)).unwrap();
         assert!(s.physical_devices().iter().all(|d| d.0 >= 4));
-        assert!(rm.allocate(c, SliceRequest::devices(5)).is_err());
-        rm.attach_device(DeviceId(0));
-        assert!(rm.allocate(c, SliceRequest::devices(5)).is_ok());
+        assert_eq!(
+            rm.allocate(c, SliceRequest::devices(5)).unwrap_err(),
+            ResourceError::InsufficientDevices {
+                requested: 5,
+                largest_island: 4
+            }
+        );
     }
 
     #[test]
@@ -1067,58 +973,6 @@ mod tests {
         rm.release(&s);
         rm.release(&s2);
         assert_eq!(rm.total_load(), 0);
-    }
-
-    #[test]
-    fn rebalance_compacts_after_churn() {
-        let rm = rm(ClusterSpec::config_b(1)); // 8 devices
-        let c = ClientId(0);
-        // Detach half the island, forcing both slices onto devices 4-7.
-        for d in 0..4 {
-            rm.detach_device(DeviceId(d));
-        }
-        let s1 = rm.allocate(c, SliceRequest::devices(4)).unwrap();
-        let s2 = rm.allocate(c, SliceRequest::devices(4)).unwrap();
-        assert_eq!(rm.device_load(DeviceId(4)), 2);
-        // Capacity returns; rebalance spreads the load back out.
-        for d in 0..4 {
-            rm.attach_device(DeviceId(d));
-        }
-        let moved = rm.rebalance();
-        assert_eq!(moved, 1, "exactly one slice needs to move");
-        let max_load = (0..8).map(|d| rm.device_load(DeviceId(d))).max().unwrap();
-        assert_eq!(max_load, 1, "load is compacted to one slice per device");
-        rm.release(&s1);
-        rm.release(&s2);
-        assert_eq!(rm.total_load(), 0);
-    }
-
-    #[test]
-    fn rebalance_moves_slices_off_detached_devices() {
-        let rm = rm(ClusterSpec::config_b(1));
-        let c = ClientId(0);
-        let s = rm.allocate(c, SliceRequest::devices(2)).unwrap();
-        assert_eq!(s.physical_devices(), vec![DeviceId(0), DeviceId(1)]);
-        // Maintenance detach without a fault: heal is not involved, but
-        // rebalance migrates the slice onto attached capacity.
-        rm.detach_device(DeviceId(0));
-        let moved = rm.rebalance();
-        assert_eq!(moved, 1);
-        assert!(!s.physical_devices().contains(&DeviceId(0)));
-        assert_eq!(rm.device_load(DeviceId(0)), 0);
-        rm.release(&s);
-        assert_eq!(rm.total_load(), 0);
-    }
-
-    #[test]
-    fn rebalance_is_stable_when_balanced() {
-        let rm = rm(ClusterSpec::config_b(2));
-        let c = ClientId(0);
-        let s1 = rm.allocate(c, SliceRequest::devices(8)).unwrap();
-        let s2 = rm.allocate(c, SliceRequest::devices(8)).unwrap();
-        assert_eq!(rm.rebalance(), 0, "balanced layout must not churn");
-        assert_eq!(s1.generation(), 0);
-        assert_eq!(s2.generation(), 0);
     }
 
     #[test]

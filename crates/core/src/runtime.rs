@@ -109,7 +109,6 @@ impl PathwaysRuntime {
                 host,
                 topo.devices_of_island(island).len() as u32,
                 &cfg.policy,
-                cfg.sched_decision,
                 cfg.sched_horizon,
                 cfg.batch_grants,
                 failures.clone(),
@@ -203,16 +202,6 @@ impl PathwaysRuntime {
     /// the failure registry, housekeeping error log, and heal log.
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.injector
-    }
-
-    /// Runs the resource manager's churn defragmenter
-    /// ([`ResourceManager::rebalance`]): re-places live slices whose
-    /// mapping is worse than a fresh placement (or uses detached
-    /// devices), compacting load after attach/detach cycles. Returns
-    /// the number of slices moved; affected programs re-lower on their
-    /// next submit. Call at a safe point between runs.
-    pub fn rebalance(&self) -> usize {
-        self.rm.rebalance()
     }
 
     /// Registers a scripted [`FaultPlan`] on the simulation: each fault

@@ -197,6 +197,9 @@ pub struct SchedulerState {
 /// How many recent run arrivals each scheduler remembers.
 pub const ARRIVAL_HISTORY: usize = 1024;
 
+/// The scheduler's policy work per program, slept before each grant.
+const SCHED_DECISION: SimDuration = SimDuration::from_micros(4);
+
 impl fmt::Debug for SchedulerState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SchedulerState")
@@ -323,7 +326,7 @@ impl SchedulerHandle {
 /// Spawns the scheduler task for `island` on `host`.
 ///
 /// `policy` is instantiated via [`SchedPolicy::build`], so every island
-/// gets private policy state. `decision_cost` models the scheduler's
+/// gets private policy state. `SCHED_DECISION` models the scheduler's
 /// per-program policy work; grants for a program are emitted as one
 /// batched message per participating host. Submissions arrive on
 /// `inbox_router`; grants leave on `grant_router` (where the executors
@@ -337,7 +340,6 @@ pub fn spawn_scheduler(
     host: HostId,
     island_devices: u32,
     policy: &SchedPolicy,
-    decision_cost: SimDuration,
     grant_horizon: SimDuration,
     batch_grants: bool,
     failures: FailureState,
@@ -365,7 +367,7 @@ pub fn spawn_scheduler(
             token_task.set_busy();
             state_task.lock().push(env.msg, h.now());
             // Drain everything grantable right now. Messages that arrive
-            // while we sleep for decision_cost queue behind us (FIFO
+            // while we sleep for SCHED_DECISION queue behind us (FIFO
             // inbox), preserving determinism.
             loop {
                 // Pace: wait until estimated outstanding work is inside
@@ -395,9 +397,7 @@ pub fn spawn_scheduler(
                 if failures.run_failed(submit.run) {
                     continue;
                 }
-                if !decision_cost.is_zero() {
-                    h.sleep(decision_cost).await;
-                }
+                h.sleep(SCHED_DECISION).await;
                 // Also drain any submissions that arrived during the
                 // decision sleep so the policy sees them.
                 while let Ok(env) = inbox.try_recv() {

@@ -55,7 +55,7 @@ use crate::program::{CompId, Program};
 use super::index::{
     FailureReason, ObjectEntry, ObjectId, ObjectStore, Place, StoreInner, StoredShard,
 };
-use super::tiers::{transfer_time, Tier, TierConfig};
+use super::tiers::{transfer_time, Tier};
 
 /// How to reproduce one object: the producing program plus the exact
 /// input bindings of the original submission. The bindings hold
@@ -89,6 +89,9 @@ pub struct RecoveryStats {
     pub abandoned: u64,
 }
 
+/// Recovery attempts per object before its loss becomes terminal.
+const MAX_RECOVERY_ATTEMPTS: u32 = 2;
+
 /// Absorbs hardware loss of store objects into asynchronous recovery
 /// instead of terminal failure. Owned by the [`FaultInjector`], which
 /// consults it during the synchronous blast-radius walk: an *absorbed*
@@ -97,13 +100,11 @@ pub struct RecoveryStats {
 /// per walk via [`RecoveryManager::launch_pending`].
 pub(crate) struct RecoveryManager {
     core: Arc<CoreCtx>,
-    cfg: TierConfig,
     /// Back-reference for the terminal path: an abandoned recovery must
     /// cascade the failure to consumers exactly as the injector would
     /// have, just later in virtual time.
     injector: Weak<FaultInjector>,
-    /// Recovery attempts per object, against
-    /// [`TierConfig::max_recovery_attempts`].
+    /// Recovery attempts per object, against [`MAX_RECOVERY_ATTEMPTS`].
     attempts: Lock<FxHashMap<ObjectId, u32>>,
     stats: Lock<RecoveryStats>,
     /// Objects absorbed by the current blast-radius walk, awaiting the
@@ -120,10 +121,9 @@ impl fmt::Debug for RecoveryManager {
 }
 
 impl RecoveryManager {
-    pub(crate) fn new(core: Arc<CoreCtx>, cfg: TierConfig, injector: Weak<FaultInjector>) -> Self {
+    pub(crate) fn new(core: Arc<CoreCtx>, injector: Weak<FaultInjector>) -> Self {
         RecoveryManager {
             core,
-            cfg,
             injector,
             attempts: Lock::new(FxHashMap::default()),
             stats: Lock::new(RecoveryStats::default()),
@@ -177,7 +177,7 @@ impl RecoveryManager {
         if !self.core.store.recoverable(id) {
             return false;
         }
-        if self.attempts.lock().get(&id).copied().unwrap_or(0) >= self.cfg.max_recovery_attempts {
+        if self.attempts.lock().get(&id).copied().unwrap_or(0) >= MAX_RECOVERY_ATTEMPTS {
             self.stats.lock().abandoned += 1;
             return false;
         }

@@ -91,8 +91,6 @@ pub struct TierConfig {
     /// restore set) — GC never collects an epoch a live restore could
     /// need.
     pub checkpoint_keep: u32,
-    /// Recovery attempts per object before the failure becomes terminal.
-    pub max_recovery_attempts: u32,
 }
 
 impl Default for TierConfig {
@@ -102,7 +100,6 @@ impl Default for TierConfig {
             disk_segment_bytes: 64 << 20,
             checkpoint_interval: Some(SimDuration::from_micros(500)),
             checkpoint_keep: 2,
-            max_recovery_attempts: 2,
         }
     }
 }
@@ -1230,7 +1227,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = TierConfig::default();
         assert!(c.dram_per_host > 0 && *HBM_DRAM_BW > DRAM_DISK_BW);
-        assert!(c.max_recovery_attempts >= 1);
         assert!(c.disk_segment_bytes > 0 && c.checkpoint_keep >= 1);
     }
 

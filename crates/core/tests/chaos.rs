@@ -23,14 +23,14 @@ use pathways_core::{
     PathwaysRuntime, SliceRequest,
 };
 use pathways_net::{ClusterSpec, DeviceId, HostId, IslandId, NetworkParams};
-use pathways_sim::{Backend, ExecutorKind, FaultPlan, Sim, SimDuration, SimTime};
+use pathways_sim::{ExecutorKind, FaultPlan, Sim, SimDuration, SimTime};
 
 /// True when `PATHWAYS_EXECUTOR` selects the threaded backend; the
 /// bit-identical-replay tests are skipped there (real threads do not
 /// promise a reproducible interleaving — the invariant tests above
 /// still run on both backends).
 fn threaded_backend() -> bool {
-    ExecutorKind::from_env().backend() == Backend::Threaded
+    ExecutorKind::from_env() != ExecutorKind::Deterministic
 }
 
 fn two_island_rt(sim: &Sim) -> PathwaysRuntime {
@@ -247,24 +247,33 @@ fn severed_link_fails_spanning_runs() {
 #[test]
 fn fail_client_between_submit_and_first_grant_unblocks_consumers() {
     let mut sim = Sim::new(0);
-    // A huge scheduler decision cost guarantees no grant has left the
-    // scheduler before the failure is injected.
-    let cfg = PathwaysConfig {
-        sched_decision: SimDuration::from_millis(2),
-        ..PathwaysConfig::default()
-    };
     let rt = PathwaysRuntime::new(
         &sim,
         ClusterSpec::config_b(2),
         NetworkParams::tpu_cluster(),
-        cfg,
+        PathwaysConfig::default(),
     );
+    let blocker = rt.client(HostId(0));
     let producer = rt.client(HostId(0));
     let producer_id = producer.id();
     let consumer = rt.client(HostId(1));
     let consumer_result = Arc::new(Lock::new(None));
     let consumer_result2 = Arc::clone(&consumer_result);
+    let queued = Arc::new(Lock::new(Vec::new()));
+    let queued2 = Arc::clone(&queued);
     let job = sim.spawn("clients", async move {
+        // A 10 ms gang kernel over the whole island, submitted on the
+        // scheduler's own host so it is granted first, holds the
+        // scheduler's estimate 7 ms past its 3 ms horizon: the two runs
+        // below queue behind it without a grant.
+        let all = blocker.virtual_slice(SliceRequest::devices(16)).unwrap();
+        let mut b = blocker.trace("blocker");
+        b.computation(
+            FnSpec::compute_only("b", SimDuration::from_millis(10)),
+            &all,
+        );
+        let blocker_run = blocker.submit(&blocker.prepare(&b.build().unwrap())).await;
+
         let slice = producer.virtual_slice(SliceRequest::devices(8)).unwrap();
         let mut b = producer.trace("prod");
         let k = b.computation(
@@ -288,23 +297,36 @@ fn fail_client_between_submit_and_first_grant_unblocks_consumers() {
             .submit_with(&consumer.prepare(&b.build().unwrap()), &[(x, fut)])
             .await
             .unwrap();
+        *queued2.lock() = vec![prod_run.run(), cons_run.run()];
         let out = cons_run.object_ref(c).unwrap();
-        // Both runs are queued at the scheduler (decision cost 2ms);
-        // the failure lands now, before the first grant.
+        // Both runs are queued at the scheduler; the failure lands
+        // before their first grant.
         prod_run.finish().await;
         cons_run.finish().await;
         let ready = out.ready().await;
         *consumer_result2.lock() = Some(ready);
+        blocker_run.finish().await;
         true
     });
-    // Submissions take ~50us of client overhead; the first grant cannot
-    // happen before 2ms. Kill the producer in between.
+    // Submissions take ~50us of client overhead; the first grant after
+    // the blocker's cannot happen before 7ms. Kill the producer in
+    // between.
     sim.run_until_time(t(500));
     assert!(!job.is_finished(), "nothing can have been granted yet");
+    let sched = rt.scheduler(IslandId(0));
+    let queued = queued.lock().clone();
+    assert_eq!(queued.len(), 2, "both runs were submitted");
+    assert_eq!(sched.granted_programs(), 1, "only the blocker was granted");
     rt.fail_client(producer_id);
     let outcome = sim.run();
     assert!(outcome.is_quiescent(), "wedged: {outcome:?}");
     assert_eq!(job.try_take(), Some(true));
+    // Both runs reached the scheduler and were evicted there: no grant
+    // of either ever went out.
+    for run in &queued {
+        assert!(sched.arrival_time(*run).is_some(), "{run:?} never arrived");
+    }
+    assert_eq!(sched.granted_programs(), 1, "a failed run was granted");
     match consumer_result.lock().as_ref().unwrap() {
         Err(err) => assert!(
             matches!(

@@ -1,6 +1,6 @@
 //! Failure-injection tests: abrupt client death, resource reclamation,
-//! and dynamic device attach/detach — the cluster-management features
-//! §4.1/§4.6 attribute to the single-controller design.
+//! device detach and failed-run wind-down — the cluster-management
+//! features §4.1/§4.6 attribute to the single-controller design.
 
 use std::sync::Arc;
 
@@ -140,11 +140,8 @@ fn detached_devices_are_avoided_by_new_slices() {
         "slice must avoid detached devices: {:?}",
         slice.physical_devices()
     );
-    // Re-attach restores capacity.
-    for d in 0..8 {
-        rm.attach_device(DeviceId(d));
-    }
-    assert!(client.virtual_slice(SliceRequest::devices(16)).is_ok());
+    // The detached half is gone from placement for good.
+    assert!(client.virtual_slice(SliceRequest::devices(9)).is_err());
 }
 
 #[test]
@@ -313,4 +310,41 @@ fn consumer_abort_before_enqueue_resolves_mid_handshake() {
     assert_eq!(rt.core().plaque.live_runs(), 0);
     assert!(rt.core().store.is_empty());
     assert_eq!(sim.now().as_nanos(), 571_660, "the wind-down's last event");
+}
+
+/// A run failed by a device kill gives up its footprint once it winds
+/// down; only its failure reason stays behind.
+#[test]
+fn failed_runs_drop_their_footprints_when_wound_down() {
+    const RUNS: usize = 3;
+    let mut sim = Sim::new(0);
+    let rt = rt(&sim, 2);
+    rt.install_fault_plan(FaultPlan::new().at(
+        SimTime::ZERO + SimDuration::from_micros(200),
+        FaultSpec::Device(DeviceId(0)),
+    ));
+    let client = rt.client(HostId(1));
+    let slice = client.virtual_slice(SliceRequest::devices(4)).unwrap();
+    assert!(slice.physical_devices().contains(&DeviceId(0)));
+    let mut b = client.trace("long");
+    b.computation(
+        FnSpec::compute_only("f", SimDuration::from_millis(1)),
+        &slice,
+    );
+    let prepared = client.prepare(&b.build().unwrap());
+    let job = sim.spawn("runs", async move {
+        let mut runs = Vec::new();
+        for _ in 0..RUNS {
+            runs.push(client.submit(&prepared).await);
+        }
+        for run in runs {
+            run.finish().await;
+        }
+    });
+    let outcome = sim.run();
+    assert!(outcome.is_quiescent(), "wedged: {outcome:?}");
+    assert!(job.is_finished());
+    let failures = &rt.core().failures;
+    assert_eq!(failures.failed_run_count(), RUNS, "every run died");
+    assert_eq!(failures.registered_run_count(), 0, "footprints leaked");
 }

@@ -21,7 +21,7 @@ const CAPTURE: bool = false;
 
 #[test]
 fn chaos_traces_match_seed_revision_fingerprints() {
-    if pathways_sim::ExecutorKind::from_env().backend() == pathways_sim::Backend::Threaded {
+    if pathways_sim::ExecutorKind::from_env() != pathways_sim::ExecutorKind::Deterministic {
         eprintln!("skipping: golden fingerprints pin the deterministic backend only");
         return;
     }

@@ -320,25 +320,21 @@ fn in_flight_production_loss_recomputes_and_unblocks_consumer() {
     }
 }
 
-/// Attempt exhaustion: killing the recovered object's hardware more
-/// times than `max_recovery_attempts` eventually surfaces the error —
-/// recovery is bounded, never an infinite resubmit loop.
+/// Attempt exhaustion: losing the recovered object's hardware one more
+/// time than the per-object budget (two recoveries) allows surfaces the
+/// error — recovery is bounded, never an infinite resubmit loop.
 #[test]
 fn recovery_attempts_are_bounded() {
     let mut sim = Sim::new(9);
-    let cfg = PathwaysConfig {
-        tiers: Some(TierConfig {
-            checkpoint_interval: None,
-            max_recovery_attempts: 1,
-            ..TierConfig::default()
-        }),
-        ..PathwaysConfig::default()
-    };
-    let rt = tiered_rt(&sim, cfg);
-    // First kill: recovered (one attempt). Second kill targets the
-    // healed replacement hardware later; the budget (1) is spent, so the
-    // second loss is terminal.
-    let client = rt.client(HostId(2));
+    // Island 0 has four hosts of four devices: room to heal the slice
+    // after every kill, so only the budget can end recovery.
+    let rt = PathwaysRuntime::new(
+        &sim,
+        ClusterSpec::islands_of(2, 4, 4),
+        NetworkParams::tpu_cluster(),
+        tiered_cfg(None),
+    );
+    let client = rt.client(HostId(4));
     let core = Arc::clone(rt.core());
     let results = Arc::new(Lock::new(None));
     let results2 = Arc::clone(&results);
@@ -356,34 +352,47 @@ fn recovery_attempts_are_bounded() {
         let out = run.object_ref(k).unwrap();
         run.finish().await;
         assert_eq!(out.ready().await, Ok(()));
-        h.sleep_until(t(10_000)).await;
-        let after_first = out.ready().await;
-        h.sleep_until(t(20_000)).await;
-        let after_second = out.ready().await;
-        *results2.lock() = Some((after_first, after_second));
+        let mut after = Vec::new();
+        for until in [10_000, 20_000, 30_000] {
+            h.sleep_until(t(until)).await;
+            after.push(out.ready().await);
+        }
+        *results2.lock() = Some(after);
     });
-    // The recomputed copy lands in island-0 host DRAM; a second wave of
-    // *host* kills loses it again with the attempt budget already spent.
+    // The object starts in HBM on devices 0-3 (host 0). Killing device 1
+    // heals the slice onto devices 0, 2, 3 and 4, and the recomputed
+    // copy lands in the DRAM of their hosts, 0 and 1. Killing host 1
+    // loses shard 3 again: the slice heals onto devices 0, 2, 3 and 8,
+    // and the copy lands in hosts 0 and 2. Killing host 2 loses it a
+    // third time, with both attempts spent.
     let faults = Arc::clone(rt.faults());
     let h = sim.handle();
     h.clone().spawn("killer", async move {
         h.sleep_until(t(1500)).await;
         faults.inject(&FaultSpec::Device(DeviceId(1)));
         h.sleep_until(t(12_000)).await;
-        faults.inject(&FaultSpec::Host(HostId(0)));
         faults.inject(&FaultSpec::Host(HostId(1)));
+        h.sleep_until(t(22_000)).await;
+        faults.inject(&FaultSpec::Host(HostId(2)));
     });
     let outcome = sim.run();
     assert!(outcome.is_quiescent(), "wedged: {outcome:?}");
-    let (after_first, after_second) = results.lock().take().unwrap();
-    assert_eq!(after_first, Ok(()), "first loss recovers");
+    let after = results.lock().take().unwrap();
+    assert_eq!(after[0], Ok(()), "first loss recovers");
+    assert_eq!(after[1], Ok(()), "second loss recovers");
     assert!(
-        matches!(after_second, Err(ObjectError::ProducerFailed { .. })),
-        "exhausted budget must surface the error: {after_second:?}"
+        matches!(after[2], Err(ObjectError::ProducerFailed { .. })),
+        "exhausted budget must surface the error: {:?}",
+        after[2]
     );
     let stats = rt.faults().recovery_stats();
-    assert_eq!(stats.recomputed, 1, "{stats:?}");
+    assert_eq!(stats.recomputed, 2, "{stats:?}");
     assert!(stats.abandoned >= 1, "{stats:?}");
+    let heals = rt.faults().heal_events();
+    assert!(
+        heals.last().is_some_and(|e| e.healed()),
+        "the slice still had room after the last kill: {heals:?}"
+    );
     assert!(core.store.tiers_conserved());
 }
 

@@ -100,7 +100,7 @@ fn replay(wire: &Wire, ops: &[Op]) -> (bool, Vec<(usize, SimTime)>) {
     }
     assert!(ex.run().is_quiescent());
     let log = log.lock().clone();
-    (ex.is_deterministic(), log)
+    (matches!(ex, Executor::Deterministic(_)), log)
 }
 
 proptest! {
@@ -162,7 +162,7 @@ fn zero_occupancy_transfer_queues_behind_a_busy_wire() {
         });
         assert!(ex.run().is_quiescent());
         let done = waiter.try_take().expect("waiter ran");
-        if ex.is_deterministic() {
+        if matches!(ex, Executor::Deterministic(_)) {
             assert_eq!(done.as_nanos(), 2_000);
         } else {
             assert!(done.as_nanos() >= 2_000);
@@ -225,7 +225,7 @@ fn fan_out_keeps_per_pair_order_and_serializes_on_the_nic() {
         let sent: Vec<u32> = (0..8).map(|seq| seq * 4 + dst - 1).collect();
         assert_eq!(seen, sent, "order to host {dst}");
     }
-    if ex.is_deterministic() {
+    if matches!(ex, Executor::Deterministic(_)) {
         // The k-th message overall leaves after k + 1 NIC slots.
         for (dst, msg, at) in log {
             let want = params.dcn_send_overhead * u64::from(msg + 1) + params.dcn_latency;
@@ -248,7 +248,7 @@ fn loopback_skips_the_nic_and_dies_with_its_host() {
     assert!(ex.run().is_quiescent());
     let (env, at) = rx.try_take().expect("rx ran");
     assert_eq!(env.expect("delivered").msg, 1);
-    if ex.is_deterministic() {
+    if matches!(ex, Executor::Deterministic(_)) {
         assert_eq!(
             at,
             SimTime::ZERO,

@@ -45,8 +45,8 @@ use crate::trace::TraceLog;
 use crate::wheel::TimerWheel;
 
 use super::{
-    Backend, ExecutorBackend, ExecutorRef, IdleToken, JoinHandle, RunOutcome, SimHandle,
-    TaskFuture, TaskId, TaskName,
+    ExecutorBackend, ExecutorRef, IdleToken, JoinHandle, RunOutcome, SimHandle, TaskFuture, TaskId,
+    TaskName,
 };
 
 /// Queue of task ids woken and awaiting a poll.
@@ -188,10 +188,6 @@ struct DetCore {
 }
 
 impl ExecutorBackend for DetCore {
-    fn backend(&self) -> Backend {
-        Backend::Deterministic
-    }
-
     fn now(&self) -> SimTime {
         self.state.lock().now
     }

@@ -119,15 +119,6 @@ impl fmt::Debug for TaskName {
 /// Boxed task body as stored by a backend.
 pub type TaskFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 
-/// Which backend an executor (or handle) is running on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Single-threaded virtual time; bit-identical replay.
-    Deterministic,
-    /// Shared-queue thread pool on real monotonic time.
-    Threaded,
-}
-
 /// Backend selection, including threaded worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
@@ -152,14 +143,6 @@ impl ExecutorKind {
             Ok(v) => panic!("PATHWAYS_EXECUTOR={v:?} (want deterministic | threaded)"),
         }
     }
-
-    /// The backend this kind selects.
-    pub fn backend(&self) -> Backend {
-        match self {
-            ExecutorKind::Deterministic => Backend::Deterministic,
-            ExecutorKind::Threaded { .. } => Backend::Threaded,
-        }
-    }
 }
 
 /// The spawn/timer/trace surface a backend provides to [`SimHandle`].
@@ -168,8 +151,6 @@ impl ExecutorKind {
 /// handle type drives both backends. The generic conveniences
 /// (`spawn<T>`, typed join handles) are layered on top in `SimHandle`.
 pub trait ExecutorBackend: Send + Sync {
-    /// Which backend this is.
-    fn backend(&self) -> Backend;
     /// Current time: virtual time (deterministic) or monotonic
     /// nanoseconds since executor start (threaded).
     fn now(&self) -> SimTime;
@@ -321,11 +302,6 @@ impl SimHandle {
             .backend
             .upgrade()
             .expect("SimHandle used after its executor was dropped")
-    }
-
-    /// Which backend this handle belongs to.
-    pub fn backend(&self) -> Backend {
-        self.upgrade().backend()
     }
 
     /// Current time (virtual or monotonic-since-start).
@@ -860,20 +836,6 @@ impl Executor {
     /// [`ExecutorKind::from_env`]).
     pub fn from_env(seed: u64) -> Self {
         Self::new(ExecutorKind::from_env(), seed)
-    }
-
-    /// Which backend is running.
-    pub fn backend(&self) -> Backend {
-        match self {
-            Executor::Deterministic(_) => Backend::Deterministic,
-            Executor::Threaded(_) => Backend::Threaded,
-        }
-    }
-
-    /// True for the deterministic backend (use to gate bit-identical
-    /// replay assertions; the threaded backend asserts invariants only).
-    pub fn is_deterministic(&self) -> bool {
-        matches!(self, Executor::Deterministic(_))
     }
 
     /// A cloneable handle for use inside tasks.

@@ -29,8 +29,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use super::{
-    Backend, ExecutorBackend, IdleToken, JoinHandle, RunOutcome, SimHandle, TaskFuture, TaskId,
-    TaskName,
+    ExecutorBackend, IdleToken, JoinHandle, RunOutcome, SimHandle, TaskFuture, TaskId, TaskName,
 };
 use crate::hash::FxHashMap;
 use crate::time::SimTime;
@@ -254,10 +253,6 @@ impl Core {
 }
 
 impl ExecutorBackend for Core {
-    fn backend(&self) -> Backend {
-        Backend::Threaded
-    }
-
     fn now(&self) -> SimTime {
         self.elapsed()
     }

@@ -47,9 +47,9 @@ pub mod trace;
 mod wheel;
 
 pub use exec::{
-    join_all, join_each, Backend, Executor, ExecutorBackend, ExecutorKind, ExecutorRef, IdleToken,
-    JoinEach, JoinHandle, RenderName, RunOutcome, Sim, SimHandle, Sleep, TaskId, TaskName,
-    ThreadedExecutor, YieldNow,
+    join_all, join_each, Executor, ExecutorBackend, ExecutorKind, ExecutorRef, IdleToken, JoinEach,
+    JoinHandle, RenderName, RunOutcome, Sim, SimHandle, Sleep, TaskId, TaskName, ThreadedExecutor,
+    YieldNow,
 };
 pub use fault::{FaultPlan, FaultSignal, FaultStamp};
 pub use hash::{FxHashMap, FxHashSet};

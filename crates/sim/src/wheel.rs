@@ -4,7 +4,7 @@
 //! popped them one at a time: `O(log n)` per insert and per pop, with
 //! same-deadline timers (a 10k-device cluster arms *thousands* of
 //! identical-deadline timers per simulated step) each paying their own
-//! heap rebalance. This wheel replaces it with the classic hashed
+//! heap sift. This wheel replaces it with the classic hashed
 //! hierarchical design (Varghese & Lauck; the Linux kernel's timer
 //! wheel), adapted for discrete-event simulation:
 //!

@@ -21,7 +21,7 @@ use pathways_sim::channel::{channel, RecvError};
 use pathways_sim::exec::threaded::STALL_BOUND;
 use pathways_sim::sync::{first_set, Event};
 use pathways_sim::{
-    join_each, Backend, Executor, ExecutorKind, JoinHandle, Lock, RunOutcome, SimDuration, SimTime,
+    join_each, Executor, ExecutorKind, JoinHandle, Lock, RunOutcome, SimDuration, SimTime,
     ThreadedExecutor, TraceLog,
 };
 
@@ -47,7 +47,7 @@ fn spawn_runs_every_task_fifo_when_deterministic() {
         }
         assert!(ex.run().is_quiescent(), "{kind:?}");
         let mut got = order.lock().clone();
-        if kind.backend() == Backend::Deterministic {
+        if kind == ExecutorKind::Deterministic {
             assert_eq!(got, (0..16).collect::<Vec<_>>(), "{kind:?}");
         } else {
             got.sort_unstable();
@@ -107,7 +107,7 @@ fn timer_coalescing_shared_deadline() {
         for &(i, at) in &woke {
             assert!(at >= exact, "{kind:?}: timer {i} fired early at {at:?}");
         }
-        if kind.backend() == Backend::Deterministic {
+        if kind == ExecutorKind::Deterministic {
             let order: Vec<usize> = woke.iter().map(|&(i, _)| i).collect();
             assert_eq!(order, (0..8).collect::<Vec<_>>(), "registration order");
             assert!(woke.iter().all(|&(_, at)| at == exact), "{woke:?}");
@@ -134,7 +134,7 @@ fn timers_fire_in_deadline_order() {
         }
         assert!(ex.run().is_quiescent(), "{kind:?}");
         let woke = woke.lock().clone();
-        if kind.backend() == Backend::Deterministic {
+        if kind == ExecutorKind::Deterministic {
             assert_eq!(woke, vec![1, 2, 4, 8], "{kind:?}");
         } else {
             let mut sorted = woke.clone();
@@ -221,7 +221,7 @@ fn channel_fairness_and_per_sender_order() {
                 "{kind:?} sender {s}"
             );
         }
-        if kind.backend() == Backend::Deterministic {
+        if kind == ExecutorKind::Deterministic {
             assert_eq!(got, run(kind), "deterministic interleaving must replay");
         }
     }
@@ -423,7 +423,7 @@ fn join_each_child_sleep_arms_one_timer() {
         let log = log.lock().clone();
         let polls = |i| log.iter().filter(|&&c| c == i).count();
         assert_eq!((polls(0), polls(1)), (2, 9), "{kind:?}: {log:?}");
-        if kind.backend() == Backend::Deterministic {
+        if kind == ExecutorKind::Deterministic {
             assert_eq!(outcome.time(), SimTime::ZERO + SimDuration::from_millis(1));
         }
     }
